@@ -249,9 +249,6 @@ class AlgebraHom:
     def apply(self, coords: Sequence) -> tuple:
         return self.matrix.apply(coords)
 
-    def apply_element(self, x: Element) -> Element:
-        return self.codomain.element(self.matrix.apply(x.coords))
-
 
 def hom_check(f: AlgebraHom) -> HomReport:
     """Multiplicativity on all basis pairs and unit-to-unit."""

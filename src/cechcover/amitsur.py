@@ -22,12 +22,13 @@ map well-defined on the balancing relations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .algebras import Algebra
 from .coverings import Covering, build_pi
 from .errors import DimensionCapError, NotAComplexError, StructureError
-from .linalg import Matrix, Subspace, homology_dim, quotient_map, quotient_section
+from .linalg import Matrix, Subspace, quotient_map, quotient_section, rank
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +574,15 @@ class AmitsurComplex:
     def degree_dims(self) -> tuple[int, ...]:
         return tuple(s.dim for s in self.spaces)
 
+    @cached_property
+    def ranks(self) -> tuple[int, ...]:
+        """rank d_0..d_(n_max-1), each computed once per complex."""
+        return tuple(rank(d) for d in self.differentials)
+
+    @cached_property
+    def augmentation_rank(self) -> int:
+        return rank(self.augmentation)
+
 
 def build_amitsur(c: Covering, n_max: int, cap: int = 20000,
                   tower: Optional[TensorTower] = None,
@@ -602,19 +612,15 @@ def amitsur_homology(cx: AmitsurComplex, augmented: bool) -> list[int]:
 
     Degree 0 is taken against the augmentation pi when augmented, against
     the zero map otherwise.  The top stored degree has no outgoing
-    differential and is not reported.
+    differential and is not reported.  The ranks come from ``cx.ranks``;
+    build_amitsur has already checked d.d = 0 and d_0 . pi = 0.
     """
-    f = cx.covering.field
+    dims, ranks = cx.degree_dims(), cx.ranks
     out = []
     for n in range(cx.n_max):
-        d_out = cx.differentials[n]
-        if n == 0:
-            if augmented:
-                d_in = cx.augmentation
-            else:
-                d_in = Matrix(f, cx.spaces[0].dim, 0,
-                              tuple(() for _ in range(cx.spaces[0].dim)))
+        if n:
+            r_in = ranks[n - 1]
         else:
-            d_in = cx.differentials[n - 1]
-        out.append(homology_dim(d_in, d_out))
+            r_in = cx.augmentation_rank if augmented else 0
+        out.append(dims[n] - ranks[n] - r_in)
     return out

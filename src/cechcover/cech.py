@@ -362,13 +362,8 @@ def cech_cohomology(cx: CechComplex) -> list[int]:
     for n in range(1, len(cx.layouts)):
         if cx.layouts[n].dim > 0:
             top = n
-    out = []
-    for n in range(top):
-        d_out = cx.dprime(n + 1)
-        d_in = cx.dprime(n)
-        ker_dim = d_out.cols - rank(d_out)
-        out.append(ker_dim - (rank(d_in) if n >= 1 else 0))
-    return out
+    ranks = [0] + [rank(cx.dprime(n)) for n in range(1, top + 1)]
+    return [cx.layouts[n + 1].dim - ranks[n + 1] - ranks[n] for n in range(top)]
 
 
 # ---------------------------------------------------------------------------

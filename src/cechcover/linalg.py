@@ -2,16 +2,26 @@
 
 Everything here is exact: rationals are arbitrary-precision
 ``fractions.Fraction`` values, prime-field elements are canonical int
-representatives in ``[0, p)``.  Matrices are dense and immutable; subspaces
-are stored by their reduced row-echelon basis, which makes RREF equality
-the canonical equality test and makes every derived choice (quotient
-coordinates, sections) deterministic.
+representatives in ``[0, p)``.  Matrices are stored dense and immutable;
+subspaces are stored by their reduced row-echelon basis, which makes RREF
+equality the canonical equality test and makes every derived choice
+(quotient coordinates, sections) deterministic.
+
+Elimination and products work on the nonzeros only and are specialised by
+field: row reduction holds each row as a ``{column: value}`` dict, and the
+inner loops use plain ``Fraction`` arithmetic over Q and plain int
+arithmetic with one reduction mod p per result entry over F_p, with no
+``Field`` method call per entry.  Truthiness is a valid zero test because
+every entry over Q is a ``Fraction`` and every entry over F_p is a
+canonical int, so zero is ``Fraction(0)`` or ``0``.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, FieldMismatchError, NotAComplexError
@@ -22,7 +32,13 @@ from .errors import DimensionMismatchError, FieldMismatchError, NotAComplexError
 # ---------------------------------------------------------------------------
 
 class Field:
-    """Field descriptor; scalar values are plain Python objects it governs."""
+    """Field descriptor; scalar values are plain Python objects it governs.
+
+    ``characteristic`` is 0 for Q and p for F_p; the elimination kernels
+    branch on it once per call.
+    """
+
+    characteristic = 0
 
     def coerce(self, x):
         raise NotImplementedError
@@ -52,6 +68,9 @@ class Field:
 
     def describe(self):
         raise NotImplementedError
+
+
+_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
 
 
 class RationalField(Field):
@@ -79,11 +98,11 @@ class RationalField(Field):
 
     @property
     def zero(self):
-        return Fraction(0)
+        return _Q_ZERO
 
     @property
     def one(self):
-        return Fraction(1)
+        return _Q_ONE
 
     def describe(self):
         return "Q"
@@ -107,6 +126,7 @@ class PrimeField(Field):
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
+        self.characteristic = p
 
     def coerce(self, x):
         if isinstance(x, Fraction):
@@ -228,57 +248,70 @@ class Matrix:
                       tuple(tuple(self.entries[r][c] for r in range(self.rows)) for c in range(self.cols)))
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(x == z for row in self.entries for x in row)
+        return not any(any(row) for row in self.entries)
 
     def add(self, other: "Matrix") -> "Matrix":
         self._check_shape(other, same=True)
-        add = self.field.add
-        return Matrix(self.field, self.rows, self.cols,
-                      tuple(tuple(add(a, b) for a, b in zip(ra, rb))
-                            for ra, rb in zip(self.entries, other.entries)))
+        p = self.field.characteristic
+        pairs = [zip(ra, rb) for ra, rb in zip(self.entries, other.entries)]
+        if p:
+            rows = tuple(tuple((a + b) % p if b else a for a, b in row) for row in pairs)
+        else:
+            rows = tuple(tuple(a + b if b else a for a, b in row) for row in pairs)
+        return Matrix(self.field, self.rows, self.cols, rows)
 
     def sub(self, other: "Matrix") -> "Matrix":
-        self._check_shape(other, same=True)
-        sub = self.field.sub
-        return Matrix(self.field, self.rows, self.cols,
-                      tuple(tuple(sub(a, b) for a, b in zip(ra, rb))
-                            for ra, rb in zip(self.entries, other.entries)))
+        return self.add(other.neg())
 
     def neg(self) -> "Matrix":
-        neg = self.field.neg
-        return Matrix(self.field, self.rows, self.cols,
-                      tuple(tuple(neg(a) for a in row) for row in self.entries))
+        p = self.field.characteristic
+        if p:
+            rows = tuple(tuple(p - a if a else a for a in row) for row in self.entries)
+        else:
+            rows = tuple(tuple(-a if a else a for a in row) for row in self.entries)
+        return Matrix(self.field, self.rows, self.cols, rows)
 
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)
-        mul = self.field.mul
-        return Matrix(self.field, self.rows, self.cols,
-                      tuple(tuple(mul(c, a) for a in row) for row in self.entries))
+        p = self.field.characteristic
+        if p:
+            rows = tuple(tuple(c * a % p if a else a for a in row) for row in self.entries)
+        else:
+            rows = tuple(tuple(c * a if a else a for a in row) for row in self.entries)
+        return Matrix(self.field, self.rows, self.cols, rows)
 
     def mul(self, other: "Matrix") -> "Matrix":
-        """Matrix product; skips zero entries (tables here are sparse)."""
+        """Matrix product over the nonzeros of both factors."""
         same_field(self.field, other.field)
         if self.cols != other.rows:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         f = self.field
-        zero, add, mul = f.zero, f.add, f.mul
-        other_rows = other.entries
+        p = f.characteristic
+        other_entries = other.entries
+        inner, outer = range(self.cols), range(other.cols)
+        blank = [f.zero] * other.cols
+        other_rows: dict = {}  # k -> nonzeros (c, b) of other's row k, built on first use
         out = []
-        for r in range(self.rows):
-            acc = [zero] * other.cols
-            row = self.entries[r]
-            for k in range(self.cols):
+        for row in self.entries:
+            acc: dict = {}
+            for k in compress(inner, row):
                 a = row[k]
-                if a == zero:
-                    continue
-                brow = other_rows[k]
-                for c in range(other.cols):
-                    b = brow[c]
-                    if b != zero:
-                        acc[c] = add(acc[c], mul(a, b))
-            out.append(tuple(acc))
+                brow = other_rows.get(k)
+                if brow is None:
+                    b_row = other_entries[k]
+                    brow = other_rows[k] = [(c, b_row[c]) for c in compress(outer, b_row)]
+                if p:
+                    for c, b in brow:
+                        acc[c] = acc.get(c, 0) + a * b
+                else:
+                    for c, b in brow:
+                        x = acc.get(c)
+                        acc[c] = a * b if x is None else x + a * b
+            new = blank.copy()
+            for c, x in acc.items():
+                new[c] = x % p if p else x
+            out.append(tuple(new))
         return Matrix(f, self.rows, other.cols, tuple(out))
 
     def apply(self, vector: Sequence) -> tuple:
@@ -286,14 +319,17 @@ class Matrix:
         if len(vector) != self.cols:
             raise DimensionMismatchError(f"vector length {len(vector)} != cols {self.cols}")
         f = self.field
-        zero, add, mul = f.zero, f.add, f.mul
+        p = f.characteristic
+        zero = f.zero
+        support = [(c, v) for c, v in enumerate(vector) if v]
         out = []
         for row in self.entries:
-            s = zero
-            for a, v in zip(row, vector):
-                if a != zero and v != zero:
-                    s = add(s, mul(a, v))
-            out.append(s)
+            s = 0
+            for c, v in support:
+                a = row[c]
+                if a:
+                    s += a * v
+            out.append(s % p if p else (s if s else zero))
         return tuple(out)
 
     def hstack(self, other: "Matrix") -> "Matrix":
@@ -314,19 +350,20 @@ class Matrix:
         """Kronecker product; index order (i*other.rows + k, j*other.cols + l)."""
         same_field(self.field, other.field)
         f = self.field
-        zero, mul = f.zero, f.mul
+        p = f.characteristic
+        zero = f.zero
+        blank = (zero,) * other.cols
         out = []
-        for i in range(self.rows):
-            arow = self.entries[i]
-            for k in range(other.rows):
-                brow = other.entries[k]
+        for arow in self.entries:
+            for brow in other.entries:
                 row = []
-                for j in range(self.cols):
-                    a = arow[j]
-                    if a == zero:
-                        row.extend((zero,) * other.cols)
+                for a in arow:
+                    if not a:
+                        row.extend(blank)
+                    elif p:
+                        row.extend(a * b % p if b else 0 for b in brow)
                     else:
-                        row.extend(mul(a, b) for b in brow)
+                        row.extend(a * b if b else zero for b in brow)
                 out.append(tuple(row))
         return Matrix(f, self.rows * other.rows, self.cols * other.cols, tuple(out))
 
@@ -369,49 +406,102 @@ def _offsets(dims: Sequence[int]):
 # Row reduction and derived operations
 # ---------------------------------------------------------------------------
 
-def _rref_rows(field: Field, rows: list) -> tuple[list, list]:
-    """In-place RREF on a list of row lists; returns (rows, pivot_columns)."""
-    zero = field.zero
-    div, sub, mul = field.div, field.sub, field.mul
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = -1
-        for i in range(r, nrows):
-            if rows[i][c] != zero:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        if pv != field.one:
-            rows[r] = [div(x, pv) for x in rows[r]]
-        prow = rows[r]
-        for i in range(nrows):
-            if i == r:
-                continue
-            factor = rows[i][c]
-            if factor != zero:
-                ri = rows[i]
-                rows[i] = [sub(x, mul(factor, y)) for x, y in zip(ri, prow)]
+def _sparse_rows(rows: Iterable[Sequence]) -> list:
+    """Dense rows as ``{column: value}`` dicts of their nonzeros."""
+    return [{c: row[c] for c in compress(range(len(row)), row)} for row in rows]
+
+
+def _dense_row(field: Field, row: dict, ncols: int) -> tuple:
+    out = [field.zero] * ncols
+    for c, x in row.items():
+        out[c] = x
+    return tuple(out)
+
+
+def _eliminate(field: Field, rows: list, reduce: bool) -> tuple[list, list]:
+    """Row echelon form of sparse rows; returns (pivot_rows, pivot_columns).
+
+    ``rows`` are ``{column: nonzero}`` dicts and are consumed.  Columns are
+    taken in increasing order.  Every remaining row is zero left of the
+    current column, so the rows nonzero there are exactly the ones whose
+    leading entry lies there: the sparsest of them, scaled to 1, is the
+    pivot, and the column is cleared from the others.  With ``reduce`` the
+    pivot rows are then cleared above each pivot, which gives the unique
+    reduced row-echelon form whatever pivot rows were chosen.
+    """
+    p = field.characteristic
+    buckets: dict = {}  # leading column -> remaining rows that start there
+    for row in rows:
+        if row:
+            buckets.setdefault(min(row), []).append(row)
+    heap = list(buckets)
+    heapq.heapify(heap)
+    pivot_rows, pivots = [], []
+    while heap:
+        c = heapq.heappop(heap)
+        group = buckets.pop(c)
+        prow = group.pop(min(range(len(group)), key=lambda i: len(group[i])))
+        pv = prow[c]
+        if pv != 1:
+            if p:
+                inv = pow(pv, -1, p)
+                prow = {j: x * inv % p for j, x in prow.items()}
+            else:
+                prow = {j: x / pv for j, x in prow.items()}
+        pivot_rows.append(prow)
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+        for row in group:
+            _clear(row, prow, c, p)
+            if row:
+                lead = min(row)
+                if lead in buckets:
+                    buckets[lead].append(row)
+                else:
+                    buckets[lead] = [row]
+                    heapq.heappush(heap, lead)
+    if reduce:
+        for k in range(len(pivots) - 1, 0, -1):
+            c, prow = pivots[k], pivot_rows[k]
+            for row in pivot_rows[:k]:
+                if c in row:
+                    _clear(row, prow, c, p)
+    return pivot_rows, pivots
+
+
+def _clear(row: dict, prow: dict, c: int, p: int) -> None:
+    """row -= row[c] * prow in place, where prow[c] == 1 (mod p when p > 0)."""
+    f = row[c]
+    if p:
+        f = p - f
+        for j, x in prow.items():
+            y = (row.get(j, 0) + f * x) % p
+            if y:
+                row[j] = y
+            else:
+                del row[j]
+    else:
+        for j, x in prow.items():
+            y = row.get(j)
+            if y is None:
+                row[j] = -f * x
+            else:
+                y -= f * x
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """Reduced row-echelon form and rank (= number of nonzero rows)."""
-    rows, pivots = _rref_rows(m.field, [list(r) for r in m.entries])
-    return Matrix(m.field, m.rows, m.cols, tuple(tuple(r) for r in rows)), len(pivots)
+    rows, _ = _eliminate(m.field, _sparse_rows(m.entries), reduce=True)
+    dense = [_dense_row(m.field, row, m.cols) for row in rows]
+    dense.extend(Matrix.zero(m.field, m.rows - len(rows), m.cols).entries)
+    return Matrix(m.field, m.rows, m.cols, tuple(dense)), len(rows)
 
 
 def rank(m: Matrix) -> int:
-    _, pivots = _rref_rows(m.field, [list(r) for r in m.entries])
+    _, pivots = _eliminate(m.field, _sparse_rows(m.entries), reduce=False)
     return len(pivots)
 
 
@@ -436,11 +526,9 @@ class Subspace:
         for v in vecs:
             if len(v) != ambient_dim:
                 raise DimensionMismatchError(f"vector length {len(v)} != ambient {ambient_dim}")
-        if not vecs:
-            return Subspace(ambient_dim, Matrix(field, 0, ambient_dim, ()))
-        rows, pivots = _rref_rows(field, vecs)
-        keep = tuple(tuple(rows[i]) for i in range(len(pivots)))
-        return Subspace(ambient_dim, Matrix(field, len(pivots), ambient_dim, keep))
+        rows, _ = _eliminate(field, _sparse_rows(vecs), reduce=True)
+        keep = tuple(_dense_row(field, row, ambient_dim) for row in rows)
+        return Subspace(ambient_dim, Matrix(field, len(keep), ambient_dim, keep))
 
     @staticmethod
     def zero(field: Field, ambient_dim: int) -> "Subspace":
@@ -497,15 +585,17 @@ def kernel_basis(m: Matrix) -> Subspace:
     """Null space of m as a subspace of the domain k^cols."""
     f = m.field
     zero, one, neg = f.zero, f.one, f.neg
-    rows, pivots = _rref_rows(f, [list(r) for r in m.entries])
+    rows, pivots = _eliminate(f, _sparse_rows(m.entries), reduce=True)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
     for fc in free:
         v = [zero] * m.cols
         v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = neg(rows[r][fc])
+        for row, pc in zip(rows, pivots):
+            x = row.get(fc)
+            if x:
+                v[pc] = neg(x)
         basis.append(v)
     return Subspace.from_vectors(f, m.cols, basis)
 
@@ -513,10 +603,6 @@ def kernel_basis(m: Matrix) -> Subspace:
 def image_basis(m: Matrix) -> Subspace:
     """Column space of m as a subspace of the codomain k^rows."""
     return Subspace.from_vectors(m.field, m.rows, [m.column(c) for c in range(m.cols)])
-
-
-def row_space(m: Matrix) -> Subspace:
-    return Subspace.from_vectors(m.field, m.cols, [m.row(r) for r in range(m.rows)])
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
@@ -530,20 +616,14 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     _check_ambient(u, v)
     f = u.field
     n = u.ambient_dim
-    zero = f.zero
     rows = []
-    for r in u.basis.entries:
-        rows.append(list(r) + list(r))
-    for r in v.basis.entries:
-        rows.append(list(r) + [zero] * n)
-    if not rows:
-        return Subspace.zero(f, n)
-    reduced, pivots = _rref_rows(f, rows)
-    out = []
-    for i in range(len(pivots)):
-        left = reduced[i][:n]
-        if all(x == zero for x in left):
-            out.append(reduced[i][n:])
+    for r in _sparse_rows(u.basis.entries):
+        r.update({c + n: x for c, x in r.items()})
+        rows.append(r)
+    rows.extend(_sparse_rows(v.basis.entries))
+    reduced, pivots = _eliminate(f, rows, reduce=True)
+    out = [_dense_row(f, {c - n: x for c, x in row.items()}, n)
+           for row, pc in zip(reduced, pivots) if pc >= n]
     return Subspace.from_vectors(f, n, out)
 
 

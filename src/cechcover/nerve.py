@@ -119,13 +119,8 @@ def nerve_cohomology(cd: CoverDescription) -> list[int]:
                 sign = field.neg(sign)
         deltas.append(Matrix(field, rows, cols, tuple(tuple(r) for r in grid)))
 
-    out = []
-    for d in range(top + 1):
-        n_d = len(simplices[d])
-        r_out = rank(deltas[d]) if d < top else 0
-        r_in = rank(deltas[d - 1]) if d >= 1 else 0
-        out.append(n_d - r_out - r_in)
-    return out
+    ranks = [0] + [rank(delta) for delta in deltas] + [0]
+    return [len(simplices[d]) - ranks[d + 1] - ranks[d] for d in range(top + 1)]
 
 
 def random_cover_description(rng: random.Random, max_patches: int = 6,

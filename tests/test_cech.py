@@ -71,7 +71,7 @@ def test_constant_functor_coboundary_signs():
 
 
 def test_constant_functor_point_pattern():
-    for n in range(2, 6):
+    for n in (2, 3, 4, 5, 10):
         dims = cech_cohomology(build_cech(constant_functor(n, line())))
         assert dims == [1] + [0] * (n - 1)
 
