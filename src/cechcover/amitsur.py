@@ -28,7 +28,9 @@ from typing import Optional, Sequence
 from .algebras import Algebra
 from .coverings import Covering, build_pi
 from .errors import DimensionCapError, NotAComplexError, StructureError
-from .linalg import Matrix, Subspace, quotient_map, quotient_section, rank
+from .linalg import (
+    Matrix, Subspace, mul_kron_identity, quotient_map, quotient_section, rank,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -154,17 +156,15 @@ def _block_diag(field, total: int, blocks: Sequence[TensorBlock],
                 mats: Sequence[Matrix]) -> Matrix:
     grid = [[field.zero] * total for _ in range(total)]
     for b, m in zip(blocks, mats):
-        for r in range(m.rows):
-            for ci, x in enumerate(m.entries[r]):
-                if x != field.zero:
-                    grid[b.offset + r][b.offset + ci] = x
+        for r, cols in enumerate(m.support):
+            row, out = m.entries[r], grid[b.offset + r]
+            for ci in cols:
+                out[b.offset + ci] = row[ci]
     return Matrix(field, total, total, tuple(tuple(r) for r in grid))
 
 
 def _slice(m: Matrix, r0: int, rn: int, c0: int, cn: int) -> Matrix:
-    return Matrix(m.field, rn, cn,
-                  tuple(tuple(m.entries[r0 + r][c0 + c] for c in range(cn))
-                        for r in range(rn)))
+    return Matrix(m.field, rn, cn, tuple(row[c0:c0 + cn] for row in m.entries[r0:r0 + rn]))
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +205,14 @@ def _tensor_with_section(m: Bimodule, n: Bimodule, check: bool = False):
                     for yi in range(dv):
                         vec = [zero] * (du * dv)
                         for r, cr in enumerate(col_r):
-                            if cr != zero:
+                            if cr:
                                 vec[r * dv + yi] = cr
                         for s in range(dv):
                             cl = la.entries[s][yi]
-                            if cl != zero:
+                            if cl:
                                 vec[xi * dv + s] = f.sub(vec[xi * dv + s], cl)
                         t = tuple(vec)
-                        if any(x != zero for x in t) and t not in seen:
+                        if any(t) and t not in seen:
                             seen.add(t)
                             rows.append(t)
             w = Subspace.from_vectors(f, du * dv, rows)
@@ -226,30 +226,33 @@ def _tensor_with_section(m: Bimodule, n: Bimodule, check: bool = False):
     proj_grid = [[zero] * raw_dim for _ in range(total)]
     sect_grid = [[zero] * total for _ in range(raw_dim)]
     for nb, (q, s, u, v) in zip(new_blocks, local):
-        for r in range(q.rows):
-            for lc in range(q.cols):
-                x = q.entries[r][lc]
-                if x != zero:
-                    xi, yi = divmod(lc, v.dim)
-                    proj_grid[nb.offset + r][(u.offset + xi) * n.dim + (v.offset + yi)] = x
-        for lr in range(s.rows):
-            for c in range(s.cols):
-                x = s.entries[lr][c]
-                if x != zero:
-                    xi, yi = divmod(lr, v.dim)
-                    sect_grid[(u.offset + xi) * n.dim + (v.offset + yi)][nb.offset + c] = x
+        for r, cols in enumerate(q.support):
+            for lc in cols:
+                xi, yi = divmod(lc, v.dim)
+                proj_grid[nb.offset + r][(u.offset + xi) * n.dim + (v.offset + yi)] = \
+                    q.entries[r][lc]
+        for lr, cols in enumerate(s.support):
+            xi, yi = divmod(lr, v.dim)
+            for c in cols:
+                sect_grid[(u.offset + xi) * n.dim + (v.offset + yi)][nb.offset + c] = \
+                    s.entries[lr][c]
     proj = Matrix(f, total, raw_dim, tuple(tuple(r) for r in proj_grid))
     sect = Matrix(f, raw_dim, total, tuple(tuple(r) for r in sect_grid))
 
+    idents = {d: Matrix.identity(f, d) for d in {b.dim for b in m.blocks + n.blocks}}
     left, right = [], []
     for am in range(a.dim):
+        # the action on each block of one factor, kron the identity of each block
+        # size of the other, built once and shared by the blocks of the product
+        la = {(u, d): _slice(m.left[am], u.offset, u.dim, u.offset, u.dim).kron(idents[d])
+              for u in m.blocks for d in {v.dim for v in n.blocks}}
+        ra = {(d, v): idents[d].kron(_slice(n.right[am], v.offset, v.dim, v.offset, v.dim))
+              for v in n.blocks for d in {u.dim for u in m.blocks}}
         mats = []
         rmats = []
         for nb, (q, s, u, v) in zip(new_blocks, local):
-            la_u = _slice(m.left[am], u.offset, u.dim, u.offset, u.dim)
-            ra_v = _slice(n.right[am], v.offset, v.dim, v.offset, v.dim)
-            mats.append(q.mul(la_u.kron(Matrix.identity(f, v.dim))).mul(s))
-            rmats.append(q.mul(Matrix.identity(f, u.dim).kron(ra_v)).mul(s))
+            mats.append(q.mul(la[u, v.dim]).mul(s))
+            rmats.append(q.mul(ra[u.dim, v]).mul(s))
         left.append(_block_diag(f, total, new_blocks, mats))
         right.append(_block_diag(f, total, new_blocks, rmats))
 
@@ -321,8 +324,7 @@ class TensorTower:
     def flat(self, n: int) -> Matrix:
         """Full k-tensor space k^((dim B)^n) onto T_n coordinates."""
         if n not in self._flat:
-            ident = Matrix.identity(self.field, self.base.dim)
-            self._flat[n] = self.proj(n).mul(self.flat(n - 1).kron(ident))
+            self._flat[n] = mul_kron_identity(self.proj(n), self.flat(n - 1), self.base.dim)
         return self._flat[n]
 
     def unflatten(self, n: int) -> Matrix:
@@ -358,8 +360,7 @@ class TensorTower:
                 built = self.proj(2).mul(raw)
             else:
                 prev = self.insert_unit(n - 1, k)
-                built = self.proj(n + 1).mul(
-                    prev.kron(Matrix.identity(f, bdim))).mul(self.sect(n))
+                built = mul_kron_identity(self.proj(n + 1), prev, bdim).mul(self.sect(n))
             if self.check:
                 lhs = built.mul(self.flat(n))
                 rhs = self.flat(n + 1).mul(self.raw_insert_unit(n, k))
@@ -409,8 +410,7 @@ class TensorTower:
                 built = self.proj(n - 1).mul(merge).mul(lift).mul(self.sect(n))
             else:
                 prev = self.mult_adjacent(n - 1, k)
-                built = self.proj(n - 1).mul(
-                    prev.kron(Matrix.identity(f, bdim))).mul(self.sect(n))
+                built = mul_kron_identity(self.proj(n - 1), prev, bdim).mul(self.sect(n))
             if self.check:
                 lhs = built.mul(self.flat(n))
                 rhs = self.flat(n - 1).mul(self.raw_mult_adjacent(n, k))

@@ -123,15 +123,26 @@ def validate_functor(f: PosetFunctor) -> None:
                 if hom.domain != f.rings[zeta] or hom.codomain != f.rings[eta]:
                     raise StructureError(f"restriction {zeta} -> {eta} has wrong endpoints",
                                          witness=("endpoints", zeta, eta))
+    # Functors reuse restriction maps (the constant functor has one), so each
+    # distinct (outer, inner) pair of step matrices is composed once.
+    composites: dict = {}
+
+    def compose(outer: Matrix, inner: Matrix) -> Matrix:
+        key = (id(outer), id(inner))
+        product = composites.get(key)
+        if product is None:
+            product = composites[key] = outer.mul(inner)
+        return product
+
     for length in range(n - 1):
         for zeta in all_tuples(n, length):
             rest = [i for i in range(1, n + 1) if i not in zeta]
+            up = {i: insert_index(zeta, i)[1] for i in rest}
             for i, j in combinations(rest, 2):
-                _, via_i = insert_index(zeta, i)
-                _, via_j = insert_index(zeta, j)
+                via_i, via_j = up[i], up[j]
                 _, top = insert_index(via_i, j)
-                path1 = f.steps[(via_i, top)].matrix.mul(f.steps[(zeta, via_i)].matrix)
-                path2 = f.steps[(via_j, top)].matrix.mul(f.steps[(zeta, via_j)].matrix)
+                path1 = compose(f.steps[(via_i, top)].matrix, f.steps[(zeta, via_i)].matrix)
+                path2 = compose(f.steps[(via_j, top)].matrix, f.steps[(zeta, via_j)].matrix)
                 if path1 != path2:
                     raise StructureError(
                         f"restriction square {zeta} -> {top} does not commute",

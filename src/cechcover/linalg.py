@@ -14,6 +14,16 @@ arithmetic with one reduction mod p per result entry over F_p, with no
 ``Field`` method call per entry.  Truthiness is a valid zero test because
 every entry over Q is a ``Fraction`` and every entry over F_p is a
 canonical int, so zero is ``Fraction(0)`` or ``0``.
+
+Each matrix also carries its row supports (``Matrix.support``: the columns
+of each row's nonzeros).  Products, Kronecker products, sums, negation and
+block assembly build the support of their result along with its entries,
+and read the supports of their operands, so a chain of operations touches
+nonzeros only; a matrix built from dense rows finds its support by one scan
+on first use.  Over Q that scan skips entries that are the shared
+``QQ.zero`` object by an identity test, which costs no
+``Fraction.__bool__`` call, and the operations above write ``QQ.zero``
+into every zero they produce.
 """
 
 from __future__ import annotations
@@ -21,7 +31,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from functools import cached_property
+from itertools import compress, repeat
+from operator import is_not
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, FieldMismatchError, NotAComplexError
@@ -225,13 +237,27 @@ class Matrix:
 
     @staticmethod
     def zero(field: Field, rows: int, cols: int) -> "Matrix":
-        z = field.zero
-        return Matrix(field, rows, cols, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
+        blank = (field.zero,) * cols
+        return _with_support(Matrix(field, rows, cols, (blank,) * rows), ((),) * rows)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
         z, o = field.zero, field.one
-        return Matrix(field, n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
+        return _with_support(
+            Matrix(field, n, n, tuple(tuple(o if i == j else z for j in range(n))
+                                      for i in range(n))),
+            tuple((i,) for i in range(n)))
+
+    @cached_property
+    def support(self) -> tuple:
+        """Per row, the columns of its nonzero entries."""
+        inner = range(self.cols)
+        if self.field.characteristic:
+            return tuple(tuple(compress(inner, row)) for row in self.entries)
+        # skip the shared zero by identity, then test what is left
+        shared = repeat(self.field.zero)
+        return tuple(tuple(c for c in compress(inner, map(is_not, row, shared)) if row[c])
+                     for row in self.entries)
 
     @staticmethod
     def from_columns(field: Field, cols: Sequence[Sequence]) -> "Matrix":
@@ -248,28 +274,54 @@ class Matrix:
                       tuple(tuple(self.entries[r][c] for r in range(self.rows)) for c in range(self.cols)))
 
     def is_zero(self) -> bool:
-        return not any(any(row) for row in self.entries)
+        # tuple equality tries identity before ==, so shared zeros compare in C
+        blank = (self.field.zero,) * self.cols
+        return all(row == blank for row in self.entries)
 
     def add(self, other: "Matrix") -> "Matrix":
-        self._check_shape(other, same=True)
-        p = self.field.characteristic
-        pairs = [zip(ra, rb) for ra, rb in zip(self.entries, other.entries)]
-        if p:
-            rows = tuple(tuple((a + b) % p if b else a for a, b in row) for row in pairs)
-        else:
-            rows = tuple(tuple(a + b if b else a for a, b in row) for row in pairs)
-        return Matrix(self.field, self.rows, self.cols, rows)
+        return self._combine(other, subtract=False)
 
     def sub(self, other: "Matrix") -> "Matrix":
-        return self.add(other.neg())
+        return self._combine(other, subtract=True)
+
+    def _combine(self, other: "Matrix", subtract: bool) -> "Matrix":
+        """self + other or self - other, visiting other's nonzeros only."""
+        self._check_shape(other, same=True)
+        p = self.field.characteristic
+        zero = self.field.zero
+        out, support = [], []
+        for ra, rb, sa, sb in zip(self.entries, other.entries, self.support, other.support):
+            if not sb:
+                out.append(ra)
+                support.append(sa)
+                continue
+            row = list(ra)
+            cols = dict.fromkeys(sa)  # ordered set of the nonzero columns
+            for c in sb:
+                x = ra[c] - rb[c] if subtract else ra[c] + rb[c]
+                if p:
+                    x %= p
+                if x:
+                    row[c] = x
+                    cols[c] = None
+                else:
+                    row[c] = zero
+                    del cols[c]
+            out.append(tuple(row))
+            support.append(tuple(cols))
+        return _with_support(Matrix(self.field, self.rows, self.cols, tuple(out)),
+                             tuple(support))
 
     def neg(self) -> "Matrix":
         p = self.field.characteristic
-        if p:
-            rows = tuple(tuple(p - a if a else a for a in row) for row in self.entries)
-        else:
-            rows = tuple(tuple(-a if a else a for a in row) for row in self.entries)
-        return Matrix(self.field, self.rows, self.cols, rows)
+        out = []
+        for ra, sa in zip(self.entries, self.support):
+            row = list(ra)
+            for c in sa:
+                row[c] = p - ra[c] if p else -ra[c]
+            out.append(tuple(row))
+        return _with_support(Matrix(self.field, self.rows, self.cols, tuple(out)),
+                             self.support)
 
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)
@@ -286,33 +338,9 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        f = self.field
-        p = f.characteristic
-        other_entries = other.entries
-        inner, outer = range(self.cols), range(other.cols)
-        blank = [f.zero] * other.cols
-        other_rows: dict = {}  # k -> nonzeros (c, b) of other's row k, built on first use
-        out = []
-        for row in self.entries:
-            acc: dict = {}
-            for k in compress(inner, row):
-                a = row[k]
-                brow = other_rows.get(k)
-                if brow is None:
-                    b_row = other_entries[k]
-                    brow = other_rows[k] = [(c, b_row[c]) for c in compress(outer, b_row)]
-                if p:
-                    for c, b in brow:
-                        acc[c] = acc.get(c, 0) + a * b
-                else:
-                    for c, b in brow:
-                        x = acc.get(c)
-                        acc[c] = a * b if x is None else x + a * b
-            new = blank.copy()
-            for c, x in acc.items():
-                new[c] = x % p if p else x
-            out.append(tuple(new))
-        return Matrix(f, self.rows, other.cols, tuple(out))
+        b_entries, b_support = other.entries, other.support
+        return _product(self, other.cols,
+                        lambda k: [(c, b_entries[k][c]) for c in b_support[k]])
 
     def apply(self, vector: Sequence) -> tuple:
         """Matrix times column vector."""
@@ -351,21 +379,22 @@ class Matrix:
         same_field(self.field, other.field)
         f = self.field
         p = f.characteristic
-        zero = f.zero
-        blank = (zero,) * other.cols
-        out = []
-        for arow in self.entries:
-            for brow in other.entries:
-                row = []
-                for a in arow:
-                    if not a:
-                        row.extend(blank)
-                    elif p:
-                        row.extend(a * b % p if b else 0 for b in brow)
-                    else:
-                        row.extend(a * b if b else zero for b in brow)
+        width = other.cols
+        blank = [f.zero] * (self.cols * width)
+        out, support = [], []
+        for arow, acols in zip(self.entries, self.support):
+            for brow, bcols in zip(other.entries, other.support):
+                row = blank.copy()
+                nonzero = []
+                for j in acols:  # a product of nonzeros is nonzero in a field
+                    a, base = arow[j], j * width
+                    for l in bcols:
+                        row[base + l] = a * brow[l] % p if p else a * brow[l]
+                        nonzero.append(base + l)
                 out.append(tuple(row))
-        return Matrix(f, self.rows * other.rows, self.cols * other.cols, tuple(out))
+                support.append(tuple(nonzero))
+        return _with_support(Matrix(f, self.rows * other.rows, self.cols * width, tuple(out)),
+                             tuple(support))
 
     def _check_shape(self, other: "Matrix", same: bool = False):
         same_field(self.field, other.field)
@@ -384,6 +413,7 @@ def block_matrix(field: Field, row_dims: Sequence[int], col_dims: Sequence[int],
     col_off = _offsets(col_dims)
     total_r, total_c = sum(row_dims), sum(col_dims)
     grid = [[field.zero] * total_c for _ in range(total_r)]
+    support = [[] for _ in range(total_r)]
     for (br, bc), m in blocks.items():
         if m.rows != row_dims[br] or m.cols != col_dims[bc]:
             raise DimensionMismatchError(f"block ({br},{bc}) has shape {m.rows}x{m.cols}")
@@ -391,7 +421,69 @@ def block_matrix(field: Field, row_dims: Sequence[int], col_dims: Sequence[int],
         for r in range(m.rows):
             row = m.entries[r]
             grid[r0 + r][c0:c0 + m.cols] = list(row)
-    return Matrix(field, total_r, total_c, tuple(tuple(r) for r in grid))
+            support[r0 + r].extend(c0 + c for c in m.support[r])
+    return _with_support(Matrix(field, total_r, total_c, tuple(tuple(r) for r in grid)),
+                         tuple(tuple(s) for s in support))
+
+
+def mul_kron_identity(a: Matrix, x: Matrix, n: int) -> Matrix:
+    """a . (x kron I_n), without forming the Kronecker product.
+
+    Row i*n + s of x kron I_n has the entries of row i of x at columns
+    j*n + s.
+    """
+    same_field(a.field, x.field)
+    if a.cols != x.rows * n:
+        raise DimensionMismatchError(
+            f"cannot multiply {a.rows}x{a.cols} by ({x.rows}x{x.cols}) kron I_{n}")
+    x_entries, x_support = x.entries, x.support
+
+    def right_row(k):
+        i, s = divmod(k, n)
+        return [(j * n + s, x_entries[i][j]) for j in x_support[i]]
+
+    return _product(a, x.cols * n, right_row)
+
+
+def _product(a: Matrix, ncols: int, right_row) -> Matrix:
+    """a times the ncols-column matrix whose row k has the nonzeros
+    ``right_row(k)``, as (column, value) pairs; each row is asked for once."""
+    f = a.field
+    p = f.characteristic
+    blank = [f.zero] * ncols
+    right: dict = {}
+    out, support = [], []
+    for row, cols in zip(a.entries, a.support):
+        acc: dict = {}
+        for k in cols:
+            av = row[k]
+            pairs = right.get(k)
+            if pairs is None:
+                pairs = right[k] = right_row(k)
+            if p:
+                for c, b in pairs:
+                    acc[c] = acc.get(c, 0) + av * b
+            else:
+                for c, b in pairs:
+                    y = acc.get(c)
+                    acc[c] = av * b if y is None else y + av * b
+        new = blank.copy()
+        nonzero = []
+        for c, y in acc.items():
+            if p:
+                y %= p
+            if y:
+                new[c] = y
+                nonzero.append(c)
+        out.append(tuple(new))
+        support.append(tuple(nonzero))
+    return _with_support(Matrix(f, a.rows, ncols, tuple(out)), tuple(support))
+
+
+def _with_support(m: Matrix, support: tuple) -> Matrix:
+    """m with its row supports (``Matrix.support``) already known."""
+    m.__dict__["support"] = support
+    return m
 
 
 def _offsets(dims: Sequence[int]):
@@ -409,6 +501,11 @@ def _offsets(dims: Sequence[int]):
 def _sparse_rows(rows: Iterable[Sequence]) -> list:
     """Dense rows as ``{column: value}`` dicts of their nonzeros."""
     return [{c: row[c] for c in compress(range(len(row)), row)} for row in rows]
+
+
+def _matrix_rows(m: Matrix) -> list:
+    """The rows of m as ``{column: value}`` dicts of their nonzeros."""
+    return [{c: row[c] for c in cols} for row, cols in zip(m.entries, m.support)]
 
 
 def _dense_row(field: Field, row: dict, ncols: int) -> tuple:
@@ -494,14 +591,14 @@ def _clear(row: dict, prow: dict, c: int, p: int) -> None:
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """Reduced row-echelon form and rank (= number of nonzero rows)."""
-    rows, _ = _eliminate(m.field, _sparse_rows(m.entries), reduce=True)
+    rows, _ = _eliminate(m.field, _matrix_rows(m), reduce=True)
     dense = [_dense_row(m.field, row, m.cols) for row in rows]
     dense.extend(Matrix.zero(m.field, m.rows - len(rows), m.cols).entries)
     return Matrix(m.field, m.rows, m.cols, tuple(dense)), len(rows)
 
 
 def rank(m: Matrix) -> int:
-    _, pivots = _eliminate(m.field, _sparse_rows(m.entries), reduce=False)
+    _, pivots = _eliminate(m.field, _matrix_rows(m), reduce=False)
     return len(pivots)
 
 
@@ -585,7 +682,7 @@ def kernel_basis(m: Matrix) -> Subspace:
     """Null space of m as a subspace of the domain k^cols."""
     f = m.field
     zero, one, neg = f.zero, f.one, f.neg
-    rows, pivots = _eliminate(f, _sparse_rows(m.entries), reduce=True)
+    rows, pivots = _eliminate(f, _matrix_rows(m), reduce=True)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
@@ -617,10 +714,10 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     f = u.field
     n = u.ambient_dim
     rows = []
-    for r in _sparse_rows(u.basis.entries):
+    for r in _matrix_rows(u.basis):
         r.update({c + n: x for c, x in r.items()})
         rows.append(r)
-    rows.extend(_sparse_rows(v.basis.entries))
+    rows.extend(_matrix_rows(v.basis))
     reduced, pivots = _eliminate(f, rows, reduce=True)
     out = [_dense_row(f, {c - n: x for c, x in row.items()}, n)
            for row, pc in zip(reduced, pivots) if pc >= n]

@@ -12,7 +12,8 @@ import random
 from fractions import Fraction
 
 from cechcover.linalg import (
-    GF, QQ, Field, Matrix, Subspace, kernel_basis, rank, rref, subspace_intersect,
+    GF, QQ, Field, Matrix, Subspace, kernel_basis, mul_kron_identity, rank, rref,
+    subspace_intersect,
 )
 
 FIELDS = (QQ, GF(2), GF(5), GF(1000003))
@@ -195,6 +196,21 @@ def test_mul_matches_naive_product():
             assert_canonical(field, prod)
 
 
+def test_mul_kron_identity_matches_naive_product():
+    rng = random.Random(20075)
+    for field in FIELDS:
+        for _ in range(30):
+            x = random_matrix(rng, field, rng.randint(0, 4))
+            n = rng.randint(1, 3)
+            a = Matrix.from_rows(field, random_rows(rng, field, rng.randint(0, 5), x.rows * n))
+            if a.rows == 0:
+                a = Matrix(field, 0, x.rows * n, ())
+            prod = mul_kron_identity(a, x, n)
+            assert prod.entries == naive_mul(a, x.kron(Matrix.identity(field, n)))
+            assert (prod.rows, prod.cols) == (a.rows, x.cols * n)
+            assert_canonical(field, prod)
+
+
 def test_mul_reduces_unreduced_sums_mod_p():
     # entries p - 1 make every partial sum of the product leave [0, p)
     rng = random.Random(20072)
@@ -240,3 +256,28 @@ def test_entrywise_ops_kron_and_apply_match_field_ops():
             applied = a.apply(v)
             assert applied == tuple(row[0] for row in naive_mul(a, column))
             assert_canonical(field, Matrix(field, 1, len(applied), (applied,)))
+
+
+def test_zero_tests_agree_on_shared_and_fresh_zeros():
+    # Over Q the dense-row scans skip the shared QQ.zero by identity: zeros held
+    # in other Fraction objects must still read as zero, and a nonzero must be
+    # found wherever it sits.
+    rng = random.Random(20074)
+    for field in FIELDS:
+        for rows, cols in ((1, 1), (3, 4), (4, 2)):
+            for r in range(rows):
+                for c in range(cols):
+                    data = [[0] * cols for _ in range(rows)]
+                    data[r][c] = 1
+                    assert not Matrix.from_rows(field, data).is_zero()
+            assert Matrix.from_rows(field, [[0] * cols for _ in range(rows)]).is_zero()
+            assert Matrix.zero(field, rows, cols).is_zero()
+        for _ in range(60):
+            m = random_matrix(rng, field, rng.randint(0, 6))
+            shared = Matrix(field, m.rows, m.cols,
+                            tuple(tuple(x if x else field.zero for x in row)
+                                  for row in m.entries))
+            assert m.is_zero() == shared.is_zero() == all(x == 0 for x in sum(m.entries, ()))
+            assert rref(shared) == rref(m)
+            assert kernel_basis(shared) == kernel_basis(m)
+            assert shared.mul(m.transpose()).entries == naive_mul(m, m.transpose())
