@@ -1,22 +1,33 @@
-"""Balanced tensor powers of the patch sum, the Sweedler coring and the
-Amitsur complex of a covering.
+"""The Amitsur complex of a covering in closed form, with the balanced
+tensor tower and the Sweedler coring as its literal-definition oracles.
 
 Coordinates
 -----------
-Write B = (+)_i A_i for the patch sum of a covering.  The n-th balanced
-power T_n = B (x)_A ... (x)_A B is built left-associated: the raw
-coordinate space of T_(n+1) is k^(dim T_n * dim B) and T_(n+1) is its
-quotient by the span of the balancing relations (t.a)(x)y - t(x)(a.y).
-Relations never mix word blocks (the block of a tensor records which patch
-each factor came from), so the quotient is computed block pair by block
-pair and all projections/sections are block diagonal.
+Write B = (+)_i A_i for the patch sum of a covering, A_i = A/I_i.  For
+two-sided ideals A/I (x)_A A/J = A/(I + J), so the Amitsur degree
+C^n = B^((x)_A (n+1)) is the direct sum over patch words w in [N]^(n+1)
+of A/I_set(w), where I_S is the sum of the I_i with i in S.  The class of
+a in block w is pi_(w_1)(a) (x) 1 (x) ... (x) 1.  Blocks come in
+lexicographic word order (the block order of the tensor tower); a word
+whose quotient is zero has no coordinates and is left out.  Block w uses
+the coordinates of ``quotient_map`` of the RREF basis of I_set(w), so
+words of length one carry the patch coordinates and pi = (+)_i pi_i is
+the augmentation.
 
-The Amitsur differential is the alternating sum of unit insertions,
-d = sum_k (-1)^k (insert 1_B at slot k); it agrees with 1(x)x - x(x)1 in
-degree zero and squares to zero, which the builder asserts.  In check
-mode every structure map between quotient spaces is verified against its
-raw full-tensor counterpart through the flattening maps, which proves the
-map well-defined on the balancing relations.
+Inserting 1_B = sum_i 1_(A_i) at slot k sends block w to the blocks
+w[:k] + (i,) + w[k:] by the canonical projections
+A/I_S -> A/I_(S + {i}); the differential is the alternating sum
+d = sum_k (-1)^k (insert 1_B at slot k), where insertions that land on the
+same word add.  The builder asserts d.d = 0 and d_0 . pi = 0.
+
+The tensor tower builds the same spaces from the definition: the raw
+coordinate space of T_(n+1) = T_n (x)_A B is k^(dim T_n * dim B) and
+T_(n+1) is its quotient by the balancing relations (t.a)(x)y - t(x)(a.y),
+computed block pair by block pair.  In check mode every structure map
+between quotient spaces is verified against its raw full-tensor
+counterpart through the flattening maps, which proves the map well
+defined on the balancing relations.  The tests compare the closed form
+with the tower.
 """
 
 from __future__ import annotations
@@ -29,7 +40,8 @@ from .algebras import Algebra
 from .coverings import Covering, build_pi
 from .errors import DimensionCapError, NotAComplexError, StructureError
 from .linalg import (
-    Matrix, Subspace, mul_kron_identity, quotient_map, quotient_section, rank,
+    Matrix, Subspace, block_matrix, mul_kron_identity, quotient_map, quotient_section,
+    rank, subspace_sum,
 )
 
 
@@ -563,11 +575,28 @@ def build_coring(c: Covering, tower: Optional[TensorTower] = None,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class WordSpace:
+    """One Amitsur degree: the blocks A/I_set(w) in lexicographic word order.
+
+    ``sections[k]`` is the section A/I_set(w) -> A of block k
+    (``quotient_section`` of I_set(w)); words with a zero quotient are
+    not listed.
+    """
+
+    words: tuple
+    dims: tuple
+    sections: tuple
+
+    @property
+    def dim(self) -> int:
+        return sum(self.dims)
+
+
+@dataclass(frozen=True)
 class AmitsurComplex:
     covering: Covering
-    tower: TensorTower
     n_max: int
-    spaces: tuple  # Bimodules C^0..C^n_max, C^n = T_(n+1)
+    spaces: tuple  # WordSpace C^0..C^n_max, C^n on the words of length n+1
     differentials: tuple  # d_0..d_(n_max-1)
     augmentation: Matrix  # pi : A -> C^0
 
@@ -584,27 +613,119 @@ class AmitsurComplex:
         return rank(self.augmentation)
 
 
-def build_amitsur(c: Covering, n_max: int, cap: int = 20000,
-                  tower: Optional[TensorTower] = None,
-                  check: bool = False) -> AmitsurComplex:
-    """Amitsur complex C^n = B^((x)_A (n+1)) for n = 0..n_max.
+class _IdealSums:
+    """I_S = sum of I_i over i in S, for index sets S given as sorted tuples.
 
-    Asserts d.d = 0 between stored degrees and d_0 . pi = 0 for the
-    augmentation; raises DimensionCapError before any degree whose raw
-    coordinate space would exceed the cap.
+    Each sum, its quotient coordinates and each projection
+    A/I_S -> A/I_T between two sums are computed once.
+    """
+
+    def __init__(self, c: Covering):
+        self.ambient = c.algebra.dim
+        self.ideals = c.ideals
+        self._spaces = {(i,): ideal.space for i, ideal in enumerate(c.ideals, start=1)}
+        self._maps: dict = {}
+        self._projections: dict = {}
+
+    def space(self, s: tuple) -> Subspace:
+        sp = self._spaces.get(s)
+        if sp is None:
+            sp = self._spaces[s] = subspace_sum(self.space(s[:-1]),
+                                                self.ideals[s[-1] - 1].space)
+        return sp
+
+    def dim(self, s: tuple) -> int:
+        """dim A/I_S"""
+        return self.ambient - self.space(s).dim
+
+    def maps(self, s: tuple) -> tuple[Matrix, Matrix]:
+        """The quotient map A -> A/I_S and its section."""
+        m = self._maps.get(s)
+        if m is None:
+            w = self.space(s)
+            m = self._maps[s] = (quotient_map(self.ambient, w),
+                                 quotient_section(self.ambient, w))
+        return m
+
+    def projection(self, s: tuple, t: tuple) -> Matrix:
+        """The canonical projection A/I_S -> A/I_T for S inside T."""
+        key = (s, t)
+        m = self._projections.get(key)
+        if m is None:
+            m = self._projections[key] = self.maps(t)[0].mul(self.maps(s)[1])
+        return m
+
+
+def _index_set(word: tuple) -> tuple:
+    return tuple(sorted(set(word)))
+
+
+def build_amitsur(c: Covering, n_max: int, cap: int = 20000) -> AmitsurComplex:
+    """Amitsur complex C^n = (+)_(w in [N]^(n+1)) A/I_set(w) for n = 0..n_max.
+
+    Raises DimensionCapError, before any matrix is built, when a degree
+    has more than ``cap`` coordinates.  Asserts d.d = 0 between stored
+    degrees and d_0 . pi = 0 for the augmentation.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    t = tower or TensorTower(c, cap=cap, check=check)
-    spaces = tuple(t.space(n + 1) for n in range(n_max + 1))
-    diffs = tuple(t.differential(n) for n in range(n_max))
+    sums = _IdealSums(c)
+    patches = range(1, c.n_patches + 1)
+    # a word's quotient only shrinks as letters are added, so extending the
+    # words with a nonzero block reaches every word with a nonzero block
+    words_by_degree = []
+    words = [(i,) for i in patches if sums.dim((i,))]
+    for n in range(n_max + 1):
+        total = sum(sums.dim(_index_set(w)) for w in words)
+        if total > cap:
+            raise DimensionCapError(
+                f"Amitsur degree {n} (tensor power {n + 1}) has dimension "
+                f"{total} > cap {cap}", degree=n + 1, estimated=total, cap=cap)
+        words_by_degree.append(words)
+        if n < n_max:
+            words = [w + (i,) for w in words for i in patches
+                     if sums.dim(_index_set(w + (i,)))]
+
+    spaces = []
+    for words in words_by_degree:
+        keys = [_index_set(w) for w in words]
+        spaces.append(WordSpace(tuple(words), tuple(sums.dim(s) for s in keys),
+                                tuple(sums.maps(s)[1] for s in keys)))
+    diffs = tuple(_differential(c.field, sums, patches, src, dst)
+                  for src, dst in zip(spaces, spaces[1:]))
     for n in range(n_max - 1):
         if not diffs[n + 1].mul(diffs[n]).is_zero():
             raise NotAComplexError(f"d_{n + 1} . d_{n} != 0", degree=n)
     pi = build_pi(c)
     if not diffs[0].mul(pi).is_zero():
         raise NotAComplexError("d_0 . pi != 0", degree=-1)
-    return AmitsurComplex(c, t, n_max, spaces, diffs, pi)
+    return AmitsurComplex(c, n_max, tuple(spaces), diffs, pi)
+
+
+def _differential(field, sums: _IdealSums, patches, src: WordSpace,
+                  dst: WordSpace) -> Matrix:
+    """d = sum_k (-1)^k (insert 1_B at slot k), block by block.
+
+    Inserting patch i at slot k maps block w to block w[:k] + (i,) + w[k:]
+    by the projection A/I_set(w) -> A/I_(set(w) + {i}); the target word
+    fixes i, so insertions that meet on one word add their signs.
+    """
+    row_of = {w: r for r, w in enumerate(dst.words)}
+    blocks = {}
+    for col, w in enumerate(src.words):
+        signs: dict = {}
+        for k in range(len(w) + 1):
+            sign = -1 if k % 2 else 1
+            for i in patches:
+                row = row_of.get(w[:k] + (i,) + w[k:])
+                if row is not None:
+                    signs[row] = signs.get(row, 0) + sign
+        s = _index_set(w)
+        for row, x in signs.items():
+            if x:
+                proj = sums.projection(s, _index_set(dst.words[row]))
+                blocks[(row, col)] = proj if x == 1 else proj.scale(field.coerce(x))
+    return block_matrix(field, dst.dims, src.dims, blocks)
 
 
 def amitsur_homology(cx: AmitsurComplex, augmented: bool) -> list[int]:

@@ -17,9 +17,10 @@ import time
 from typing import Optional
 
 from . import __version__
-from .amitsur import TensorTower, amitsur_homology, build_amitsur
+from .amitsur import amitsur_homology, build_amitsur
 from .cech import (
-    build_cech, cech_cohomology, default_phi_choice, space_layout, verify_chain_map,
+    build_cech, cech_cohomology, default_phi_choice, space_layout, validate_functor,
+    verify_chain_map,
 )
 from .coverings import build_tau, completeness_check
 from .errors import (
@@ -167,10 +168,16 @@ def _functor_summary(functor) -> dict:
     return dims
 
 
+def _validated(kind: str) -> bool:
+    """Whether build_problem_functor has already validated a functor of this
+    kind (functor_from_ringed_covering validates the functors it builds)."""
+    return kind == "ringed_default"
+
+
 def _cmd_cech(problem: Problem):
     try:
         functor, kind, _ = build_problem_functor(problem)
-        cx = build_cech(functor)
+        cx = build_cech(functor, validate=not _validated(kind))
     except StructureError as exc:
         return ({"error": str(exc), "witness": repr(exc.witness)},
                 {"functor_validation": False}, EXIT_VIOLATION)
@@ -205,9 +212,9 @@ def _cmd_verify(problem: Problem):
     report = completeness_check(c)
     results["covering"] = report.as_dict()
 
+    cx = None
     try:
-        tower = TensorTower(c, cap=problem.dim_cap)
-        cx = build_amitsur(c, problem.n_max, cap=problem.dim_cap, tower=tower)
+        cx = build_amitsur(c, problem.n_max, cap=problem.dim_cap)
         checks["d_squared_zero"] = True
         results["degree_dims"] = list(cx.degree_dims())
         results["homology_augmented"] = amitsur_homology(cx, augmented=True)
@@ -215,13 +222,12 @@ def _cmd_verify(problem: Problem):
         checks["d_squared_zero"] = False
         results["d_squared_witness"] = str(exc)
         ok = False
-        tower = None
 
     functor = None
     try:
         functor, kind, _ = build_problem_functor(problem)
-        from .cech import validate_functor
-        validate_functor(functor)
+        if not _validated(kind):
+            validate_functor(functor)
         checks["functor_validation"] = True
         results["functor"] = kind
     except StructureError as exc:
@@ -230,6 +236,7 @@ def _cmd_verify(problem: Problem):
         results["functor_witness"] = f"{exc} [{exc.witness!r}]"
         ok = False
 
+    ccx = None
     if functor is not None:
         try:
             ccx = build_cech(functor, validate=False)
@@ -240,7 +247,7 @@ def _cmd_verify(problem: Problem):
             results["dprime_witness"] = str(exc)
             ok = False
 
-    if functor is not None and tower is not None:
+    if ccx is not None and cx is not None:
         try:
             choice = default_phi_choice(functor, c)
         except CechcoverError:
@@ -249,8 +256,7 @@ def _cmd_verify(problem: Problem):
             results["chain_map_note"] = ("no canonical patch homs A_i -> R((i,)); "
                                          "chain-map check needs the default ringed functor")
         if choice is not None:
-            cm = verify_chain_map(functor, choice, c, problem.n_max,
-                                  tower=tower, cap=problem.dim_cap)
+            cm = verify_chain_map(cx, ccx, choice)
             checks["chain_map"] = cm.passed
             results["chain_map"] = cm.as_dict()
             ok = ok and cm.passed

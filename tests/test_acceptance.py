@@ -59,7 +59,7 @@ def test_criterion_3_chain_map_and_relation_killing():
     for name, cov in (("E1", make_e1()), ("E4", make_e4())):
         functor = functor_from_ringed_covering(cov)
         choice = default_phi_choice(functor, cov)
-        rep = verify_chain_map(functor, choice, cov, 2)
+        rep = verify_chain_map(build_amitsur(cov, 2), build_cech(functor), choice)
         assert rep.passed, f"{name}: {rep.as_dict()}"
         assert [sq.degree for sq in rep.squares] == [1, 2]
         assert all(ch.ok for ch in rep.well_defined)
@@ -145,14 +145,14 @@ def test_criterion_5_property_suites():
 
     for cov in instances:
         tower = TensorTower(cov)
-        cx = build_amitsur(cov, 2, tower=tower)
+        cx = build_amitsur(cov, 2)
         d0, d1 = cx.differentials
         assert d1.mul(d0).is_zero()
         assert d0.mul(cx.augmentation).is_zero()
 
         t2, _ = tensor_over_A(b_bimodule(cov), b_bimodule(cov))
         assert t2.dim == pair_block_formula(cov)
-        assert t2.dim == tower.space(2).dim
+        assert t2.dim == tower.space(2).dim == cx.spaces[1].dim
 
         functor = functor_from_ringed_covering(cov)  # functor validation runs inside
         ccx = build_cech(functor)

@@ -8,7 +8,7 @@ import pytest
 from cechcover.algebras import (
     AlgebraHom, Ideal, ideal_closure, matrix_algebra, quotient, split_commutative,
 )
-from cechcover.amitsur import TensorTower
+from cechcover.amitsur import TensorTower, build_amitsur
 from cechcover.cech import (
     CechElement, RingedStructure,
     all_tuples, build_cech, cech_cohomology, constant_functor, default_phi_choice,
@@ -251,7 +251,7 @@ def test_phi_matrix_well_defined_on_quotient(e1):
 
 def test_chain_map_e1(e1):
     f = functor_from_ringed_covering(e1)
-    report = verify_chain_map(f, default_phi_choice(f, e1), e1, 2)
+    report = verify_chain_map(build_amitsur(e1, 2), build_cech(f), default_phi_choice(f, e1))
     assert report.passed
     assert all(ch.ok for ch in report.squares)
     assert all(ch.ok for ch in report.well_defined)
@@ -259,7 +259,7 @@ def test_chain_map_e1(e1):
 
 def test_chain_map_e4(e4):
     f = functor_from_ringed_covering(e4)
-    report = verify_chain_map(f, default_phi_choice(f, e4), e4, 2)
+    report = verify_chain_map(build_amitsur(e4, 2), build_cech(f), default_phi_choice(f, e4))
     assert report.passed
 
 
@@ -267,14 +267,14 @@ def test_chain_map_trivial_covering():
     a = split_commutative(QQ, 2)
     c = Covering(a, [ideal_closure(a, [])])
     f = functor_from_ringed_covering(c)
-    report = verify_chain_map(f, default_phi_choice(f, c), c, 2)
+    report = verify_chain_map(build_amitsur(c, 2), build_cech(f), default_phi_choice(f, c))
     assert report.passed
 
 
 def test_chain_map_over_f5():
     c = make_e1(GF(5))
     f = functor_from_ringed_covering(c)
-    report = verify_chain_map(f, default_phi_choice(f, c), c, 2)
+    report = verify_chain_map(build_amitsur(c, 2), build_cech(f), default_phi_choice(f, c))
     assert report.passed
 
 

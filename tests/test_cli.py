@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 from cechcover.cli import main
 from cechcover.problem import load_problem, normalize, parse_problem
@@ -152,6 +153,54 @@ def test_verify_broken_explicit_functor_exit_1(capsys, tmp_path):
     code2, report2, _ = run_json(capsys, "cech", path)
     assert code2 == 1
     assert report2["checks"]["functor_validation"] is False
+
+
+def test_verify_three_lines_n_max_4_finishes(capsys, problems_dir):
+    # the chain-map check once walked the raw space of dimension 6^5 here
+    # and did not finish in 180 s
+    started = time.perf_counter()
+    code, report, _ = run_json(capsys, "verify", problems_dir / "incomplete_three_lines.json",
+                               "--n-max", "4")
+    elapsed = time.perf_counter() - started
+    assert code == 0
+    assert report["checks"]["chain_map"] is True
+    assert report["results"]["degree_dims"] == [6, 12, 30, 84, 246]
+    assert elapsed < 10, elapsed
+
+
+def test_verify_chain_map_fails_when_patch_homs_disagree(capsys, tmp_path):
+    # the functor commutes (swap . swap = id . id), but phi sends
+    # a (x) 1 - 1 (x) a on the word (1, 2) to swap(a) - a, so phi is not
+    # well defined on B (x)_A B
+    plane = {"dim": 2, "mul": [[0, 0, 0, 1], [1, 1, 1, 1]], "unit": [1, 1]}
+    ident = [[1, 0], [0, 1]]
+    swap = [[0, 1], [1, 0]]
+    doc = {
+        "field": "Q",
+        "algebra": plane,
+        "ideals": {"Z": []},
+        "covering": ["Z", "Z"],
+        "functor": {"explicit": {
+            "n": 2,
+            "rings": {"": plane, "1": plane, "2": plane, "1,2": plane},
+            "restrictions": {
+                "->1": swap, "1->1,2": swap,
+                "->2": ident, "2->1,2": ident,
+            },
+        }},
+    }
+    path = tmp_path / "twisted.json"
+    path.write_text(json.dumps(doc))
+    code, report, _ = run_json(capsys, "verify", path, "--n-max", "2")
+    assert code == 1
+    checks = report["checks"]
+    assert checks["functor_validation"] is True and checks["chain_map"] is False
+    chain = report["results"]["chain_map"]
+    assert chain["passed"] is False
+    assert [(c["degree"], c["ok"]) for c in chain["well_defined"]] == \
+        [(1, True), (2, False), (3, True)]
+    assert "(1, 2)" in chain["well_defined"][1]["witness"]
+    assert [c["degree"] for c in chain["squares"]] == [1, 2]
 
 
 def test_oracle_circle(capsys, problems_dir):
