@@ -41,7 +41,7 @@ from .coverings import Covering, build_pi
 from .errors import DimensionCapError, NotAComplexError, StructureError
 from .linalg import (
     Matrix, Subspace, block_matrix, mul_kron_identity, quotient_map, quotient_section,
-    rank, subspace_sum,
+    rank,
 )
 
 
@@ -614,35 +614,28 @@ class AmitsurComplex:
 
 
 class _IdealSums:
-    """I_S = sum of I_i over i in S, for index sets S given as sorted tuples.
+    """Quotient coordinates of the ideal sums I_S of a covering (see
+    ``Covering.ideal_sum_space``), for index sets S given as sorted tuples.
 
-    Each sum, its quotient coordinates and each projection
-    A/I_S -> A/I_T between two sums are computed once.
+    The coordinates of each A/I_S and each projection A/I_S -> A/I_T
+    between two sums are computed once.
     """
 
     def __init__(self, c: Covering):
+        self.covering = c
         self.ambient = c.algebra.dim
-        self.ideals = c.ideals
-        self._spaces = {(i,): ideal.space for i, ideal in enumerate(c.ideals, start=1)}
         self._maps: dict = {}
         self._projections: dict = {}
 
-    def space(self, s: tuple) -> Subspace:
-        sp = self._spaces.get(s)
-        if sp is None:
-            sp = self._spaces[s] = subspace_sum(self.space(s[:-1]),
-                                                self.ideals[s[-1] - 1].space)
-        return sp
-
     def dim(self, s: tuple) -> int:
         """dim A/I_S"""
-        return self.ambient - self.space(s).dim
+        return self.ambient - self.covering.ideal_sum_space(s).dim
 
     def maps(self, s: tuple) -> tuple[Matrix, Matrix]:
         """The quotient map A -> A/I_S and its section."""
         m = self._maps.get(s)
         if m is None:
-            w = self.space(s)
+            w = self.covering.ideal_sum_space(s)
             m = self._maps[s] = (quotient_map(self.ambient, w),
                                  quotient_section(self.ambient, w))
         return m

@@ -29,7 +29,7 @@ from .amitsur import AmitsurComplex, TensorTower
 from .coverings import Covering
 from .errors import DimensionMismatchError, NotAComplexError, StructureError
 from .linalg import (
-    Matrix, Subspace, block_matrix, quotient_section, rank, subspace_sum,
+    Matrix, Subspace, block_matrix, quotient_map, quotient_section, rank,
 )
 
 
@@ -199,9 +199,12 @@ class RingedStructure:
         return self._map(j1, j2)
 
     @staticmethod
-    def default(base: Algebra) -> "RingedStructure":
-        """Phi(J) = A/J with Phi_J the identity and Phi(proj) the projection."""
-        quotients: dict = {}
+    def default(c: Covering) -> "RingedStructure":
+        """Phi(J) = A/J with Phi_J the identity and Phi(proj) the projection,
+        on the ideals of the covering's lattice.  The quotients the covering
+        has built are not built again."""
+        base = c.algebra
+        quotients = dict(c.quotients)
         maps: dict = {}
 
         def quot(j: Subspace):
@@ -230,10 +233,10 @@ class RingedStructure:
         """Check the naturality squares for every comparable pair in the list."""
         base = self.base
 
-        # each distinct ideal's quotient, section and Phi_J is built once
+        # each distinct ideal's quotient map, section and Phi_J is built once
         @cache
         def quotient_matrix(j: Subspace) -> Matrix:
-            return quotient(base, _as_ideal(base, j))[1].matrix
+            return quotient_map(base.dim, j)
 
         @cache
         def section(j: Subspace) -> Matrix:
@@ -269,15 +272,10 @@ def functor_from_ringed_covering(c: Covering,
     the finite ideal lattice generated by the covering; a failure raises a
     StructureError carrying the witness square.
     """
-    rs = rs or RingedStructure.default(c.algebra)
+    rs = rs or RingedStructure.default(c)
     n = c.n_patches
-    f = c.field
-    sums: dict = {(): Subspace.zero(f, c.algebra.dim)}
-    for length in range(1, n + 1):
-        for zeta in all_tuples(n, length):
-            acc = sums[zeta[:-1]]
-            acc = subspace_sum(acc, c.ideals[zeta[-1] - 1].space)
-            sums[zeta] = acc
+    sums = {zeta: c.ideal_sum_space(zeta)
+            for length in range(n + 1) for zeta in all_tuples(n, length)}
     rings = {zeta: rs.ring_of(j) for zeta, j in sums.items()}
     steps = {}
     for length in range(n):
@@ -552,6 +550,8 @@ def verify_chain_map(amitsur: AmitsurComplex, cx: CechComplex,
     zero otherwise.  For n = 1..n_max the square
     d'_n . phi_n = phi_(n+1) . d_(n-1) is compared on these matrices and a
     failure names the first block and coordinate where the sides differ.
+    Where phi is not well defined in degree n or n + 1 the square's verdict
+    depends on the chosen sections, and its witness says so.
     The degrees of ``amitsur`` bound the check; no raw tensor space is built.
     """
     f = cx.functor
@@ -599,17 +599,20 @@ def verify_chain_map(amitsur: AmitsurComplex, cx: CechComplex,
     for n in range(1, amitsur.n_max + 1):
         lhs = cx.dprime(n).mul(phis[n])
         rhs = phis[n + 1].mul(amitsur.differentials[n - 1])
-        if lhs == rhs:
-            squares.append(DegreeCheck(n, True))
-            continue
-        col = next(k for k in range(lhs.cols) if lhs.column(k) != rhs.column(k))
-        space = amitsur.spaces[n - 1]
-        for w, d in zip(space.words, space.dims):
-            if col < d:
-                break
-            col -= d
-        squares.append(DegreeCheck(n, False, f"square fails on coordinate {col} "
-                                             f"of the block {w}"))
+        notes = []
+        if lhs != rhs:
+            col = next(k for k in range(lhs.cols) if lhs.column(k) != rhs.column(k))
+            space = amitsur.spaces[n - 1]
+            for w, d in zip(space.words, space.dims):
+                if col < d:
+                    break
+                col -= d
+            notes.append(f"square fails on coordinate {col} of the block {w}")
+        # where phi is not well defined its blocks depend on the sections s_w,
+        # and so does this verdict
+        notes.extend(f"phi is not well defined in degree {k}"
+                     for k in (n, n + 1) if not well[k - 1].ok)
+        squares.append(DegreeCheck(n, lhs == rhs, "; ".join(notes) or None))
 
     passed = all(ch.ok for ch in well) and all(ch.ok for ch in squares)
     return ChainMapReport(tuple(well), tuple(squares), passed)

@@ -19,8 +19,7 @@ from typing import Optional
 from . import __version__
 from .amitsur import amitsur_homology, build_amitsur
 from .cech import (
-    build_cech, cech_cohomology, default_phi_choice, space_layout, validate_functor,
-    verify_chain_map,
+    build_cech, cech_cohomology, default_phi_choice, space_layout, verify_chain_map,
 )
 from .coverings import build_tau, completeness_check
 from .errors import (
@@ -168,16 +167,10 @@ def _functor_summary(functor) -> dict:
     return dims
 
 
-def _validated(kind: str) -> bool:
-    """Whether build_problem_functor has already validated a functor of this
-    kind (functor_from_ringed_covering validates the functors it builds)."""
-    return kind == "ringed_default"
-
-
 def _cmd_cech(problem: Problem):
     try:
         functor, kind, _ = build_problem_functor(problem)
-        cx = build_cech(functor, validate=not _validated(kind))
+        cx = build_cech(functor, validate=False)
     except StructureError as exc:
         return ({"error": str(exc), "witness": repr(exc.witness)},
                 {"functor_validation": False}, EXIT_VIOLATION)
@@ -226,8 +219,6 @@ def _cmd_verify(problem: Problem):
     functor = None
     try:
         functor, kind, _ = build_problem_functor(problem)
-        if not _validated(kind):
-            validate_functor(functor)
         checks["functor_validation"] = True
         results["functor"] = kind
     except StructureError as exc:
@@ -265,11 +256,11 @@ def _cmd_verify(problem: Problem):
 
 
 def _cmd_oracle(problem: Problem):
-    functor, kind, cd = build_problem_functor(problem)
-    if cd is None:
+    if problem.functor_spec is None or problem.functor_spec["kind"] != "cover":
         raise ProblemFormatError('oracle needs a {"cover": ...} functor section', "functor")
+    functor, kind, cd = build_problem_functor(problem)
     nerve_dims = nerve_cohomology(cd)
-    cech_dims = cech_cohomology(build_cech(functor))
+    cech_dims = cech_cohomology(build_cech(functor, validate=False))
     match = nerve_dims == cech_dims
     results = {
         "functor": kind,

@@ -24,8 +24,8 @@ from .algebras import (
 )
 from .errors import DimensionMismatchError, StructureError
 from .linalg import (
-    Field, Matrix, block_matrix, image_basis, kernel_basis,
-    quotient_section,
+    Field, Matrix, Subspace, block_matrix, image_basis, kernel_basis,
+    quotient_section, subspace_sum,
 )
 
 
@@ -71,13 +71,19 @@ class Covering:
         self.ideals = tuple(ideals)
         self.n_patches = len(self.ideals)
 
-        self._patches = [quotient(algebra, ideal) for ideal in self.ideals]
+        # A/J with its projection, keyed by the space of J; built once per space
+        self.quotients: dict = {}
+        self._patches = [self._quotient(ideal) for ideal in self.ideals]
         self._sections = [quotient_section(algebra.dim, ideal.space) for ideal in self.ideals]
+        self._sum_spaces = {(): Subspace.zero(self.field, algebra.dim)}
+        self._sum_spaces.update(((i,), ideal.space)
+                                for i, ideal in enumerate(self.ideals, start=1))
         self._pairs = {}
         for a in range(self.n_patches):
             for b in range(a + 1, self.n_patches):
                 sum_ideal = ideal_sum(self.ideals[a], self.ideals[b])
-                a_ij, q_ij = quotient(algebra, sum_ideal)
+                self._sum_spaces[(a + 1, b + 1)] = sum_ideal.space
+                a_ij, q_ij = self._quotient(sum_ideal)
                 pi_a = AlgebraHom(self._patches[a][0], a_ij,
                                   q_ij.matrix.mul(self._sections[a]))
                 pi_b = AlgebraHom(self._patches[b][0], a_ij,
@@ -91,6 +97,12 @@ class Covering:
                 self._pairs[(a + 1, b + 1)] = (a_ij, q_ij, pi_a, pi_b)
         self._b_algebra: Optional[Algebra] = None
 
+    def _quotient(self, ideal: Ideal) -> tuple[Algebra, AlgebraHom]:
+        q = self.quotients.get(ideal.space)
+        if q is None:
+            q = self.quotients[ideal.space] = quotient(self.algebra, ideal)
+        return q
+
     @property
     def field(self) -> Field:
         return self.algebra.field
@@ -103,6 +115,15 @@ class Covering:
 
     def pair(self, i: int, j: int):
         return self._pairs[(i, j)]
+
+    def ideal_sum_space(self, s: tuple) -> Subspace:
+        """I_S, the sum of the I_i over i in S, for an index set S given as
+        a sorted tuple; each sum is computed once."""
+        space = self._sum_spaces.get(s)
+        if space is None:
+            space = self._sum_spaces[s] = subspace_sum(self.ideal_sum_space(s[:-1]),
+                                                       self.ideals[s[-1] - 1].space)
+        return space
 
     def patch_dims(self) -> tuple[int, ...]:
         return tuple(p[0].dim for p in self._patches)

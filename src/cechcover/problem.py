@@ -298,9 +298,10 @@ def build_problem_functor(problem: Problem):
 
     ``ringed_default`` (also the default when a covering is present) uses
     the covering with the default ringed structure; ``cover`` also returns
-    the CoverDescription so the oracle can run.
+    the CoverDescription so the oracle can run.  Every functor returned has
+    passed ``validate_functor``; a failure raises StructureError.
     """
-    from .cech import constant_functor, functor_from_ringed_covering
+    from .cech import constant_functor, functor_from_ringed_covering, validate_functor
     from .nerve import functor_from_cover
 
     spec = problem.functor_spec or {"kind": "ringed_default"}
@@ -315,7 +316,9 @@ def build_problem_functor(problem: Problem):
         if "ring" not in body:
             raise ProblemFormatError("constant functor needs a 'ring'", "functor.constant")
         ring = parse_algebra_section(problem.field, body["ring"], "functor.constant.ring")
-        return constant_functor(n, ring), kind, None
+        functor = constant_functor(n, ring)
+        validate_functor(functor)
+        return functor, kind, None
     if kind == "cover":
         overlaps = body.get("nonempty_overlaps")
         if not isinstance(overlaps, list):
@@ -330,7 +333,9 @@ def build_problem_functor(problem: Problem):
             cd = CoverDescription(n, frozenset(tuples), problem.field)
         except CechcoverError as exc:
             raise ProblemFormatError(str(exc), "functor.cover")
-        return functor_from_cover(cd), kind, cd
+        functor = functor_from_cover(cd)
+        validate_functor(functor)
+        return functor, kind, cd
     # explicit
     rings_spec = body.get("rings")
     rest_spec = body.get("restrictions")
@@ -379,4 +384,6 @@ def build_problem_functor(problem: Problem):
                     raise ProblemFormatError(
                         f"missing restriction {tuple_to_key(zeta)}->{tuple_to_key(eta)}",
                         "functor.explicit.restrictions")
-    return PosetFunctor(n, rings, steps), kind, None
+    functor = PosetFunctor(n, rings, steps)
+    validate_functor(functor)
+    return functor, kind, None

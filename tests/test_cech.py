@@ -104,6 +104,16 @@ def test_e1_default_ringed_dims(e1):
     assert f.ring((1, 2)).dim == 1
 
 
+def test_default_ringed_functor_reuses_the_covering_quotients(e1):
+    f = functor_from_ringed_covering(e1)
+    for i in range(1, e1.n_patches + 1):
+        assert f.ring((i,)) is e1.patch(i)[0]
+    for (i, j) in combinations(range(1, e1.n_patches + 1), 2):
+        assert f.ring((i, j)) is e1.pair(i, j)[0]
+        assert e1.ideal_sum_space((i, j)) == subspace_sum(e1.ideals[i - 1].space,
+                                                          e1.ideals[j - 1].space)
+
+
 def test_e1_dprime_is_tau_up_to_sign(e1):
     f = functor_from_ringed_covering(e1)
     cx = build_cech(f)

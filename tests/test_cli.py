@@ -154,6 +154,10 @@ def test_verify_broken_explicit_functor_exit_1(capsys, tmp_path):
     assert code2 == 1
     assert report2["checks"]["functor_validation"] is False
 
+    # oracle needs a cover functor; that input error comes before validation
+    code3, _, err = run(capsys, "oracle", "--input", str(path))
+    assert code3 == 2 and "cover" in err
+
 
 def test_verify_three_lines_n_max_4_finishes(capsys, problems_dir):
     # the chain-map check once walked the raw space of dimension 6^5 here
@@ -201,6 +205,9 @@ def test_verify_chain_map_fails_when_patch_homs_disagree(capsys, tmp_path):
         [(1, True), (2, False), (3, True)]
     assert "(1, 2)" in chain["well_defined"][1]["witness"]
     assert [c["degree"] for c in chain["squares"]] == [1, 2]
+    # both squares touch degree 2, where phi depends on the chosen sections
+    for square in chain["squares"]:
+        assert "phi is not well defined in degree 2" in square["witness"]
 
 
 def test_oracle_circle(capsys, problems_dir):
