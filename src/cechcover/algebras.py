@@ -1,20 +1,29 @@
 """Finite-dimensional unital associative algebras from structure constants.
 
-An algebra is a dense table c[i][j] with b_i * b_j = sum_k c[i][j][k] b_k,
-plus the coordinate vector of the unit.  Associativity and the unit laws
-are checked on construction over all basis triples; the zero algebra
+An algebra stores, for each pair of basis vectors, the nonzero terms of
+their product: ``terms[i][j] = ((k, c), ...)`` with b_i * b_j =
+sum c b_k over those pairs, k increasing and every c nonzero, plus the
+coordinate vector of the unit.  Products, the unit and associativity
+checks, the ideal test, the homomorphism test and quotient tables all run
+on these terms, with truthiness as the zero test (entries over Q are
+``Fraction``s and entries over F_p canonical ints, as in ``linalg``).
+Associativity is checked on every basis triple (i, j, k) where
+(b_i b_j) b_k or b_i (b_j b_k) can be nonzero, in lexicographic order, so
+the first failing triple is the first failing triple of the full check.
+``mul_table`` is a dense view built on first use.  The zero algebra
 (dim 0) is legal and shows up naturally as quotients by the whole algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatchError, StructureError
 from .linalg import (
     Field, Matrix, Subspace,
-    intersect_many, quotient_map, quotient_section, same_field, subspace_sum,
+    intersect_many, quotient_map, same_field, subspace_sum,
 )
 
 
@@ -22,27 +31,22 @@ from .linalg import (
 class Algebra:
     field: Field
     dim: int
-    mul_table: tuple  # mul_table[i][j] = coords of b_i * b_j
+    terms: tuple  # terms[i][j] = ((k, c), ...), the nonzeros of b_i * b_j
     unit: tuple
     labels: Optional[tuple] = None
 
+    @cached_property
+    def mul_table(self) -> tuple:
+        """Dense view of the structure constants: mul_table[i][j] = coords of b_i * b_j."""
+        return tuple(tuple(_dense(self.field, self.dim, dict(t)) for t in row)
+                     for row in self.terms)
+
     def multiply(self, x: Sequence, y: Sequence) -> tuple:
         """Product of coordinate vectors via the structure constants."""
-        f = self.field
-        zero, add, mul = f.zero, f.add, f.mul
-        out = [zero] * self.dim
-        for i, xi in enumerate(x):
-            if xi == zero:
-                continue
-            row = self.mul_table[i]
-            for j, yj in enumerate(y):
-                if yj == zero:
-                    continue
-                c = f.mul(xi, yj)
-                for k, ck in enumerate(row[j]):
-                    if ck != zero:
-                        out[k] = add(out[k], mul(c, ck))
-        return tuple(out)
+        terms = self.terms
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
+        pairs = ((xi * yj, terms[i][j]) for i, xi in enumerate(x) if xi for j, yj in ys)
+        return _dense(self.field, self.dim, _combine(pairs, self.field.characteristic))
 
     def left_mult_matrix(self, x: Sequence) -> Matrix:
         """Matrix of v -> x*v on coordinates."""
@@ -72,6 +76,37 @@ def _axis(field: Field, dim: int, i: int) -> tuple:
     return tuple(field.one if j == i else field.zero for j in range(dim))
 
 
+def _combine(pairs: Iterable, p: int) -> dict:
+    """The nonzeros of sum c * t over (c, t) in pairs, as {k: value}.
+
+    Each t is a sequence of (k, x) pairs; values are reduced mod p when
+    p > 0, so the result is canonical and two results compare with ==.
+    """
+    acc: dict = {}
+    for c, t in pairs:
+        for k, x in t:
+            acc[k] = acc.get(k, 0) + c * x
+    if p:
+        return {k: y for k, x in acc.items() if (y := x % p)}
+    return {k: x for k, x in acc.items() if x}
+
+
+def _dense(field: Field, dim: int, nonzeros: dict) -> tuple:
+    out = [field.zero] * dim
+    for k, x in nonzeros.items():
+        out[k] = x
+    return tuple(out)
+
+
+def _columns(m: Matrix) -> list:
+    """Per column of m, its nonzeros as (row, value) pairs."""
+    cols: list = [[] for _ in range(m.cols)]
+    for r, (row, support) in enumerate(zip(m.entries, m.support)):
+        for c in support:
+            cols[c].append((r, row[c]))
+    return cols
+
+
 @dataclass(frozen=True)
 class Element:
     algebra: Algebra
@@ -82,16 +117,21 @@ class Element:
             raise DimensionMismatchError(
                 f"element has {len(self.coords)} coordinates in a dim-{self.algebra.dim} algebra")
 
-    def __mul__(self, other: "Element") -> "Element":
+    def _check_same_algebra(self, other: "Element") -> None:
         if other.algebra is not self.algebra and other.algebra != self.algebra:
             raise DimensionMismatchError("elements of different algebras")
+
+    def __mul__(self, other: "Element") -> "Element":
+        self._check_same_algebra(other)
         return Element(self.algebra, self.algebra.multiply(self.coords, other.coords))
 
     def __add__(self, other: "Element") -> "Element":
+        self._check_same_algebra(other)
         add = self.algebra.field.add
         return Element(self.algebra, tuple(add(a, b) for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "Element") -> "Element":
+        self._check_same_algebra(other)
         sub = self.algebra.field.sub
         return Element(self.algebra, tuple(sub(a, b) for a, b in zip(self.coords, other.coords)))
 
@@ -102,38 +142,61 @@ class Element:
 
 def make_algebra(field: Field, dim: int, mul: Sequence, unit: Sequence,
                  labels: Optional[Sequence[str]] = None) -> Algebra:
-    """Validate a structure-constant table and build the algebra.
+    """Validate a dense structure-constant table and build the algebra.
 
-    Raises StructureError naming the violated axiom and the basis indices
-    that witness it.
+    ``mul[i][j]`` is the coordinate vector of b_i * b_j.  Raises
+    StructureError naming the violated axiom and the basis indices that
+    witness it.
     """
     if dim == 0:
-        return Algebra(field, 0, (), (), None)
-    table = tuple(tuple(tuple(field.coerce(x) for x in mul[i][j]) for j in range(dim))
-                  for i in range(dim))
+        return zero_algebra(field)
+    if len(mul) != dim:
+        raise StructureError(f"structure table has {len(mul)} rows, expected {dim}", witness=())
     for i in range(dim):
         if len(mul[i]) != dim:
             raise StructureError(f"structure table row {i} has wrong length", witness=(i,))
         for j in range(dim):
-            if len(table[i][j]) != dim:
+            if len(mul[i][j]) != dim:
                 raise StructureError(f"structure vector ({i},{j}) has wrong length", witness=(i, j))
-    u = tuple(field.coerce(x) for x in unit)
+    coerce = field.coerce
+    terms = tuple(tuple(tuple((k, c) for k, c in enumerate(map(coerce, vec)) if c)
+                        for vec in row)
+                  for row in mul)
+    u = tuple(coerce(x) for x in unit)
     if len(u) != dim:
         raise StructureError("unit vector has wrong length", witness=())
-    a = Algebra(field, dim, table, u,
-                tuple(labels) if labels is not None else None)
+    return _validated(field, dim, terms, u, labels)
+
+
+def _validated(field: Field, dim: int, terms: tuple, unit: tuple,
+               labels: Optional[Sequence[str]]) -> Algebra:
+    """The algebra on canonical terms, after the unit and associativity checks."""
+    if dim == 0:
+        return zero_algebra(field)
+    a = Algebra(field, dim, terms, unit, tuple(labels) if labels is not None else None)
+    p = field.characteristic
+    unit_nz = [(m, x) for m, x in enumerate(unit) if x]
     for i in range(dim):
-        e_i = a.basis_coords(i)
-        if a.multiply(u, e_i) != e_i:
+        axis = {i: field.one}
+        if _combine(((x, terms[m][i]) for m, x in unit_nz), p) != axis:
             raise StructureError(f"unit law fails: 1*b{i} != b{i}", witness=("unit-left", i))
-        if a.multiply(e_i, u) != e_i:
+        if _combine(((x, terms[i][m]) for m, x in unit_nz), p) != axis:
             raise StructureError(f"unit law fails: b{i}*1 != b{i}", witness=("unit-right", i))
+    # (b_i b_j) b_k and b_i (b_j b_k) are both zero unless b_j b_k != 0 or
+    # b_m b_k != 0 for some b_m in b_i b_j, so only those k are visited
+    nonzero_cols = [tuple(k for k, t in enumerate(row) if t) for row in terms]
     for i in range(dim):
+        row_i = terms[i]
         for j in range(dim):
-            ij = table[i][j]
-            for k in range(dim):
-                lhs = a.multiply(ij, a.basis_coords(k))
-                rhs = a.multiply(a.basis_coords(i), table[j][k])
+            ij = row_i[j]
+            row_j = terms[j]
+            if ij:
+                ks = sorted(set(nonzero_cols[j]).union(*(nonzero_cols[m] for m, _ in ij)))
+            else:
+                ks = nonzero_cols[j]
+            for k in ks:
+                lhs = _combine(((c, terms[m][k]) for m, c in ij), p)
+                rhs = _combine(((c, row_i[m]) for m, c in row_j[k]), p)
                 if lhs != rhs:
                     raise StructureError(
                         f"associativity fails at basis triple ({i},{j},{k})",
@@ -149,23 +212,32 @@ def zero_algebra(field: Field) -> Algebra:
 # Ideals
 # ---------------------------------------------------------------------------
 
+def _side_products(a: Algebra, v: Sequence):
+    """For i = 0..dim-1, the nonzeros of b_i * v and of v * b_i as dicts;
+    v is given by its nonzeros as (column, value) pairs."""
+    terms, p = a.terms, a.field.characteristic
+    for i in range(a.dim):
+        row = terms[i]
+        yield (_combine(((x, row[m]) for m, x in v), p),
+               _combine(((x, terms[m][i]) for m, x in v), p))
+
+
 @dataclass(frozen=True)
 class Ideal:
     algebra: Algebra
     space: Subspace
 
     def __post_init__(self):
-        a = self.algebra
-        if self.space.ambient_dim != a.dim:
+        a, space = self.algebra, self.space
+        if space.ambient_dim != a.dim:
             raise DimensionMismatchError("ideal ambient dim != algebra dim")
-        for v in self.space.basis.entries:
-            for i in range(a.dim):
-                e = a.basis_coords(i)
-                if not self.space.contains(a.multiply(e, v)):
+        for v, nonzeros in zip(space.basis.entries, space.sparse_basis):
+            for i, (left, right) in enumerate(_side_products(a, nonzeros)):
+                if not space.contains_sparse(left):
                     raise StructureError(
                         f"not a two-sided ideal: b{i} * v escapes the span",
                         witness=("left", i, v))
-                if not self.space.contains(a.multiply(v, e)):
+                if not space.contains_sparse(right):
                     raise StructureError(
                         f"not a two-sided ideal: v * b{i} escapes the span",
                         witness=("right", i, v))
@@ -188,13 +260,12 @@ def ideal_closure(a: Algebra, gens: Sequence) -> Ideal:
         vecs.append(coords)
     span = Subspace.from_vectors(a.field, a.dim, vecs)
     while True:
-        new_vecs = list(span.basis.entries)
-        for v in span.basis.entries:
-            for i in range(a.dim):
-                e = a.basis_coords(i)
-                new_vecs.append(a.multiply(e, v))
-                new_vecs.append(a.multiply(v, e))
-        bigger = Subspace.from_vectors(a.field, a.dim, new_vecs)
+        rows = [dict(v) for v in span.sparse_basis]
+        for v in span.sparse_basis:
+            for left, right in _side_products(a, v):
+                rows.append(left)
+                rows.append(right)
+        bigger = Subspace.from_sparse(a.field, a.dim, rows)
         if bigger.dim == span.dim:
             return Ideal(a, bigger)
         span = bigger
@@ -251,16 +322,23 @@ class AlgebraHom:
 
 
 def hom_check(f: AlgebraHom) -> HomReport:
-    """Multiplicativity on all basis pairs and unit-to-unit."""
+    """Multiplicativity on all basis pairs and unit-to-unit.
+
+    f(b_i) is column i of the matrix, so f(b_i b_j) and f(b_i) f(b_j) are
+    formed from the columns and the structure terms of both algebras.
+    """
     dom, cod = f.domain, f.codomain
     same_field(dom.field, cod.field, f.matrix.field)
     if f.matrix.apply(dom.unit) != cod.unit:
         return HomReport(False, witness=("unit",), message="map does not send unit to unit")
+    p = dom.field.characteristic
+    cols = _columns(f.matrix)
+    cod_terms = cod.terms
     for i in range(dom.dim):
-        fi = f.matrix.apply(dom.basis_coords(i))
+        fi, row = cols[i], dom.terms[i]
         for j in range(dom.dim):
-            lhs = f.matrix.apply(dom.mul_table[i][j])
-            rhs = cod.multiply(fi, f.matrix.apply(dom.basis_coords(j)))
+            lhs = _combine(((c, cols[k]) for k, c in row[j]), p)
+            rhs = _combine(((x * y, cod_terms[r][s]) for r, x in fi for s, y in cols[j]), p)
             if lhs != rhs:
                 return HomReport(False, witness=(i, j),
                                  message=f"map is not multiplicative on basis pair ({i},{j})")
@@ -282,30 +360,30 @@ def quotient(a: Algebra, j: Ideal) -> tuple[Algebra, AlgebraHom]:
     """A/J on complement coordinates, with the canonical projection.
 
     Coordinates of the quotient are the non-pivot columns of J's RREF basis,
-    so the result is reproducible bit-for-bit from the ideal alone.
+    so the result is reproducible bit-for-bit from the ideal alone.  The
+    section sends quotient coordinate t to the basis vector b_(free[t]), so
+    the quotient's b_t * b_u is q(b_(free[t]) * b_(free[u])).
     """
     if j.algebra != a:
         raise DimensionMismatchError("ideal of a different algebra")
     q = quotient_map(a.dim, j.space)
-    s = quotient_section(a.dim, j.space)
     qdim = q.rows
     if qdim == 0:
         qa = zero_algebra(a.field)
         return qa, AlgebraHom(a, qa, Matrix(a.field, 0, a.dim, ()))
-    table = []
-    for i in range(qdim):
-        si = s.apply(_axis(a.field, qdim, i))
-        row = []
-        for jj in range(qdim):
-            sj = s.apply(_axis(a.field, qdim, jj))
-            row.append(q.apply(a.multiply(si, sj)))
-        table.append(tuple(row))
+    pivot_set = set(j.space.pivot_columns())
+    free = [c for c in range(a.dim) if c not in pivot_set]
+    p = a.field.characteristic
+    q_cols = _columns(q)
+    terms = tuple(
+        tuple(tuple(sorted(_combine(((c, q_cols[k]) for k, c in a.terms[s][t]), p).items()))
+              for t in free)
+        for s in free)
     unit_q = q.apply(a.unit)
     labels = None
     if a.labels:
-        pivot_set = set(j.space.pivot_columns())
-        labels = tuple(a.labels[c] for c in range(a.dim) if c not in pivot_set)
-    qa = make_algebra(a.field, qdim, tuple(table), unit_q, labels)
+        labels = tuple(a.labels[c] for c in free)
+    qa = _validated(a.field, qdim, terms, unit_q, labels)
     return qa, AlgebraHom(a, qa, q)
 
 
@@ -410,23 +488,11 @@ def square_zero(field: Field, m: int) -> Algebra:
 def direct_sum(a: Algebra, b: Algebra) -> Algebra:
     """A + B with componentwise product and unit (1_A, 1_B)."""
     same_field(a.field, b.field)
-    f = a.field
-    n = a.dim + b.dim
-    z = f.zero
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            vec = [z] * n
-            if i < a.dim and j < a.dim:
-                for k, c in enumerate(a.mul_table[i][j]):
-                    vec[k] = c
-            elif i >= a.dim and j >= a.dim:
-                for k, c in enumerate(b.mul_table[i - a.dim][j - a.dim]):
-                    vec[a.dim + k] = c
-            row.append(tuple(vec))
-        table.append(tuple(row))
+    shift = a.dim
+    terms = (tuple(row + ((),) * b.dim for row in a.terms)
+             + tuple(((),) * shift + tuple(tuple((shift + k, c) for k, c in t) for t in row)
+                     for row in b.terms))
     unit = tuple(a.unit) + tuple(b.unit)
     la = a.labels or tuple(f"a{i}" for i in range(a.dim))
     lb = b.labels or tuple(f"b{i}" for i in range(b.dim))
-    return make_algebra(f, n, tuple(table), unit, tuple(la) + tuple(lb))
+    return _validated(a.field, a.dim + b.dim, terms, unit, tuple(la) + tuple(lb))

@@ -89,7 +89,7 @@ class RationalField(Field):
     """The rationals, backed by arbitrary-precision Fraction."""
 
     def coerce(self, x):
-        return Fraction(x)
+        return x if isinstance(x, Fraction) else Fraction(x)
 
     def add(self, a, b):
         return a + b
@@ -141,6 +141,8 @@ class PrimeField(Field):
         self.characteristic = p
 
     def coerce(self, x):
+        if type(x) is int:
+            return x % self.p
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator not invertible mod {self.p}")
@@ -619,11 +621,18 @@ class Subspace:
 
     @staticmethod
     def from_vectors(field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        vecs = [list(field.coerce(x) for x in v) for v in vectors]
+        coerce, zero = field.coerce, field.zero
+        vecs = [[coerce(x) if x else zero for x in v] for v in vectors]
         for v in vecs:
             if len(v) != ambient_dim:
                 raise DimensionMismatchError(f"vector length {len(v)} != ambient {ambient_dim}")
-        rows, _ = _eliminate(field, _sparse_rows(vecs), reduce=True)
+        return Subspace.from_sparse(field, ambient_dim, _sparse_rows(vecs))
+
+    @staticmethod
+    def from_sparse(field: Field, ambient_dim: int, rows: list) -> "Subspace":
+        """Span of vectors given as ``{column: value}`` dicts of canonical
+        nonzero entries; the dicts are consumed."""
+        rows, _ = _eliminate(field, rows, reduce=True)
         keep = tuple(_dense_row(field, row, ambient_dim) for row in rows)
         return Subspace(ambient_dim, Matrix(field, len(keep), ambient_dim, keep))
 
@@ -643,28 +652,40 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
+    @cached_property
+    def sparse_basis(self) -> tuple:
+        """Each basis row as its nonzeros, ((column, value), ...); the first
+        pair is the row's pivot, with value 1."""
+        return tuple(tuple((c, row[c]) for c in cols)
+                     for row, cols in zip(self.basis.entries, self.basis.support))
+
     def pivot_columns(self) -> tuple[int, ...]:
-        zero = self.field.zero
-        pivots = []
-        for row in self.basis.entries:
-            for c, x in enumerate(row):
-                if x != zero:
-                    pivots.append(c)
-                    break
-        return tuple(pivots)
+        return tuple(row[0][0] for row in self.sparse_basis)
 
     def contains(self, vector: Sequence) -> bool:
         """Membership by reducing against the RREF basis."""
-        f = self.field
-        v = [f.coerce(x) for x in vector]
-        if len(v) != self.ambient_dim:
+        if len(vector) != self.ambient_dim:
             raise DimensionMismatchError("vector/ambient mismatch")
-        zero, sub, mul = f.zero, f.sub, f.mul
-        for row, p in zip(self.basis.entries, self.pivot_columns()):
-            c = v[p]
-            if c != zero:
-                v = [sub(x, mul(c, y)) for x, y in zip(v, row)]
-        return all(x == zero for x in v)
+        coerce = self.field.coerce
+        return self.contains_sparse({c: coerce(x) for c, x in enumerate(vector) if x})
+
+    def contains_sparse(self, v: dict) -> bool:
+        """Membership of the vector whose nonzeros are ``v`` ({column: value}).
+
+        Each basis row is zero at the other rows' pivots, so subtracting
+        v[pivot] times every row clears v in one pass exactly when v lies
+        in the span.
+        """
+        p = self.field.characteristic
+        acc = dict(v)
+        for row in self.sparse_basis:
+            x = acc.get(row[0][0])
+            if x:
+                for c, y in row:
+                    acc[c] = acc.get(c, 0) - x * y
+        if p:
+            return not any(x % p for x in acc.values())
+        return not any(acc.values())
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.basis.entries)

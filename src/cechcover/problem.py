@@ -134,12 +134,10 @@ def parse_algebra_section(field: Field, spec, loc: str) -> Algebra:
 
 def algebra_to_json(a: Algebra) -> dict:
     f = a.field
-    triples = []
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k, c in enumerate(a.mul_table[i][j]):
-                if c != f.zero:
-                    triples.append([i, j, k, scalar_to_json(f, c)])
+    triples = [[i, j, k, scalar_to_json(f, c)]
+               for i, row in enumerate(a.terms)
+               for j, t in enumerate(row)
+               for k, c in t]
     out = {
         "dim": a.dim,
         "mul": triples,

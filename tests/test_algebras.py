@@ -10,7 +10,7 @@ from cechcover.algebras import (
     split_commutative, square_zero, truncated_polynomial, upper_triangular,
     zero_algebra,
 )
-from cechcover.errors import StructureError
+from cechcover.errors import DimensionMismatchError, StructureError
 from cechcover.linalg import GF, QQ, Matrix, Subspace
 
 from instances import make_e1
@@ -57,6 +57,26 @@ def test_unit_law_failure_rejected():
     with pytest.raises(StructureError) as err:
         make_algebra(QQ, 1, (((0,),),), (1,))
     assert "unit" in str(err.value)
+
+
+@pytest.mark.parametrize("table, witness", [
+    ([[[1, 0]], [[0, 1], [0, 0]]], (0,)),              # row 0 is short
+    ([[[1, 0], [0, 1]], [[0], [0, 0]]], (1, 0)),       # vector (1,0) is short
+    ([[[1, 0], [0, 1]]], ()),                          # a row is missing
+])
+def test_short_table_rejected_with_witness(table, witness):
+    with pytest.raises(StructureError) as err:
+        make_algebra(QQ, 2, table, [1, 0])
+    assert err.value.witness == witness
+
+
+def test_elements_of_different_algebras_do_not_combine():
+    x = split_commutative(QQ, 2).element((1, 2))
+    y = truncated_polynomial(QQ, 2).element((3, 4))
+    for op in (lambda: x + y, lambda: x - y, lambda: x * y):
+        with pytest.raises(DimensionMismatchError):
+            op()
+    assert (x + x).coords == (2, 4) and (x - x).is_zero()
 
 
 def test_zero_algebra_is_legal():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 from cechcover.algebras import ideal_closure, split_commutative
 from cechcover.coverings import (
@@ -35,6 +36,21 @@ def test_duplicate_ideals_are_not_a_covering():
     rep = completeness_check(c)
     assert not rep.is_covering and not rep.complete
     assert rep.intersection_dim == 1
+
+
+def test_k40_three_patch_covering_is_checked_quickly():
+    # basis vector a lies in the ideal of patch a % 3 only (14, 13, 13 of them)
+    started = time.perf_counter()
+    a = split_commutative(QQ, 40)
+    ideals = [ideal_closure(a, [[1 if x % 3 == p else 0 for x in range(40)]])
+              for p in range(3)]
+    rep = completeness_check(Covering(a, ideals))
+    elapsed = time.perf_counter() - started
+    assert [i.dim for i in ideals] == [14, 13, 13]
+    assert rep.as_dict() == {
+        "is_covering": True, "intersection_dim": 0, "exact_at_A": True,
+        "exact_at_B": True, "ker_tau_dim": 40, "im_pi_dim": 40, "complete": True}
+    assert elapsed < 10, f"k^40 covering took {elapsed:.1f} s"
 
 
 def test_single_zero_ideal_covering():
