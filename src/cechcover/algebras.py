@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import DimensionMismatchError, StructureError
 from .linalg import (
     Field, Matrix, Subspace,
-    intersect_many, quotient_map, same_field, subspace_sum,
+    _dense_row, intersect_many, quotient_map, same_field, subspace_sum,
 )
 
 
@@ -38,7 +38,7 @@ class Algebra:
     @cached_property
     def mul_table(self) -> tuple:
         """Dense view of the structure constants: mul_table[i][j] = coords of b_i * b_j."""
-        return tuple(tuple(_dense(self.field, self.dim, dict(t)) for t in row)
+        return tuple(tuple(_dense_row(self.field, dict(t), self.dim) for t in row)
                      for row in self.terms)
 
     def multiply(self, x: Sequence, y: Sequence) -> tuple:
@@ -46,7 +46,7 @@ class Algebra:
         terms = self.terms
         ys = [(j, yj) for j, yj in enumerate(y) if yj]
         pairs = ((xi * yj, terms[i][j]) for i, xi in enumerate(x) if xi for j, yj in ys)
-        return _dense(self.field, self.dim, _combine(pairs, self.field.characteristic))
+        return _dense_row(self.field, _combine(pairs, self.field.characteristic), self.dim)
 
     def left_mult_matrix(self, x: Sequence) -> Matrix:
         """Matrix of v -> x*v on coordinates."""
@@ -89,13 +89,6 @@ def _combine(pairs: Iterable, p: int) -> dict:
     if p:
         return {k: y for k, x in acc.items() if (y := x % p)}
     return {k: x for k, x in acc.items() if x}
-
-
-def _dense(field: Field, dim: int, nonzeros: dict) -> tuple:
-    out = [field.zero] * dim
-    for k, x in nonzeros.items():
-        out[k] = x
-    return tuple(out)
 
 
 def _columns(m: Matrix) -> list:
@@ -212,14 +205,15 @@ def zero_algebra(field: Field) -> Algebra:
 # Ideals
 # ---------------------------------------------------------------------------
 
-def _side_products(a: Algebra, v: Sequence):
+def _side_products(a: Algebra, v: dict):
     """For i = 0..dim-1, the nonzeros of b_i * v and of v * b_i as dicts;
-    v is given by its nonzeros as (column, value) pairs."""
+    v is given by its nonzeros as a {column: value} dict."""
     terms, p = a.terms, a.field.characteristic
+    nonzeros = v.items()
     for i in range(a.dim):
         row = terms[i]
-        yield (_combine(((x, row[m]) for m, x in v), p),
-               _combine(((x, terms[m][i]) for m, x in v), p))
+        yield (_combine(((x, row[m]) for m, x in nonzeros), p),
+               _combine(((x, terms[m][i]) for m, x in nonzeros), p))
 
 
 @dataclass(frozen=True)

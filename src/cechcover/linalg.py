@@ -654,38 +654,37 @@ class Subspace:
 
     @cached_property
     def sparse_basis(self) -> tuple:
-        """Each basis row as its nonzeros, ((column, value), ...); the first
-        pair is the row's pivot, with value 1."""
-        return tuple(tuple((c, row[c]) for c in cols)
-                     for row, cols in zip(self.basis.entries, self.basis.support))
+        """Each basis row as a ``{column: value}`` dict of its nonzeros, in
+        column order; the first key is the row's pivot, with value 1."""
+        return tuple(_matrix_rows(self.basis))
+
+    @cached_property
+    def _pivots(self) -> tuple[int, ...]:
+        return tuple(next(iter(row)) for row in self.sparse_basis)
 
     def pivot_columns(self) -> tuple[int, ...]:
-        return tuple(row[0][0] for row in self.sparse_basis)
+        return self._pivots
 
     def contains(self, vector: Sequence) -> bool:
         """Membership by reducing against the RREF basis."""
         if len(vector) != self.ambient_dim:
             raise DimensionMismatchError("vector/ambient mismatch")
         coerce = self.field.coerce
-        return self.contains_sparse({c: coerce(x) for c, x in enumerate(vector) if x})
+        return self.contains_sparse({c: y for c, x in enumerate(vector) if x and (y := coerce(x))})
 
     def contains_sparse(self, v: dict) -> bool:
-        """Membership of the vector whose nonzeros are ``v`` ({column: value}).
+        """Membership of the vector whose nonzeros are ``v`` ({column: value},
+        canonical entries).
 
-        Each basis row is zero at the other rows' pivots, so subtracting
-        v[pivot] times every row clears v in one pass exactly when v lies
-        in the span.
+        Each basis row is zero at the other rows' pivots, so clearing v at
+        every pivot leaves zero exactly when v lies in the span.
         """
         p = self.field.characteristic
         acc = dict(v)
-        for row in self.sparse_basis:
-            x = acc.get(row[0][0])
-            if x:
-                for c, y in row:
-                    acc[c] = acc.get(c, 0) - x * y
-        if p:
-            return not any(x % p for x in acc.values())
-        return not any(acc.values())
+        for row, c in zip(self.sparse_basis, self._pivots):
+            if c in acc:
+                _clear(acc, row, c, p)
+        return not acc
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.basis.entries)

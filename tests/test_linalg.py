@@ -130,6 +130,16 @@ def test_intersect_two_planes_in_k3():
     assert subspace_intersect(u, v) == span(QQ, 3, [(0, 1, 0)])
 
 
+def test_contains_takes_raw_entries():
+    f5 = GF(5)
+    assert Subspace.zero(f5, 2).contains((5, -10))
+    assert span(f5, 3, [(1, 2, 0)]).contains((6, 12, 5))
+    assert not span(f5, 3, [(1, 2, 0)]).contains((1, 2, 1))
+    u = span(QQ, 3, [(1, 1, 0), (0, 1, 1)])
+    assert u.contains((Fraction(1, 2), 1, Fraction(1, 2)))
+    assert not u.contains((1, 0, 0))
+
+
 def test_grassmann_identity_random():
     rng = random.Random(13)
     for field in (QQ, GF(5)):
