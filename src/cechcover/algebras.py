@@ -16,7 +16,6 @@ the first failing triple is the first failing triple of the full check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -25,15 +24,20 @@ from .linalg import (
     Field, Matrix, Subspace,
     _dense_row, intersect_many, quotient_map, same_field, subspace_sum,
 )
+from .records import Frozen
 
 
-@dataclass(frozen=True)
-class Algebra:
-    field: Field
-    dim: int
-    terms: tuple  # terms[i][j] = ((k, c), ...), the nonzeros of b_i * b_j
-    unit: tuple
-    labels: Optional[tuple] = None
+class Algebra(Frozen):
+    _fields = ("field", "dim", "terms", "unit", "labels")
+
+    def __init__(self, field: Field, dim: int, terms: tuple, unit: tuple,
+                 labels: Optional[tuple] = None):
+        d = self.__dict__
+        d["field"] = field
+        d["dim"] = dim
+        d["terms"] = terms  # terms[i][j] = ((k, c), ...), the nonzeros of b_i * b_j
+        d["unit"] = unit
+        d["labels"] = labels
 
     @cached_property
     def mul_table(self) -> tuple:
@@ -100,15 +104,16 @@ def _columns(m: Matrix) -> list:
     return cols
 
 
-@dataclass(frozen=True)
-class Element:
-    algebra: Algebra
-    coords: tuple
+class Element(Frozen):
+    _fields = ("algebra", "coords")
 
-    def __post_init__(self):
-        if len(self.coords) != self.algebra.dim:
+    def __init__(self, algebra: Algebra, coords: tuple):
+        if len(coords) != algebra.dim:
             raise DimensionMismatchError(
-                f"element has {len(self.coords)} coordinates in a dim-{self.algebra.dim} algebra")
+                f"element has {len(coords)} coordinates in a dim-{algebra.dim} algebra")
+        d = self.__dict__
+        d["algebra"] = algebra
+        d["coords"] = coords
 
     def _check_same_algebra(self, other: "Element") -> None:
         if other.algebra is not self.algebra and other.algebra != self.algebra:
@@ -158,12 +163,18 @@ def make_algebra(field: Field, dim: int, mul: Sequence, unit: Sequence,
     u = tuple(coerce(x) for x in unit)
     if len(u) != dim:
         raise StructureError("unit vector has wrong length", witness=())
-    return _validated(field, dim, terms, u, labels)
+    return algebra_from_terms(field, dim, terms, u, labels)
 
 
-def _validated(field: Field, dim: int, terms: tuple, unit: tuple,
-               labels: Optional[Sequence[str]]) -> Algebra:
-    """The algebra on canonical terms, after the unit and associativity checks."""
+def algebra_from_terms(field: Field, dim: int, terms: tuple, unit: tuple,
+                       labels: Optional[Sequence[str]] = None) -> Algebra:
+    """Validate sparse structure constants and build the algebra.
+
+    ``terms[i][j]`` holds the nonzero terms (k, c) of b_i * b_j with k
+    increasing, and ``unit`` the unit's coordinates; all entries are
+    canonical (``Field.coerce``), so results compare with ==.  Raises
+    StructureError like ``make_algebra``.
+    """
     if dim == 0:
         return zero_algebra(field)
     a = Algebra(field, dim, terms, unit, tuple(labels) if labels is not None else None)
@@ -216,17 +227,14 @@ def _side_products(a: Algebra, v: dict):
                _combine(((x, terms[m][i]) for m, x in nonzeros), p))
 
 
-@dataclass(frozen=True)
-class Ideal:
-    algebra: Algebra
-    space: Subspace
+class Ideal(Frozen):
+    _fields = ("algebra", "space")
 
-    def __post_init__(self):
-        a, space = self.algebra, self.space
-        if space.ambient_dim != a.dim:
+    def __init__(self, algebra: Algebra, space: Subspace):
+        if space.ambient_dim != algebra.dim:
             raise DimensionMismatchError("ideal ambient dim != algebra dim")
         for v, nonzeros in zip(space.basis.entries, space.sparse_basis):
-            for i, (left, right) in enumerate(_side_products(a, nonzeros)):
+            for i, (left, right) in enumerate(_side_products(algebra, nonzeros)):
                 if not space.contains_sparse(left):
                     raise StructureError(
                         f"not a two-sided ideal: b{i} * v escapes the span",
@@ -235,6 +243,9 @@ class Ideal:
                     raise StructureError(
                         f"not a two-sided ideal: v * b{i} escapes the span",
                         witness=("right", i, v))
+        d = self.__dict__
+        d["algebra"] = algebra
+        d["space"] = space
 
     @property
     def dim(self) -> int:
@@ -285,24 +296,28 @@ def ideal_intersection(ideals: Sequence[Ideal]) -> Subspace:
 # Homomorphisms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HomReport:
-    ok: bool
-    witness: Optional[tuple] = None
-    message: str = ""
+class HomReport(Frozen):
+    _fields = ("ok", "witness", "message")
+
+    def __init__(self, ok: bool, witness: Optional[tuple] = None, message: str = ""):
+        d = self.__dict__
+        d["ok"] = ok
+        d["witness"] = witness
+        d["message"] = message
 
 
-@dataclass(frozen=True)
-class AlgebraHom:
-    domain: Algebra
-    codomain: Algebra
-    matrix: Matrix
+class AlgebraHom(Frozen):
+    _fields = ("domain", "codomain", "matrix")
 
-    def __post_init__(self):
-        if self.matrix.rows != self.codomain.dim or self.matrix.cols != self.domain.dim:
+    def __init__(self, domain: Algebra, codomain: Algebra, matrix: Matrix):
+        if matrix.rows != codomain.dim or matrix.cols != domain.dim:
             raise DimensionMismatchError(
-                f"hom matrix {self.matrix.rows}x{self.matrix.cols} does not map "
-                f"dim {self.domain.dim} to dim {self.codomain.dim}")
+                f"hom matrix {matrix.rows}x{matrix.cols} does not map "
+                f"dim {domain.dim} to dim {codomain.dim}")
+        d = self.__dict__
+        d["domain"] = domain
+        d["codomain"] = codomain
+        d["matrix"] = matrix
         report = hom_check(self)
         if not report.ok:
             raise StructureError(report.message, witness=report.witness)
@@ -377,7 +392,7 @@ def quotient(a: Algebra, j: Ideal) -> tuple[Algebra, AlgebraHom]:
     labels = None
     if a.labels:
         labels = tuple(a.labels[c] for c in free)
-    qa = _validated(a.field, qdim, terms, unit_q, labels)
+    qa = algebra_from_terms(a.field, qdim, terms, unit_q, labels)
     return qa, AlgebraHom(a, qa, q)
 
 
@@ -489,4 +504,4 @@ def direct_sum(a: Algebra, b: Algebra) -> Algebra:
     unit = tuple(a.unit) + tuple(b.unit)
     la = a.labels or tuple(f"a{i}" for i in range(a.dim))
     lb = b.labels or tuple(f"b{i}" for i in range(b.dim))
-    return _validated(a.field, a.dim + b.dim, terms, unit, tuple(la) + tuple(lb))
+    return algebra_from_terms(a.field, a.dim + b.dim, terms, unit, tuple(la) + tuple(lb))

@@ -32,7 +32,6 @@ with the tower.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -43,33 +42,41 @@ from .linalg import (
     Matrix, Subspace, block_matrix, mul_kron_identity, quotient_map, quotient_section,
     rank,
 )
+from .records import Frozen
 
 
 # ---------------------------------------------------------------------------
 # Bimodules
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TensorBlock:
-    word: tuple  # patch indices, 1-based; length = tensor power
-    offset: int
-    dim: int
+class TensorBlock(Frozen):
+    _fields = ("word", "offset", "dim")
+
+    def __init__(self, word: tuple, offset: int, dim: int):
+        d = self.__dict__
+        d["word"] = word  # patch indices, 1-based; length = tensor power
+        d["offset"] = offset
+        d["dim"] = dim
 
 
-@dataclass(frozen=True)
-class Bimodule:
+class Bimodule(Frozen):
     """A-bimodule on a coordinate space, actions given per A-basis element.
 
     ``blocks`` partitions the coordinates into action-invariant ranges
     labelled by patch words; provenance records how the space arose.
     """
 
-    algebra: Algebra
-    dim: int
-    left: tuple  # left[m]: Matrix, action of basis element b_m
-    right: tuple
-    blocks: tuple
-    provenance: str
+    _fields = ("algebra", "dim", "left", "right", "blocks", "provenance")
+
+    def __init__(self, algebra: Algebra, dim: int, left: tuple, right: tuple,
+                 blocks: tuple, provenance: str):
+        d = self.__dict__
+        d["algebra"] = algebra
+        d["dim"] = dim
+        d["left"] = left  # left[m]: Matrix, action of basis element b_m
+        d["right"] = right
+        d["blocks"] = blocks
+        d["provenance"] = provenance
 
     def left_action(self, coords: Sequence) -> Matrix:
         return _combine_actions(self, self.left, coords)
@@ -532,13 +539,17 @@ def _scatter(field, rows: int, cols: int, triples) -> Matrix:
 # Sweedler coring
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweedlerCoring:
-    covering: Covering
-    module: Bimodule  # B (x)_A B
-    coproduct: Matrix  # T_2 -> T_3, x(x)y -> x(x)1(x)y
-    counit: Matrix  # T_2 -> B, induced by multiplication
-    elements: dict  # (i, j) -> coordinates of pi_i(1)(x)pi_j(1) in T_2
+class SweedlerCoring(Frozen):
+    _fields = ("covering", "module", "coproduct", "counit", "elements")
+
+    def __init__(self, covering: Covering, module: Bimodule, coproduct: Matrix,
+                 counit: Matrix, elements: dict):
+        d = self.__dict__
+        d["covering"] = covering
+        d["module"] = module  # B (x)_A B
+        d["coproduct"] = coproduct  # T_2 -> T_3, x(x)y -> x(x)1(x)y
+        d["counit"] = counit  # T_2 -> B, induced by multiplication
+        d["elements"] = elements  # (i, j) -> coordinates of pi_i(1)(x)pi_j(1) in T_2
 
 
 def build_coring(c: Covering, tower: Optional[TensorTower] = None,
@@ -574,8 +585,7 @@ def build_coring(c: Covering, tower: Optional[TensorTower] = None,
 # Amitsur complex
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WordSpace:
+class WordSpace(Frozen):
     """One Amitsur degree: the blocks A/I_set(w) in lexicographic word order.
 
     ``sections[k]`` is the section A/I_set(w) -> A of block k
@@ -583,22 +593,30 @@ class WordSpace:
     not listed.
     """
 
-    words: tuple
-    dims: tuple
-    sections: tuple
+    _fields = ("words", "dims", "sections")
+
+    def __init__(self, words: tuple, dims: tuple, sections: tuple):
+        d = self.__dict__
+        d["words"] = words
+        d["dims"] = dims
+        d["sections"] = sections
 
     @property
     def dim(self) -> int:
         return sum(self.dims)
 
 
-@dataclass(frozen=True)
-class AmitsurComplex:
-    covering: Covering
-    n_max: int
-    spaces: tuple  # WordSpace C^0..C^n_max, C^n on the words of length n+1
-    differentials: tuple  # d_0..d_(n_max-1)
-    augmentation: Matrix  # pi : A -> C^0
+class AmitsurComplex(Frozen):
+    _fields = ("covering", "n_max", "spaces", "differentials", "augmentation")
+
+    def __init__(self, covering: Covering, n_max: int, spaces: tuple,
+                 differentials: tuple, augmentation: Matrix):
+        d = self.__dict__
+        d["covering"] = covering
+        d["n_max"] = n_max
+        d["spaces"] = spaces  # WordSpace C^0..C^n_max, C^n on the words of length n+1
+        d["differentials"] = differentials  # d_0..d_(n_max-1)
+        d["augmentation"] = augmentation  # pi : A -> C^0
 
     def degree_dims(self) -> tuple[int, ...]:
         return tuple(s.dim for s in self.spaces)

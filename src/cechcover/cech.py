@@ -19,7 +19,6 @@ matches reading "ordered subsets" as order-inherited tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from typing import Callable, Optional, Sequence
@@ -31,6 +30,7 @@ from .errors import DimensionMismatchError, NotAComplexError, StructureError
 from .linalg import (
     Matrix, Subspace, block_matrix, quotient_map, quotient_section, rank,
 )
+from .records import Frozen, Record
 
 
 # ---------------------------------------------------------------------------
@@ -65,8 +65,7 @@ def all_tuples(n_patches: int, length: int) -> list[tuple]:
 # Poset functors
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PosetFunctor:
+class PosetFunctor(Record):
     """Unital rings on increasing tuples with one-step restriction maps.
 
     ``rings`` must cover every tuple of length 0..N; ``steps`` holds the
@@ -74,9 +73,12 @@ class PosetFunctor:
     are derived by composition (well defined once validated).
     """
 
-    n_patches: int
-    rings: dict
-    steps: dict
+    _fields = ("n_patches", "rings", "steps")
+
+    def __init__(self, n_patches: int, rings: dict, steps: dict):
+        self.n_patches = n_patches
+        self.rings = rings
+        self.steps = steps
 
     def ring(self, zeta: Sequence[int]) -> Algebra:
         return self.rings[tuple(zeta)]
@@ -295,13 +297,16 @@ def functor_from_ringed_covering(c: Covering,
 # The Cech complex
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpaceLayout:
+class SpaceLayout(Frozen):
     """Block layout of S^n = (+)_(len(zeta)=n) R(zeta)."""
 
-    degree: int
-    blocks: tuple  # (zeta, offset, dim)
-    dim: int
+    _fields = ("degree", "blocks", "dim")
+
+    def __init__(self, degree: int, blocks: tuple, dim: int):
+        d = self.__dict__
+        d["degree"] = degree
+        d["blocks"] = blocks  # (zeta, offset, dim)
+        d["dim"] = dim
 
     def offset_of(self, zeta: tuple) -> tuple[int, int]:
         for z, off, d in self.blocks:
@@ -321,11 +326,14 @@ def space_layout(f: PosetFunctor, n: int) -> SpaceLayout:
     return SpaceLayout(n, tuple(blocks), off)
 
 
-@dataclass(frozen=True)
-class CechComplex:
-    functor: PosetFunctor
-    layouts: tuple  # SpaceLayout for S^0..S^N
-    differentials: tuple  # d'_0..d'_(N-1)
+class CechComplex(Frozen):
+    _fields = ("functor", "layouts", "differentials")
+
+    def __init__(self, functor: PosetFunctor, layouts: tuple, differentials: tuple):
+        d = self.__dict__
+        d["functor"] = functor
+        d["layouts"] = layouts  # SpaceLayout for S^0..S^N
+        d["differentials"] = differentials  # d'_0..d'_(N-1)
 
     @property
     def n_patches(self) -> int:
@@ -394,12 +402,15 @@ def cech_cohomology(cx: CechComplex) -> list[int]:
 # The comparison map phi
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CechElement:
+class CechElement(Frozen):
     """An element of S^n with its block layout."""
 
-    layout: SpaceLayout
-    coords: tuple
+    _fields = ("layout", "coords")
+
+    def __init__(self, layout: SpaceLayout, coords: tuple):
+        d = self.__dict__
+        d["layout"] = layout
+        d["coords"] = coords
 
     def component(self, zeta: Sequence[int], functor: PosetFunctor) -> Element:
         off, d = self.layout.offset_of(tuple(zeta))
@@ -509,18 +520,24 @@ def phi_matrix(f: PosetFunctor, choice: Sequence[AlgebraHom],
 # Chain-map verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DegreeCheck:
-    degree: int
-    ok: bool
-    witness: Optional[str] = None
+class DegreeCheck(Frozen):
+    _fields = ("degree", "ok", "witness")
+
+    def __init__(self, degree: int, ok: bool, witness: Optional[str] = None):
+        d = self.__dict__
+        d["degree"] = degree
+        d["ok"] = ok
+        d["witness"] = witness
 
 
-@dataclass(frozen=True)
-class ChainMapReport:
-    well_defined: tuple
-    squares: tuple
-    passed: bool
+class ChainMapReport(Frozen):
+    _fields = ("well_defined", "squares", "passed")
+
+    def __init__(self, well_defined: tuple, squares: tuple, passed: bool):
+        d = self.__dict__
+        d["well_defined"] = well_defined
+        d["squares"] = squares
+        d["passed"] = passed
 
     def as_dict(self) -> dict:
         return {

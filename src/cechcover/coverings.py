@@ -13,7 +13,6 @@ blocks are negatives of the (i,j) blocks and carry no extra rank.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .algebras import (
@@ -27,17 +26,23 @@ from .linalg import (
     Field, Matrix, Subspace, block_matrix, image_basis, kernel_basis,
     quotient_section, subspace_sum,
 )
+from .records import Frozen
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
-    is_covering: bool
-    intersection_dim: int
-    exact_at_a: bool
-    exact_at_b: bool
-    ker_tau_dim: int
-    im_pi_dim: int
-    complete: bool
+class CompletenessReport(Frozen):
+    _fields = ("is_covering", "intersection_dim", "exact_at_a", "exact_at_b",
+               "ker_tau_dim", "im_pi_dim", "complete")
+
+    def __init__(self, is_covering: bool, intersection_dim: int, exact_at_a: bool,
+                 exact_at_b: bool, ker_tau_dim: int, im_pi_dim: int, complete: bool):
+        d = self.__dict__
+        d["is_covering"] = is_covering
+        d["intersection_dim"] = intersection_dim
+        d["exact_at_a"] = exact_at_a
+        d["exact_at_b"] = exact_at_b
+        d["ker_tau_dim"] = ker_tau_dim
+        d["im_pi_dim"] = im_pi_dim
+        d["complete"] = complete
 
     def as_dict(self) -> dict:
         return {

@@ -29,7 +29,6 @@ into every zero they produce.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
@@ -37,6 +36,7 @@ from operator import is_not
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, FieldMismatchError, NotAComplexError
+from .records import Frozen
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +219,17 @@ def same_field(*fields: Field) -> Field:
 # Matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Frozen):
     """Dense immutable matrix; entries[r][c], all over one field."""
 
-    field: Field
-    rows: int
-    cols: int
-    entries: tuple
+    _fields = ("field", "rows", "cols", "entries")
+
+    def __init__(self, field: Field, rows: int, cols: int, entries: tuple):
+        d = self.__dict__
+        d["field"] = field
+        d["rows"] = rows
+        d["cols"] = cols
+        d["entries"] = entries
 
     @staticmethod
     def from_rows(field: Field, rows: Sequence[Sequence]) -> "Matrix":
@@ -608,16 +611,19 @@ def rank(m: Matrix) -> int:
 # Subspaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Frozen):
     """Subspace of k^ambient_dim by its RREF basis (rows = basis vectors).
 
     The RREF basis is the canonical representative: two subspaces are equal
     iff their basis matrices are identical.
     """
 
-    ambient_dim: int
-    basis: Matrix  # RREF, no zero rows
+    _fields = ("ambient_dim", "basis")
+
+    def __init__(self, ambient_dim: int, basis: Matrix):
+        d = self.__dict__
+        d["ambient_dim"] = ambient_dim
+        d["basis"] = basis  # RREF, no zero rows
 
     @staticmethod
     def from_vectors(field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":

@@ -11,28 +11,29 @@ agreement between the two pipelines is evidence rather than tautology.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 
 from .algebras import Algebra, AlgebraHom, make_algebra, zero_algebra
 from .cech import PosetFunctor, all_tuples, insert_index
 from .errors import StructureError
 from .linalg import Field, Matrix, rank
+from .records import Frozen
 
 
-@dataclass(frozen=True)
-class CoverDescription:
+class CoverDescription(Frozen):
     """Nonempty finite intersections of a cover, as increasing index tuples.
 
     Invariants: every singleton is present and the overlap set is downward
     closed (faces of nonempty overlaps are nonempty).
     """
 
-    n_patches: int
-    nonempty_overlaps: frozenset
-    field: Field
+    _fields = ("n_patches", "nonempty_overlaps", "field")
 
-    def __post_init__(self):
+    def __init__(self, n_patches: int, nonempty_overlaps: frozenset, field: Field):
+        d = self.__dict__
+        d["n_patches"] = n_patches
+        d["nonempty_overlaps"] = nonempty_overlaps
+        d["field"] = field
         if self.n_patches < 1:
             raise ValueError("need at least one patch")
         for t in self.nonempty_overlaps:

@@ -13,33 +13,45 @@ round-tripping relies on.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from hashlib import sha256
 from pathlib import Path
 from typing import Optional
 
-from .algebras import Algebra, AlgebraHom, ideal_closure, make_algebra
+from .algebras import Algebra, AlgebraHom, algebra_from_terms, ideal_closure
 from .cech import PosetFunctor, all_tuples, insert_index
 from .coverings import Covering
 from .errors import CechcoverError, ProblemFormatError
 from .linalg import GF, QQ, Field, Matrix
 from .nerve import CoverDescription
+from .records import Record
 
 DEFAULT_N_MAX = 3
 DEFAULT_DIM_CAP = 20000
 
 
-@dataclass
-class Problem:
-    field: Field
-    algebra: Optional[Algebra]
-    ideals: dict
-    covering: Optional[Covering]
-    functor_spec: Optional[dict]  # {"kind": ..., ...}
-    n_max: int = DEFAULT_N_MAX
-    dim_cap: int = DEFAULT_DIM_CAP
-    raw: dict = dc_field(default_factory=dict)
+class Problem(Record):
+    _fields = ("field", "algebra", "ideals", "covering", "functor_spec",
+               "n_max", "dim_cap", "raw")
+
+    def __init__(self, field: Field, algebra: Optional[Algebra], ideals: dict,
+                 covering: Optional[Covering], functor_spec: Optional[dict],
+                 n_max: int = DEFAULT_N_MAX, dim_cap: int = DEFAULT_DIM_CAP,
+                 raw: Optional[dict] = None):
+        self.field = field
+        self.algebra = algebra
+        self.ideals = ideals
+        self.covering = covering
+        self.functor_spec = functor_spec  # {"kind": ..., ...}
+        self.n_max = n_max
+        self.dim_cap = dim_cap
+        self.raw = {} if raw is None else raw
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; ``true`` and ``false`` load as bool, a subclass of
+    int, and are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +94,7 @@ def parse_field_spec(spec, loc: str = "field") -> Field:
         return QQ
     if isinstance(spec, dict) and set(spec) == {"Fp"}:
         p = spec["Fp"]
-        if not isinstance(p, int):
+        if not _is_int(p):
             raise ProblemFormatError("Fp order must be an integer", loc)
         try:
             return GF(p)
@@ -98,36 +110,47 @@ def field_spec_to_json(field: Field):
 
 
 def parse_algebra_section(field: Field, spec, loc: str) -> Algebra:
+    """The algebra of an algebra section, validated.
+
+    The unit and the labels are length-checked against ``dim`` first, and
+    the quadruples are summed into the sparse terms of each product
+    b_i * b_j; no dense dim^3 table is built.
+    """
     if not isinstance(spec, dict):
         raise ProblemFormatError("algebra section must be an object", loc)
     for key in ("dim", "mul", "unit"):
         if key not in spec:
             raise ProblemFormatError(f"missing '{key}'", loc)
     dim = spec["dim"]
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_int(dim) or dim < 0:
         raise ProblemFormatError("dim must be a non-negative integer", f"{loc}.dim")
-    table = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
-    if not isinstance(spec["mul"], list):
-        raise ProblemFormatError("mul must be a list of [i, j, k, coeff] quadruples", f"{loc}.mul")
-    for t, quad in enumerate(spec["mul"]):
-        qloc = f"{loc}.mul[{t}]"
-        if not isinstance(quad, list) or len(quad) != 4:
-            raise ProblemFormatError("expected [i, j, k, coeff]", qloc)
-        i, j, k, coeff = quad
-        for name, idx in (("i", i), ("j", j), ("k", k)):
-            if not isinstance(idx, int) or not 0 <= idx < dim:
-                raise ProblemFormatError(f"index {name}={idx} out of range 0..{dim - 1}", qloc)
-        table[i][j][k] = field.add(table[i][j][k], parse_scalar(field, coeff, qloc))
     unit = parse_vector(field, spec["unit"], dim, f"{loc}.unit")
     labels = spec.get("labels")
     if labels is not None:
         if (not isinstance(labels, list) or len(labels) != dim
                 or not all(isinstance(x, str) for x in labels)):
             raise ProblemFormatError(f"labels must be {dim} strings", f"{loc}.labels")
+    if not isinstance(spec["mul"], list):
+        raise ProblemFormatError("mul must be a list of [i, j, k, coeff] quadruples", f"{loc}.mul")
+    sums: dict = {}  # (i, j) -> {k: sum of the coefficients given for b_k}
+    for t, quad in enumerate(spec["mul"]):
+        qloc = f"{loc}.mul[{t}]"
+        if not isinstance(quad, list) or len(quad) != 4:
+            raise ProblemFormatError("expected [i, j, k, coeff]", qloc)
+        i, j, k, coeff = quad
+        for name, idx in (("i", i), ("j", j), ("k", k)):
+            if not _is_int(idx):
+                raise ProblemFormatError(f"index {name} must be an integer", qloc)
+            if not 0 <= idx < dim:
+                raise ProblemFormatError(f"index {name}={idx} out of range 0..{dim - 1}", qloc)
+        x = parse_scalar(field, coeff, qloc)
+        row = sums.setdefault((i, j), {})
+        row[k] = field.add(row[k], x) if k in row else x
+    terms = [[()] * dim for _ in range(dim)]
+    for (i, j), row in sums.items():
+        terms[i][j] = tuple((k, row[k]) for k in sorted(row) if row[k])
     try:
-        return make_algebra(field, dim,
-                            tuple(tuple(tuple(v) for v in row) for row in table),
-                            unit, labels)
+        return algebra_from_terms(field, dim, tuple(map(tuple, terms)), unit, labels)
     except CechcoverError as exc:
         raise ProblemFormatError(str(exc), loc)
 
@@ -175,7 +198,7 @@ def parse_functor_spec(spec, loc: str = "functor") -> dict:
         raise ProblemFormatError(f"unknown functor kind {kind!r}", loc)
     if not isinstance(body, dict):
         raise ProblemFormatError("functor body must be an object", f"{loc}.{kind}")
-    if "n" not in body or not isinstance(body["n"], int) or body["n"] < 1:
+    if "n" not in body or not _is_int(body["n"]) or body["n"] < 1:
         raise ProblemFormatError("functor body needs a patch count 'n' >= 1", f"{loc}.{kind}")
     return {"kind": kind, "body": body}
 
@@ -242,11 +265,11 @@ def parse_problem(doc, field_override: Optional[Field] = None) -> Problem:
                 raise ProblemFormatError(f"unknown option {key!r}", "options")
         if "n_max" in opts:
             n_max = opts["n_max"]
-            if not isinstance(n_max, int) or n_max < 1:
+            if not _is_int(n_max) or n_max < 1:
                 raise ProblemFormatError("n_max must be an integer >= 1", "options.n_max")
         if "dim_cap" in opts:
             dim_cap = opts["dim_cap"]
-            if not isinstance(dim_cap, int) or dim_cap < 1:
+            if not _is_int(dim_cap) or dim_cap < 1:
                 raise ProblemFormatError("dim_cap must be a positive integer", "options.dim_cap")
 
     return Problem(field, algebra, ideals, covering, functor_spec,
@@ -323,7 +346,7 @@ def build_problem_functor(problem: Problem):
             raise ProblemFormatError("cover functor needs 'nonempty_overlaps'", "functor.cover")
         tuples = set()
         for t, item in enumerate(overlaps):
-            if not isinstance(item, list) or not all(isinstance(x, int) for x in item):
+            if not isinstance(item, list) or not all(map(_is_int, item)):
                 raise ProblemFormatError("overlaps must be integer lists",
                                          f"functor.cover.nonempty_overlaps[{t}]")
             tuples.add(tuple(item))

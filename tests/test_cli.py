@@ -1,8 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import pytest
+
+import cechcover
 from cechcover.cli import main
 from cechcover.problem import load_problem, normalize, parse_problem
 
@@ -297,3 +305,55 @@ def test_fractional_scalars_accepted(capsys, tmp_path):
     code, report, _ = run_json(capsys, "check", path)
     assert code == 0
     assert report["results"]["covering"]["complete"] is True
+
+
+_K2 = {"dim": 2, "mul": [[0, 0, 0, 1], [1, 1, 1, 1]], "unit": [1, 1]}
+
+
+def _k2_problem(**changes):
+    doc = {"field": "Q", "algebra": dict(_K2), "ideals": {"I": [[0, 1]], "J": [[1, 0]]},
+           "covering": ["I", "J"]}
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("command,doc,location", [
+    ("check", _k2_problem(algebra=dict(_K2, dim=True)), "algebra.dim"),
+    ("check", _k2_problem(algebra=dict(_K2, mul=_K2["mul"] + [[True, 0, 0, 0]])),
+     "algebra.mul[2]"),
+    ("check", _k2_problem(algebra=dict(_K2, mul=_K2["mul"] + [[1, 0, False, 0]])),
+     "algebra.mul[2]"),
+    ("check", _k2_problem(options={"n_max": True}), "options.n_max"),
+    ("check", _k2_problem(options={"dim_cap": True}), "options.dim_cap"),
+    ("check", _k2_problem(field={"Fp": True}), "field"),
+    ("cech", {"field": "Q", "functor": {"constant": {"n": True, "ring": _K2}}},
+     "functor.constant"),
+    ("cech", {"field": "Q", "functor": {"cover": {"n": 2, "nonempty_overlaps": [
+        [1], [2], [True, 2]]}}}, "functor.cover.nonempty_overlaps[2]"),
+], ids=["dim", "mul-i", "mul-k", "n_max", "dim_cap", "Fp", "functor-n", "cover-overlap"])
+def test_booleans_are_not_integers(capsys, tmp_path, command, doc, location):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"input error: {location}: ")
+
+
+def test_huge_dim_is_rejected_before_any_table_is_built(tmp_path):
+    """dim is checked against the unit's length first; a table of dim^2 or
+    dim^3 entries would exhaust the 1 GiB address space allowed here."""
+    doc = _k2_problem(algebra={"dim": 10 ** 9, "mul": [[0, 0, 0, 1]], "unit": [1, 0, 0]})
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cechcover.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys\nfrom cechcover.cli import main\nsys.exit(main())",
+         "check", "--input", str(path)],
+        env=env, preexec_fn=limit_memory, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("input error: algebra.unit: ")

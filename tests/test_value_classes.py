@@ -1,0 +1,106 @@
+"""The value classes keep the semantics of frozen dataclasses, and importing
+the command line pulls in neither ``dataclasses`` nor ``inspect``.
+
+The semantics pins: equal fields compare equal and hash equal, another
+class never compares equal, assignment raises AttributeError, and the
+cached properties stay cached.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cechcover
+from cechcover.algebras import AlgebraHom, Element, Ideal, ideal_closure, split_commutative
+from cechcover.coverings import completeness_check
+from cechcover.linalg import QQ, Matrix, Subspace
+
+from instances import make_e1
+
+SRC = Path(cechcover.__file__).resolve().parents[1]
+
+
+def _pairs():
+    """(name, make) where each make() builds a fresh instance with the same fields."""
+    a = split_commutative(QQ, 3)
+    rows = ((1, 0, 2), (0, 1, 0))
+    space = ideal_closure(a, [(0, 0, 1)]).space
+    return [
+        ("Matrix", lambda: Matrix.from_rows(QQ, rows)),
+        ("Subspace", lambda: Subspace.from_vectors(QQ, 3, [(0, 2, 0), (1, 0, 1)])),
+        ("Algebra", lambda: split_commutative(QQ, 3)),
+        ("Element", lambda: Element(a, (QQ.coerce(1), QQ.coerce(0), QQ.coerce(3)))),
+        ("Ideal", lambda: Ideal(a, space)),
+        ("AlgebraHom", lambda: AlgebraHom.identity(a)),
+        ("CompletenessReport", lambda: completeness_check(make_e1())),
+    ]
+
+
+PAIRS = _pairs()
+
+
+@pytest.mark.parametrize("name,make", PAIRS, ids=[n for n, _ in PAIRS])
+def test_equal_fields_compare_and_hash_equal(name, make):
+    x, y = make(), make()
+    assert x is not y
+    assert x == y and not x != y
+    assert hash(x) == hash(y)
+    assert len({x, y}) == 1
+
+
+@pytest.mark.parametrize("name,make", PAIRS, ids=[n for n, _ in PAIRS])
+def test_another_class_is_never_equal(name, make):
+    x = make()
+    fields = tuple(vars(x).values())
+    assert x != fields and not x == fields
+    assert x != object()
+    for other_name, other_make in PAIRS:
+        if other_name != name:
+            assert x != other_make()
+
+
+@pytest.mark.parametrize("name,make", PAIRS, ids=[n for n, _ in PAIRS])
+def test_assignment_raises(name, make):
+    x = make()
+    first = next(iter(vars(x)))
+    before = vars(x)[first]
+    with pytest.raises(AttributeError):
+        setattr(x, first, None)
+    with pytest.raises(AttributeError):
+        x.not_a_field = 1
+    with pytest.raises(AttributeError):
+        delattr(x, first)
+    assert vars(x)[first] is before
+    assert "not_a_field" not in vars(x)
+
+
+def test_repr_names_the_class_and_its_fields():
+    m = Matrix(QQ, 1, 1, ((QQ.one,),))
+    assert repr(m) == "Matrix(field=QQ, rows=1, cols=1, entries=((Fraction(1, 1),),))"
+
+
+def test_cached_properties_are_still_cached():
+    m = Matrix.from_rows(QQ, ((1, 0, 2), (0, 0, 0)))
+    assert "support" not in vars(m)
+    support = m.support
+    assert support == ((0, 2), ())
+    assert m.support is support and vars(m)["support"] is support
+
+    s = Subspace.from_vectors(QQ, 3, [(0, 2, 0), (1, 0, 1)])
+    basis = s.sparse_basis
+    assert basis == ({0: 1, 2: 1}, {1: 1})
+    assert s.sparse_basis is basis and vars(s)["sparse_basis"] is basis
+
+
+def test_importing_the_cli_skips_dataclasses_and_inspect():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = ("import sys, cechcover.cli\n"
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.strip() == "[]"
