@@ -4,7 +4,9 @@ Library layout:
 
 - ``linalg``: exact fields (Q, F_p), matrices, subspaces, quotients.
 - ``algebras``: structure-constant algebras, ideals, homomorphisms.
-- ``coverings``: coverings by ideals, the completeness check.
+- ``coverings``: coverings by ideals, their ideal-sum lattice, the
+  completeness check.
+- ``complexes``: the word-complex builder the two complexes share.
 - ``amitsur``: balanced tensor powers, Sweedler coring, Amitsur complex.
 - ``cech``: poset functors, the (S^n, d') complex, the comparison map phi.
 - ``nerve``: classical nerve-cohomology oracle for cross-validation.

@@ -18,7 +18,12 @@ Inserting 1_B = sum_i 1_(A_i) at slot k sends block w to the blocks
 w[:k] + (i,) + w[k:] by the canonical projections
 A/I_S -> A/I_(S + {i}); the differential is the alternating sum
 d = sum_k (-1)^k (insert 1_B at slot k), where insertions that land on the
-same word add.  The builder asserts d.d = 0 and d_0 . pi = 0.
+same word add.  The builder asserts d.d = 0 and d_0 . pi = 0.  The word
+spaces, the assembly of d, the d.d = 0 check and the homology formula are
+the word-complex construction of ``cechcover.complexes``, which the Cech
+complex shares; the ideal sums I_S, their sections and the projections
+between them come from the covering (``Covering.ideal_sum_space``,
+``section``, ``projection``), which computes each once.
 
 The tensor tower builds the same spaces from the definition: the raw
 coordinate space of T_(n+1) = T_n (x)_A B is k^(dim T_n * dim B) and
@@ -36,11 +41,11 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .algebras import Algebra
+from .complexes import WordSpace, assemble, check_complex, homology
 from .coverings import Covering, build_pi
 from .errors import DimensionCapError, NotAComplexError, StructureError
 from .linalg import (
-    Matrix, Subspace, block_matrix, mul_kron_identity, quotient_map, quotient_section,
-    rank,
+    Matrix, Subspace, mul_kron_identity, quotient_map, quotient_section, rank,
 )
 from .records import Frozen
 
@@ -585,27 +590,6 @@ def build_coring(c: Covering, tower: Optional[TensorTower] = None,
 # Amitsur complex
 # ---------------------------------------------------------------------------
 
-class WordSpace(Frozen):
-    """One Amitsur degree: the blocks A/I_set(w) in lexicographic word order.
-
-    ``sections[k]`` is the section A/I_set(w) -> A of block k
-    (``quotient_section`` of I_set(w)); words with a zero quotient are
-    not listed.
-    """
-
-    _fields = ("words", "dims", "sections")
-
-    def __init__(self, words: tuple, dims: tuple, sections: tuple):
-        d = self.__dict__
-        d["words"] = words
-        d["dims"] = dims
-        d["sections"] = sections
-
-    @property
-    def dim(self) -> int:
-        return sum(self.dims)
-
-
 class AmitsurComplex(Frozen):
     _fields = ("covering", "n_max", "spaces", "differentials", "augmentation")
 
@@ -631,42 +615,6 @@ class AmitsurComplex(Frozen):
         return rank(self.augmentation)
 
 
-class _IdealSums:
-    """Quotient coordinates of the ideal sums I_S of a covering (see
-    ``Covering.ideal_sum_space``), for index sets S given as sorted tuples.
-
-    The coordinates of each A/I_S and each projection A/I_S -> A/I_T
-    between two sums are computed once.
-    """
-
-    def __init__(self, c: Covering):
-        self.covering = c
-        self.ambient = c.algebra.dim
-        self._maps: dict = {}
-        self._projections: dict = {}
-
-    def dim(self, s: tuple) -> int:
-        """dim A/I_S"""
-        return self.ambient - self.covering.ideal_sum_space(s).dim
-
-    def maps(self, s: tuple) -> tuple[Matrix, Matrix]:
-        """The quotient map A -> A/I_S and its section."""
-        m = self._maps.get(s)
-        if m is None:
-            w = self.covering.ideal_sum_space(s)
-            m = self._maps[s] = (quotient_map(self.ambient, w),
-                                 quotient_section(self.ambient, w))
-        return m
-
-    def projection(self, s: tuple, t: tuple) -> Matrix:
-        """The canonical projection A/I_S -> A/I_T for S inside T."""
-        key = (s, t)
-        m = self._projections.get(key)
-        if m is None:
-            m = self._projections[key] = self.maps(t)[0].mul(self.maps(s)[1])
-        return m
-
-
 def _index_set(word: tuple) -> tuple:
     return tuple(sorted(set(word)))
 
@@ -680,63 +628,44 @@ def build_amitsur(c: Covering, n_max: int, cap: int = 20000) -> AmitsurComplex:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    sums = _IdealSums(c)
     patches = range(1, c.n_patches + 1)
+
+    def ideal(w: tuple):
+        return c.ideal_sum_space(_index_set(w))
+
+    def dim(w: tuple) -> int:
+        return c.algebra.dim - ideal(w).dim
+
     # a word's quotient only shrinks as letters are added, so extending the
     # words with a nonzero block reaches every word with a nonzero block
-    words_by_degree = []
-    words = [(i,) for i in patches if sums.dim((i,))]
+    spaces = []
+    words = [(i,) for i in patches if dim((i,))]
     for n in range(n_max + 1):
-        total = sum(sums.dim(_index_set(w)) for w in words)
-        if total > cap:
+        dims = tuple(map(dim, words))
+        if sum(dims) > cap:
             raise DimensionCapError(
                 f"Amitsur degree {n} (tensor power {n + 1}) has dimension "
-                f"{total} > cap {cap}", degree=n + 1, estimated=total, cap=cap)
-        words_by_degree.append(words)
+                f"{sum(dims)} > cap {cap}", degree=n + 1, estimated=sum(dims), cap=cap)
+        spaces.append(WordSpace(tuple(words), dims))
         if n < n_max:
-            words = [w + (i,) for w in words for i in patches
-                     if sums.dim(_index_set(w + (i,)))]
+            words = [w + (i,) for w in words for i in patches if dim(w + (i,))]
 
-    spaces = []
-    for words in words_by_degree:
-        keys = [_index_set(w) for w in words]
-        spaces.append(WordSpace(tuple(words), tuple(sums.dim(s) for s in keys),
-                                tuple(sums.maps(s)[1] for s in keys)))
-    diffs = tuple(_differential(c.field, sums, patches, src, dst)
+    def insertions(w: tuple):
+        # inserting 1_B = sum_i 1_(A_i) at slot k, with sign (-1)^k
+        for k in range(len(w) + 1):
+            for i in patches:
+                yield -1 if k % 2 else 1, w[:k] + (i,) + w[k:]
+
+    def block(w: tuple, v: tuple):
+        return c.projection(ideal(w), ideal(v))
+
+    diffs = tuple(assemble(c.field, src, dst, insertions, block)
                   for src, dst in zip(spaces, spaces[1:]))
-    for n in range(n_max - 1):
-        if not diffs[n + 1].mul(diffs[n]).is_zero():
-            raise NotAComplexError(f"d_{n + 1} . d_{n} != 0", degree=n)
+    check_complex(diffs, "d_")
     pi = build_pi(c)
     if not diffs[0].mul(pi).is_zero():
         raise NotAComplexError("d_0 . pi != 0", degree=-1)
     return AmitsurComplex(c, n_max, tuple(spaces), diffs, pi)
-
-
-def _differential(field, sums: _IdealSums, patches, src: WordSpace,
-                  dst: WordSpace) -> Matrix:
-    """d = sum_k (-1)^k (insert 1_B at slot k), block by block.
-
-    Inserting patch i at slot k maps block w to block w[:k] + (i,) + w[k:]
-    by the projection A/I_set(w) -> A/I_(set(w) + {i}); the target word
-    fixes i, so insertions that meet on one word add their signs.
-    """
-    row_of = {w: r for r, w in enumerate(dst.words)}
-    blocks = {}
-    for col, w in enumerate(src.words):
-        signs: dict = {}
-        for k in range(len(w) + 1):
-            sign = -1 if k % 2 else 1
-            for i in patches:
-                row = row_of.get(w[:k] + (i,) + w[k:])
-                if row is not None:
-                    signs[row] = signs.get(row, 0) + sign
-        s = _index_set(w)
-        for row, x in signs.items():
-            if x:
-                proj = sums.projection(s, _index_set(dst.words[row]))
-                blocks[(row, col)] = proj if x == 1 else proj.scale(field.coerce(x))
-    return block_matrix(field, dst.dims, src.dims, blocks)
 
 
 def amitsur_homology(cx: AmitsurComplex, augmented: bool) -> list[int]:
@@ -747,12 +676,4 @@ def amitsur_homology(cx: AmitsurComplex, augmented: bool) -> list[int]:
     differential and is not reported.  The ranks come from ``cx.ranks``;
     build_amitsur has already checked d.d = 0 and d_0 . pi = 0.
     """
-    dims, ranks = cx.degree_dims(), cx.ranks
-    out = []
-    for n in range(cx.n_max):
-        if n:
-            r_in = ranks[n - 1]
-        else:
-            r_in = cx.augmentation_rank if augmented else 0
-        out.append(dims[n] - ranks[n] - r_in)
-    return out
+    return homology(cx.degree_dims(), cx.ranks, cx.augmentation_rank if augmented else 0)

@@ -6,7 +6,14 @@ canonical representatives of ordered subsets, and the coboundary d' only
 ever inserts one index into an existing tuple.  The sign of an insertion
 is (-1)^pos with pos the 0-based position of the inserted index, which
 reproduces the classical Cech coboundary and makes the two-path
-cancellation identity hold.
+cancellation identity hold.  ``extensions`` and ``one_step_inclusions``
+enumerate these insertions for every loop over them.
+
+(S^n, d') is the word complex of ``cechcover.complexes`` on the strictly
+increasing words, with the functor's restriction maps as blocks; the
+Amitsur complex is the same construction on all patch words.  The ringed
+structure of a covering reads the quotients and projections of the
+covering's ideal sums (``Covering.quotient``, ``projection``).
 
 The comparison map phi sends a pure tensor y_1 (x) ... (x) y_n with patch
 word (i_1, ..., i_n) to the product of the restricted images in the ring
@@ -19,17 +26,16 @@ matches reading "ordered subsets" as order-inherited tuples.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
-from .algebras import Algebra, AlgebraHom, Element, quotient
+from .algebras import Algebra, AlgebraHom, Element
 from .amitsur import AmitsurComplex, TensorTower
+from .complexes import WordSpace, assemble, check_complex, homology
 from .coverings import Covering
-from .errors import DimensionMismatchError, NotAComplexError, StructureError
-from .linalg import (
-    Matrix, Subspace, block_matrix, quotient_map, quotient_section, rank,
-)
+from .errors import DimensionMismatchError, StructureError
+from .linalg import Matrix, Subspace, block_matrix, rank
 from .records import Frozen, Record
 
 
@@ -59,6 +65,27 @@ def insert_index(zeta: tuple, i: int) -> tuple[int, tuple]:
 
 def all_tuples(n_patches: int, length: int) -> list[tuple]:
     return [tuple(c) for c in combinations(range(1, n_patches + 1), length)]
+
+
+def extensions(zeta: tuple, n_patches: int):
+    """The one-step inclusions out of the increasing tuple zeta: (i, pos,
+    eta) for each i in 1..N not in zeta, in increasing order, where eta is
+    zeta with i inserted at position pos (as ``insert_index`` gives)."""
+    pos = 0
+    for i in range(1, n_patches + 1):
+        if pos < len(zeta) and zeta[pos] == i:
+            pos += 1
+        else:
+            yield i, pos, zeta[:pos] + (i,) + zeta[pos:]
+
+
+def one_step_inclusions(n_patches: int):
+    """(zeta, i, pos, eta) for every one-step inclusion over 1..N, by the
+    length of zeta, then zeta in ``all_tuples`` order, then i."""
+    for length in range(n_patches):
+        for zeta in all_tuples(n_patches, length):
+            for i, pos, eta in extensions(zeta, n_patches):
+                yield zeta, i, pos, eta
 
 
 # ---------------------------------------------------------------------------
@@ -110,19 +137,16 @@ def validate_functor(f: PosetFunctor) -> None:
         for zeta in all_tuples(n, length):
             if zeta not in f.rings:
                 raise StructureError(f"functor has no ring on {zeta}", witness=("missing", zeta))
-    for length in range(n):
-        for zeta in all_tuples(n, length):
-            for i in range(1, n + 1):
-                if i in zeta:
-                    continue
-                _, eta = insert_index(zeta, i)
-                if (zeta, eta) not in f.steps:
-                    raise StructureError(f"functor has no restriction {zeta} -> {eta}",
-                                         witness=("missing-step", zeta, eta))
-                hom = f.steps[(zeta, eta)]
-                if hom.domain != f.rings[zeta] or hom.codomain != f.rings[eta]:
-                    raise StructureError(f"restriction {zeta} -> {eta} has wrong endpoints",
-                                         witness=("endpoints", zeta, eta))
+    up = {}  # (zeta, i) -> zeta with i inserted
+    for zeta, i, _, eta in one_step_inclusions(n):
+        if (zeta, eta) not in f.steps:
+            raise StructureError(f"functor has no restriction {zeta} -> {eta}",
+                                 witness=("missing-step", zeta, eta))
+        hom = f.steps[(zeta, eta)]
+        if hom.domain != f.rings[zeta] or hom.codomain != f.rings[eta]:
+            raise StructureError(f"restriction {zeta} -> {eta} has wrong endpoints",
+                                 witness=("endpoints", zeta, eta))
+        up[zeta, i] = eta
     # Functors reuse restriction maps (the constant functor has one), so each
     # distinct (outer, inner) pair of step matrices is composed once.
     composites: dict = {}
@@ -134,37 +158,28 @@ def validate_functor(f: PosetFunctor) -> None:
             product = composites[key] = outer.mul(inner)
         return product
 
-    for length in range(n - 1):
-        for zeta in all_tuples(n, length):
-            rest = [i for i in range(1, n + 1) if i not in zeta]
-            up = {i: insert_index(zeta, i)[1] for i in rest}
-            for i, j in combinations(rest, 2):
-                via_i, via_j = up[i], up[j]
-                _, top = insert_index(via_i, j)
-                path1 = compose(f.steps[(via_i, top)].matrix, f.steps[(zeta, via_i)].matrix)
-                path2 = compose(f.steps[(via_j, top)].matrix, f.steps[(zeta, via_j)].matrix)
-                if path1 != path2:
-                    raise StructureError(
-                        f"restriction square {zeta} -> {top} does not commute",
-                        witness=("square", zeta, i, j))
+    for zeta, i, _, via_i in one_step_inclusions(n):
+        for j in range(i + 1, n + 1):
+            via_j = up.get((zeta, j))
+            if via_j is None:
+                continue
+            top = up[via_i, j]
+            path1 = compose(f.steps[(via_i, top)].matrix, f.steps[(zeta, via_i)].matrix)
+            path2 = compose(f.steps[(via_j, top)].matrix, f.steps[(zeta, via_j)].matrix)
+            if path1 != path2:
+                raise StructureError(
+                    f"restriction square {zeta} -> {top} does not commute",
+                    witness=("square", zeta, i, j))
 
 
 def constant_functor(n_patches: int, ring: Algebra) -> PosetFunctor:
     """The same ring everywhere, identity restrictions."""
     if n_patches < 1:
         raise ValueError("need at least one patch")
-    rings = {}
-    steps = {}
-    for length in range(n_patches + 1):
-        for zeta in all_tuples(n_patches, length):
-            rings[zeta] = ring
+    rings = {zeta: ring for length in range(n_patches + 1)
+             for zeta in all_tuples(n_patches, length)}
     ident = AlgebraHom.identity(ring)
-    for length in range(n_patches):
-        for zeta in all_tuples(n_patches, length):
-            for i in range(1, n_patches + 1):
-                if i not in zeta:
-                    _, eta = insert_index(zeta, i)
-                    steps[(zeta, eta)] = ident
+    steps = {(zeta, eta): ident for zeta, _, _, eta in one_step_inclusions(n_patches)}
     return PosetFunctor(n_patches, rings, steps)
 
 
@@ -203,48 +218,17 @@ class RingedStructure:
     @staticmethod
     def default(c: Covering) -> "RingedStructure":
         """Phi(J) = A/J with Phi_J the identity and Phi(proj) the projection,
-        on the ideals of the covering's lattice.  The quotients the covering
-        has built are not built again."""
-        base = c.algebra
-        quotients = dict(c.quotients)
-        maps: dict = {}
+        on the ideals of the covering's lattice, whose quotients and
+        projections it reads."""
+        return RingedStructure(c.algebra, lambda j: c.quotient(j)[0],
+                               lambda j: AlgebraHom.identity(c.quotient(j)[0]),
+                               c.projection_hom, name="default")
 
-        def quot(j: Subspace):
-            if j not in quotients:
-                quotients[j] = quotient(base, _as_ideal(base, j))
-            return quotients[j]
+    def validate_on(self, c: Covering, ideal_spaces: Sequence[Subspace]) -> None:
+        """Check the naturality squares for every comparable pair in the list
+        of ideal sums of the covering ``c``."""
 
-        def ring_of(j: Subspace) -> Algebra:
-            return quot(j)[0]
-
-        def hom_from_quotient(j: Subspace) -> AlgebraHom:
-            return AlgebraHom.identity(quot(j)[0])
-
-        def map_of(j1: Subspace, j2: Subspace) -> AlgebraHom:
-            key = (j1, j2)
-            if key not in maps:
-                a1, _ = quot(j1)
-                a2, q2 = quot(j2)
-                s1 = quotient_section(base.dim, j1)
-                maps[key] = AlgebraHom(a1, a2, q2.matrix.mul(s1))
-            return maps[key]
-
-        return RingedStructure(base, ring_of, hom_from_quotient, map_of, name="default")
-
-    def validate_on(self, ideal_spaces: Sequence[Subspace]) -> None:
-        """Check the naturality squares for every comparable pair in the list."""
-        base = self.base
-
-        # each distinct ideal's quotient map, section and Phi_J is built once
-        @cache
-        def quotient_matrix(j: Subspace) -> Matrix:
-            return quotient_map(base.dim, j)
-
-        @cache
-        def section(j: Subspace) -> Matrix:
-            return quotient_section(base.dim, j)
-
-        @cache
+        @cache  # Phi_J of each distinct ideal is built once
         def hom(j: Subspace) -> Matrix:
             return self.hom_from_quotient(j).matrix
 
@@ -252,18 +236,12 @@ class RingedStructure:
             for j2 in ideal_spaces:
                 if j1 == j2 or not j2.contains_subspace(j1):
                     continue
-                proj = quotient_matrix(j2).mul(section(j1))
-                lhs = hom(j2).mul(proj)
+                lhs = hom(j2).mul(c.projection(j1, j2))
                 rhs = self.map_of(j1, j2).matrix.mul(hom(j1))
                 if lhs != rhs:
                     raise StructureError(
                         "ringed-structure naturality square does not commute",
                         witness=("naturality", j1.basis.entries, j2.basis.entries))
-
-
-def _as_ideal(base: Algebra, space: Subspace):
-    from .algebras import Ideal
-    return Ideal(base, space)
 
 
 def functor_from_ringed_covering(c: Covering,
@@ -279,17 +257,11 @@ def functor_from_ringed_covering(c: Covering,
     sums = {zeta: c.ideal_sum_space(zeta)
             for length in range(n + 1) for zeta in all_tuples(n, length)}
     rings = {zeta: rs.ring_of(j) for zeta, j in sums.items()}
-    steps = {}
-    for length in range(n):
-        for zeta in all_tuples(n, length):
-            for i in range(1, n + 1):
-                if i in zeta:
-                    continue
-                _, eta = insert_index(zeta, i)
-                steps[(zeta, eta)] = rs.map_of(sums[zeta], sums[eta])
+    steps = {(zeta, eta): rs.map_of(sums[zeta], sums[eta])
+             for zeta, _, _, eta in one_step_inclusions(n)}
     functor = PosetFunctor(n, rings, steps)
     validate_functor(functor)
-    rs.validate_on(sorted(set(sums.values()), key=lambda s: (s.dim, s.basis.entries)))
+    rs.validate_on(c, sorted(set(sums.values()), key=lambda s: (s.dim, s.basis.entries)))
     return functor
 
 
@@ -297,33 +269,11 @@ def functor_from_ringed_covering(c: Covering,
 # The Cech complex
 # ---------------------------------------------------------------------------
 
-class SpaceLayout(Frozen):
-    """Block layout of S^n = (+)_(len(zeta)=n) R(zeta)."""
-
-    _fields = ("degree", "blocks", "dim")
-
-    def __init__(self, degree: int, blocks: tuple, dim: int):
-        d = self.__dict__
-        d["degree"] = degree
-        d["blocks"] = blocks  # (zeta, offset, dim)
-        d["dim"] = dim
-
-    def offset_of(self, zeta: tuple) -> tuple[int, int]:
-        for z, off, d in self.blocks:
-            if z == zeta:
-                return off, d
-        raise KeyError(zeta)
-
-
-def space_layout(f: PosetFunctor, n: int) -> SpaceLayout:
-    blocks = []
-    off = 0
-    if 0 <= n <= f.n_patches:
-        for zeta in all_tuples(f.n_patches, n):
-            d = f.ring(zeta).dim
-            blocks.append((zeta, off, d))
-            off += d
-    return SpaceLayout(n, tuple(blocks), off)
+def space_layout(f: PosetFunctor, n: int) -> WordSpace:
+    """S^n = (+)_(len(zeta)=n) R(zeta) on the increasing words of length n;
+    empty outside 0..N."""
+    words = tuple(all_tuples(f.n_patches, n)) if n >= 0 else ()
+    return WordSpace(words, tuple(f.ring(zeta).dim for zeta in words))
 
 
 class CechComplex(Frozen):
@@ -332,7 +282,7 @@ class CechComplex(Frozen):
     def __init__(self, functor: PosetFunctor, layouts: tuple, differentials: tuple):
         d = self.__dict__
         d["functor"] = functor
-        d["layouts"] = layouts  # SpaceLayout for S^0..S^N
+        d["layouts"] = layouts  # WordSpace S^0..S^N
         d["differentials"] = differentials  # d'_0..d'_(N-1)
 
     @property
@@ -347,6 +297,14 @@ class CechComplex(Frozen):
         src = self.layouts[n].dim if n < len(self.layouts) else 0
         return Matrix(field, 0, src, ())
 
+    @cached_property
+    def ranks(self) -> tuple[int, ...]:
+        """rank d'_1..d'_top, each computed once per complex, where S^top is
+        the last nonzero cochain space; S^0 = R(empty) is left out of the
+        cohomology, so d'_0 is not ranked."""
+        top = max((n for n in range(1, len(self.layouts)) if self.layouts[n].dim), default=0)
+        return tuple(rank(self.dprime(n)) for n in range(1, top + 1))
+
 
 def build_cech(f: PosetFunctor, validate: bool = True) -> CechComplex:
     """Assemble (S^n, d') and assert d'.d' = 0.
@@ -356,31 +314,18 @@ def build_cech(f: PosetFunctor, validate: bool = True) -> CechComplex:
     if validate:
         validate_functor(f)
     n = f.n_patches
-    field = f.ring(()).field
     layouts = tuple(space_layout(f, k) for k in range(n + 1))
-    diffs = []
-    for k in range(n):
-        src, dst = layouts[k], layouts[k + 1]
-        row_dims = [d for (_, _, d) in dst.blocks]
-        col_dims = [d for (_, _, d) in src.blocks]
-        dst_index = {z: bi for bi, (z, _, _) in enumerate(dst.blocks)}
-        blocks = {}
-        for ci, (zeta, _, _) in enumerate(src.blocks):
-            for i in range(1, n + 1):
-                if i in zeta:
-                    continue
-                pos, eta = insert_index(zeta, i)
-                mat = f.step(zeta, eta).matrix
-                if pos % 2 == 1:
-                    mat = mat.neg()
-                key = (dst_index[eta], ci)
-                blocks[key] = blocks[key].add(mat) if key in blocks else mat
-        diffs.append(block_matrix(field, row_dims, col_dims, blocks))
-    cx = CechComplex(f, layouts, tuple(diffs))
-    for k in range(n - 1):
-        if not diffs[k + 1].mul(diffs[k]).is_zero():
-            raise NotAComplexError(f"d'_{k + 1} . d'_{k} != 0", degree=k)
-    return cx
+
+    def insertions(zeta: tuple):
+        return [(-1 if pos % 2 else 1, eta) for _, pos, eta in extensions(zeta, n)]
+
+    def block(zeta: tuple, eta: tuple) -> Matrix:
+        return f.steps[(zeta, eta)].matrix
+
+    diffs = tuple(assemble(f.ring(()).field, src, dst, insertions, block)
+                  for src, dst in zip(layouts, layouts[1:]))
+    check_complex(diffs, "d'_")
+    return CechComplex(f, layouts, diffs)
 
 
 def cech_cohomology(cx: CechComplex) -> list[int]:
@@ -390,12 +335,7 @@ def cech_cohomology(cx: CechComplex) -> list[int]:
     S^(n+1), and S^0 = R(empty) is excluded, so H^0 is the full kernel of
     d' on S^1.  Trailing degrees whose cochain space is zero are trimmed.
     """
-    top = 0
-    for n in range(1, len(cx.layouts)):
-        if cx.layouts[n].dim > 0:
-            top = n
-    ranks = [0] + [rank(cx.dprime(n)) for n in range(1, top + 1)]
-    return [cx.layouts[n + 1].dim - ranks[n + 1] - ranks[n] for n in range(top)]
+    return homology([layout.dim for layout in cx.layouts[1:]], cx.ranks, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -601,16 +541,16 @@ def verify_chain_map(amitsur: AmitsurComplex, cx: CechComplex,
         well.append(DegreeCheck(n, bad is None, bad))
 
     phis = {}
+    empty = WordSpace((), ())
     for n in range(1, amitsur.n_max + 2):
         space = amitsur.spaces[n - 1]
-        layout = space_layout(f, n)  # empty beyond the N-fold overlaps
-        row_of = {zeta: r for r, (zeta, _, _) in enumerate(layout.blocks)}
+        layout = cx.layouts[n] if n < len(cx.layouts) else empty
         blocks = {}
-        for col, (w, s) in enumerate(zip(space.words, space.sections)):
-            row = row_of.get(w)  # the Cech blocks are the increasing words
-            if row is not None:
-                blocks[(row, col)] = g(w[0], w).mul(s)
-        phis[n] = block_matrix(field, [d for _, _, d in layout.blocks], space.dims, blocks)
+        for col, w in enumerate(space.words):
+            row = layout.index.get(w)  # the Cech blocks are the increasing words
+            if row is not None:  # w is its own index set
+                blocks[(row, col)] = g(w[0], w).mul(c.section(c.ideal_sum_space(w)))
+        phis[n] = block_matrix(field, layout.dims, space.dims, blocks)
 
     squares = []
     for n in range(1, amitsur.n_max + 1):

@@ -18,9 +18,7 @@ from typing import Optional
 
 from . import __version__
 from .amitsur import amitsur_homology, build_amitsur
-from .cech import (
-    build_cech, cech_cohomology, default_phi_choice, space_layout, verify_chain_map,
-)
+from .cech import build_cech, cech_cohomology, default_phi_choice, verify_chain_map
 from .coverings import build_tau, completeness_check
 from .errors import (
     CechcoverError, DimensionCapError, NotAComplexError, ProblemFormatError, StructureError,
@@ -158,13 +156,10 @@ def _cmd_check(problem: Problem):
     return results, {}, EXIT_OK
 
 
-def _functor_summary(functor) -> dict:
-    dims = {}
-    for length in range(functor.n_patches + 1):
-        layout = space_layout(functor, length)
-        for zeta, _, d in layout.blocks:
-            dims[tuple_to_key(zeta)] = d
-    return dims
+def _functor_summary(cx) -> dict:
+    """The ring dimension on each index tuple, read off the cochain spaces."""
+    return {tuple_to_key(zeta): d for layout in cx.layouts
+            for zeta, d in zip(layout.words, layout.dims)}
 
 
 def _cmd_cech(problem: Problem):
@@ -176,7 +171,7 @@ def _cmd_cech(problem: Problem):
                 {"functor_validation": False}, EXIT_VIOLATION)
     results = {
         "functor": kind,
-        "ring_dims": _functor_summary(functor),
+        "ring_dims": _functor_summary(cx),
         "cech_cohomology": cech_cohomology(cx),
     }
     checks = {"functor_validation": True, "dprime_squared_zero": True}

@@ -1,0 +1,100 @@
+"""Word complexes: the construction shared by the Amitsur and Cech complexes.
+
+Both complexes are block complexes over words of patch indices.  Degree n
+is a direct sum of blocks, one per word, and the differential inserts one
+letter into a word with a sign given by the slot it lands in.  Insertions
+that land on the same target word add their signs, and the block between
+a source word and a target word is a map that depends on the two words
+only.  The Amitsur complex (``cechcover.amitsur``) takes every patch word
+and the projections A/I_S -> A/I_T between ideal sums; the Cech complex
+(``cechcover.cech``) takes the strictly increasing words and the
+functor's restriction maps.
+"""
+
+from __future__ import annotations
+
+from functools import cached_property
+from itertools import accumulate
+from typing import Callable, Iterable, Sequence
+
+from .errors import DimensionMismatchError, NotAComplexError
+from .linalg import Field, Matrix, block_matrix, rank, same_field
+from .records import Frozen
+
+
+class WordSpace(Frozen):
+    """One degree: the block of word ``words[k]`` has dimension ``dims[k]``."""
+
+    _fields = ("words", "dims")
+
+    def __init__(self, words: tuple, dims: tuple):
+        d = self.__dict__
+        d["words"] = words
+        d["dims"] = dims
+
+    @cached_property
+    def dim(self) -> int:
+        return sum(self.dims)
+
+    @cached_property
+    def index(self) -> dict:
+        """The block number of each word."""
+        return {w: k for k, w in enumerate(self.words)}
+
+    @cached_property
+    def _starts(self) -> tuple:
+        return tuple(accumulate(self.dims, initial=0))
+
+    def offset_of(self, word: tuple) -> tuple[int, int]:
+        """(first coordinate, dimension) of the block of ``word``."""
+        k = self.index[word]
+        return self._starts[k], self.dims[k]
+
+
+def assemble(field: Field, src: WordSpace, dst: WordSpace,
+             insertions: Callable[[tuple], Iterable[tuple[int, tuple]]],
+             block: Callable[[tuple, tuple], Matrix]) -> Matrix:
+    """The differential src -> dst.
+
+    ``insertions(w)`` yields (sign, target word) for each letter inserted
+    into the source word w; targets that ``dst`` does not hold are dropped.
+    The signs are summed per target v, and block (v, w) of the result is
+    that sum times ``block(w, v)``.
+    """
+    rows = dst.index
+    blocks = {}
+    for col, w in enumerate(src.words):
+        signs: dict = {}
+        for sign, v in insertions(w):
+            row = rows.get(v)
+            if row is not None:
+                signs[row] = signs.get(row, 0) + sign
+        for row, x in signs.items():
+            if x:
+                m = block(w, dst.words[row])
+                blocks[(row, col)] = m if x == 1 else m.neg() if x == -1 else m.scale(x)
+    return block_matrix(field, dst.dims, src.dims, blocks)
+
+
+def check_complex(diffs: Sequence[Matrix], label: str) -> None:
+    """Raise NotAComplexError at the first n with d_(n+1) . d_n != 0;
+    ``label`` names the maps in the message (``d_`` or ``d'_``)."""
+    for n in range(len(diffs) - 1):
+        if not diffs[n + 1].mul(diffs[n]).is_zero():
+            raise NotAComplexError(f"{label}{n + 1} . {label}{n} != 0", degree=n)
+
+
+def homology(dims: Sequence[int], ranks: Sequence[int], first: int) -> list[int]:
+    """dims[n] - rank d_n - rank d_(n-1) for each degree n < len(ranks),
+    where ranks[n] = rank d_n and ``first`` stands in for rank d_(-1)."""
+    return [dims[n] - ranks[n] - (ranks[n - 1] if n else first) for n in range(len(ranks))]
+
+
+def homology_dim(d_in: Matrix, d_out: Matrix) -> int:
+    """dim ker(d_out) - rank(d_in) for consecutive maps with d_out.d_in = 0."""
+    same_field(d_in.field, d_out.field)
+    if d_out.cols != d_in.rows:
+        raise DimensionMismatchError(
+            f"middle-space mismatch: d_out expects {d_out.cols}, d_in lands in {d_in.rows}")
+    check_complex((d_in, d_out), "d_")
+    return homology([d_out.cols], [rank(d_out)], rank(d_in))[0]

@@ -17,14 +17,14 @@ from typing import Optional, Sequence
 
 from .algebras import (
     Algebra, AlgebraHom, Ideal,
-    direct_sum, ideal_closure, ideal_intersection, ideal_sum,
+    direct_sum, ideal_closure, ideal_intersection,
     matrix_algebra, quotient, split_commutative, square_zero,
     truncated_polynomial, upper_triangular, zero_algebra,
 )
 from .errors import DimensionMismatchError, StructureError
 from .linalg import (
     Field, Matrix, Subspace, block_matrix, image_basis, kernel_basis,
-    quotient_section, subspace_sum,
+    quotient_map, quotient_section, subspace_sum,
 )
 from .records import Frozen
 
@@ -64,6 +64,12 @@ class Covering:
     q_ij: A -> A_ij is the direct projection and pi_i_ij: A_i -> A_ij the
     induced one.  The square pi_i_ij . pi_i = pi_j_ij . pi_j is verified
     at construction.
+
+    The covering also holds the lattice of its ideal sums: I_S for index
+    sets S (``ideal_sum_space``), and for each ideal space J among them
+    the quotient A/J, its section and the projections A/J -> A/J' for
+    J inside J'.  Each is computed once and shared by everything built
+    on the covering.
     """
 
     def __init__(self, algebra: Algebra, ideals: Sequence[Ideal]):
@@ -76,50 +82,43 @@ class Covering:
         self.ideals = tuple(ideals)
         self.n_patches = len(self.ideals)
 
-        # A/J with its projection, keyed by the space of J; built once per space
-        self.quotients: dict = {}
-        self._patches = [self._quotient(ideal) for ideal in self.ideals]
-        self._sections = [quotient_section(algebra.dim, ideal.space) for ideal in self.ideals]
         self._sum_spaces = {(): Subspace.zero(self.field, algebra.dim)}
         self._sum_spaces.update(((i,), ideal.space)
                                 for i, ideal in enumerate(self.ideals, start=1))
-        self._pairs = {}
-        for a in range(self.n_patches):
-            for b in range(a + 1, self.n_patches):
-                sum_ideal = ideal_sum(self.ideals[a], self.ideals[b])
-                self._sum_spaces[(a + 1, b + 1)] = sum_ideal.space
-                a_ij, q_ij = self._quotient(sum_ideal)
-                pi_a = AlgebraHom(self._patches[a][0], a_ij,
-                                  q_ij.matrix.mul(self._sections[a]))
-                pi_b = AlgebraHom(self._patches[b][0], a_ij,
-                                  q_ij.matrix.mul(self._sections[b]))
-                left = pi_a.matrix.mul(self._patches[a][1].matrix)
-                right = pi_b.matrix.mul(self._patches[b][1].matrix)
+        self._quotients: dict = {}  # J -> (A/J, A -> A/J)
+        for ideal in self.ideals:
+            if ideal.space not in self._quotients:
+                self._quotients[ideal.space] = quotient(algebra, ideal)
+        self._sections: dict = {}
+        self._projections: dict = {}
+        self._projection_homs: dict = {}
+        for a in range(1, self.n_patches + 1):
+            for b in range(a + 1, self.n_patches + 1):
+                _, _, pi_a, pi_b = self.pair(a, b)
+                left = pi_a.matrix.mul(self.patch(a)[1].matrix)
+                right = pi_b.matrix.mul(self.patch(b)[1].matrix)
                 if left != right:
-                    raise StructureError(
-                        f"patch square ({a + 1},{b + 1}) does not commute",
-                        witness=(a + 1, b + 1))
-                self._pairs[(a + 1, b + 1)] = (a_ij, q_ij, pi_a, pi_b)
+                    raise StructureError(f"patch square ({a},{b}) does not commute",
+                                         witness=(a, b))
         self._b_algebra: Optional[Algebra] = None
-
-    def _quotient(self, ideal: Ideal) -> tuple[Algebra, AlgebraHom]:
-        q = self.quotients.get(ideal.space)
-        if q is None:
-            q = self.quotients[ideal.space] = quotient(self.algebra, ideal)
-        return q
 
     @property
     def field(self) -> Field:
         return self.algebra.field
 
     def patch(self, i: int) -> tuple[Algebra, AlgebraHom]:
-        return self._patches[i - 1]
-
-    def patch_section(self, i: int) -> Matrix:
-        return self._sections[i - 1]
+        return self._quotients[self.ideals[i - 1].space]
 
     def pair(self, i: int, j: int):
-        return self._pairs[(i, j)]
+        sum_ij = self.ideal_sum_space((i, j))
+        a_ij, q_ij = self.quotient(sum_ij)
+        return (a_ij, q_ij, self.projection_hom(self.ideals[i - 1].space, sum_ij),
+                self.projection_hom(self.ideals[j - 1].space, sum_ij))
+
+    def pair_keys(self) -> list[tuple[int, int]]:
+        """The pairs (i, j) with i < j, in lexicographic order."""
+        return [(i, j) for i in range(1, self.n_patches + 1)
+                for j in range(i + 1, self.n_patches + 1)]
 
     def ideal_sum_space(self, s: tuple) -> Subspace:
         """I_S, the sum of the I_i over i in S, for an index set S given as
@@ -130,33 +129,66 @@ class Covering:
                                                        self.ideals[s[-1] - 1].space)
         return space
 
+    def quotient(self, j: Subspace) -> tuple[Algebra, AlgebraHom]:
+        """A/J with its projection A -> A/J, for J an ideal sum."""
+        q = self._quotients.get(j)
+        if q is None:
+            q = self._quotients[j] = quotient(self.algebra, Ideal(self.algebra, j))
+        return q
+
+    def section(self, j: Subspace) -> Matrix:
+        """The section A/J -> A of ``quotient_map`` (see ``linalg``)."""
+        s = self._sections.get(j)
+        if s is None:
+            s = self._sections[j] = quotient_section(self.algebra.dim, j)
+        return s
+
+    def projection(self, j1: Subspace, j2: Subspace) -> Matrix:
+        """The canonical projection A/J1 -> A/J2 for J1 inside J2, on the
+        ``quotient_map`` coordinates; no quotient algebra is built."""
+        key = (j1, j2)
+        m = self._projections.get(key)
+        if m is None:
+            m = self._projections[key] = quotient_map(self.algebra.dim, j2).mul(
+                self.section(j1))
+        return m
+
+    def projection_hom(self, j1: Subspace, j2: Subspace) -> AlgebraHom:
+        """``projection`` as an algebra hom between the quotient algebras."""
+        key = (j1, j2)
+        h = self._projection_homs.get(key)
+        if h is None:
+            h = self._projection_homs[key] = AlgebraHom(
+                self.quotient(j1)[0], self.quotient(j2)[0], self.projection(j1, j2))
+        return h
+
     def patch_dims(self) -> tuple[int, ...]:
-        return tuple(p[0].dim for p in self._patches)
+        return tuple(self.patch(i)[0].dim for i in range(1, self.n_patches + 1))
 
     def pair_dims(self) -> tuple[int, ...]:
-        return tuple(self._pairs[key][0].dim for key in sorted(self._pairs))
+        return tuple(self.pair(i, j)[0].dim for i, j in self.pair_keys())
 
     @property
     def b_algebra(self) -> Algebra:
         """The patch sum (+)A_i as an algebra with componentwise product."""
         if self._b_algebra is None:
-            acc = self._patches[0][0]
-            for alg, _ in self._patches[1:]:
-                acc = direct_sum(acc, alg)
+            acc = self.patch(1)[0]
+            for i in range(2, self.n_patches + 1):
+                acc = direct_sum(acc, self.patch(i)[0])
             if acc.dim == 0:
                 acc = zero_algebra(self.field)
             self._b_algebra = acc
         return self._b_algebra
 
     def patch_offset(self, i: int) -> int:
-        return sum(p[0].dim for p in self._patches[:i - 1])
+        return sum(self.patch(k)[0].dim for k in range(1, i))
 
     def unit_component(self, i: int) -> tuple:
         """Coordinates of pi_i(1) inside (+)A_i."""
         f = self.field
         out = [f.zero] * self.b_algebra.dim
         off = self.patch_offset(i)
-        for k, x in enumerate(self._patches[i - 1][0].unit):
+        for k, x in enumerate(self.patch(i)[0].unit):
             out[off + k] = x
         return tuple(out)
 
@@ -177,11 +209,11 @@ def build_pi(c: Covering) -> Matrix:
 def build_tau(c: Covering) -> Matrix:
     """tau : (+)A_i -> (+)_(i<j) A_ij, block row (i,j) = pi_i_ij - pi_j_ij."""
     col_dims = list(c.patch_dims())
-    keys = sorted(c._pairs)
-    row_dims = [c._pairs[k][0].dim for k in keys]
+    keys = c.pair_keys()
+    row_dims = list(c.pair_dims())
     blocks = {}
     for r, (i, j) in enumerate(keys):
-        _, _, pi_a, pi_b = c._pairs[(i, j)]
+        _, _, pi_a, pi_b = c.pair(i, j)
         blocks[(r, i - 1)] = pi_a.matrix
         blocks[(r, j - 1)] = pi_b.matrix.neg()
     if not keys:

@@ -35,7 +35,7 @@ from itertools import compress, repeat
 from operator import is_not
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError, FieldMismatchError, NotAComplexError
+from .errors import DimensionMismatchError, FieldMismatchError
 from .records import Frozen
 
 
@@ -701,6 +701,12 @@ class Subspace(Frozen):
                 and self.basis == other.basis)
 
     def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # subspaces key the quotient caches of a covering; hashing the
+        # basis entries (Fraction hashes over Q) once per subspace is enough
         return hash((self.ambient_dim, self.basis.entries))
 
 
@@ -808,14 +814,3 @@ def quotient_section(ambient_dim: int, w: Subspace) -> Matrix:
             row[free.index(r)] = one
         rows.append(tuple(row))
     return Matrix(f, ambient_dim, len(free), tuple(rows))
-
-
-def homology_dim(d_in: Matrix, d_out: Matrix) -> int:
-    """dim ker(d_out) - rank(d_in) for consecutive maps with d_out.d_in = 0."""
-    same_field(d_in.field, d_out.field)
-    if d_out.cols != d_in.rows:
-        raise DimensionMismatchError(
-            f"middle-space mismatch: d_out expects {d_out.cols}, d_in lands in {d_in.rows}")
-    if not d_out.mul(d_in).is_zero():
-        raise NotAComplexError("not a complex: composite differential is nonzero", degree=0)
-    return (d_out.cols - rank(d_out)) - rank(d_in)

@@ -14,7 +14,7 @@ import random
 from itertools import combinations
 
 from .algebras import Algebra, AlgebraHom, make_algebra, zero_algebra
-from .cech import PosetFunctor, all_tuples, insert_index
+from .cech import PosetFunctor, all_tuples, one_step_inclusions
 from .errors import StructureError
 from .linalg import Field, Matrix, rank
 from .records import Frozen
@@ -78,20 +78,11 @@ def functor_from_cover(cd: CoverDescription) -> PosetFunctor:
     ident = AlgebraHom.identity(k)
     collapse = AlgebraHom(k, zero, Matrix(cd.field, 0, 1, ()))
     zero_id = AlgebraHom.identity(zero)
-    for length in range(cd.n_patches):
-        for zeta in all_tuples(cd.n_patches, length):
-            for i in range(1, cd.n_patches + 1):
-                if i in zeta:
-                    continue
-                _, eta = insert_index(zeta, i)
-                src_live = rings[zeta].dim == 1
-                dst_live = rings[eta].dim == 1
-                if src_live and dst_live:
-                    steps[(zeta, eta)] = ident
-                elif src_live:
-                    steps[(zeta, eta)] = collapse
-                else:
-                    steps[(zeta, eta)] = zero_id
+    for zeta, _, _, eta in one_step_inclusions(cd.n_patches):
+        if rings[zeta].dim == 0:
+            steps[(zeta, eta)] = zero_id
+        else:
+            steps[(zeta, eta)] = ident if rings[eta].dim == 1 else collapse
     return PosetFunctor(cd.n_patches, rings, steps)
 
 

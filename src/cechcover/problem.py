@@ -19,9 +19,9 @@ from pathlib import Path
 from typing import Optional
 
 from .algebras import Algebra, AlgebraHom, algebra_from_terms, ideal_closure
-from .cech import PosetFunctor, all_tuples, insert_index
+from .cech import PosetFunctor, all_tuples, one_step_inclusions
 from .coverings import Covering
-from .errors import CechcoverError, ProblemFormatError
+from .errors import CechcoverError, DimensionCapError, ProblemFormatError
 from .linalg import GF, QQ, Field, Matrix
 from .nerve import CoverDescription
 from .records import Record
@@ -327,12 +327,22 @@ def build_problem_functor(problem: Problem):
 
     spec = problem.functor_spec or {"kind": "ringed_default"}
     kind = spec["kind"]
+    if kind == "ringed_default" and problem.covering is None:
+        raise ProblemFormatError("ringed_default functor needs a covering", "functor")
+    n = problem.covering.n_patches if kind == "ringed_default" else spec["body"]["n"]
+    # the widest degree has C(n, n // 2) index tuples; C(n, k) grows with
+    # k <= n / 2, so stop at the first degree past the cap
+    k, tuples = 0, 1
+    while k < n // 2 and tuples <= problem.dim_cap:
+        k += 1
+        tuples = tuples * (n - k + 1) // k
+    if tuples > problem.dim_cap:
+        raise DimensionCapError(
+            f"the functor on {n} patches has {tuples} index tuples in Cech degree {k} "
+            f"> cap {problem.dim_cap}", degree=k, estimated=tuples, cap=problem.dim_cap)
     if kind == "ringed_default":
-        if problem.covering is None:
-            raise ProblemFormatError("ringed_default functor needs a covering", "functor")
         return functor_from_ringed_covering(problem.covering), kind, None
     body = spec["body"]
-    n = body["n"]
     if kind == "constant":
         if "ring" not in body:
             raise ProblemFormatError("constant functor needs a 'ring'", "functor.constant")
@@ -395,16 +405,11 @@ def build_problem_functor(problem: Problem):
             steps[(zeta, eta)] = AlgebraHom(dom, cod, matrix)
         except CechcoverError as exc:
             raise ProblemFormatError(str(exc), loc)
-    for length in range(n):
-        for zeta in all_tuples(n, length):
-            for i in range(1, n + 1):
-                if i in zeta:
-                    continue
-                _, eta = insert_index(zeta, i)
-                if (zeta, eta) not in steps:
-                    raise ProblemFormatError(
-                        f"missing restriction {tuple_to_key(zeta)}->{tuple_to_key(eta)}",
-                        "functor.explicit.restrictions")
+    for zeta, _, _, eta in one_step_inclusions(n):
+        if (zeta, eta) not in steps:
+            raise ProblemFormatError(
+                f"missing restriction {tuple_to_key(zeta)}->{tuple_to_key(eta)}",
+                "functor.explicit.restrictions")
     functor = PosetFunctor(n, rings, steps)
     validate_functor(functor)
     return functor, kind, None

@@ -1,0 +1,203 @@
+"""The shared differential assembler against the two it replaced.
+
+``_differential`` (with its ``_IdealSums`` cache) is the Amitsur
+assembler, and ``ref_cech_differentials`` the inline loop of
+``build_cech``, as they stood before both complexes were built by one
+word-complex assembler; they are kept verbatim as the reference, the way
+``test_elimination.py`` keeps the dense row reduction.  Every differential
+of ``build_amitsur`` and ``build_cech`` must equal its reference matrix
+entry for entry.
+"""
+
+from __future__ import annotations
+
+import random
+from itertools import combinations
+
+import pytest
+
+from cechcover.algebras import matrix_algebra, split_commutative
+from cechcover.amitsur import build_amitsur
+from cechcover.cech import build_cech, constant_functor, functor_from_ringed_covering
+from cechcover.coverings import Covering, random_covering
+from cechcover.linalg import GF, QQ, Matrix, block_matrix, quotient_map, quotient_section
+from cechcover.nerve import functor_from_cover, random_cover_description
+
+from instances import make_e1, make_e4, make_three_lines
+
+
+# -- the Amitsur assembler, verbatim ---------------------------------------------------
+
+class _IdealSums:
+    """Quotient coordinates of the ideal sums I_S of a covering (see
+    ``Covering.ideal_sum_space``), for index sets S given as sorted tuples.
+
+    The coordinates of each A/I_S and each projection A/I_S -> A/I_T
+    between two sums are computed once.
+    """
+
+    def __init__(self, c: Covering):
+        self.covering = c
+        self.ambient = c.algebra.dim
+        self._maps: dict = {}
+        self._projections: dict = {}
+
+    def dim(self, s: tuple) -> int:
+        """dim A/I_S"""
+        return self.ambient - self.covering.ideal_sum_space(s).dim
+
+    def maps(self, s: tuple) -> tuple[Matrix, Matrix]:
+        """The quotient map A -> A/I_S and its section."""
+        m = self._maps.get(s)
+        if m is None:
+            w = self.covering.ideal_sum_space(s)
+            m = self._maps[s] = (quotient_map(self.ambient, w),
+                                 quotient_section(self.ambient, w))
+        return m
+
+    def projection(self, s: tuple, t: tuple) -> Matrix:
+        """The canonical projection A/I_S -> A/I_T for S inside T."""
+        key = (s, t)
+        m = self._projections.get(key)
+        if m is None:
+            m = self._projections[key] = self.maps(t)[0].mul(self.maps(s)[1])
+        return m
+
+
+def _index_set(word: tuple) -> tuple:
+    return tuple(sorted(set(word)))
+
+
+def _differential(field, sums: _IdealSums, patches, src, dst) -> Matrix:
+    """d = sum_k (-1)^k (insert 1_B at slot k), block by block.
+
+    Inserting patch i at slot k maps block w to block w[:k] + (i,) + w[k:]
+    by the projection A/I_set(w) -> A/I_(set(w) + {i}); the target word
+    fixes i, so insertions that meet on one word add their signs.
+    """
+    row_of = {w: r for r, w in enumerate(dst.words)}
+    blocks = {}
+    for col, w in enumerate(src.words):
+        signs: dict = {}
+        for k in range(len(w) + 1):
+            sign = -1 if k % 2 else 1
+            for i in patches:
+                row = row_of.get(w[:k] + (i,) + w[k:])
+                if row is not None:
+                    signs[row] = signs.get(row, 0) + sign
+        s = _index_set(w)
+        for row, x in signs.items():
+            if x:
+                proj = sums.projection(s, _index_set(dst.words[row]))
+                blocks[(row, col)] = proj if x == 1 else proj.scale(field.coerce(x))
+    return block_matrix(field, dst.dims, src.dims, blocks)
+
+
+class _Words:
+    def __init__(self, words, dims):
+        self.words = tuple(words)
+        self.dims = tuple(dims)
+
+
+def ref_amitsur_differentials(c: Covering, n_max: int) -> list:
+    """The word enumeration of the closed-form builder, then _differential."""
+    sums = _IdealSums(c)
+    patches = range(1, c.n_patches + 1)
+    spaces = []
+    words = [(i,) for i in patches if sums.dim((i,))]
+    for n in range(n_max + 1):
+        spaces.append(_Words(words, [sums.dim(_index_set(w)) for w in words]))
+        words = [w + (i,) for w in words for i in patches if sums.dim(_index_set(w + (i,)))]
+    return [_differential(c.field, sums, patches, src, dst)
+            for src, dst in zip(spaces, spaces[1:])]
+
+
+# -- the Cech loop, verbatim --------------------------------------------------------------
+
+def _insert_index(zeta: tuple, i: int) -> tuple[int, tuple]:
+    """Insert i into the increasing tuple zeta; returns (position, new tuple)."""
+    if i in zeta:
+        raise ValueError(f"{i} already in {zeta}")
+    pos = 0
+    while pos < len(zeta) and zeta[pos] < i:
+        pos += 1
+    return pos, zeta[:pos] + (i,) + zeta[pos:]
+
+
+class _Layout:
+    def __init__(self, blocks):
+        self.blocks = tuple(blocks)  # (zeta, offset, dim)
+
+
+def ref_cech_differentials(f) -> list:
+    """The block layouts of S^0..S^N, then the loop of build_cech."""
+    n = f.n_patches
+    field = f.ring(()).field
+    layouts = []
+    for k in range(n + 1):
+        blocks, off = [], 0
+        for zeta in combinations(range(1, n + 1), k):
+            d = f.ring(zeta).dim
+            blocks.append((zeta, off, d))
+            off += d
+        layouts.append(_Layout(blocks))
+    diffs = []
+    for k in range(n):
+        src, dst = layouts[k], layouts[k + 1]
+        row_dims = [d for (_, _, d) in dst.blocks]
+        col_dims = [d for (_, _, d) in src.blocks]
+        dst_index = {z: bi for bi, (z, _, _) in enumerate(dst.blocks)}
+        blocks = {}
+        for ci, (zeta, _, _) in enumerate(src.blocks):
+            for i in range(1, n + 1):
+                if i in zeta:
+                    continue
+                pos, eta = _insert_index(zeta, i)
+                mat = f.step(zeta, eta).matrix
+                if pos % 2 == 1:
+                    mat = mat.neg()
+                key = (dst_index[eta], ci)
+                blocks[key] = blocks[key].add(mat) if key in blocks else mat
+        diffs.append(block_matrix(field, row_dims, col_dims, blocks))
+    return diffs
+
+
+# -- the comparisons -------------------------------------------------------------------------
+
+def assert_same(actual, expected):
+    assert len(actual) == len(expected)
+    for n, (a, e) in enumerate(zip(actual, expected)):
+        assert a == e, f"differential {n} differs"
+
+
+@pytest.mark.parametrize("make", (make_e1, make_e4, make_three_lines))
+@pytest.mark.parametrize("field", (QQ, GF(5)))
+def test_amitsur_differentials_of_the_worked_instances(make, field):
+    c = make(field)
+    for n_max in (1, 2, 3, 4):
+        assert_same(build_amitsur(c, n_max).differentials, ref_amitsur_differentials(c, n_max))
+
+
+@pytest.mark.parametrize("field", (QQ, GF(2), GF(5)))
+def test_random_coverings_amitsur_and_ringed_default(field):
+    rng = random.Random(20260)
+    for _ in range(12):
+        c = random_covering(rng, field, max_dim=5, max_patches=3)
+        assert_same(build_amitsur(c, 3).differentials, ref_amitsur_differentials(c, 3))
+        f = functor_from_ringed_covering(c)
+        assert_same(build_cech(f).differentials, ref_cech_differentials(f))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_constant_functors(n):
+    for ring in (split_commutative(QQ, 1), matrix_algebra(QQ, 2), split_commutative(GF(5), 1)):
+        f = constant_functor(n, ring)
+        assert_same(build_cech(f).differentials, ref_cech_differentials(f))
+
+
+@pytest.mark.parametrize("field", (QQ, GF(2)))
+def test_cover_functors(field):
+    rng = random.Random(7)
+    for _ in range(15):
+        f = functor_from_cover(random_cover_description(rng, max_patches=6, field=field))
+        assert_same(build_cech(f).differentials, ref_cech_differentials(f))

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from cechcover.complexes import homology_dim
 from cechcover.errors import FieldMismatchError, NotAComplexError
 from cechcover.linalg import (
     GF, QQ, Matrix, Subspace,
-    homology_dim, image_basis, kernel_basis, quotient_map, quotient_section,
+    image_basis, kernel_basis, quotient_map, quotient_section,
     rank, rref, subspace_intersect, subspace_sum,
 )
 
