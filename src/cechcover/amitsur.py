@@ -642,10 +642,11 @@ def build_amitsur(c: Covering, n_max: int, cap: int = 20000) -> AmitsurComplex:
     words = [(i,) for i in patches if dim((i,))]
     for n in range(n_max + 1):
         dims = tuple(map(dim, words))
-        if sum(dims) > cap:
+        total = sum(dims)
+        if total > cap:
             raise DimensionCapError(
                 f"Amitsur degree {n} (tensor power {n + 1}) has dimension "
-                f"{sum(dims)} > cap {cap}", degree=n + 1, estimated=sum(dims), cap=cap)
+                f"{total} > cap {cap}", degree=n + 1, estimated=total, cap=cap)
         spaces.append(WordSpace(tuple(words), dims))
         if n < n_max:
             words = [w + (i,) for w in words for i in patches if dim(w + (i,))]

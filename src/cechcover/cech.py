@@ -347,7 +347,7 @@ class CechElement(Frozen):
 
     _fields = ("layout", "coords")
 
-    def __init__(self, layout: SpaceLayout, coords: tuple):
+    def __init__(self, layout: WordSpace, coords: tuple):
         d = self.__dict__
         d["layout"] = layout
         d["coords"] = coords

@@ -92,14 +92,13 @@ class Covering:
         self._sections: dict = {}
         self._projections: dict = {}
         self._projection_homs: dict = {}
-        for a in range(1, self.n_patches + 1):
-            for b in range(a + 1, self.n_patches + 1):
-                _, _, pi_a, pi_b = self.pair(a, b)
-                left = pi_a.matrix.mul(self.patch(a)[1].matrix)
-                right = pi_b.matrix.mul(self.patch(b)[1].matrix)
-                if left != right:
-                    raise StructureError(f"patch square ({a},{b}) does not commute",
-                                         witness=(a, b))
+        for a, b in self.pair_keys():
+            _, _, pi_a, pi_b = self.pair(a, b)
+            left = pi_a.matrix.mul(self.patch(a)[1].matrix)
+            right = pi_b.matrix.mul(self.patch(b)[1].matrix)
+            if left != right:
+                raise StructureError(f"patch square ({a},{b}) does not commute",
+                                     witness=(a, b))
         self._b_algebra: Optional[Algebra] = None
 
     @property

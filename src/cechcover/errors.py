@@ -36,7 +36,8 @@ class NotAComplexError(CechcoverError):
 
 
 class DimensionCapError(CechcoverError):
-    """A tensor-power coordinate space would exceed the configured cap."""
+    """A coordinate space would exceed the configured cap: an Amitsur degree
+    in coordinates, or a Cech degree of a functor in index tuples."""
 
     def __init__(self, message: str, degree: int, estimated: int, cap: int):
         super().__init__(message)

@@ -320,7 +320,9 @@ def build_problem_functor(problem: Problem):
     ``ringed_default`` (also the default when a covering is present) uses
     the covering with the default ringed structure; ``cover`` also returns
     the CoverDescription so the oracle can run.  Every functor returned has
-    passed ``validate_functor``; a failure raises StructureError.
+    passed ``validate_functor``; a failure raises StructureError.  Before
+    any ring is built, a functor whose widest Cech degree has more index
+    tuples than ``problem.dim_cap`` raises DimensionCapError.
     """
     from .cech import constant_functor, functor_from_ringed_covering, validate_functor
     from .nerve import functor_from_cover
