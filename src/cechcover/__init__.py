@@ -7,16 +7,19 @@ Library layout:
 - ``coverings``: coverings by ideals, their ideal-sum lattice, the
   completeness check.
 - ``complexes``: the word-complex builder the two complexes share.
-- ``amitsur``: balanced tensor powers, Sweedler coring, Amitsur complex.
-- ``cech``: poset functors, the (S^n, d') complex, the comparison map phi.
+- ``amitsur``: the Amitsur complex in closed form.
+- ``cech``: poset functors, the (S^n, d') complex, the chain-map check.
 - ``nerve``: classical nerve-cohomology oracle for cross-validation.
 - ``problem``/``cli``: problem files, reports, command-line front end.
+- ``oracles``: literal-definition test oracles (balanced tensor tower,
+  Sweedler coring, phi on pure tensors) and random instances; no command
+  imports it.
 """
 
 from .linalg import GF, QQ, Matrix, Subspace
 from .algebras import Algebra, AlgebraHom, Element, Ideal
 from .coverings import Covering, CompletenessReport, completeness_check, is_covering
-from .amitsur import AmitsurComplex, Bimodule, SweedlerCoring, TensorTower
+from .amitsur import AmitsurComplex
 from .cech import CechComplex, PosetFunctor, RingedStructure
 from .nerve import CoverDescription
 
@@ -26,7 +29,7 @@ __all__ = [
     "GF", "QQ", "Matrix", "Subspace",
     "Algebra", "AlgebraHom", "Element", "Ideal",
     "Covering", "CompletenessReport", "completeness_check", "is_covering",
-    "AmitsurComplex", "Bimodule", "SweedlerCoring", "TensorTower",
+    "AmitsurComplex",
     "CechComplex", "PosetFunctor", "RingedStructure",
     "CoverDescription",
     "__version__",

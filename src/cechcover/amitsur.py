@@ -1,5 +1,4 @@
-"""The Amitsur complex of a covering in closed form, with the balanced
-tensor tower and the Sweedler coring as its literal-definition oracles.
+"""The Amitsur complex of a covering in closed form.
 
 Coordinates
 -----------
@@ -25,565 +24,28 @@ complex shares; the ideal sums I_S, their sections and the projections
 between them come from the covering (``Covering.ideal_sum_space``,
 ``section``, ``projection``), which computes each once.
 
-The tensor tower builds the same spaces from the definition: the raw
-coordinate space of T_(n+1) = T_n (x)_A B is k^(dim T_n * dim B) and
-T_(n+1) is its quotient by the balancing relations (t.a)(x)y - t(x)(a.y),
-computed block pair by block pair.  In check mode every structure map
-between quotient spaces is verified against its raw full-tensor
-counterpart through the flattening maps, which proves the map well
-defined on the balancing relations.  The tests compare the closed form
-with the tower.
+The balanced tensor tower, which builds the same spaces from the
+definition, is a test oracle in ``cechcover.oracles``.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Optional, Sequence
 
-from .algebras import Algebra
 from .complexes import WordSpace, assemble, check_complex, homology
 from .coverings import Covering, build_pi
-from .errors import DimensionCapError, NotAComplexError, StructureError
-from .linalg import (
-    Matrix, Subspace, mul_kron_identity, quotient_map, quotient_section, rank,
-)
+from .errors import DimensionCapError, NotAComplexError
+from .linalg import Matrix, rank
 from .records import Frozen
 
 
-# ---------------------------------------------------------------------------
-# Bimodules
-# ---------------------------------------------------------------------------
-
-class TensorBlock(Frozen):
-    _fields = ("word", "offset", "dim")
-
-    def __init__(self, word: tuple, offset: int, dim: int):
-        d = self.__dict__
-        d["word"] = word  # patch indices, 1-based; length = tensor power
-        d["offset"] = offset
-        d["dim"] = dim
-
-
-class Bimodule(Frozen):
-    """A-bimodule on a coordinate space, actions given per A-basis element.
-
-    ``blocks`` partitions the coordinates into action-invariant ranges
-    labelled by patch words; provenance records how the space arose.
-    """
-
-    _fields = ("algebra", "dim", "left", "right", "blocks", "provenance")
-
-    def __init__(self, algebra: Algebra, dim: int, left: tuple, right: tuple,
-                 blocks: tuple, provenance: str):
-        d = self.__dict__
-        d["algebra"] = algebra
-        d["dim"] = dim
-        d["left"] = left  # left[m]: Matrix, action of basis element b_m
-        d["right"] = right
-        d["blocks"] = blocks
-        d["provenance"] = provenance
-
-    def left_action(self, coords: Sequence) -> Matrix:
-        return _combine_actions(self, self.left, coords)
-
-    def right_action(self, coords: Sequence) -> Matrix:
-        return _combine_actions(self, self.right, coords)
-
-    def block_by_word(self, word: tuple) -> TensorBlock:
-        for b in self.blocks:
-            if b.word == word:
-                return b
-        raise KeyError(f"no block with word {word}")
-
-    def locate(self, index: int) -> tuple[TensorBlock, int]:
-        for b in self.blocks:
-            if b.offset <= index < b.offset + b.dim:
-                return b, index - b.offset
-        raise IndexError(index)
-
-
-def _combine_actions(m: Bimodule, mats: tuple, coords: Sequence) -> Matrix:
-    f = m.algebra.field
-    out = Matrix.zero(f, m.dim, m.dim)
-    for c, mat in zip(coords, mats):
-        if c != f.zero:
-            out = out.add(mat.scale(c))
-    return out
-
-
-def validate_bimodule(m: Bimodule) -> None:
-    """Unit, associativity, commuting-action and block axioms on basis triples."""
-    a = m.algebra
-    f = a.field
-    ident = Matrix.identity(f, m.dim)
-    if m.left_action(a.unit) != ident:
-        raise StructureError("left action of the unit is not the identity",
-                             witness=("unit", "left"))
-    if m.right_action(a.unit) != ident:
-        raise StructureError("right action of the unit is not the identity",
-                             witness=("unit", "right"))
-    for i in range(a.dim):
-        for j in range(a.dim):
-            prod = a.mul_table[i][j]
-            if m.left_action(prod) != m.left[i].mul(m.left[j]):
-                raise StructureError(f"left action not associative at ({i},{j})",
-                                     witness=("left", i, j))
-            if m.right_action(prod) != m.right[j].mul(m.right[i]):
-                raise StructureError(f"right action not associative at ({i},{j})",
-                                     witness=("right", i, j))
-            if m.left[i].mul(m.right[j]) != m.right[j].mul(m.left[i]):
-                raise StructureError(f"left and right actions do not commute at ({i},{j})",
-                                     witness=("commute", i, j))
-    zero = f.zero
-    for mats in (m.left, m.right):
-        for mat in mats:
-            for b in m.blocks:
-                for r in range(b.offset, b.offset + b.dim):
-                    row = mat.entries[r]
-                    for c in range(m.dim):
-                        if not (b.offset <= c < b.offset + b.dim) and row[c] != zero:
-                            raise StructureError("action is not block diagonal",
-                                                 witness=("block", b.word, r, c))
-
-
-def zero_bimodule(a: Algebra) -> Bimodule:
-    empty = tuple(Matrix(a.field, 0, 0, ()) for _ in range(a.dim))
-    return Bimodule(a, 0, empty, empty, (), "zero")
-
-
-def b_bimodule(c: Covering) -> Bimodule:
-    """The patch sum (+)A_i with a acting through pi_i on the i-th block."""
-    a = c.algebra
-    f = a.field
-    dims = c.patch_dims()
-    total = sum(dims)
-    blocks = []
-    off = 0
-    for i, d in enumerate(dims, start=1):
-        blocks.append(TensorBlock((i,), off, d))
-        off += d
-    left, right = [], []
-    for m in range(a.dim):
-        e = a.basis_coords(m)
-        lbl, rbl = [], []
-        for i in range(1, c.n_patches + 1):
-            ai, pi = c.patch(i)
-            im = pi.apply(e)
-            lbl.append(ai.left_mult_matrix(im))
-            rbl.append(ai.right_mult_matrix(im))
-        left.append(_block_diag(f, total, blocks, lbl))
-        right.append(_block_diag(f, total, blocks, rbl))
-    return Bimodule(a, total, tuple(left), tuple(right), tuple(blocks), "patch-sum")
-
-
-def _block_diag(field, total: int, blocks: Sequence[TensorBlock],
-                mats: Sequence[Matrix]) -> Matrix:
-    grid = [[field.zero] * total for _ in range(total)]
-    for b, m in zip(blocks, mats):
-        for r, cols in enumerate(m.support):
-            row, out = m.entries[r], grid[b.offset + r]
-            for ci in cols:
-                out[b.offset + ci] = row[ci]
-    return Matrix(field, total, total, tuple(tuple(r) for r in grid))
-
-
-def _slice(m: Matrix, r0: int, rn: int, c0: int, cn: int) -> Matrix:
-    return Matrix(m.field, rn, cn, tuple(row[c0:c0 + cn] for row in m.entries[r0:r0 + rn]))
-
-
-# ---------------------------------------------------------------------------
-# Balanced tensor product
-# ---------------------------------------------------------------------------
-
-def tensor_over_A(m: Bimodule, n: Bimodule, check: bool = False) -> tuple[Bimodule, Matrix]:
-    """(m (x)_k n) / span{(x.a)(x)y - x(x)(a.y)} with inherited outer actions.
-
-    Returns the quotient bimodule and the projection from the raw space
-    k^(dim m * dim n), raw index (x, y) -> x*dim(n) + y.
-    """
-    out, proj, _ = _tensor_with_section(m, n, check=check)
-    return out, proj
-
-
-def _tensor_with_section(m: Bimodule, n: Bimodule, check: bool = False):
-    if m.algebra != n.algebra:
-        raise StructureError("bimodules over different algebras")
-    a = m.algebra
-    f = a.field
-    zero = f.zero
-    raw_dim = m.dim * n.dim
-
-    new_blocks = []
-    local = []  # (q, s, u, v) in block order
-    off = 0
-    for u in m.blocks:
-        for v in n.blocks:
-            du, dv = u.dim, v.dim
-            rows = []
-            seen = set()
-            for am in range(a.dim):
-                ra = _slice(m.right[am], u.offset, du, u.offset, du)
-                la = _slice(n.left[am], v.offset, dv, v.offset, dv)
-                for xi in range(du):
-                    col_r = [ra.entries[r][xi] for r in range(du)]
-                    for yi in range(dv):
-                        vec = [zero] * (du * dv)
-                        for r, cr in enumerate(col_r):
-                            if cr:
-                                vec[r * dv + yi] = cr
-                        for s in range(dv):
-                            cl = la.entries[s][yi]
-                            if cl:
-                                vec[xi * dv + s] = f.sub(vec[xi * dv + s], cl)
-                        t = tuple(vec)
-                        if any(t) and t not in seen:
-                            seen.add(t)
-                            rows.append(t)
-            w = Subspace.from_vectors(f, du * dv, rows)
-            q = quotient_map(du * dv, w)
-            s = quotient_section(du * dv, w)
-            new_blocks.append(TensorBlock(u.word + v.word, off, q.rows))
-            local.append((q, s, u, v))
-            off += q.rows
-
-    total = off
-    proj_grid = [[zero] * raw_dim for _ in range(total)]
-    sect_grid = [[zero] * total for _ in range(raw_dim)]
-    for nb, (q, s, u, v) in zip(new_blocks, local):
-        for r, cols in enumerate(q.support):
-            for lc in cols:
-                xi, yi = divmod(lc, v.dim)
-                proj_grid[nb.offset + r][(u.offset + xi) * n.dim + (v.offset + yi)] = \
-                    q.entries[r][lc]
-        for lr, cols in enumerate(s.support):
-            xi, yi = divmod(lr, v.dim)
-            for c in cols:
-                sect_grid[(u.offset + xi) * n.dim + (v.offset + yi)][nb.offset + c] = \
-                    s.entries[lr][c]
-    proj = Matrix(f, total, raw_dim, tuple(tuple(r) for r in proj_grid))
-    sect = Matrix(f, raw_dim, total, tuple(tuple(r) for r in sect_grid))
-
-    idents = {d: Matrix.identity(f, d) for d in {b.dim for b in m.blocks + n.blocks}}
-    left, right = [], []
-    for am in range(a.dim):
-        # the action on each block of one factor, kron the identity of each block
-        # size of the other, built once and shared by the blocks of the product
-        la = {(u, d): _slice(m.left[am], u.offset, u.dim, u.offset, u.dim).kron(idents[d])
-              for u in m.blocks for d in {v.dim for v in n.blocks}}
-        ra = {(d, v): idents[d].kron(_slice(n.right[am], v.offset, v.dim, v.offset, v.dim))
-              for v in n.blocks for d in {u.dim for u in m.blocks}}
-        mats = []
-        rmats = []
-        for nb, (q, s, u, v) in zip(new_blocks, local):
-            mats.append(q.mul(la[u, v.dim]).mul(s))
-            rmats.append(q.mul(ra[u.dim, v]).mul(s))
-        left.append(_block_diag(f, total, new_blocks, mats))
-        right.append(_block_diag(f, total, new_blocks, rmats))
-
-    out = Bimodule(a, total, tuple(left), tuple(right), tuple(new_blocks),
-                   f"({m.provenance})(x)_A({n.provenance})")
-    if check:
-        validate_bimodule(out)
-    return out, proj, sect
-
-
-# ---------------------------------------------------------------------------
-# The tensor tower
-# ---------------------------------------------------------------------------
-
-class TensorTower:
-    """Lazy cache of T_n = B^((x)_A n) with the structure maps between them.
-
-    Check mode verifies every quotient-level structure map against its raw
-    full-tensor counterpart (map . flat == flat . raw_map), which is the
-    statement that the map is well defined on the balancing relations.
-    """
-
-    def __init__(self, covering: Covering, cap: int = 20000, check: bool = False):
-        self.covering = covering
-        self.field = covering.field
-        self.cap = cap
-        self.check = check
-        self.base = b_bimodule(covering)
-        if check:
-            validate_bimodule(self.base)
-        self.b_alg = covering.b_algebra
-        self._spaces = {1: self.base}
-        self._proj: dict = {}
-        self._sect: dict = {}
-        self._ins: dict = {}
-        self._mult: dict = {}
-        self._flat = {1: Matrix.identity(self.field, self.base.dim)}
-        self._unflat = {1: Matrix.identity(self.field, self.base.dim)}
-        self._merge2: Optional[Matrix] = None
-
-    # -- spaces ----------------------------------------------------------
-
-    def space(self, n: int) -> Bimodule:
-        if n < 1:
-            raise ValueError("tensor power must be >= 1")
-        if n not in self._spaces:
-            prev = self.space(n - 1)
-            est = prev.dim * self.base.dim
-            if est > self.cap:
-                raise DimensionCapError(
-                    f"tensor power {n} needs a raw coordinate space of dimension "
-                    f"{est} > cap {self.cap}", degree=n, estimated=est, cap=self.cap)
-            t, q, s = _tensor_with_section(prev, self.base, check=self.check)
-            self._spaces[n] = t
-            self._proj[n] = q
-            self._sect[n] = s
-        return self._spaces[n]
-
-    def proj(self, n: int) -> Matrix:
-        self.space(n)
-        return self._proj[n]
-
-    def sect(self, n: int) -> Matrix:
-        self.space(n)
-        return self._sect[n]
-
-    # -- raw <-> quotient ---------------------------------------------------
-
-    def flat(self, n: int) -> Matrix:
-        """Full k-tensor space k^((dim B)^n) onto T_n coordinates."""
-        if n not in self._flat:
-            self._flat[n] = mul_kron_identity(self.proj(n), self.flat(n - 1), self.base.dim)
-        return self._flat[n]
-
-    def unflatten(self, n: int) -> Matrix:
-        """A right inverse of flat(n) (flat . unflatten = identity)."""
-        if n not in self._unflat:
-            ident = Matrix.identity(self.field, self.base.dim)
-            self._unflat[n] = self.unflatten(n - 1).kron(ident).mul(self.sect(n))
-        return self._unflat[n]
-
-    # -- structure maps -------------------------------------------------------
-
-    def insert_unit(self, n: int, k: int) -> Matrix:
-        """T_n -> T_(n+1), insert 1_B before factor k (0-based slot, 0..n)."""
-        if not 0 <= k <= n:
-            raise ValueError(f"slot {k} out of range for {n} factors")
-        key = (n, k)
-        if key not in self._ins:
-            f = self.field
-            bdim = self.base.dim
-            unit = self.b_alg.unit
-            tn = self.space(n)
-            if k == n:
-                raw = _scatter(f, tn.dim * bdim, tn.dim,
-                               ((t * bdim + mm, t, unit[mm])
-                                for t in range(tn.dim) for mm in range(bdim)
-                                if unit[mm] != f.zero))
-                built = self.proj(n + 1).mul(raw)
-            elif n == 1:
-                raw = _scatter(f, bdim * bdim, bdim,
-                               ((mm * bdim + y, y, unit[mm])
-                                for y in range(bdim) for mm in range(bdim)
-                                if unit[mm] != f.zero))
-                built = self.proj(2).mul(raw)
-            else:
-                prev = self.insert_unit(n - 1, k)
-                built = mul_kron_identity(self.proj(n + 1), prev, bdim).mul(self.sect(n))
-            if self.check:
-                lhs = built.mul(self.flat(n))
-                rhs = self.flat(n + 1).mul(self.raw_insert_unit(n, k))
-                if lhs != rhs:
-                    raise StructureError(
-                        "unit insertion disagrees with its raw counterpart",
-                        witness=("insert", n, k))
-            self._ins[key] = built
-        return self._ins[key]
-
-    def merge2(self) -> Matrix:
-        """Raw multiplication k^(B x B) -> k^B, e_x (x) e_y -> coords(xy)."""
-        if self._merge2 is None:
-            f = self.field
-            bdim = self.base.dim
-            if bdim == 0:
-                self._merge2 = Matrix(f, 0, 0, ())
-            else:
-                balg = self.b_alg
-                cols = [balg.multiply(balg.basis_coords(x), balg.basis_coords(y))
-                        for x in range(bdim) for y in range(bdim)]
-                self._merge2 = Matrix.from_columns(f, cols)
-        return self._merge2
-
-    def raw_mult_adjacent(self, n: int, k: int) -> Matrix:
-        """Merge factors k, k+1 on full k-tensors: k^(B^n) -> k^(B^(n-1))."""
-        f = self.field
-        bdim = self.base.dim
-        left = Matrix.identity(f, bdim ** k)
-        right = Matrix.identity(f, bdim ** (n - 2 - k))
-        return left.kron(self.merge2()).kron(right)
-
-    def mult_adjacent(self, n: int, k: int) -> Matrix:
-        """T_n -> T_(n-1), multiply factors k and k+1 (0-based, 0..n-2)."""
-        if not (n >= 2 and 0 <= k <= n - 2):
-            raise ValueError(f"cannot merge factors ({k},{k + 1}) of {n}")
-        key = (n, k)
-        if key not in self._mult:
-            f = self.field
-            bdim = self.base.dim
-            if n == 2:
-                built = self.merge2().mul(self.sect(2))
-            elif k == n - 2:
-                prev_dim = self.space(n - 2).dim
-                lift = self.sect(n - 1).kron(Matrix.identity(f, bdim))
-                merge = Matrix.identity(f, prev_dim).kron(self.merge2())
-                built = self.proj(n - 1).mul(merge).mul(lift).mul(self.sect(n))
-            else:
-                prev = self.mult_adjacent(n - 1, k)
-                built = mul_kron_identity(self.proj(n - 1), prev, bdim).mul(self.sect(n))
-            if self.check:
-                lhs = built.mul(self.flat(n))
-                rhs = self.flat(n - 1).mul(self.raw_mult_adjacent(n, k))
-                if lhs != rhs:
-                    raise StructureError(
-                        "factor multiplication disagrees with its raw counterpart",
-                        witness=("merge", n, k))
-            self._mult[key] = built
-        return self._mult[key]
-
-    def differential(self, n: int) -> Matrix:
-        """Amitsur d_n : C^n = T_(n+1) -> C^(n+1) = T_(n+2)."""
-        out = None
-        for k in range(n + 2):
-            term = self.insert_unit(n + 1, k)
-            if k % 2 == 1:
-                term = term.neg()
-            out = term if out is None else out.add(term)
-        return out
-
-    def raw_insert_unit(self, n: int, k: int) -> Matrix:
-        """Unit insertion on full k-tensor spaces (no quotient involved)."""
-        f = self.field
-        bdim = self.base.dim
-        unit_col = Matrix(f, bdim, 1, tuple((u,) for u in self.b_alg.unit))
-        left = Matrix.identity(f, bdim ** k)
-        right = Matrix.identity(f, bdim ** (n - k))
-        return left.kron(unit_col).kron(right)
-
-    def raw_differential(self, n: int) -> Matrix:
-        """Amitsur differential on full k-tensors k^(B^(n+1)) -> k^(B^(n+2))."""
-        out = None
-        for k in range(n + 2):
-            term = self.raw_insert_unit(n + 1, k)
-            if k % 2 == 1:
-                term = term.neg()
-            out = term if out is None else out.add(term)
-        return out
-
-    # -- element helpers --------------------------------------------------
-
-    def pure_tensor_coords(self, factors: Sequence[tuple]) -> tuple:
-        """Coordinates in T_n of y_1 (x) ... (x) y_n, each y_k given as
-        (patch index, coordinate vector in A_(i_k))."""
-        f = self.field
-        n = len(factors)
-        if n == 0:
-            raise ValueError("empty tensor")
-        vec = self._embed(*factors[0])
-        for (i, coords) in factors[1:]:
-            nxt = self._embed(i, coords)
-            out = [f.zero] * (len(vec) * len(nxt))
-            for a, xa in enumerate(vec):
-                if xa == f.zero:
-                    continue
-                for b, xb in enumerate(nxt):
-                    if xb != f.zero:
-                        out[a * len(nxt) + b] = f.mul(xa, xb)
-            vec = out
-        return self.flat(n).apply(vec)
-
-    def _embed(self, i: int, coords: Sequence) -> list:
-        f = self.field
-        out = [f.zero] * self.base.dim
-        block = self.base.block_by_word((i,))
-        if len(coords) != block.dim:
-            raise ValueError(f"patch {i} expects {block.dim} coordinates")
-        for k, x in enumerate(coords):
-            out[block.offset + k] = f.coerce(x)
-        return out
-
-    def decompose(self, n: int, coords: Sequence) -> list:
-        """Write a T_n element as weighted pure basis tensors.
-
-        Returns [(coeff, ((patch, local_basis_index), ...)), ...]; feeding
-        the summands back through pure_tensor_coords reproduces coords.
-        """
-        f = self.field
-        raw = self.unflatten(n).apply(coords)
-        bdim = self.base.dim
-        out = []
-        for idx, x in enumerate(raw):
-            if x == f.zero:
-                continue
-            digits = []
-            rem = idx
-            for _ in range(n):
-                digits.append(rem % bdim)
-                rem //= bdim
-            digits.reverse()
-            factors = []
-            for d in digits:
-                block, local = self.base.locate(d)
-                factors.append((block.word[0], local))
-            out.append((x, tuple(factors)))
-        return out
-
-
-def _scatter(field, rows: int, cols: int, triples) -> Matrix:
-    grid = [[field.zero] * cols for _ in range(rows)]
-    for r, c, x in triples:
-        grid[r][c] = field.add(grid[r][c], x)
-    return Matrix(field, rows, cols, tuple(tuple(r) for r in grid))
-
-
-# ---------------------------------------------------------------------------
-# Sweedler coring
-# ---------------------------------------------------------------------------
-
-class SweedlerCoring(Frozen):
-    _fields = ("covering", "module", "coproduct", "counit", "elements")
-
-    def __init__(self, covering: Covering, module: Bimodule, coproduct: Matrix,
-                 counit: Matrix, elements: dict):
-        d = self.__dict__
-        d["covering"] = covering
-        d["module"] = module  # B (x)_A B
-        d["coproduct"] = coproduct  # T_2 -> T_3, x(x)y -> x(x)1(x)y
-        d["counit"] = counit  # T_2 -> B, induced by multiplication
-        d["elements"] = elements  # (i, j) -> coordinates of pi_i(1)(x)pi_j(1) in T_2
-
-
-def build_coring(c: Covering, tower: Optional[TensorTower] = None,
-                 check: bool = True) -> SweedlerCoring:
-    """Sweedler coring of A -> (+)A_i in balanced coordinates.
-
-    The coproduct is the middle unit insertion into B(x)B(x)B and the
-    counit is induced by multiplication.  The counit laws are always
-    asserted; check=True also asserts coassociativity (which needs T_4).
-    """
-    t = tower or TensorTower(c)
-    t2 = t.space(2)
-    cop = t.insert_unit(2, 1)
-    cou = t.mult_adjacent(2, 0)
-    elements = {}
-    for i in range(1, c.n_patches + 1):
-        for j in range(1, c.n_patches + 1):
-            ai, _ = c.patch(i)
-            aj, _ = c.patch(j)
-            elements[(i, j)] = t.pure_tensor_coords([(i, ai.unit), (j, aj.unit)])
-    ident = Matrix.identity(c.field, t2.dim)
-    if t.mult_adjacent(3, 0).mul(cop) != ident:
-        raise StructureError("counit law (eps (x) id) . cop != id", witness=("counit", "left"))
-    if t.mult_adjacent(3, 1).mul(cop) != ident:
-        raise StructureError("counit law (id (x) eps) . cop != id", witness=("counit", "right"))
-    if check:
-        if t.insert_unit(3, 1).mul(cop) != t.insert_unit(3, 2).mul(cop):
-            raise StructureError("coproduct is not coassociative", witness=("coassoc",))
-    return SweedlerCoring(c, t2, cop, cou, elements)
+def __getattr__(name: str):
+    # bench/spans.py wraps TensorTower methods by name; this forwarder goes
+    # when the bench stops wrapping oracles (ROADMAP items 1 and 8)
+    if name == "TensorTower":
+        from .oracles import TensorTower
+        return TensorTower
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------

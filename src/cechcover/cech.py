@@ -22,6 +22,9 @@ Zero on repeated indices follows the definition of the map; zero on
 out-of-order words is what makes phi well defined over the balanced
 tensor product and a chain map when the rings are noncommutative, and it
 matches reading "ordered subsets" as order-inherited tuples.
+``verify_chain_map`` checks phi block by block; evaluating it on pure
+tensors, as the definition reads, is a test oracle in
+``cechcover.oracles``.
 """
 
 from __future__ import annotations
@@ -30,13 +33,22 @@ from functools import cache, cached_property
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
-from .algebras import Algebra, AlgebraHom, Element
-from .amitsur import AmitsurComplex, TensorTower
+from .algebras import Algebra, AlgebraHom
+from .amitsur import AmitsurComplex
 from .complexes import WordSpace, assemble, check_complex, homology
 from .coverings import Covering
 from .errors import DimensionMismatchError, StructureError
 from .linalg import Matrix, Subspace, block_matrix, rank
 from .records import Frozen, Record
+
+
+def __getattr__(name: str):
+    # bench/spans.py wraps phi_raw_matrix by name; this forwarder goes when
+    # the bench stops wrapping oracles (ROADMAP items 1 and 8)
+    if name == "phi_raw_matrix":
+        from .oracles import phi_raw_matrix
+        return phi_raw_matrix
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -339,124 +351,6 @@ def cech_cohomology(cx: CechComplex) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# The comparison map phi
-# ---------------------------------------------------------------------------
-
-class CechElement(Frozen):
-    """An element of S^n with its block layout."""
-
-    _fields = ("layout", "coords")
-
-    def __init__(self, layout: WordSpace, coords: tuple):
-        d = self.__dict__
-        d["layout"] = layout
-        d["coords"] = coords
-
-    def component(self, zeta: Sequence[int], functor: PosetFunctor) -> Element:
-        off, d = self.layout.offset_of(tuple(zeta))
-        return functor.ring(zeta).element(self.coords[off:off + d])
-
-
-def default_phi_choice(f: PosetFunctor, c: Covering) -> tuple:
-    """Identity homs A_i -> R({i}) where the shapes agree (default ringed data)."""
-    out = []
-    for i in range(1, c.n_patches + 1):
-        a_i, _ = c.patch(i)
-        r_i = f.ring((i,))
-        if a_i.dim != r_i.dim:
-            raise DimensionMismatchError(
-                f"no default choice: A_{i} has dim {a_i.dim}, R(({i},)) has dim {r_i.dim}")
-        out.append(AlgebraHom(a_i, r_i, Matrix.identity(a_i.field, a_i.dim)))
-    return tuple(out)
-
-
-def phi_on_pure(f: PosetFunctor, choice: Sequence[AlgebraHom],
-                factors: Sequence[tuple]) -> Optional[tuple]:
-    """phi of one pure tensor given as [(patch, coords in A_patch), ...].
-
-    Returns (zeta, coords in R(zeta)) for a strictly increasing patch word;
-    None encodes zero (repeated or out-of-order word).
-    """
-    word = tuple(i for i, _ in factors)
-    if len(set(word)) != len(word) or word != tuple(sorted(word)):
-        return None
-    zeta = word
-    ring = f.ring(zeta)
-    acc = ring.unit
-    for (i, coords) in factors:
-        mapped = f.restriction((i,), zeta).apply(choice[i - 1].apply(coords))
-        acc = ring.multiply(acc, mapped)
-    return zeta, acc
-
-
-def phi(f: PosetFunctor, choice: Sequence[AlgebraHom],
-        factors: Sequence[tuple]) -> CechElement:
-    """phi of one pure tensor [(patch, coords in A_patch), ...] in S^n."""
-    return phi_sum(f, choice, [(f.ring(()).field.one, factors)], degree=len(factors))
-
-
-def phi_sum(f: PosetFunctor, choice: Sequence[AlgebraHom], terms,
-            degree: Optional[int] = None) -> CechElement:
-    """phi of a sum of (coefficient, pure tensor) pairs, as an element of S^n."""
-    if degree is None:
-        if not terms:
-            raise ValueError("cannot infer degree from an empty sum")
-        degree = len(terms[0][1])
-    layout = space_layout(f, degree)
-    field = f.ring(()).field
-    coords = [field.zero] * layout.dim
-    for coeff, factors in terms:
-        if len(factors) != degree:
-            raise DimensionMismatchError("mixed tensor lengths in one sum")
-        res = phi_on_pure(f, choice, factors)
-        if res is None:
-            continue
-        zeta, vec = res
-        off, _ = layout.offset_of(zeta)
-        for k, x in enumerate(vec):
-            coords[off + k] = field.add(coords[off + k], field.mul(field.coerce(coeff), x))
-    return CechElement(layout, tuple(coords))
-
-
-def phi_raw_matrix(f: PosetFunctor, choice: Sequence[AlgebraHom],
-                   tower: TensorTower, n: int) -> Matrix:
-    """phi on the full k-tensor space k^(B^n) -> S^n, column per basis tensor."""
-    field = tower.field
-    bdim = tower.base.dim
-    layout = space_layout(f, n)
-    total = bdim ** n
-    cols = []
-    for idx in range(total):
-        digits = []
-        rem = idx
-        for _ in range(n):
-            digits.append(rem % bdim)
-            rem //= bdim
-        digits.reverse()
-        factors = []
-        for d in digits:
-            block, local = tower.base.locate(d)
-            coords = [field.zero] * block.dim
-            coords[local] = field.one
-            factors.append((block.word[0], tuple(coords)))
-        res = phi_on_pure(f, choice, factors)
-        col = [field.zero] * layout.dim
-        if res is not None:
-            zeta, vec = res
-            off, _ = layout.offset_of(zeta)
-            for k, x in enumerate(vec):
-                col[off + k] = x
-        cols.append(tuple(col))
-    return Matrix.from_columns(field, cols) if cols else Matrix(field, layout.dim, 0, tuple(() for _ in range(layout.dim)))
-
-
-def phi_matrix(f: PosetFunctor, choice: Sequence[AlgebraHom],
-               tower: TensorTower, n: int) -> Matrix:
-    """phi as a matrix on balanced coordinates T_n -> S^n."""
-    return phi_raw_matrix(f, choice, tower, n).mul(tower.unflatten(n))
-
-
-# ---------------------------------------------------------------------------
 # Chain-map verification
 # ---------------------------------------------------------------------------
 
@@ -489,6 +383,19 @@ class ChainMapReport(Frozen):
                 for c in self.squares],
             "passed": self.passed,
         }
+
+
+def default_phi_choice(f: PosetFunctor, c: Covering) -> tuple:
+    """Identity homs A_i -> R({i}) where the shapes agree (default ringed data)."""
+    out = []
+    for i in range(1, c.n_patches + 1):
+        a_i, _ = c.patch(i)
+        r_i = f.ring((i,))
+        if a_i.dim != r_i.dim:
+            raise DimensionMismatchError(
+                f"no default choice: A_{i} has dim {a_i.dim}, R(({i},)) has dim {r_i.dim}")
+        out.append(AlgebraHom(a_i, r_i, Matrix.identity(a_i.field, a_i.dim)))
+    return tuple(out)
 
 
 def verify_chain_map(amitsur: AmitsurComplex, cx: CechComplex,

@@ -4,8 +4,8 @@ Subcommands: check | cech | amitsur | verify | oracle.  One self-contained
 problem file per invocation; reports are emitted as JSON (machine) or an
 aligned text rendering of the same data.
 
-Exit codes: 0 success, 1 property violation found, 2 input error,
-3 resource cap exceeded.
+Exit codes: 0 success, 1 property violation found, 2 input error or an
+unwritable output path, 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -101,8 +101,12 @@ def main(argv: Optional[list] = None) -> int:
     rendered = (json.dumps(report, indent=2, sort_keys=True) + "\n"
                 if args.format == "json" else _render_text(report))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            print(f"output error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     else:
         sys.stdout.write(rendered)
     return code

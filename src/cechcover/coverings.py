@@ -12,14 +12,10 @@ blocks are negatives of the (i,j) blocks and carry no extra rank.
 
 from __future__ import annotations
 
-import random
 from typing import Optional, Sequence
 
 from .algebras import (
-    Algebra, AlgebraHom, Ideal,
-    direct_sum, ideal_closure, ideal_intersection,
-    matrix_algebra, quotient, split_commutative, square_zero,
-    truncated_polynomial, upper_triangular, zero_algebra,
+    Algebra, AlgebraHom, Ideal, direct_sum, ideal_intersection, quotient, zero_algebra,
 )
 from .errors import DimensionMismatchError, StructureError
 from .linalg import (
@@ -239,83 +235,3 @@ def completeness_check(c: Covering) -> CompletenessReport:
         im_pi_dim=im_pi.dim,
         complete=covering and exact_at_a and exact_at_b,
     )
-
-
-# ---------------------------------------------------------------------------
-# Random instances (property suites; incomplete-covering search)
-# ---------------------------------------------------------------------------
-
-_STOCK = (
-    lambda f: split_commutative(f, 2),
-    lambda f: split_commutative(f, 3),
-    lambda f: matrix_algebra(f, 2),
-    lambda f: upper_triangular(f, 2),
-    lambda f: truncated_polynomial(f, 2),
-    lambda f: truncated_polynomial(f, 3),
-    lambda f: square_zero(f, 1),
-    lambda f: square_zero(f, 2),
-    lambda f: square_zero(f, 3),
-)
-
-
-def random_algebra(rng: random.Random, field: Field, max_dim: int = 6) -> Algebra:
-    """Random direct sum of stock algebras with total dimension <= max_dim."""
-    acc = None
-    dim = 0
-    while True:
-        candidates = [mk for mk in _STOCK if dim + mk(field).dim <= max_dim]
-        if not candidates or (acc is not None and rng.random() < 0.45):
-            break
-        piece = rng.choice(candidates)(field)
-        acc = piece if acc is None else direct_sum(acc, piece)
-        dim = acc.dim
-    if acc is None:
-        acc = split_commutative(field, min(2, max_dim))
-    return acc
-
-
-def _random_ideal(rng: random.Random, a: Algebra) -> Ideal:
-    gens = []
-    for _ in range(rng.randint(0, 2)):
-        coords = [a.field.zero] * a.dim
-        for _ in range(rng.randint(1, 2)):
-            i = rng.randrange(a.dim)
-            coords[i] = a.field.coerce(rng.choice([1, 1, 1, -1, 2]))
-        gens.append(tuple(coords))
-    return ideal_closure(a, gens)
-
-
-def random_covering(rng: random.Random, field: Field, max_dim: int = 6,
-                    max_patches: int = 3, attempts: int = 200) -> Covering:
-    """Random covering (zero ideal intersection); falls back to zero ideals."""
-    for _ in range(attempts):
-        a = random_algebra(rng, field, max_dim)
-        n = rng.randint(1, max_patches)
-        ideals = [_random_ideal(rng, a) for _ in range(n)]
-        if ideal_intersection(ideals).dim == 0:
-            return Covering(a, ideals)
-    a = random_algebra(rng, field, max_dim)
-    zero = ideal_closure(a, [])
-    return Covering(a, [zero] * rng.randint(1, max_patches))
-
-
-def search_incomplete_covering(rng: random.Random, field: Field,
-                               attempts: int = 300, max_dim: int = 5,
-                               max_patches: int = 3) -> Optional[Covering]:
-    """Hunt for a covering that fails exactness at (+)A_i.
-
-    Returns the first incomplete covering found, or None if the budget runs
-    out.  Incompleteness needs N >= 3 (two ideals always glue), so the
-    search favors three patches.
-    """
-    for _ in range(attempts):
-        a = random_algebra(rng, field, max_dim)
-        n = rng.randint(3, max(3, max_patches))
-        ideals = [_random_ideal(rng, a) for _ in range(n)]
-        if ideal_intersection(ideals).dim != 0:
-            continue
-        c = Covering(a, ideals)
-        report = completeness_check(c)
-        if report.is_covering and not report.complete:
-            return c
-    return None

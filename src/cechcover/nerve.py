@@ -10,7 +10,6 @@ agreement between the two pipelines is evidence rather than tautology.
 
 from __future__ import annotations
 
-import random
 from itertools import combinations
 
 from .algebras import Algebra, AlgebraHom, make_algebra, zero_algebra
@@ -113,20 +112,3 @@ def nerve_cohomology(cd: CoverDescription) -> list[int]:
 
     ranks = [0] + [rank(delta) for delta in deltas] + [0]
     return [len(simplices[d]) - ranks[d + 1] - ranks[d] for d in range(top + 1)]
-
-
-def random_cover_description(rng: random.Random, max_patches: int = 6,
-                             field: "Field | None" = None) -> CoverDescription:
-    """Random downward-closed cover: sample maximal faces, close downward."""
-    from .linalg import QQ
-    field = field or QQ
-    n = rng.randint(1, max_patches)
-    overlaps = {(i,) for i in range(1, n + 1)}
-    n_faces = rng.randint(0, n + 1)
-    for _ in range(n_faces):
-        size = rng.randint(1, n)
-        face = tuple(sorted(rng.sample(range(1, n + 1), size)))
-        for length in range(1, len(face) + 1):
-            for sub in combinations(face, length):
-                overlaps.add(tuple(sub))
-    return CoverDescription(n, frozenset(overlaps), field)

@@ -285,8 +285,10 @@ def load_problem(path: str, field_override: Optional[Field] = None):
         raise ProblemFormatError(str(exc), str(path))
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ProblemFormatError(f"invalid JSON: {exc}", str(path))
+    except RecursionError:
+        raise ProblemFormatError("invalid JSON: nested too deeply", str(path))
     problem = parse_problem(doc, field_override)
     return problem, sha256(data).hexdigest()
 

@@ -11,14 +11,17 @@ import random
 from itertools import combinations
 
 from cechcover.algebras import ideal_sum, matrix_algebra, quotient, split_commutative
-from cechcover.amitsur import TensorTower, amitsur_homology, b_bimodule, build_amitsur, tensor_over_A
+from cechcover.amitsur import amitsur_homology, build_amitsur
 from cechcover.cech import (
     build_cech, cech_cohomology, constant_functor, default_phi_choice,
-    functor_from_ringed_covering, insert_index, phi_sum, verify_chain_map,
+    functor_from_ringed_covering, insert_index, verify_chain_map,
 )
-from cechcover.coverings import completeness_check, random_covering
+from cechcover.coverings import completeness_check
 from cechcover.linalg import GF, QQ, rank
-from cechcover.nerve import functor_from_cover, nerve_cohomology, random_cover_description
+from cechcover.nerve import functor_from_cover, nerve_cohomology
+from cechcover.oracles import (
+    TensorTower, b_bimodule, phi_sum, random_cover_description, random_covering, tensor_over_A,
+)
 
 from instances import make_e1, make_e4
 

@@ -20,11 +20,11 @@ import pytest
 from cechcover.algebras import (
     AlgebraHom, Ideal, hom_check, ideal_closure, make_algebra, quotient,
 )
-from cechcover.coverings import random_algebra
 from cechcover.errors import StructureError
 from cechcover.linalg import (
     GF, QQ, Matrix, Subspace, quotient_map, quotient_section, rref,
 )
+from cechcover.oracles import random_algebra
 
 FIELDS = (QQ, GF(2), GF(5), GF(1000003))
 

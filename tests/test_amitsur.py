@@ -5,13 +5,14 @@ import random
 import pytest
 
 from cechcover.algebras import ideal_sum, quotient
-from cechcover.amitsur import (
-    TensorTower, amitsur_homology, b_bimodule, build_amitsur, build_coring,
-    tensor_over_A, validate_bimodule, zero_bimodule,
-)
-from cechcover.coverings import build_pi, build_tau, random_covering
+from cechcover.amitsur import amitsur_homology, build_amitsur
+from cechcover.coverings import build_pi, build_tau
 from cechcover.errors import DimensionCapError
 from cechcover.linalg import GF, QQ, kernel_basis, rank
+from cechcover.oracles import (
+    TensorTower, b_bimodule, build_coring, random_covering,
+    tensor_over_A, validate_bimodule, zero_bimodule,
+)
 
 from instances import make_e1
 

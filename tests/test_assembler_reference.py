@@ -19,9 +19,10 @@ import pytest
 from cechcover.algebras import matrix_algebra, split_commutative
 from cechcover.amitsur import build_amitsur
 from cechcover.cech import build_cech, constant_functor, functor_from_ringed_covering
-from cechcover.coverings import Covering, random_covering
+from cechcover.coverings import Covering
 from cechcover.linalg import GF, QQ, Matrix, block_matrix, quotient_map, quotient_section
-from cechcover.nerve import functor_from_cover, random_cover_description
+from cechcover.nerve import functor_from_cover
+from cechcover.oracles import random_cover_description, random_covering
 
 from instances import make_e1, make_e4, make_three_lines
 

@@ -8,18 +8,20 @@ import pytest
 from cechcover.algebras import (
     AlgebraHom, Ideal, ideal_closure, matrix_algebra, quotient, split_commutative,
 )
-from cechcover.amitsur import TensorTower, build_amitsur
+from cechcover.amitsur import build_amitsur
 from cechcover.cech import (
-    CechElement, RingedStructure,
-    all_tuples, build_cech, cech_cohomology, constant_functor, default_phi_choice,
-    functor_from_ringed_covering, insert_index, phi, phi_matrix, phi_on_pure,
-    phi_raw_matrix, phi_sum, space_layout, validate_functor, validate_index_tuple,
-    verify_chain_map,
+    RingedStructure, all_tuples, build_cech, cech_cohomology, constant_functor,
+    default_phi_choice, functor_from_ringed_covering, insert_index, space_layout,
+    validate_functor, validate_index_tuple, verify_chain_map,
 )
-from cechcover.coverings import Covering, build_tau, random_covering
+from cechcover.coverings import Covering, build_tau
 from cechcover.errors import StructureError
 from cechcover.linalg import (
     GF, QQ, Matrix, Subspace, kernel_basis, quotient_section, rank, subspace_sum,
+)
+from cechcover.oracles import (
+    CechElement, TensorTower, phi, phi_matrix, phi_on_pure, phi_raw_matrix, phi_sum,
+    random_covering,
 )
 
 from instances import make_e1

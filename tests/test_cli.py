@@ -357,3 +357,29 @@ def test_huge_dim_is_rejected_before_any_table_is_built(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("input error: algebra.unit: ")
+
+
+def test_invalid_utf8_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"field": "\xff"}')
+    code, out, err = run(capsys, "check", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"input error: {path}: invalid JSON: ")
+
+
+def test_deeply_nested_file_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    code, out, err = run(capsys, "check", "--input", str(path))
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    assert err == f"input error: {path}: invalid JSON: nested too deeply\n"
+
+
+def test_unwritable_output_is_exit_2(capsys, tmp_path, problems_dir):
+    target = tmp_path / "absent" / "r.json"
+    code, out, err = run(capsys, "check", "--input",
+                         str(problems_dir / "e1_split_three_points.json"), "--output", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("output error: ") and str(target) in err
+    assert not target.exists()

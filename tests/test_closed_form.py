@@ -12,13 +12,14 @@ from __future__ import annotations
 import random
 
 from cechcover.algebras import AlgebraHom, ideal_closure, split_commutative
-from cechcover.amitsur import TensorTower, amitsur_homology, build_amitsur
+from cechcover.amitsur import amitsur_homology, build_amitsur
 from cechcover.cech import (
     PosetFunctor, build_cech, default_phi_choice, functor_from_ringed_covering,
-    phi_raw_matrix, verify_chain_map,
+    verify_chain_map,
 )
-from cechcover.coverings import Covering, build_pi, random_covering
+from cechcover.coverings import Covering, build_pi
 from cechcover.linalg import GF, QQ, Matrix, kernel_basis, rank
+from cechcover.oracles import TensorTower, phi_raw_matrix, random_covering
 
 from instances import make_e1, make_e4, make_three_lines
 

@@ -6,9 +6,9 @@ import time
 from cechcover.algebras import ideal_closure, split_commutative
 from cechcover.coverings import (
     Covering, build_pi, build_tau, completeness_check, is_covering,
-    random_covering, search_incomplete_covering,
 )
 from cechcover.linalg import GF, QQ, image_basis, kernel_basis
+from cechcover.oracles import random_covering, search_incomplete_covering
 
 from instances import make_e1, make_e4, make_three_lines
 

@@ -7,9 +7,8 @@ import pytest
 from cechcover.cech import build_cech, cech_cohomology, validate_functor
 from cechcover.errors import StructureError
 from cechcover.linalg import GF, QQ
-from cechcover.nerve import (
-    CoverDescription, functor_from_cover, nerve_cohomology, random_cover_description,
-)
+from cechcover.nerve import CoverDescription, functor_from_cover, nerve_cohomology
+from cechcover.oracles import random_cover_description
 
 
 def cover(n, overlaps, field=QQ):

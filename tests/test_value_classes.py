@@ -1,5 +1,6 @@
 """The value classes keep the semantics of frozen dataclasses, and importing
-the command line pulls in neither ``dataclasses`` nor ``inspect``.
+the command line pulls in neither ``dataclasses`` nor ``inspect`` nor the
+test oracles of ``cechcover.oracles``.
 
 The semantics pins: equal fields compare equal and hash equal, another
 class never compares equal, assignment raises AttributeError, and the
@@ -98,9 +99,16 @@ def test_cached_properties_are_still_cached():
 
 
 def test_importing_the_cli_skips_dataclasses_and_inspect():
+    """Nor does it load the test oracles: each process compiles every module
+    it imports when bytecode writing is off."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     code = ("import sys, cechcover.cli\n"
-            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+            "print('cechcover.oracles' in sys.modules)\n"
+            "print('TensorTower' in vars(cechcover.amitsur))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
-    assert out.strip() == "[]"
+    skipped, oracles_loaded, tower_defined = out.split("\n")[:3]
+    assert skipped == "[]"
+    assert oracles_loaded == "False"
+    assert tower_defined == "False"
