@@ -98,9 +98,9 @@ def _combine(pairs: Iterable, p: int) -> dict:
 def _columns(m: Matrix) -> list:
     """Per column of m, its nonzeros as (row, value) pairs."""
     cols: list = [[] for _ in range(m.cols)]
-    for r, (row, support) in enumerate(zip(m.entries, m.support)):
-        for c in support:
-            cols[c].append((r, row[c]))
+    for r, row in enumerate(m.nonzeros):
+        for c, x in row.items():
+            cols[c].append((r, x))
     return cols
 
 
@@ -233,16 +233,16 @@ class Ideal(Frozen):
     def __init__(self, algebra: Algebra, space: Subspace):
         if space.ambient_dim != algebra.dim:
             raise DimensionMismatchError("ideal ambient dim != algebra dim")
-        for v, nonzeros in zip(space.basis.entries, space.sparse_basis):
+        for r, nonzeros in enumerate(space.sparse_basis):
             for i, (left, right) in enumerate(_side_products(algebra, nonzeros)):
                 if not space.contains_sparse(left):
                     raise StructureError(
                         f"not a two-sided ideal: b{i} * v escapes the span",
-                        witness=("left", i, v))
+                        witness=("left", i, space.basis.entries[r]))
                 if not space.contains_sparse(right):
                     raise StructureError(
                         f"not a two-sided ideal: v * b{i} escapes the span",
-                        witness=("right", i, v))
+                        witness=("right", i, space.basis.entries[r]))
         d = self.__dict__
         d["algebra"] = algebra
         d["space"] = space

@@ -2,28 +2,20 @@
 
 Everything here is exact: rationals are arbitrary-precision
 ``fractions.Fraction`` values, prime-field elements are canonical int
-representatives in ``[0, p)``.  Matrices are stored dense and immutable;
-subspaces are stored by their reduced row-echelon basis, which makes RREF
+representatives in ``[0, p)``.  So zero is ``Fraction(0)`` or ``0``, and
+truthiness is the zero test throughout.
+
+A ``Matrix`` stores its nonzeros only: one ``{column: value}`` dict per
+row, and no zero is stored.  Every operation, row reduction included, reads
+and builds these rows directly, so its cost follows the nonzeros, not
+rows x cols.  The inner loops use plain ``Fraction`` arithmetic over Q and
+plain int arithmetic with one reduction mod p per result entry over F_p,
+with no ``Field`` method call per entry.  ``Matrix.entries`` is a dense
+read-only view, built on first read, for printing.
+
+Subspaces are stored by their reduced row-echelon basis, which makes RREF
 equality the canonical equality test and makes every derived choice
 (quotient coordinates, sections) deterministic.
-
-Elimination and products work on the nonzeros only and are specialised by
-field: row reduction holds each row as a ``{column: value}`` dict, and the
-inner loops use plain ``Fraction`` arithmetic over Q and plain int
-arithmetic with one reduction mod p per result entry over F_p, with no
-``Field`` method call per entry.  Truthiness is a valid zero test because
-every entry over Q is a ``Fraction`` and every entry over F_p is a
-canonical int, so zero is ``Fraction(0)`` or ``0``.
-
-Each matrix also carries its row supports (``Matrix.support``: the columns
-of each row's nonzeros).  Products, Kronecker products, sums, negation and
-block assembly build the support of their result along with its entries,
-and read the supports of their operands, so a chain of operations touches
-nonzeros only; a matrix built from dense rows finds its support by one scan
-on first use.  Over Q that scan skips entries that are the shared
-``QQ.zero`` object by an identity test, which costs no
-``Fraction.__bool__`` call, and the operations above write ``QQ.zero``
-into every zero they produce.
 """
 
 from __future__ import annotations
@@ -31,8 +23,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, repeat
-from operator import is_not
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, FieldMismatchError
@@ -78,9 +69,6 @@ class Field:
     def one(self):
         raise NotImplementedError
 
-    def describe(self):
-        raise NotImplementedError
-
 
 _Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
 
@@ -115,9 +103,6 @@ class RationalField(Field):
     @property
     def one(self):
         return _Q_ONE
-
-    def describe(self):
-        return "Q"
 
     def __repr__(self):
         return "QQ"
@@ -174,9 +159,6 @@ class PrimeField(Field):
     def one(self):
         return 1
 
-    def describe(self):
-        return f"F_{self.p}"
-
     def __repr__(self):
         return f"GF({self.p})"
 
@@ -220,16 +202,30 @@ def same_field(*fields: Field) -> Field:
 # ---------------------------------------------------------------------------
 
 class Matrix(Frozen):
-    """Dense immutable matrix; entries[r][c], all over one field."""
+    """Immutable matrix over one field, stored by its nonzeros.
+
+    ``nonzeros[r]`` is a ``{column: value}`` dict of the nonzero entries of
+    row r, in no set column order; no zero is stored.  A row dict is never
+    changed once its matrix is built, so operations share unchanged rows.
+    ``Matrix(field, rows, cols, entries)`` takes dense rows and drops their
+    zeros.  ``entries`` (dense rows) and ``support`` (the sorted columns of
+    each row) are read-only views built on first read; equality and hashing
+    use the nonzeros only.
+    """
 
     _fields = ("field", "rows", "cols", "entries")
 
     def __init__(self, field: Field, rows: int, cols: int, entries: tuple):
-        d = self.__dict__
-        d["field"] = field
-        d["rows"] = rows
-        d["cols"] = cols
-        d["entries"] = entries
+        self.__dict__.update(field=field, rows=rows, cols=cols, nonzeros=tuple(
+            dict(compress(enumerate(row), row)) for row in entries))
+
+    @staticmethod
+    def from_nonzeros(field: Field, rows: int, cols: int, nonzeros: tuple) -> "Matrix":
+        """The matrix whose row r has the nonzeros ``nonzeros[r]``
+        ({column: value}, no zero value); the dicts are taken, not copied."""
+        m = Matrix.__new__(Matrix)
+        m.__dict__.update(field=field, rows=rows, cols=cols, nonzeros=nonzeros)
+        return m
 
     @staticmethod
     def from_rows(field: Field, rows: Sequence[Sequence]) -> "Matrix":
@@ -242,46 +238,51 @@ class Matrix(Frozen):
 
     @staticmethod
     def zero(field: Field, rows: int, cols: int) -> "Matrix":
-        blank = (field.zero,) * cols
-        return _with_support(Matrix(field, rows, cols, (blank,) * rows), ((),) * rows)
+        return Matrix.from_nonzeros(field, rows, cols, tuple({} for _ in range(rows)))
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        return _with_support(
-            Matrix(field, n, n, tuple(tuple(o if i == j else z for j in range(n))
-                                      for i in range(n))),
-            tuple((i,) for i in range(n)))
-
-    @cached_property
-    def support(self) -> tuple:
-        """Per row, the columns of its nonzero entries."""
-        inner = range(self.cols)
-        if self.field.characteristic:
-            return tuple(tuple(compress(inner, row)) for row in self.entries)
-        # skip the shared zero by identity, then test what is left
-        shared = repeat(self.field.zero)
-        return tuple(tuple(c for c in compress(inner, map(is_not, row, shared)) if row[c])
-                     for row in self.entries)
+        one = field.one
+        return Matrix.from_nonzeros(field, n, n, tuple({i: one} for i in range(n)))
 
     @staticmethod
     def from_columns(field: Field, cols: Sequence[Sequence]) -> "Matrix":
         return Matrix.from_rows(field, cols).transpose()
 
-    def row(self, r: int) -> tuple:
-        return self.entries[r]
+    @cached_property
+    def entries(self) -> tuple:
+        """Dense rows: entries[r][c]."""
+        return tuple(_dense_row(self.field, row, self.cols) for row in self.nonzeros)
+
+    @cached_property
+    def support(self) -> tuple:
+        """Per row, the columns of its nonzero entries, in increasing order."""
+        return tuple(tuple(sorted(row)) for row in self.nonzeros)
+
+    def __eq__(self, other):
+        if other.__class__ is not Matrix:
+            return NotImplemented
+        # tuple equality tries identity first, so a shared field costs no call
+        return self is other or ((self.field, self.rows, self.cols, self.nonzeros)
+                                 == (other.field, other.rows, other.cols, other.nonzeros))
+
+    def __hash__(self):
+        return hash((self.field, self.rows, self.cols,
+                     tuple(frozenset(row.items()) for row in self.nonzeros)))
 
     def column(self, c: int) -> tuple:
-        return tuple(self.entries[r][c] for r in range(self.rows))
+        zero = self.field.zero
+        return tuple(row.get(c, zero) for row in self.nonzeros)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.cols, self.rows,
-                      tuple(tuple(self.entries[r][c] for r in range(self.rows)) for c in range(self.cols)))
+        out = tuple({} for _ in range(self.cols))
+        for r, row in enumerate(self.nonzeros):
+            for c, x in row.items():
+                out[c][r] = x
+        return Matrix.from_nonzeros(self.field, self.cols, self.rows, out)
 
     def is_zero(self) -> bool:
-        # tuple equality tries identity before ==, so shared zeros compare in C
-        blank = (self.field.zero,) * self.cols
-        return all(row == blank for row in self.entries)
+        return not any(self.nonzeros)
 
     def add(self, other: "Matrix") -> "Matrix":
         return self._combine(other, subtract=False)
@@ -293,49 +294,41 @@ class Matrix(Frozen):
         """self + other or self - other, visiting other's nonzeros only."""
         self._check_shape(other, same=True)
         p = self.field.characteristic
-        zero = self.field.zero
-        out, support = [], []
-        for ra, rb, sa, sb in zip(self.entries, other.entries, self.support, other.support):
-            if not sb:
+        out = []
+        for ra, rb in zip(self.nonzeros, other.nonzeros):
+            if not rb:
                 out.append(ra)
-                support.append(sa)
                 continue
-            row = list(ra)
-            cols = dict.fromkeys(sa)  # ordered set of the nonzero columns
-            for c in sb:
-                x = ra[c] - rb[c] if subtract else ra[c] + rb[c]
+            row = dict(ra)
+            for c, y in rb.items():
+                x = row.get(c, 0) - y if subtract else row.get(c, 0) + y
                 if p:
                     x %= p
                 if x:
                     row[c] = x
-                    cols[c] = None
                 else:
-                    row[c] = zero
-                    del cols[c]
-            out.append(tuple(row))
-            support.append(tuple(cols))
-        return _with_support(Matrix(self.field, self.rows, self.cols, tuple(out)),
-                             tuple(support))
+                    del row[c]
+            out.append(row)
+        return Matrix.from_nonzeros(self.field, self.rows, self.cols, tuple(out))
 
     def neg(self) -> "Matrix":
         p = self.field.characteristic
-        out = []
-        for ra, sa in zip(self.entries, self.support):
-            row = list(ra)
-            for c in sa:
-                row[c] = p - ra[c] if p else -ra[c]
-            out.append(tuple(row))
-        return _with_support(Matrix(self.field, self.rows, self.cols, tuple(out)),
-                             self.support)
+        if p:
+            out = tuple({c: p - x for c, x in row.items()} for row in self.nonzeros)
+        else:
+            out = tuple({c: -x for c, x in row.items()} for row in self.nonzeros)
+        return Matrix.from_nonzeros(self.field, self.rows, self.cols, out)
 
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)
+        if not c:
+            return Matrix.zero(self.field, self.rows, self.cols)
         p = self.field.characteristic
         if p:
-            rows = tuple(tuple(c * a % p if a else a for a in row) for row in self.entries)
+            out = tuple({k: c * x % p for k, x in row.items()} for row in self.nonzeros)
         else:
-            rows = tuple(tuple(c * a if a else a for a in row) for row in self.entries)
-        return Matrix(self.field, self.rows, self.cols, rows)
+            out = tuple({k: c * x for k, x in row.items()} for row in self.nonzeros)
+        return Matrix.from_nonzeros(self.field, self.rows, self.cols, out)
 
     def mul(self, other: "Matrix") -> "Matrix":
         """Matrix product over the nonzeros of both factors."""
@@ -343,63 +336,49 @@ class Matrix(Frozen):
         if self.cols != other.rows:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        b_entries, b_support = other.entries, other.support
-        return _product(self, other.cols,
-                        lambda k: [(c, b_entries[k][c]) for c in b_support[k]])
+        right = other.nonzeros
+        return _product(self, other.cols, lambda k: right[k].items())
 
     def apply(self, vector: Sequence) -> tuple:
         """Matrix times column vector."""
         if len(vector) != self.cols:
             raise DimensionMismatchError(f"vector length {len(vector)} != cols {self.cols}")
-        f = self.field
-        p = f.characteristic
-        zero = f.zero
-        support = [(c, v) for c, v in enumerate(vector) if v]
+        p = self.field.characteristic
+        zero = self.field.zero
         out = []
-        for row in self.entries:
+        for row in self.nonzeros:
             s = 0
-            for c, v in support:
-                a = row[c]
-                if a:
+            for c, a in row.items():
+                v = vector[c]
+                if v:
                     s += a * v
             out.append(s % p if p else (s if s else zero))
         return tuple(out)
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        same_field(self.field, other.field)
-        if self.rows != other.rows:
-            raise DimensionMismatchError("hstack row mismatch")
-        return Matrix(self.field, self.rows, self.cols + other.cols,
-                      tuple(ra + rb for ra, rb in zip(self.entries, other.entries)))
 
     def vstack(self, other: "Matrix") -> "Matrix":
         same_field(self.field, other.field)
         if self.cols != other.cols:
             raise DimensionMismatchError("vstack col mismatch")
-        return Matrix(self.field, self.rows + other.rows, self.cols,
-                      self.entries + other.entries)
+        return Matrix.from_nonzeros(self.field, self.rows + other.rows, self.cols,
+                                    self.nonzeros + other.nonzeros)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; index order (i*other.rows + k, j*other.cols + l)."""
         same_field(self.field, other.field)
-        f = self.field
-        p = f.characteristic
+        p = self.field.characteristic
         width = other.cols
-        blank = [f.zero] * (self.cols * width)
-        out, support = [], []
-        for arow, acols in zip(self.entries, self.support):
-            for brow, bcols in zip(other.entries, other.support):
-                row = blank.copy()
-                nonzero = []
-                for j in acols:  # a product of nonzeros is nonzero in a field
-                    a, base = arow[j], j * width
-                    for l in bcols:
-                        row[base + l] = a * brow[l] % p if p else a * brow[l]
-                        nonzero.append(base + l)
-                out.append(tuple(row))
-                support.append(tuple(nonzero))
-        return _with_support(Matrix(f, self.rows * other.rows, self.cols * width, tuple(out)),
-                             tuple(support))
+        out = []
+        for arow in self.nonzeros:
+            shifted = [(j * width, a) for j, a in arow.items()]
+            for brow in other.nonzeros:  # a product of nonzeros is nonzero in a field
+                if p:
+                    out.append({base + l: a * b % p for base, a in shifted
+                                for l, b in brow.items()})
+                else:
+                    out.append({base + l: a * b for base, a in shifted
+                                for l, b in brow.items()})
+        return Matrix.from_nonzeros(self.field, self.rows * other.rows, self.cols * width,
+                                    tuple(out))
 
     def _check_shape(self, other: "Matrix", same: bool = False):
         same_field(self.field, other.field)
@@ -416,19 +395,15 @@ def block_matrix(field: Field, row_dims: Sequence[int], col_dims: Sequence[int],
     """Assemble a matrix from a sparse dict {(block_row, block_col): Matrix}."""
     row_off = _offsets(row_dims)
     col_off = _offsets(col_dims)
-    total_r, total_c = sum(row_dims), sum(col_dims)
-    grid = [[field.zero] * total_c for _ in range(total_r)]
-    support = [[] for _ in range(total_r)]
+    out = tuple({} for _ in range(sum(row_dims)))
     for (br, bc), m in blocks.items():
         if m.rows != row_dims[br] or m.cols != col_dims[bc]:
             raise DimensionMismatchError(f"block ({br},{bc}) has shape {m.rows}x{m.cols}")
-        r0, c0 = row_off[br], col_off[bc]
-        for r in range(m.rows):
-            row = m.entries[r]
-            grid[r0 + r][c0:c0 + m.cols] = list(row)
-            support[r0 + r].extend(c0 + c for c in m.support[r])
-    return _with_support(Matrix(field, total_r, total_c, tuple(tuple(r) for r in grid)),
-                         tuple(tuple(s) for s in support))
+        c0 = col_off[bc]
+        for r, row in enumerate(m.nonzeros, row_off[br]):
+            if row:
+                out[r].update({c0 + c: x for c, x in row.items()} if c0 else row)
+    return Matrix.from_nonzeros(field, len(out), sum(col_dims), out)
 
 
 def mul_kron_identity(a: Matrix, x: Matrix, n: int) -> Matrix:
@@ -441,11 +416,11 @@ def mul_kron_identity(a: Matrix, x: Matrix, n: int) -> Matrix:
     if a.cols != x.rows * n:
         raise DimensionMismatchError(
             f"cannot multiply {a.rows}x{a.cols} by ({x.rows}x{x.cols}) kron I_{n}")
-    x_entries, x_support = x.entries, x.support
+    x_rows = x.nonzeros
 
     def right_row(k):
         i, s = divmod(k, n)
-        return [(j * n + s, x_entries[i][j]) for j in x_support[i]]
+        return [(j * n + s, v) for j, v in x_rows[i].items()]
 
     return _product(a, x.cols * n, right_row)
 
@@ -453,15 +428,12 @@ def mul_kron_identity(a: Matrix, x: Matrix, n: int) -> Matrix:
 def _product(a: Matrix, ncols: int, right_row) -> Matrix:
     """a times the ncols-column matrix whose row k has the nonzeros
     ``right_row(k)``, as (column, value) pairs; each row is asked for once."""
-    f = a.field
-    p = f.characteristic
-    blank = [f.zero] * ncols
+    p = a.field.characteristic
     right: dict = {}
-    out, support = [], []
-    for row, cols in zip(a.entries, a.support):
+    out = []
+    for row in a.nonzeros:
         acc: dict = {}
-        for k in cols:
-            av = row[k]
+        for k, av in row.items():
             pairs = right.get(k)
             if pairs is None:
                 pairs = right[k] = right_row(k)
@@ -472,23 +444,11 @@ def _product(a: Matrix, ncols: int, right_row) -> Matrix:
                 for c, b in pairs:
                     y = acc.get(c)
                     acc[c] = av * b if y is None else y + av * b
-        new = blank.copy()
-        nonzero = []
-        for c, y in acc.items():
-            if p:
-                y %= p
-            if y:
-                new[c] = y
-                nonzero.append(c)
-        out.append(tuple(new))
-        support.append(tuple(nonzero))
-    return _with_support(Matrix(f, a.rows, ncols, tuple(out)), tuple(support))
-
-
-def _with_support(m: Matrix, support: tuple) -> Matrix:
-    """m with its row supports (``Matrix.support``) already known."""
-    m.__dict__["support"] = support
-    return m
+        if p:
+            out.append({c: y for c, x in acc.items() if (y := x % p)})
+        else:
+            out.append({c: y for c, y in acc.items() if y})
+    return Matrix.from_nonzeros(a.field, a.rows, ncols, tuple(out))
 
 
 def _offsets(dims: Sequence[int]):
@@ -499,26 +459,16 @@ def _offsets(dims: Sequence[int]):
     return out
 
 
-# ---------------------------------------------------------------------------
-# Row reduction and derived operations
-# ---------------------------------------------------------------------------
-
-def _sparse_rows(rows: Iterable[Sequence]) -> list:
-    """Dense rows as ``{column: value}`` dicts of their nonzeros."""
-    return [{c: row[c] for c in compress(range(len(row)), row)} for row in rows]
-
-
-def _matrix_rows(m: Matrix) -> list:
-    """The rows of m as ``{column: value}`` dicts of their nonzeros."""
-    return [{c: row[c] for c in cols} for row, cols in zip(m.entries, m.support)]
-
-
 def _dense_row(field: Field, row: dict, ncols: int) -> tuple:
     out = [field.zero] * ncols
     for c, x in row.items():
         out[c] = x
     return tuple(out)
 
+
+# ---------------------------------------------------------------------------
+# Row reduction and derived operations
+# ---------------------------------------------------------------------------
 
 def _eliminate(field: Field, rows: list, reduce: bool) -> tuple[list, list]:
     """Row echelon form of sparse rows; returns (pivot_rows, pivot_columns).
@@ -596,15 +546,20 @@ def _clear(row: dict, prow: dict, c: int, p: int) -> None:
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """Reduced row-echelon form and rank (= number of nonzero rows)."""
-    rows, _ = _eliminate(m.field, _matrix_rows(m), reduce=True)
-    dense = [_dense_row(m.field, row, m.cols) for row in rows]
-    dense.extend(Matrix.zero(m.field, m.rows - len(rows), m.cols).entries)
-    return Matrix(m.field, m.rows, m.cols, tuple(dense)), len(rows)
+    rows, _ = _eliminate(m.field, _copy_rows(m), reduce=True)
+    r = len(rows)
+    rows.extend({} for _ in range(m.rows - r))
+    return Matrix.from_nonzeros(m.field, m.rows, m.cols, tuple(rows)), r
 
 
 def rank(m: Matrix) -> int:
-    _, pivots = _eliminate(m.field, _matrix_rows(m), reduce=False)
+    _, pivots = _eliminate(m.field, _copy_rows(m), reduce=False)
     return len(pivots)
+
+
+def _copy_rows(m: Matrix) -> list:
+    """m's row dicts, copied for ``_eliminate`` to consume."""
+    return [dict(row) for row in m.nonzeros]
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +570,8 @@ class Subspace(Frozen):
     """Subspace of k^ambient_dim by its RREF basis (rows = basis vectors).
 
     The RREF basis is the canonical representative: two subspaces are equal
-    iff their basis matrices are identical.
+    iff their basis matrices are equal.  Each basis row dict lists its
+    nonzeros in column order, pivot first.
     """
 
     _fields = ("ambient_dim", "basis")
@@ -627,24 +583,25 @@ class Subspace(Frozen):
 
     @staticmethod
     def from_vectors(field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        coerce, zero = field.coerce, field.zero
-        vecs = [[coerce(x) if x else zero for x in v] for v in vectors]
-        for v in vecs:
+        coerce = field.coerce
+        rows = []
+        for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionMismatchError(f"vector length {len(v)} != ambient {ambient_dim}")
-        return Subspace.from_sparse(field, ambient_dim, _sparse_rows(vecs))
+            rows.append({c: y for c, x in enumerate(v) if x and (y := coerce(x))})
+        return Subspace.from_sparse(field, ambient_dim, rows)
 
     @staticmethod
     def from_sparse(field: Field, ambient_dim: int, rows: list) -> "Subspace":
         """Span of vectors given as ``{column: value}`` dicts of canonical
         nonzero entries; the dicts are consumed."""
         rows, _ = _eliminate(field, rows, reduce=True)
-        keep = tuple(_dense_row(field, row, ambient_dim) for row in rows)
-        return Subspace(ambient_dim, Matrix(field, len(keep), ambient_dim, keep))
+        basis = tuple(dict(sorted(row.items())) for row in rows)
+        return Subspace(ambient_dim, Matrix.from_nonzeros(field, len(basis), ambient_dim, basis))
 
     @staticmethod
     def zero(field: Field, ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix(field, 0, ambient_dim, ()))
+        return Subspace(ambient_dim, Matrix.zero(field, 0, ambient_dim))
 
     @staticmethod
     def full(field: Field, ambient_dim: int) -> "Subspace":
@@ -662,7 +619,7 @@ class Subspace(Frozen):
     def sparse_basis(self) -> tuple:
         """Each basis row as a ``{column: value}`` dict of its nonzeros, in
         column order; the first key is the row's pivot, with value 1."""
-        return tuple(_matrix_rows(self.basis))
+        return self.basis.nonzeros
 
     @cached_property
     def _pivots(self) -> tuple[int, ...]:
@@ -693,7 +650,7 @@ class Subspace(Frozen):
         return not acc
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.basis.entries)
+        return all(self.contains_sparse(row) for row in other.sparse_basis)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)
@@ -705,55 +662,60 @@ class Subspace(Frozen):
 
     @cached_property
     def _hash(self) -> int:
-        # subspaces key the quotient caches of a covering; hashing the
-        # basis entries (Fraction hashes over Q) once per subspace is enough
-        return hash((self.ambient_dim, self.basis.entries))
+        # subspaces key the quotient caches of a covering: hash once each
+        return hash((self.ambient_dim, self.basis))
 
 
 def kernel_basis(m: Matrix) -> Subspace:
     """Null space of m as a subspace of the domain k^cols."""
     f = m.field
-    zero, one, neg = f.zero, f.one, f.neg
-    rows, pivots = _eliminate(f, _matrix_rows(m), reduce=True)
+    one, neg = f.one, f.neg
+    rows, pivots = _eliminate(f, _copy_rows(m), reduce=True)
+    return Subspace.from_sparse(f, m.cols, _free_axes(m.cols, rows, pivots, one, neg))
+
+
+def _free_axes(n: int, rows: list, pivots: Sequence[int], one, neg) -> list:
+    """For RREF rows with these pivots, one vector per non-pivot column fc:
+    1 at fc and -row[fc] at each row's pivot, as {column: value} dicts."""
     pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [zero] * m.cols
-        v[fc] = one
-        for row, pc in zip(rows, pivots):
-            x = row.get(fc)
-            if x:
-                v[pc] = neg(x)
-        basis.append(v)
-    return Subspace.from_vectors(f, m.cols, basis)
+    out, index = [], {}
+    for fc in range(n):
+        if fc not in pivot_set:
+            index[fc] = len(out)
+            out.append({fc: one})
+    for row, pc in zip(rows, pivots):
+        for c, x in row.items():
+            t = index.get(c)
+            if t is not None:
+                out[t][pc] = neg(x)
+    return out
 
 
 def image_basis(m: Matrix) -> Subspace:
     """Column space of m as a subspace of the codomain k^rows."""
-    return Subspace.from_vectors(m.field, m.rows, [m.column(c) for c in range(m.cols)])
+    return Subspace.from_sparse(m.field, m.rows, list(m.transpose().nonzeros))
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     _check_ambient(u, v)
-    return Subspace.from_vectors(u.field, u.ambient_dim,
-                                 list(u.basis.entries) + list(v.basis.entries))
+    return Subspace.from_sparse(u.field, u.ambient_dim,
+                                [dict(row) for row in u.sparse_basis + v.sparse_basis])
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     """Zassenhaus: RREF of [[U,U],[V,0]]; zero-left rows give the intersection."""
     _check_ambient(u, v)
-    f = u.field
     n = u.ambient_dim
     rows = []
-    for r in _matrix_rows(u.basis):
+    for r in u.sparse_basis:
+        r = dict(r)
         r.update({c + n: x for c, x in r.items()})
         rows.append(r)
-    rows.extend(_matrix_rows(v.basis))
-    reduced, pivots = _eliminate(f, rows, reduce=True)
-    out = [_dense_row(f, {c - n: x for c, x in row.items()}, n)
+    rows.extend(dict(r) for r in v.sparse_basis)
+    reduced, pivots = _eliminate(u.field, rows, reduce=True)
+    out = [{c - n: x for c, x in row.items()}
            for row, pc in zip(reduced, pivots) if pc >= n]
-    return Subspace.from_vectors(f, n, out)
+    return Subspace.from_sparse(u.field, n, out)
 
 
 def intersect_many(spaces: Sequence[Subspace]) -> Subspace:
@@ -785,32 +747,21 @@ def quotient_map(ambient_dim: int, w: Subspace) -> Matrix:
     if w.ambient_dim != ambient_dim:
         raise DimensionMismatchError("subspace/ambient mismatch")
     f = w.field
-    zero, one, neg = f.zero, f.one, f.neg
-    pivots = w.pivot_columns()
-    pivot_set = set(pivots)
-    free = [c for c in range(ambient_dim) if c not in pivot_set]
-    rows = []
-    for fc in free:
-        row = [zero] * ambient_dim
-        row[fc] = one
-        for r, pc in enumerate(pivots):
-            row[pc] = neg(w.basis.entries[r][fc])
-        rows.append(tuple(row))
-    return Matrix(f, len(free), ambient_dim, tuple(rows))
+    rows = _free_axes(ambient_dim, w.sparse_basis, w.pivot_columns(), f.one, f.neg)
+    return Matrix.from_nonzeros(f, len(rows), ambient_dim, tuple(rows))
 
 
 def quotient_section(ambient_dim: int, w: Subspace) -> Matrix:
     """Section s of quotient_map: s sends unit t to the t-th non-pivot axis."""
     if w.ambient_dim != ambient_dim:
         raise DimensionMismatchError("subspace/ambient mismatch")
-    f = w.field
-    zero, one = f.zero, f.one
+    one = w.field.one
     pivot_set = set(w.pivot_columns())
-    free = [c for c in range(ambient_dim) if c not in pivot_set]
-    rows = []
+    rows, t = [], 0
     for r in range(ambient_dim):
-        row = [zero] * len(free)
-        if r in free:
-            row[free.index(r)] = one
-        rows.append(tuple(row))
-    return Matrix(f, ambient_dim, len(free), tuple(rows))
+        if r in pivot_set:
+            rows.append({})
+        else:
+            rows.append({t: one})
+            t += 1
+    return Matrix.from_nonzeros(w.field, ambient_dim, t, tuple(rows))

@@ -100,15 +100,14 @@ def nerve_cohomology(cd: CoverDescription) -> list[int]:
     for d in range(top):
         rows = len(simplices[d + 1])
         cols = len(simplices[d])
-        grid = [[field.zero] * cols for _ in range(rows)]
-        for r, s in enumerate(simplices[d + 1]):
-            sign = field.one
-            for k in range(len(s)):
-                face = s[:k] + s[k + 1:]
-                c = index[d][face]
-                grid[r][c] = field.add(grid[r][c], sign)
+        out = []
+        for s in simplices[d + 1]:
+            row, sign = {}, field.one
+            for k in range(len(s)):  # the faces of a simplex are distinct
+                row[index[d][s[:k] + s[k + 1:]]] = sign
                 sign = field.neg(sign)
-        deltas.append(Matrix(field, rows, cols, tuple(tuple(r) for r in grid)))
+            out.append(row)
+        deltas.append(Matrix.from_nonzeros(field, rows, cols, tuple(out)))
 
     ranks = [0] + [rank(delta) for delta in deltas] + [0]
     return [len(simplices[d]) - ranks[d + 1] - ranks[d] for d in range(top + 1)]

@@ -49,7 +49,8 @@ from .complexes import WordSpace
 from .coverings import Covering, completeness_check
 from .errors import DimensionCapError, DimensionMismatchError, StructureError
 from .linalg import (
-    QQ, Field, Matrix, Subspace, mul_kron_identity, quotient_map, quotient_section,
+    QQ, Field, Matrix, Subspace, block_matrix, mul_kron_identity, quotient_map,
+    quotient_section,
 )
 from .nerve import CoverDescription
 from .records import Frozen
@@ -139,14 +140,12 @@ def validate_bimodule(m: Bimodule) -> None:
             if m.left[i].mul(m.right[j]) != m.right[j].mul(m.left[i]):
                 raise StructureError(f"left and right actions do not commute at ({i},{j})",
                                      witness=("commute", i, j))
-    zero = f.zero
     for mats in (m.left, m.right):
         for mat in mats:
             for b in m.blocks:
                 for r in range(b.offset, b.offset + b.dim):
-                    row = mat.entries[r]
-                    for c in range(m.dim):
-                        if not (b.offset <= c < b.offset + b.dim) and row[c] != zero:
+                    for c in mat.support[r]:
+                        if not (b.offset <= c < b.offset + b.dim):
                             raise StructureError("action is not block diagonal",
                                                  witness=("block", b.word, r, c))
 
@@ -176,24 +175,22 @@ def b_bimodule(c: Covering) -> Bimodule:
             im = pi.apply(e)
             lbl.append(ai.left_mult_matrix(im))
             rbl.append(ai.right_mult_matrix(im))
-        left.append(_block_diag(f, total, blocks, lbl))
-        right.append(_block_diag(f, total, blocks, rbl))
+        left.append(_block_diag(f, blocks, lbl))
+        right.append(_block_diag(f, blocks, rbl))
     return Bimodule(a, total, tuple(left), tuple(right), tuple(blocks), "patch-sum")
 
 
-def _block_diag(field, total: int, blocks: Sequence[TensorBlock],
-                mats: Sequence[Matrix]) -> Matrix:
-    grid = [[field.zero] * total for _ in range(total)]
-    for b, m in zip(blocks, mats):
-        for r, cols in enumerate(m.support):
-            row, out = m.entries[r], grid[b.offset + r]
-            for ci in cols:
-                out[b.offset + ci] = row[ci]
-    return Matrix(field, total, total, tuple(tuple(r) for r in grid))
+def _block_diag(field, blocks: Sequence[TensorBlock], mats: Sequence[Matrix]) -> Matrix:
+    """The block-diagonal matrix with mats[k] on the block of blocks[k]; the
+    blocks tile the space in order."""
+    dims = [b.dim for b in blocks]
+    return block_matrix(field, dims, dims, {(k, k): m for k, m in enumerate(mats)})
 
 
 def _slice(m: Matrix, r0: int, rn: int, c0: int, cn: int) -> Matrix:
-    return Matrix(m.field, rn, cn, tuple(row[c0:c0 + cn] for row in m.entries[r0:r0 + rn]))
+    return Matrix.from_nonzeros(m.field, rn, cn, tuple(
+        {c - c0: x for c, x in row.items() if c0 <= c < c0 + cn}
+        for row in m.nonzeros[r0:r0 + rn]))
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +226,15 @@ def _tensor_with_section(m: Bimodule, n: Bimodule, check: bool = False):
             for am in range(a.dim):
                 ra = _slice(m.right[am], u.offset, du, u.offset, du)
                 la = _slice(n.left[am], v.offset, dv, v.offset, dv)
+                la_cols = [la.column(yi) for yi in range(dv)]
                 for xi in range(du):
-                    col_r = [ra.entries[r][xi] for r in range(du)]
+                    col_r = ra.column(xi)
                     for yi in range(dv):
                         vec = [zero] * (du * dv)
                         for r, cr in enumerate(col_r):
                             if cr:
                                 vec[r * dv + yi] = cr
-                        for s in range(dv):
-                            cl = la.entries[s][yi]
+                        for s, cl in enumerate(la_cols[yi]):
                             if cl:
                                 vec[xi * dv + s] = f.sub(vec[xi * dv + s], cl)
                         t = tuple(vec)
@@ -252,21 +249,20 @@ def _tensor_with_section(m: Bimodule, n: Bimodule, check: bool = False):
             off += q.rows
 
     total = off
-    proj_grid = [[zero] * raw_dim for _ in range(total)]
-    sect_grid = [[zero] * total for _ in range(raw_dim)]
+    proj_rows = tuple({} for _ in range(total))
+    sect_rows = tuple({} for _ in range(raw_dim))
     for nb, (q, s, u, v) in zip(new_blocks, local):
-        for r, cols in enumerate(q.support):
-            for lc in cols:
+        for r, row in enumerate(q.nonzeros, nb.offset):
+            for lc, x in row.items():
                 xi, yi = divmod(lc, v.dim)
-                proj_grid[nb.offset + r][(u.offset + xi) * n.dim + (v.offset + yi)] = \
-                    q.entries[r][lc]
-        for lr, cols in enumerate(s.support):
+                proj_rows[r][(u.offset + xi) * n.dim + (v.offset + yi)] = x
+        for lr, row in enumerate(s.nonzeros):
             xi, yi = divmod(lr, v.dim)
-            for c in cols:
-                sect_grid[(u.offset + xi) * n.dim + (v.offset + yi)][nb.offset + c] = \
-                    s.entries[lr][c]
-    proj = Matrix(f, total, raw_dim, tuple(tuple(r) for r in proj_grid))
-    sect = Matrix(f, raw_dim, total, tuple(tuple(r) for r in sect_grid))
+            target = sect_rows[(u.offset + xi) * n.dim + (v.offset + yi)]
+            for c, x in row.items():
+                target[nb.offset + c] = x
+    proj = Matrix.from_nonzeros(f, total, raw_dim, proj_rows)
+    sect = Matrix.from_nonzeros(f, raw_dim, total, sect_rows)
 
     idents = {d: Matrix.identity(f, d) for d in {b.dim for b in m.blocks + n.blocks}}
     left, right = [], []
@@ -282,8 +278,8 @@ def _tensor_with_section(m: Bimodule, n: Bimodule, check: bool = False):
         for nb, (q, s, u, v) in zip(new_blocks, local):
             mats.append(q.mul(la[u, v.dim]).mul(s))
             rmats.append(q.mul(ra[u.dim, v]).mul(s))
-        left.append(_block_diag(f, total, new_blocks, mats))
-        right.append(_block_diag(f, total, new_blocks, rmats))
+        left.append(_block_diag(f, new_blocks, mats))
+        right.append(_block_diag(f, new_blocks, rmats))
 
     out = Bimodule(a, total, tuple(left), tuple(right), tuple(new_blocks),
                    f"({m.provenance})(x)_A({n.provenance})")

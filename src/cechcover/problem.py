@@ -172,12 +172,16 @@ def algebra_to_json(a: Algebra) -> dict:
 
 
 def _parse_tuple_key(key: str, n: int, loc: str) -> tuple:
-    if key == "":
-        return ()
+    """The tuple a key names; only ``tuple_to_key``'s spelling is accepted,
+    so no two keys name the same tuple."""
     try:
-        t = tuple(int(x) for x in key.split(","))
+        t = tuple(int(x) for x in key.split(",")) if key else ()
     except ValueError:
         raise ProblemFormatError(f"bad tuple key {key!r}", loc)
+    if tuple_to_key(t) != key:
+        raise ProblemFormatError(
+            f"tuple key {key!r} is not comma-joined decimal indices; write {tuple_to_key(t)!r}",
+            loc)
     if list(t) != sorted(set(t)) or (t and (t[0] < 1 or t[-1] > n)):
         raise ProblemFormatError(f"tuple key {key!r} is not an increasing tuple in 1..{n}", loc)
     return t
@@ -284,13 +288,24 @@ def load_problem(path: str, field_override: Optional[Field] = None):
     except OSError as exc:
         raise ProblemFormatError(str(exc), str(path))
     try:
-        doc = json.loads(data)
+        doc = json.loads(data, object_pairs_hook=_unique_keys)
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ProblemFormatError(f"invalid JSON: {exc}", str(path))
     except RecursionError:
         raise ProblemFormatError("invalid JSON: nested too deeply", str(path))
     problem = parse_problem(doc, field_override)
     return problem, sha256(data).hexdigest()
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a repeated key is an error, not a silent
+    replacement."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen: set = set()
+        repeated = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError(f"key {repeated!r} appears twice in one object")
+    return doc
 
 
 def normalize(problem: Problem) -> dict:

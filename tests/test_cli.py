@@ -383,3 +383,72 @@ def test_unwritable_output_is_exit_2(capsys, tmp_path, problems_dir):
     assert code == 2 and out == ""
     assert err.startswith("output error: ") and str(target) in err
     assert not target.exists()
+
+
+_PLANE = {"dim": 2, "mul": [[0, 0, 0, 1], [1, 1, 1, 1]], "unit": [1, 1]}
+_IDENT = [[1, 0], [0, 1]]
+_RINGS = {"": _PLANE, "1": _PLANE, "2": _PLANE, "1,2": _PLANE}
+_STEPS = {"->1": _IDENT, "->2": _IDENT, "1->1,2": _IDENT, "2->1,2": _IDENT}
+
+
+def _explicit_doc(rings: dict, restrictions: dict) -> dict:
+    return {"field": "Q",
+            "functor": {"explicit": {"n": 2, "rings": rings, "restrictions": restrictions}}}
+
+
+def _respell(keys: dict, old: str, new: str, keep: bool) -> dict:
+    """``keys`` with the entry of ``old`` also under ``new``; ``old`` stays only with ``keep``."""
+    out = {k: v for k, v in keys.items() if keep or k != old}
+    out[new] = keys[old]
+    return out
+
+
+@pytest.mark.parametrize("section,old,new,keep", [
+    ("rings", "2", "+2", False),
+    ("rings", "2", " 2", False),
+    ("rings", "2", "٢", False),  # ARABIC-INDIC DIGIT TWO
+    ("rings", "2", "1_0", False),
+    ("rings", "1,2", "1, 2", False),
+    ("rings", "2", "+2", True),
+    ("restrictions", "->2", "->+2", False),
+    ("restrictions", "2->1,2", "٢->1,2", False),
+    ("restrictions", "->1", "->1_0", False),
+    ("restrictions", "1->1,2", "1->1, 2", False),
+    ("restrictions", "->2", "-> 2", True),
+], ids=["rings-plus", "rings-space", "rings-arabic-indic", "rings-underscore", "rings-comma-space",
+        "rings-duplicate", "restrictions-plus", "restrictions-arabic-indic",
+        "restrictions-underscore", "restrictions-comma-space", "restrictions-duplicate"])
+def test_explicit_functor_keys_must_be_canonical(capsys, tmp_path, section, old, new, keep):
+    """Each tuple has one spelling, so two keys never name the same tuple."""
+    rings, steps = dict(_RINGS), dict(_STEPS)
+    if section == "rings":
+        rings = _respell(rings, old, new, keep)
+    else:
+        steps = _respell(steps, old, new, keep)
+    path = tmp_path / "keys.json"
+    path.write_text(json.dumps(_explicit_doc(rings, steps)))
+    code, out, err = run(capsys, "cech", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"input error: functor.explicit.{section}.")
+    assert "is not comma-joined decimal indices" in err
+
+
+def test_explicit_functor_with_canonical_keys_loads(capsys, tmp_path):
+    path = tmp_path / "keys.json"
+    path.write_text(json.dumps(_explicit_doc(_RINGS, _STEPS)))
+    code, report, _ = run_json(capsys, "cech", path)
+    assert code == 0
+    assert report["checks"]["functor_validation"] is True
+
+
+@pytest.mark.parametrize("section,key", [("rings", "2"), ("restrictions", "->2")])
+def test_a_repeated_json_key_is_an_input_error(capsys, tmp_path, section, key):
+    # json.loads alone keeps the last value of a repeated key without a word
+    text = json.dumps(_explicit_doc(_RINGS, _STEPS))
+    first = f'"{section}": {{'
+    text = text.replace(first, f"{first}{json.dumps(key)}: {json.dumps(_PLANE)}, ", 1)
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "cech", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err == f"input error: {path}: invalid JSON: key {key!r} appears twice in one object\n"

@@ -12,8 +12,8 @@ import random
 from fractions import Fraction
 
 from cechcover.linalg import (
-    GF, QQ, Field, Matrix, Subspace, kernel_basis, mul_kron_identity, rank, rref,
-    subspace_intersect,
+    GF, QQ, Field, Matrix, Subspace, block_matrix, image_basis, kernel_basis,
+    mul_kron_identity, rank, rref, subspace_intersect, subspace_sum,
 )
 
 FIELDS = (QQ, GF(2), GF(5), GF(1000003))
@@ -153,6 +153,17 @@ def assert_canonical(field: Field, m: Matrix):
                 assert type(x) is int and 0 <= x < field.p
 
 
+def assert_stored(m: Matrix):
+    """A matrix stores no zero, and its dense view rebuilds an equal matrix
+    with an equal hash."""
+    assert len(m.nonzeros) == m.rows
+    for row in m.nonzeros:
+        assert all(0 <= c < m.cols for c in row)
+        assert all(row.values())
+    again = Matrix(m.field, m.rows, m.cols, m.entries)
+    assert again == m and hash(again) == hash(m)
+
+
 def test_sparse_kernel_matches_dense_reference():
     # 4 fields x 140 = 560 matrices
     rng = random.Random(20070)
@@ -194,6 +205,7 @@ def test_mul_matches_naive_product():
             assert prod.entries == naive_mul(a, b)
             assert (prod.rows, prod.cols) == (a.rows, b.cols)
             assert_canonical(field, prod)
+            assert_stored(prod)
 
 
 def test_mul_kron_identity_matches_naive_product():
@@ -209,6 +221,7 @@ def test_mul_kron_identity_matches_naive_product():
             assert prod.entries == naive_mul(a, x.kron(Matrix.identity(field, n)))
             assert (prod.rows, prod.cols) == (a.rows, x.cols * n)
             assert_canonical(field, prod)
+            assert_stored(prod)
 
 
 def test_mul_reduces_unreduced_sums_mod_p():
@@ -225,6 +238,45 @@ def test_mul_reduces_unreduced_sums_mod_p():
             prod = a.mul(b)
             assert prod.entries == naive_mul(a, b)
             assert_canonical(field, prod)
+            assert_stored(prod)
+
+
+def test_mul_cancels_to_stored_zeros():
+    # the first two rows of each product sum terms that cancel: 1 - 1 over Q,
+    # and p - 1 + 1 over F_p
+    for field in FIELDS:
+        a = Matrix.from_rows(field, [[1, 1, 0], [0, 1, 1], [1, 0, 0]])
+        b = Matrix.from_rows(field, [[1, -1], [-1, 1], [1, -1]])
+        k = Matrix.from_rows(field, [[1, 0, -1, 0], [0, 1, 0, -1], [1, 0, 0, 0]])
+        x = Matrix.from_rows(field, [[1], [1]])
+        for prod, expected in ((a.mul(b), naive_mul(a, b)),
+                               (mul_kron_identity(k, x, 2),
+                                naive_mul(k, x.kron(Matrix.identity(field, 2))))):
+            assert prod.entries == expected
+            assert prod.nonzeros[0] == prod.nonzeros[1] == {}
+            assert prod.nonzeros[2]
+            assert_stored(prod)
+
+
+def test_routes_to_one_matrix_or_subspace_agree_as_keys():
+    # Covering keys its lattice by Subspace, so equal values must hash equal
+    # whatever order their row dicts were filled in
+    for field in FIELDS:
+        prod = Matrix.from_rows(field, [[1, 1]]).mul(Matrix.from_rows(field, [[0, 0, 1],
+                                                                           [1, 0, 0]]))
+        assert list(prod.nonzeros[0]) == [2, 0]  # filled out of column order
+        dense = Matrix.from_rows(field, [[1, 0, 1]])
+        assert prod == dense and hash(prod) == hash(dense)
+        assert {prod: "prod"}[dense] == "prod" and len({prod, dense}) == 1
+
+        spans = [Subspace.from_sparse(field, 3, [dict(row) for row in prod.nonzeros]),
+                 Subspace.from_vectors(field, 3, dense.entries),
+                 image_basis(prod.transpose()),
+                 subspace_sum(Subspace.zero(field, 3), image_basis(dense.transpose()))]
+        for span in spans:
+            assert span == spans[0] and hash(span) == hash(spans[0])
+            assert [list(row) for row in span.sparse_basis] == [[0, 2]]  # pivot first
+        assert len(set(spans)) == 1 and {spans[0]: "span"}[spans[-1]] == "span"
 
 
 def test_entrywise_ops_kron_and_apply_match_field_ops():
@@ -238,20 +290,39 @@ def test_entrywise_ops_kron_and_apply_match_field_ops():
             pairs = [list(zip(ra, rb)) for ra, rb in zip(a.entries, b.entries)]
             c = field.coerce(random_scalar(rng, field))
             v = tuple(field.coerce(random_scalar(rng, field)) for _ in range(cols))
+            p = field.characteristic
+            zeros = tuple((field.zero,) * cols for _ in range(a.rows))
             expected = {
                 "add": tuple(tuple(field.add(x, y) for x, y in row) for row in pairs),
                 "sub": tuple(tuple(field.sub(x, y) for x, y in row) for row in pairs),
+                "sub-self": zeros,  # every term cancels
+                "add-neg": zeros,
                 "neg": tuple(tuple(field.neg(x) for x in row) for row in a.entries),
                 "scale": tuple(tuple(field.mul(c, x) for x in row) for row in a.entries),
+                "scale-by-p": zeros,  # 3p over F_p, 0 over Q
                 "kron": tuple(tuple(field.mul(a.entries[i][j], b.entries[k][l])
                                     for j in range(a.cols) for l in range(b.cols))
                               for i in range(a.rows) for k in range(b.rows)),
+                "transpose": tuple(zip(*a.entries)) if a.rows else (),
+                "vstack": a.entries + b.entries,
+                "block": tuple(ra + (field.zero,) * cols for ra in a.entries)
+                + tuple((field.zero,) * cols + rb for rb in b.entries)
+                + tuple(rb + rb for rb in b.entries),
             }
-            got = {"add": a.add(b), "sub": a.sub(b), "neg": a.neg(), "scale": a.scale(c),
-                   "kron": a.kron(b)}
+            got = {"add": a.add(b), "sub": a.sub(b), "sub-self": a.sub(a),
+                   "add-neg": a.add(a.neg()), "neg": a.neg(), "scale": a.scale(c),
+                   "scale-by-p": a.scale(3 * p), "kron": a.kron(b),
+                   "transpose": a.transpose(), "vstack": a.vstack(b),
+                   "block": block_matrix(field, [a.rows, b.rows, b.rows], [cols, cols],
+                                         {(0, 0): a, (1, 1): b, (2, 0): b, (2, 1): b})}
             for name, m in got.items():
+                if name == "transpose":
+                    assert (m.rows, m.cols) == (a.cols, a.rows)
+                    if not a.rows:
+                        continue
                 assert m.entries == expected[name], name
                 assert_canonical(field, m)
+                assert_stored(m)
             column = Matrix(field, cols, 1, tuple((x,) for x in v))
             applied = a.apply(v)
             assert applied == tuple(row[0] for row in naive_mul(a, column))
@@ -259,9 +330,8 @@ def test_entrywise_ops_kron_and_apply_match_field_ops():
 
 
 def test_zero_tests_agree_on_shared_and_fresh_zeros():
-    # Over Q the dense-row scans skip the shared QQ.zero by identity: zeros held
-    # in other Fraction objects must still read as zero, and a nonzero must be
-    # found wherever it sits.
+    # Zeros held in Fraction objects other than QQ.zero must read as zero, and
+    # a nonzero must be found wherever it sits.
     rng = random.Random(20074)
     for field in FIELDS:
         for rows, cols in ((1, 1), (3, 4), (4, 2)):
