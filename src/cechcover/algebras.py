@@ -17,7 +17,7 @@ the first failing triple is the first failing triple of the full check.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DimensionMismatchError, StructureError
 from .linalg import (
@@ -400,98 +400,63 @@ def quotient(a: Algebra, j: Ideal) -> tuple[Algebra, AlgebraHom]:
 # Stock constructions (used by tests, the CLI corpus, and random search)
 # ---------------------------------------------------------------------------
 
+def _basis_algebra(field: Field, labels: Sequence[str],
+                   product: Callable[[int, int], Optional[int]],
+                   unit: Iterable[int]) -> Algebra:
+    """The algebra on the basis ``labels`` where b_i * b_j is the basis
+    vector b_product(i, j), or zero where ``product`` gives None, and 1 is
+    the sum of the basis vectors whose indices ``unit`` lists."""
+    dim = len(labels)
+    one = field.one
+    terms = tuple(tuple(() if k is None else ((k, one),)
+                        for k in (product(i, j) for j in range(dim)))
+                  for i in range(dim))
+    ones = set(unit)
+    return algebra_from_terms(field, dim, terms,
+                              tuple(one if k in ones else field.zero for k in range(dim)), labels)
+
+
 def split_commutative(field: Field, n: int) -> Algebra:
     """k^n with coordinatewise product: e_i e_j = delta_ij e_i."""
-    z, o = field.zero, field.one
-    table = tuple(tuple(tuple(o if (i == j == k) else z for k in range(n)) for j in range(n))
-                  for i in range(n))
-    return make_algebra(field, n, table, (o,) * n,
-                        tuple(f"e{i + 1}" for i in range(n)))
+    return _basis_algebra(field, tuple(f"e{i + 1}" for i in range(n)),
+                          lambda i, j: i if i == j else None, range(n))
+
+
+def _matrix_units(field: Field, pairs: list) -> Algebra:
+    """The span of the matrix units e_ab for (a, b) in ``pairs``, in that
+    order, with e_ab e_cd = delta_bc e_ad; ``pairs`` holds every e_aa and
+    every e_ad such a product gives."""
+    index = {p: i for i, p in enumerate(pairs)}
+
+    def product(i: int, j: int) -> Optional[int]:
+        (a, b), (c, d) = pairs[i], pairs[j]
+        return index[(a, d)] if b == c else None
+
+    return _basis_algebra(field, tuple(f"e{a + 1}{b + 1}" for a, b in pairs), product,
+                          (i for i, (a, b) in enumerate(pairs) if a == b))
 
 
 def matrix_algebra(field: Field, n: int) -> Algebra:
     """M_n(k) on matrix units e_ab, row-major basis order."""
-    dim = n * n
-    z, o = field.zero, field.one
-
-    def unit_index(a, b):
-        return a * n + b
-
-    table = []
-    for i in range(dim):
-        ai, bi = divmod(i, n)
-        row = []
-        for j in range(dim):
-            aj, bj = divmod(j, n)
-            vec = [z] * dim
-            if bi == aj:
-                vec[unit_index(ai, bj)] = o
-            row.append(tuple(vec))
-        table.append(tuple(row))
-    unit = [z] * dim
-    for a in range(n):
-        unit[unit_index(a, a)] = o
-    return make_algebra(field, dim, tuple(table), tuple(unit),
-                        tuple(f"e{a + 1}{b + 1}" for a in range(n) for b in range(n)))
+    return _matrix_units(field, [(a, b) for a in range(n) for b in range(n)])
 
 
 def upper_triangular(field: Field, n: int) -> Algebra:
     """Upper-triangular n x n matrices on the units e_ab with a <= b."""
-    pairs = [(a, b) for a in range(n) for b in range(a, n)]
-    index = {p: i for i, p in enumerate(pairs)}
-    dim = len(pairs)
-    z, o = field.zero, field.one
-    table = []
-    for (ai, bi) in pairs:
-        row = []
-        for (aj, bj) in pairs:
-            vec = [z] * dim
-            if bi == aj:
-                vec[index[(ai, bj)]] = o
-            row.append(tuple(vec))
-        table.append(tuple(row))
-    unit = [z] * dim
-    for a in range(n):
-        unit[index[(a, a)]] = o
-    return make_algebra(field, dim, tuple(table), tuple(unit),
-                        tuple(f"e{a + 1}{b + 1}" for (a, b) in pairs))
+    return _matrix_units(field, [(a, b) for a in range(n) for b in range(a, n)])
 
 
 def truncated_polynomial(field: Field, n: int) -> Algebra:
     """k[x]/(x^n), basis 1, x, ..., x^(n-1)."""
-    z, o = field.zero, field.one
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            vec = [z] * n
-            if i + j < n:
-                vec[i + j] = o
-            row.append(tuple(vec))
-        table.append(tuple(row))
-    unit = [o] + [z] * (n - 1)
-    return make_algebra(field, n, tuple(table), tuple(unit),
-                        ("1",) + tuple(f"x^{k}" if k > 1 else "x" for k in range(1, n)))
+    labels = ("1", "x") + tuple(f"x^{k}" for k in range(2, n))
+    return _basis_algebra(field, labels[:n], lambda i, j: i + j if i + j < n else None, (0,))
 
 
 def square_zero(field: Field, m: int) -> Algebra:
     """k * 1 + m-dimensional radical with all radical products zero."""
-    n = m + 1
-    z, o = field.zero, field.one
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            vec = [z] * n
-            if i == 0:
-                vec[j] = o
-            elif j == 0:
-                vec[i] = o
-            row.append(tuple(vec))
-        table.append(tuple(row))
-    unit = [o] + [z] * m
-    return make_algebra(field, n, tuple(table), tuple(unit),
-                        ("1",) + tuple(f"x{k + 1}" for k in range(m)))
+    labels = ("1",) + tuple(f"x{k + 1}" for k in range(m))
+    return _basis_algebra(field, labels,
+                          lambda i, j: j if i == 0 else i if j == 0 else None, (0,))
 
 
 def direct_sum(a: Algebra, b: Algebra) -> Algebra:

@@ -38,6 +38,10 @@ from .errors import DimensionCapError, NotAComplexError
 from .linalg import Matrix, rank
 from .records import Frozen
 
+# the default bound on the coordinates of one degree, shared by the
+# problem files' ``dim_cap`` option
+DEFAULT_DIM_CAP = 20000
+
 
 def __getattr__(name: str):
     # bench/spans.py wraps TensorTower methods by name; this forwarder goes
@@ -81,7 +85,7 @@ def _index_set(word: tuple) -> tuple:
     return tuple(sorted(set(word)))
 
 
-def build_amitsur(c: Covering, n_max: int, cap: int = 20000) -> AmitsurComplex:
+def build_amitsur(c: Covering, n_max: int, cap: int = DEFAULT_DIM_CAP) -> AmitsurComplex:
     """Amitsur complex C^n = (+)_(w in [N]^(n+1)) A/I_set(w) for n = 0..n_max.
 
     Raises DimensionCapError, before any matrix is built, when a degree

@@ -6,12 +6,14 @@ canonical representatives of ordered subsets, and the coboundary d' only
 ever inserts one index into an existing tuple.  The sign of an insertion
 is (-1)^pos with pos the 0-based position of the inserted index, which
 reproduces the classical Cech coboundary and makes the two-path
-cancellation identity hold.  ``extensions`` and ``one_step_inclusions``
-enumerate these insertions for every loop over them.
+cancellation identity hold.  The tuples and this rule live in
+``cechcover.complexes``; ``one_step_inclusions`` enumerates the
+insertions for every loop over a functor's restrictions.
 
 (S^n, d') is the word complex of ``cechcover.complexes`` on the strictly
 increasing words, with the functor's restriction maps as blocks; the
-Amitsur complex is the same construction on all patch words.  The ringed
+Amitsur complex is the same construction on all patch words.  A
+``PosetFunctor`` is validated when it is constructed.  The ringed
 structure of a covering reads the quotients and projections of the
 covering's ideal sums (``Covering.quotient``, ``projection``).
 
@@ -30,12 +32,13 @@ tensors, as the definition reads, is a test oracle in
 from __future__ import annotations
 
 from functools import cache, cached_property
-from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 from .algebras import Algebra, AlgebraHom
 from .amitsur import AmitsurComplex
-from .complexes import WordSpace, assemble, check_complex, homology
+from .complexes import (
+    WordSpace, all_tuples, assemble, check_complex, extensions, homology, increasing_insertions,
+)
 from .coverings import Covering
 from .errors import DimensionMismatchError, StructureError
 from .linalg import Matrix, Subspace, block_matrix, rank
@@ -75,22 +78,6 @@ def insert_index(zeta: tuple, i: int) -> tuple[int, tuple]:
     return pos, zeta[:pos] + (i,) + zeta[pos:]
 
 
-def all_tuples(n_patches: int, length: int) -> list[tuple]:
-    return [tuple(c) for c in combinations(range(1, n_patches + 1), length)]
-
-
-def extensions(zeta: tuple, n_patches: int):
-    """The one-step inclusions out of the increasing tuple zeta: (i, pos,
-    eta) for each i in 1..N not in zeta, in increasing order, where eta is
-    zeta with i inserted at position pos (as ``insert_index`` gives)."""
-    pos = 0
-    for i in range(1, n_patches + 1):
-        if pos < len(zeta) and zeta[pos] == i:
-            pos += 1
-        else:
-            yield i, pos, zeta[:pos] + (i,) + zeta[pos:]
-
-
 def one_step_inclusions(n_patches: int):
     """(zeta, i, pos, eta) for every one-step inclusion over 1..N, by the
     length of zeta, then zeta in ``all_tuples`` order, then i."""
@@ -109,7 +96,8 @@ class PosetFunctor(Record):
 
     ``rings`` must cover every tuple of length 0..N; ``steps`` holds the
     restriction for every inclusion that adds a single index, larger jumps
-    are derived by composition (well defined once validated).
+    are derived by composition.  The constructor runs ``validate_functor``,
+    which raises StructureError unless they are well defined.
     """
 
     _fields = ("n_patches", "rings", "steps")
@@ -118,6 +106,7 @@ class PosetFunctor(Record):
         self.n_patches = n_patches
         self.rings = rings
         self.steps = steps
+        validate_functor(self)
 
     def ring(self, zeta: Sequence[int]) -> Algebra:
         return self.rings[tuple(zeta)]
@@ -210,22 +199,11 @@ class RingedStructure:
     def __init__(self, base: Algebra,
                  ring_of: Callable[[Subspace], Algebra],
                  hom_from_quotient: Callable[[Subspace], AlgebraHom],
-                 map_of: Callable[[Subspace, Subspace], AlgebraHom],
-                 name: str = "custom"):
+                 map_of: Callable[[Subspace, Subspace], AlgebraHom]):
         self.base = base
-        self._ring_of = ring_of
-        self._hom = hom_from_quotient
-        self._map = map_of
-        self.name = name
-
-    def ring_of(self, j: Subspace) -> Algebra:
-        return self._ring_of(j)
-
-    def hom_from_quotient(self, j: Subspace) -> AlgebraHom:
-        return self._hom(j)
-
-    def map_of(self, j1: Subspace, j2: Subspace) -> AlgebraHom:
-        return self._map(j1, j2)
+        self.ring_of = ring_of
+        self.hom_from_quotient = hom_from_quotient
+        self.map_of = map_of
 
     @staticmethod
     def default(c: Covering) -> "RingedStructure":
@@ -234,7 +212,7 @@ class RingedStructure:
         projections it reads."""
         return RingedStructure(c.algebra, lambda j: c.quotient(j)[0],
                                lambda j: AlgebraHom.identity(c.quotient(j)[0]),
-                               c.projection_hom, name="default")
+                               c.projection_hom)
 
     def validate_on(self, c: Covering, ideal_spaces: Sequence[Subspace]) -> None:
         """Check the naturality squares for every comparable pair in the list
@@ -272,7 +250,6 @@ def functor_from_ringed_covering(c: Covering,
     steps = {(zeta, eta): rs.map_of(sums[zeta], sums[eta])
              for zeta, _, _, eta in one_step_inclusions(n)}
     functor = PosetFunctor(n, rings, steps)
-    validate_functor(functor)
     rs.validate_on(c, sorted(set(sums.values()), key=lambda s: (s.dim, s.basis.entries)))
     return functor
 
@@ -318,18 +295,15 @@ class CechComplex(Frozen):
         return tuple(rank(self.dprime(n)) for n in range(1, top + 1))
 
 
-def build_cech(f: PosetFunctor, validate: bool = True) -> CechComplex:
+def build_cech(f: PosetFunctor) -> CechComplex:
     """Assemble (S^n, d') and assert d'.d' = 0.
 
-    d' adds every index i not in zeta with sign (-1)^(position of i).
+    d' adds every index i not in zeta with sign (-1)^(position of i); the
+    functor was validated when it was constructed.
     """
-    if validate:
-        validate_functor(f)
     n = f.n_patches
     layouts = tuple(space_layout(f, k) for k in range(n + 1))
-
-    def insertions(zeta: tuple):
-        return [(-1 if pos % 2 else 1, eta) for _, pos, eta in extensions(zeta, n)]
+    insertions = increasing_insertions(n)
 
     def block(zeta: tuple, eta: tuple) -> Matrix:
         return f.steps[(zeta, eta)].matrix

@@ -169,7 +169,7 @@ def _functor_summary(cx) -> dict:
 def _cmd_cech(problem: Problem):
     try:
         functor, kind, _ = build_problem_functor(problem)
-        cx = build_cech(functor, validate=False)
+        cx = build_cech(functor)
     except StructureError as exc:
         return ({"error": str(exc), "witness": repr(exc.witness)},
                 {"functor_validation": False}, EXIT_VIOLATION)
@@ -229,7 +229,7 @@ def _cmd_verify(problem: Problem):
     ccx = None
     if functor is not None:
         try:
-            ccx = build_cech(functor, validate=False)
+            ccx = build_cech(functor)
             checks["dprime_squared_zero"] = True
             results["cech_cohomology"] = cech_cohomology(ccx)
         except NotAComplexError as exc:
@@ -259,7 +259,7 @@ def _cmd_oracle(problem: Problem):
         raise ProblemFormatError('oracle needs a {"cover": ...} functor section', "functor")
     functor, kind, cd = build_problem_functor(problem)
     nerve_dims = nerve_cohomology(cd)
-    cech_dims = cech_cohomology(build_cech(functor, validate=False))
+    cech_dims = cech_cohomology(build_cech(functor))
     match = nerve_dims == cech_dims
     results = {
         "functor": kind,

@@ -7,14 +7,17 @@ that land on the same target word add their signs, and the block between
 a source word and a target word is a map that depends on the two words
 only.  The Amitsur complex (``cechcover.amitsur``) takes every patch word
 and the projections A/I_S -> A/I_T between ideal sums; the Cech complex
-(``cechcover.cech``) takes the strictly increasing words and the
-functor's restriction maps.
+(``cechcover.cech``) and a covering's patch sequence
+(``cechcover.coverings``) take the strictly increasing words, with the
+functor's restriction maps or the projections as blocks, and insert
+index i at its sorted position pos with sign (-1)^pos
+(``increasing_insertions``).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, combinations
 from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionMismatchError, NotAComplexError
@@ -49,6 +52,34 @@ class WordSpace(Frozen):
         """(first coordinate, dimension) of the block of ``word``."""
         k = self.index[word]
         return self._starts[k], self.dims[k]
+
+
+def all_tuples(n_patches: int, length: int) -> list[tuple]:
+    """The increasing words of the given length over 1..N, in lexicographic order."""
+    return [tuple(c) for c in combinations(range(1, n_patches + 1), length)]
+
+
+def extensions(zeta: tuple, n_patches: int):
+    """The one-step inclusions out of the increasing tuple zeta: (i, pos,
+    eta) for each i in 1..N not in zeta, in increasing order, where eta is
+    zeta with i inserted at position pos."""
+    pos = 0
+    for i in range(1, n_patches + 1):
+        if pos < len(zeta) and zeta[pos] == i:
+            pos += 1
+        else:
+            yield i, pos, zeta[:pos] + (i,) + zeta[pos:]
+
+
+def increasing_insertions(n_patches: int) -> Callable[[tuple], list]:
+    """The insertion rule of ``assemble`` on the increasing words over
+    1..N: (sign, eta) for each extension eta of zeta, with sign (-1)^pos
+    for the position pos of the inserted index."""
+
+    def insertions(zeta: tuple) -> list:
+        return [(-1 if pos % 2 else 1, eta) for _, pos, eta in extensions(zeta, n_patches)]
+
+    return insertions
 
 
 def assemble(field: Field, src: WordSpace, dst: WordSpace,

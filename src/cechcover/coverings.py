@@ -6,6 +6,10 @@ exact; exactness is checked on k-spans, which detects exactness of the
 underlying bimodule sequence because every map involved is k-linear with
 matching kernels and images.
 
+pi and tau are degrees 0 -> 1 -> 2 of the covering's Cech complex, the
+word complex of ``cechcover.complexes`` on the increasing index tuples S
+with blocks A/I_S (``Covering.space``) and the projections between them:
+pi is its degree-0 differential and tau minus its degree-1 differential.
 Only ordered pairs i < j are materialized in the target of tau: the (j,i)
 blocks are negatives of the (i,j) blocks and carry no extra rank.
 """
@@ -17,10 +21,11 @@ from typing import Optional, Sequence
 from .algebras import (
     Algebra, AlgebraHom, Ideal, direct_sum, ideal_intersection, quotient, zero_algebra,
 )
+from .complexes import WordSpace, all_tuples, assemble, increasing_insertions
 from .errors import DimensionMismatchError, StructureError
 from .linalg import (
-    Field, Matrix, Subspace, block_matrix, image_basis, kernel_basis,
-    quotient_map, quotient_section, subspace_sum,
+    Field, Matrix, Subspace, image_basis, kernel_basis, quotient_map, quotient_section,
+    subspace_sum,
 )
 from .records import Frozen
 
@@ -55,11 +60,12 @@ class CompletenessReport(Frozen):
 class Covering:
     """An algebra with an ordered list of ideals and derived patch data.
 
-    Patch indices are 1-based.  ``patch(i)`` returns (A_i, pi_i) and
-    ``pair(i, j)`` returns (A_ij, q_ij, pi_i_ij, pi_j_ij) for i < j, where
-    q_ij: A -> A_ij is the direct projection and pi_i_ij: A_i -> A_ij the
-    induced one.  The square pi_i_ij . pi_i = pi_j_ij . pi_j is verified
-    at construction.
+    Patch indices are 1-based.  ``patch(i)`` returns (A_i, pi_i).
+    ``space(n)`` is degree n of the covering's Cech complex: one block
+    A/I_S per increasing index tuple S of length n, so degree 1 holds the
+    patches and degree 2 the pairs A_ij.  For i < j the square
+    pi_i_ij . pi_i = pi_j_ij . pi_j, with pi_i_ij: A_i -> A_ij the
+    induced projection, is verified at construction.
 
     The covering also holds the lattice of its ideal sums: I_S for index
     sets S (``ideal_sum_space``), and for each ideal space J among them
@@ -88,10 +94,10 @@ class Covering:
         self._sections: dict = {}
         self._projections: dict = {}
         self._projection_homs: dict = {}
-        for a, b in self.pair_keys():
-            _, _, pi_a, pi_b = self.pair(a, b)
-            left = pi_a.matrix.mul(self.patch(a)[1].matrix)
-            right = pi_b.matrix.mul(self.patch(b)[1].matrix)
+        for a, b in all_tuples(self.n_patches, 2):
+            sum_ab = self.ideal_sum_space((a, b))
+            left = self.projection(self.ideals[a - 1].space, sum_ab).mul(self.patch(a)[1].matrix)
+            right = self.projection(self.ideals[b - 1].space, sum_ab).mul(self.patch(b)[1].matrix)
             if left != right:
                 raise StructureError(f"patch square ({a},{b}) does not commute",
                                      witness=(a, b))
@@ -103,17 +109,6 @@ class Covering:
 
     def patch(self, i: int) -> tuple[Algebra, AlgebraHom]:
         return self._quotients[self.ideals[i - 1].space]
-
-    def pair(self, i: int, j: int):
-        sum_ij = self.ideal_sum_space((i, j))
-        a_ij, q_ij = self.quotient(sum_ij)
-        return (a_ij, q_ij, self.projection_hom(self.ideals[i - 1].space, sum_ij),
-                self.projection_hom(self.ideals[j - 1].space, sum_ij))
-
-    def pair_keys(self) -> list[tuple[int, int]]:
-        """The pairs (i, j) with i < j, in lexicographic order."""
-        return [(i, j) for i in range(1, self.n_patches + 1)
-                for j in range(i + 1, self.n_patches + 1)]
 
     def ideal_sum_space(self, s: tuple) -> Subspace:
         """I_S, the sum of the I_i over i in S, for an index set S given as
@@ -157,11 +152,19 @@ class Covering:
                 self.quotient(j1)[0], self.quotient(j2)[0], self.projection(j1, j2))
         return h
 
+    def space(self, n: int) -> WordSpace:
+        """Degree n of the covering's Cech complex: the block of each
+        increasing index tuple S of length n is A/I_S, of dimension
+        dim A - dim I_S."""
+        words = tuple(all_tuples(self.n_patches, n))
+        return WordSpace(words, tuple(self.algebra.dim - self.ideal_sum_space(s).dim
+                                      for s in words))
+
     def patch_dims(self) -> tuple[int, ...]:
-        return tuple(self.patch(i)[0].dim for i in range(1, self.n_patches + 1))
+        return self.space(1).dims
 
     def pair_dims(self) -> tuple[int, ...]:
-        return tuple(self.pair(i, j)[0].dim for i, j in self.pair_keys())
+        return self.space(2).dims
 
     @property
     def b_algebra(self) -> Algebra:
@@ -192,28 +195,24 @@ def is_covering(c: Covering) -> bool:
     return ideal_intersection(list(c.ideals)).dim == 0
 
 
+def _cech_differential(c: Covering, n: int) -> Matrix:
+    """Degree n -> n + 1 of the covering's Cech complex."""
+
+    def block(s: tuple, t: tuple) -> Matrix:
+        return c.projection(c.ideal_sum_space(s), c.ideal_sum_space(t))
+
+    return assemble(c.field, c.space(n), c.space(n + 1),
+                    increasing_insertions(c.n_patches), block)
+
+
 def build_pi(c: Covering) -> Matrix:
     """pi = (+)_i pi_i : A -> (+)A_i as a stacked block column."""
-    mats = [c.patch(i)[1].matrix for i in range(1, c.n_patches + 1)]
-    out = mats[0]
-    for m in mats[1:]:
-        out = out.vstack(m)
-    return out
+    return _cech_differential(c, 0)
 
 
 def build_tau(c: Covering) -> Matrix:
     """tau : (+)A_i -> (+)_(i<j) A_ij, block row (i,j) = pi_i_ij - pi_j_ij."""
-    col_dims = list(c.patch_dims())
-    keys = c.pair_keys()
-    row_dims = list(c.pair_dims())
-    blocks = {}
-    for r, (i, j) in enumerate(keys):
-        _, _, pi_a, pi_b = c.pair(i, j)
-        blocks[(r, i - 1)] = pi_a.matrix
-        blocks[(r, j - 1)] = pi_b.matrix.neg()
-    if not keys:
-        return Matrix(c.field, 0, sum(col_dims), tuple())
-    return block_matrix(c.field, row_dims, col_dims, blocks)
+    return _cech_differential(c, 1).neg()
 
 
 def completeness_check(c: Covering) -> CompletenessReport:

@@ -44,6 +44,7 @@ from .algebras import (
     matrix_algebra, split_commutative, square_zero,
     truncated_polynomial, upper_triangular,
 )
+from .amitsur import DEFAULT_DIM_CAP
 from .cech import PosetFunctor, space_layout
 from .complexes import WordSpace
 from .coverings import Covering, completeness_check
@@ -300,7 +301,7 @@ class TensorTower:
     statement that the map is well defined on the balancing relations.
     """
 
-    def __init__(self, covering: Covering, cap: int = 20000, check: bool = False):
+    def __init__(self, covering: Covering, cap: int = DEFAULT_DIM_CAP, check: bool = False):
         self.covering = covering
         self.field = covering.field
         self.cap = cap

@@ -19,15 +19,17 @@ from pathlib import Path
 from typing import Optional
 
 from .algebras import Algebra, AlgebraHom, algebra_from_terms, ideal_closure
-from .cech import PosetFunctor, all_tuples, one_step_inclusions
+from .amitsur import DEFAULT_DIM_CAP
+from .cech import (
+    PosetFunctor, all_tuples, constant_functor, functor_from_ringed_covering, one_step_inclusions,
+)
 from .coverings import Covering
 from .errors import CechcoverError, DimensionCapError, ProblemFormatError
 from .linalg import GF, QQ, Field, Matrix
-from .nerve import CoverDescription
+from .nerve import CoverDescription, functor_from_cover
 from .records import Record
 
 DEFAULT_N_MAX = 3
-DEFAULT_DIM_CAP = 20000
 
 
 class Problem(Record):
@@ -336,14 +338,11 @@ def build_problem_functor(problem: Problem):
 
     ``ringed_default`` (also the default when a covering is present) uses
     the covering with the default ringed structure; ``cover`` also returns
-    the CoverDescription so the oracle can run.  Every functor returned has
-    passed ``validate_functor``; a failure raises StructureError.  Before
-    any ring is built, a functor whose widest Cech degree has more index
-    tuples than ``problem.dim_cap`` raises DimensionCapError.
+    the CoverDescription so the oracle can run.  Every functor returned was
+    validated when it was constructed; a failure raises StructureError.
+    Before any ring is built, a functor whose widest Cech degree has more
+    index tuples than ``problem.dim_cap`` raises DimensionCapError.
     """
-    from .cech import constant_functor, functor_from_ringed_covering, validate_functor
-    from .nerve import functor_from_cover
-
     spec = problem.functor_spec or {"kind": "ringed_default"}
     kind = spec["kind"]
     if kind == "ringed_default" and problem.covering is None:
@@ -366,9 +365,7 @@ def build_problem_functor(problem: Problem):
         if "ring" not in body:
             raise ProblemFormatError("constant functor needs a 'ring'", "functor.constant")
         ring = parse_algebra_section(problem.field, body["ring"], "functor.constant.ring")
-        functor = constant_functor(n, ring)
-        validate_functor(functor)
-        return functor, kind, None
+        return constant_functor(n, ring), kind, None
     if kind == "cover":
         overlaps = body.get("nonempty_overlaps")
         if not isinstance(overlaps, list):
@@ -383,9 +380,7 @@ def build_problem_functor(problem: Problem):
             cd = CoverDescription(n, frozenset(tuples), problem.field)
         except CechcoverError as exc:
             raise ProblemFormatError(str(exc), "functor.cover")
-        functor = functor_from_cover(cd)
-        validate_functor(functor)
-        return functor, kind, cd
+        return functor_from_cover(cd), kind, cd
     # explicit
     rings_spec = body.get("rings")
     rest_spec = body.get("restrictions")
@@ -429,6 +424,4 @@ def build_problem_functor(problem: Problem):
             raise ProblemFormatError(
                 f"missing restriction {tuple_to_key(zeta)}->{tuple_to_key(eta)}",
                 "functor.explicit.restrictions")
-    functor = PosetFunctor(n, rings, steps)
-    validate_functor(functor)
-    return functor, kind, None
+    return PosetFunctor(n, rings, steps), kind, None

@@ -8,6 +8,10 @@ over all basis triples, the two-sided ideal test (with the dense
 the table that ``quotient`` built.  They are kept verbatim as the
 reference: products, verdicts and witnesses must agree, on random
 algebras in random bases and on tables perturbed to break each axiom.
+The ``dense_*`` builders are the stock algebras as they stood when each
+built its dense table for ``make_algebra``; the stock constructors,
+which now build the sparse terms from basis products, must give equal
+algebras.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from fractions import Fraction
 import pytest
 
 from cechcover.algebras import (
-    AlgebraHom, Ideal, hom_check, ideal_closure, make_algebra, quotient,
+    AlgebraHom, Ideal, hom_check, ideal_closure, make_algebra, matrix_algebra, quotient,
+    split_commutative, square_zero, truncated_polynomial, upper_triangular,
 )
 from cechcover.errors import StructureError
 from cechcover.linalg import (
@@ -147,6 +152,102 @@ def ref_quotient_table(a: DenseAlgebra, space: Subspace) -> tuple:
             row.append(q.apply(a.multiply(si, sj)))
         table.append(tuple(row))
     return tuple(table)
+
+
+# -- the stock algebras as dense tables ---------------------------------------------------
+
+def dense_split_commutative(field, n):
+    """k^n with coordinatewise product: e_i e_j = delta_ij e_i."""
+    z, o = field.zero, field.one
+    table = tuple(tuple(tuple(o if (i == j == k) else z for k in range(n)) for j in range(n))
+                  for i in range(n))
+    return make_algebra(field, n, table, (o,) * n,
+                        tuple(f"e{i + 1}" for i in range(n)))
+
+
+def dense_matrix_algebra(field, n):
+    """M_n(k) on matrix units e_ab, row-major basis order."""
+    dim = n * n
+    z, o = field.zero, field.one
+
+    def unit_index(a, b):
+        return a * n + b
+
+    table = []
+    for i in range(dim):
+        ai, bi = divmod(i, n)
+        row = []
+        for j in range(dim):
+            aj, bj = divmod(j, n)
+            vec = [z] * dim
+            if bi == aj:
+                vec[unit_index(ai, bj)] = o
+            row.append(tuple(vec))
+        table.append(tuple(row))
+    unit = [z] * dim
+    for a in range(n):
+        unit[unit_index(a, a)] = o
+    return make_algebra(field, dim, tuple(table), tuple(unit),
+                        tuple(f"e{a + 1}{b + 1}" for a in range(n) for b in range(n)))
+
+
+def dense_upper_triangular(field, n):
+    """Upper-triangular n x n matrices on the units e_ab with a <= b."""
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    index = {p: i for i, p in enumerate(pairs)}
+    dim = len(pairs)
+    z, o = field.zero, field.one
+    table = []
+    for (ai, bi) in pairs:
+        row = []
+        for (aj, bj) in pairs:
+            vec = [z] * dim
+            if bi == aj:
+                vec[index[(ai, bj)]] = o
+            row.append(tuple(vec))
+        table.append(tuple(row))
+    unit = [z] * dim
+    for a in range(n):
+        unit[index[(a, a)]] = o
+    return make_algebra(field, dim, tuple(table), tuple(unit),
+                        tuple(f"e{a + 1}{b + 1}" for (a, b) in pairs))
+
+
+def dense_truncated_polynomial(field, n):
+    """k[x]/(x^n), basis 1, x, ..., x^(n-1)."""
+    z, o = field.zero, field.one
+    table = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            vec = [z] * n
+            if i + j < n:
+                vec[i + j] = o
+            row.append(tuple(vec))
+        table.append(tuple(row))
+    unit = [o] + [z] * (n - 1)
+    return make_algebra(field, n, tuple(table), tuple(unit),
+                        ("1",) + tuple(f"x^{k}" if k > 1 else "x" for k in range(1, n)))
+
+
+def dense_square_zero(field, m):
+    """k * 1 + m-dimensional radical with all radical products zero."""
+    n = m + 1
+    z, o = field.zero, field.one
+    table = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            vec = [z] * n
+            if i == 0:
+                vec[j] = o
+            elif j == 0:
+                vec[i] = o
+            row.append(tuple(vec))
+        table.append(tuple(row))
+    unit = [o] + [z] * m
+    return make_algebra(field, n, tuple(table), tuple(unit),
+                        ("1",) + tuple(f"x{k + 1}" for k in range(m)))
 
 
 # -- random inputs ---------------------------------------------------------------------
@@ -344,3 +445,16 @@ def test_hom_checks_and_quotient_tables_match(field):
                 with pytest.raises(StructureError):
                     AlgebraHom(a, qa, m)
     assert {"ok", "unit"} <= verdicts and len(verdicts) > 2
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("stock, dense", (
+    (split_commutative, dense_split_commutative),
+    (matrix_algebra, dense_matrix_algebra),
+    (upper_triangular, dense_upper_triangular),
+    (truncated_polynomial, dense_truncated_polynomial),
+    (square_zero, dense_square_zero),
+), ids=lambda fn: fn.__name__)
+def test_stock_algebras_match_their_dense_tables(field, stock, dense):
+    for n in range(5):
+        assert stock(field, n) == dense(field, n)

@@ -197,7 +197,7 @@ def test_identity_compose_is_identity():
 
 def test_e1_patch_square_commutes():
     c = make_e1()
-    _, _, pi1_12, pi2_12 = c.pair(1, 2)
+    pi1_12, pi2_12 = (c.projection_hom(c.ideals[k].space, c.ideal_sum_space((1, 2))) for k in (0, 1))
     left = pi1_12.matrix.mul(c.patch(1)[1].matrix)
     right = pi2_12.matrix.mul(c.patch(2)[1].matrix)
     assert left == right

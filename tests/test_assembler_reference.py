@@ -1,12 +1,16 @@
-"""The shared differential assembler against the two it replaced.
+"""The shared differential assembler against the code it replaced.
 
 ``_differential`` (with its ``_IdealSums`` cache) is the Amitsur
 assembler, and ``ref_cech_differentials`` the inline loop of
 ``build_cech``, as they stood before both complexes were built by one
 word-complex assembler; they are kept verbatim as the reference, the way
-``test_elimination.py`` keeps the dense row reduction.  Every differential
-of ``build_amitsur`` and ``build_cech`` must equal its reference matrix
-entry for entry.
+``test_elimination.py`` keeps the dense row reduction.  ``ref_pi`` and
+``ref_tau`` are the covering's stacked pi and pair-by-pair tau from before
+they became degrees 0 -> 1 -> 2 of the covering's Cech complex, with the
+projections pi_i_ij read from ``_IdealSums`` in place of the removed
+``Covering.pair``.  Every differential of ``build_amitsur`` and
+``build_cech``, and ``build_pi`` and ``build_tau``, must equal its
+reference matrix entry for entry.
 """
 
 from __future__ import annotations
@@ -16,10 +20,10 @@ from itertools import combinations
 
 import pytest
 
-from cechcover.algebras import matrix_algebra, split_commutative
+from cechcover.algebras import ideal_closure, matrix_algebra, split_commutative
 from cechcover.amitsur import build_amitsur
 from cechcover.cech import build_cech, constant_functor, functor_from_ringed_covering
-from cechcover.coverings import Covering
+from cechcover.coverings import Covering, build_pi, build_tau
 from cechcover.linalg import GF, QQ, Matrix, block_matrix, quotient_map, quotient_section
 from cechcover.nerve import functor_from_cover
 from cechcover.oracles import random_cover_description, random_covering
@@ -163,6 +167,32 @@ def ref_cech_differentials(f) -> list:
     return diffs
 
 
+# -- pi and tau, pair by pair -------------------------------------------------------------
+
+def ref_pi(c: Covering) -> Matrix:
+    """pi = (+)_i pi_i : A -> (+)A_i as a stacked block column."""
+    mats = [c.patch(i)[1].matrix for i in range(1, c.n_patches + 1)]
+    out = mats[0]
+    for m in mats[1:]:
+        out = out.vstack(m)
+    return out
+
+
+def ref_tau(c: Covering) -> Matrix:
+    """tau : (+)A_i -> (+)_(i<j) A_ij, block row (i,j) = pi_i_ij - pi_j_ij."""
+    sums = _IdealSums(c)
+    col_dims = [c.patch(i)[0].dim for i in range(1, c.n_patches + 1)]
+    keys = list(combinations(range(1, c.n_patches + 1), 2))
+    row_dims = [sums.dim(key) for key in keys]
+    blocks = {}
+    for r, (i, j) in enumerate(keys):
+        blocks[(r, i - 1)] = sums.projection((i,), (i, j))
+        blocks[(r, j - 1)] = sums.projection((j,), (i, j)).neg()
+    if not keys:
+        return Matrix(c.field, 0, sum(col_dims), tuple())
+    return block_matrix(c.field, row_dims, col_dims, blocks)
+
+
 # -- the comparisons -------------------------------------------------------------------------
 
 def assert_same(actual, expected):
@@ -202,3 +232,29 @@ def test_cover_functors(field):
     for _ in range(15):
         f = functor_from_cover(random_cover_description(rng, max_patches=6, field=field))
         assert_same(build_cech(f).differentials, ref_cech_differentials(f))
+
+
+def assert_pi_and_tau(c: Covering):
+    assert build_pi(c) == ref_pi(c)
+    assert build_tau(c) == ref_tau(c)
+
+
+@pytest.mark.parametrize("make", (make_e1, make_e4, make_three_lines))
+@pytest.mark.parametrize("field", (QQ, GF(2), GF(5)))
+def test_pi_and_tau_of_the_worked_instances(make, field):
+    assert_pi_and_tau(make(field))
+
+
+@pytest.mark.parametrize("field", (QQ, GF(2), GF(5)))
+def test_pi_and_tau_of_random_coverings(field):
+    rng = random.Random(20261018)
+    for _ in range(20):
+        assert_pi_and_tau(random_covering(rng, field, max_dim=5, max_patches=4))
+
+
+@pytest.mark.parametrize("field", (QQ, GF(5)))
+def test_pi_and_tau_of_a_one_patch_covering(field):
+    a = matrix_algebra(field, 2)
+    c = Covering(a, [ideal_closure(a, [])])
+    assert build_tau(c).rows == 0 and build_tau(c).cols == 4
+    assert_pi_and_tau(c)

@@ -10,7 +10,7 @@ from cechcover.algebras import (
 )
 from cechcover.amitsur import build_amitsur
 from cechcover.cech import (
-    RingedStructure, all_tuples, build_cech, cech_cohomology, constant_functor,
+    PosetFunctor, RingedStructure, all_tuples, build_cech, cech_cohomology, constant_functor,
     default_phi_choice, functor_from_ringed_covering, insert_index, space_layout,
     validate_functor, validate_index_tuple, verify_chain_map,
 )
@@ -111,7 +111,7 @@ def test_default_ringed_functor_reuses_the_covering_quotients(e1):
     for i in range(1, e1.n_patches + 1):
         assert f.ring((i,)) is e1.patch(i)[0]
     for (i, j) in combinations(range(1, e1.n_patches + 1), 2):
-        assert f.ring((i, j)) is e1.pair(i, j)[0]
+        assert f.ring((i, j)) is e1.quotient(e1.ideal_sum_space((i, j)))[0]
         assert e1.ideal_sum_space((i, j)) == subspace_sum(e1.ideals[i - 1].space,
                                                           e1.ideals[j - 1].space)
 
@@ -145,6 +145,40 @@ def test_functor_validation_catches_bad_square():
     assert err.value.witness[0] == "square"
 
 
+def _constant_parts(n: int):
+    """The rings and steps of the constant functor k^2 on n patches, to
+    break before a PosetFunctor is constructed from them."""
+    f = constant_functor(n, split_commutative(QQ, 2))
+    return dict(f.rings), dict(f.steps)
+
+
+def _drop_ring(rings: dict, steps: dict) -> None:
+    del rings[(1, 2)]
+
+
+def _drop_step(rings: dict, steps: dict) -> None:
+    del steps[((1,), (1, 2))]
+
+
+def _swap_step(rings: dict, steps: dict) -> None:
+    ring = rings[(1,)]
+    steps[((1,), (1, 2))] = AlgebraHom(ring, ring, Matrix.from_rows(QQ, [[0, 1], [1, 0]]))
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("break_it, kind", (
+    (_drop_ring, "missing"),
+    (_drop_step, "missing-step"),
+    (_swap_step, "square"),
+))
+def test_an_invalid_functor_cannot_be_constructed(n, break_it, kind):
+    rings, steps = _constant_parts(n)
+    break_it(rings, steps)
+    with pytest.raises(StructureError) as err:
+        PosetFunctor(n, rings, steps)
+    assert err.value.witness[0] == kind
+
+
 def test_custom_ringed_structure_naturality(e1):
     # Phi(J) = A/(J + I0) with I0 = <e2>: a ringed structure that collapses
     # the shared coordinate.  Naturality squares still commute.
@@ -167,7 +201,7 @@ def test_custom_ringed_structure_naturality(e1):
         a2, q2 = quotient(base, Ideal(base, fat(j2)))
         return AlgebraHom(a1, a2, q2.matrix.mul(quotient_section(base.dim, fat(j1))))
 
-    rs = RingedStructure(base, ring_of, hom_from_quotient, map_of, name="collapse-e2")
+    rs = RingedStructure(base, ring_of, hom_from_quotient, map_of)
     f = functor_from_ringed_covering(e1, rs)
     assert f.ring(()).dim == 2
     assert f.ring((1,)).dim == 1 and f.ring((2,)).dim == 1
