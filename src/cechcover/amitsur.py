@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .complexes import WordSpace, assemble, check_complex, homology
+from .complexes import WordSpace, assemble, first_nonzero_square, homology
 from .coverings import Covering, build_pi
 from .errors import DimensionCapError, NotAComplexError
 from .linalg import Matrix, rank
@@ -128,9 +128,12 @@ def build_amitsur(c: Covering, n_max: int, cap: int = DEFAULT_DIM_CAP) -> Amitsu
 
     diffs = tuple(assemble(c.field, src, dst, insertions, block)
                   for src, dst in zip(spaces, spaces[1:]))
-    check_complex(diffs, "d_")
+    failure = first_nonzero_square(spaces, diffs)
+    if failure is not None:
+        n = failure[0]
+        raise NotAComplexError(f"d_{n + 1} . d_{n} != 0", degree=n)
     pi = build_pi(c)
-    if not diffs[0].mul(pi).is_zero():
+    if first_nonzero_square((c.space(0), spaces[0], spaces[1]), (pi, diffs[0])) is not None:
         raise NotAComplexError("d_0 . pi != 0", degree=-1)
     return AmitsurComplex(c, n_max, tuple(spaces), diffs, pi)
 

@@ -13,8 +13,9 @@ insertions for every loop over a functor's restrictions.
 (S^n, d') is the word complex of ``cechcover.complexes`` on the strictly
 increasing words, with the functor's restriction maps as blocks; the
 Amitsur complex is the same construction on all patch words.  A
-``PosetFunctor`` is validated when it is constructed.  The ringed
-structure of a covering reads the quotients and projections of the
+``PosetFunctor`` is validated when it is constructed, which assembles d'
+and checks its squares as d'.d' = 0; ``build_cech`` wraps that d'.  The
+ringed structure of a covering reads the quotients and projections of the
 covering's ideal sums (``Covering.quotient``, ``projection``).
 
 The comparison map phi sends a pure tensor y_1 (x) ... (x) y_n with patch
@@ -37,7 +38,8 @@ from typing import Callable, Optional, Sequence
 from .algebras import Algebra, AlgebraHom
 from .amitsur import AmitsurComplex
 from .complexes import (
-    WordSpace, all_tuples, assemble, check_complex, extensions, homology, increasing_insertions,
+    WordSpace, all_tuples, assemble, extensions, first_nonzero_square, homology,
+    increasing_insertions,
 )
 from .coverings import Covering
 from .errors import DimensionMismatchError, StructureError
@@ -97,7 +99,9 @@ class PosetFunctor(Record):
     ``rings`` must cover every tuple of length 0..N; ``steps`` holds the
     restriction for every inclusion that adds a single index, larger jumps
     are derived by composition.  The constructor runs ``validate_functor``,
-    which raises StructureError unless they are well defined.
+    which raises StructureError unless they are well defined, and keeps
+    the ``layouts`` and ``differentials`` it assembled, so the rings and
+    steps must not be changed after construction.
     """
 
     _fields = ("n_patches", "rings", "steps")
@@ -106,7 +110,7 @@ class PosetFunctor(Record):
         self.n_patches = n_patches
         self.rings = rings
         self.steps = steps
-        validate_functor(self)
+        self.layouts, self.differentials = validate_functor(self)
 
     def ring(self, zeta: Sequence[int]) -> Algebra:
         return self.rings[tuple(zeta)]
@@ -131,15 +135,17 @@ class PosetFunctor(Record):
         return AlgebraHom(self.ring(zeta), self.ring(eta), mat)
 
 
-def validate_functor(f: PosetFunctor) -> None:
-    """Presence of all tuples/steps plus commutation of every length-2 square."""
+def validate_functor(f: PosetFunctor) -> tuple[tuple, tuple]:
+    """Presence of all tuples/steps plus commutation of every length-2
+    square, which holds exactly when d'.d' = 0: block (zeta, top) of d'.d'
+    is +-(path via i - path via j) for {i, j} = top - zeta.  Returns
+    S^0..S^N and d'_0..d'_(N-1)."""
     n = f.n_patches
     for length in range(n + 1):
         for zeta in all_tuples(n, length):
             if zeta not in f.rings:
                 raise StructureError(f"functor has no ring on {zeta}", witness=("missing", zeta))
-    up = {}  # (zeta, i) -> zeta with i inserted
-    for zeta, i, _, eta in one_step_inclusions(n):
+    for zeta, _, _, eta in one_step_inclusions(n):
         if (zeta, eta) not in f.steps:
             raise StructureError(f"functor has no restriction {zeta} -> {eta}",
                                  witness=("missing-step", zeta, eta))
@@ -147,30 +153,20 @@ def validate_functor(f: PosetFunctor) -> None:
         if hom.domain != f.rings[zeta] or hom.codomain != f.rings[eta]:
             raise StructureError(f"restriction {zeta} -> {eta} has wrong endpoints",
                                  witness=("endpoints", zeta, eta))
-        up[zeta, i] = eta
-    # Functors reuse restriction maps (the constant functor has one), so each
-    # distinct (outer, inner) pair of step matrices is composed once.
-    composites: dict = {}
 
-    def compose(outer: Matrix, inner: Matrix) -> Matrix:
-        key = (id(outer), id(inner))
-        product = composites.get(key)
-        if product is None:
-            product = composites[key] = outer.mul(inner)
-        return product
+    def block(zeta: tuple, eta: tuple) -> Matrix:
+        return f.steps[(zeta, eta)].matrix
 
-    for zeta, i, _, via_i in one_step_inclusions(n):
-        for j in range(i + 1, n + 1):
-            via_j = up.get((zeta, j))
-            if via_j is None:
-                continue
-            top = up[via_i, j]
-            path1 = compose(f.steps[(via_i, top)].matrix, f.steps[(zeta, via_i)].matrix)
-            path2 = compose(f.steps[(via_j, top)].matrix, f.steps[(zeta, via_j)].matrix)
-            if path1 != path2:
-                raise StructureError(
-                    f"restriction square {zeta} -> {top} does not commute",
-                    witness=("square", zeta, i, j))
+    layouts = tuple(space_layout(f, k) for k in range(n + 1))
+    diffs = tuple(assemble(f.ring(()).field, src, dst, increasing_insertions(n), block)
+                  for src, dst in zip(layouts, layouts[1:]))
+    failure = first_nonzero_square(layouts, diffs)
+    if failure is not None:
+        _, zeta, top = failure
+        i, j = (x for x in top if x not in zeta)
+        raise StructureError(f"restriction square {zeta} -> {top} does not commute",
+                             witness=("square", zeta, i, j))
+    return layouts, diffs
 
 
 def constant_functor(n_patches: int, ring: Algebra) -> PosetFunctor:
@@ -196,11 +192,9 @@ class RingedStructure:
     ``map_of(J1, J2)`` is the Phi-image of the projection A/J1 -> A/J2.
     """
 
-    def __init__(self, base: Algebra,
-                 ring_of: Callable[[Subspace], Algebra],
+    def __init__(self, ring_of: Callable[[Subspace], Algebra],
                  hom_from_quotient: Callable[[Subspace], AlgebraHom],
                  map_of: Callable[[Subspace, Subspace], AlgebraHom]):
-        self.base = base
         self.ring_of = ring_of
         self.hom_from_quotient = hom_from_quotient
         self.map_of = map_of
@@ -210,7 +204,7 @@ class RingedStructure:
         """Phi(J) = A/J with Phi_J the identity and Phi(proj) the projection,
         on the ideals of the covering's lattice, whose quotients and
         projections it reads."""
-        return RingedStructure(c.algebra, lambda j: c.quotient(j)[0],
+        return RingedStructure(lambda j: c.quotient(j)[0],
                                lambda j: AlgebraHom.identity(c.quotient(j)[0]),
                                c.projection_hom)
 
@@ -296,22 +290,12 @@ class CechComplex(Frozen):
 
 
 def build_cech(f: PosetFunctor) -> CechComplex:
-    """Assemble (S^n, d') and assert d'.d' = 0.
+    """(S^n, d') of a functor: the layouts and differentials that its
+    validation assembled and checked for d'.d' = 0 (``validate_functor``).
 
-    d' adds every index i not in zeta with sign (-1)^(position of i); the
-    functor was validated when it was constructed.
+    d' adds every index i not in zeta with sign (-1)^(position of i).
     """
-    n = f.n_patches
-    layouts = tuple(space_layout(f, k) for k in range(n + 1))
-    insertions = increasing_insertions(n)
-
-    def block(zeta: tuple, eta: tuple) -> Matrix:
-        return f.steps[(zeta, eta)].matrix
-
-    diffs = tuple(assemble(f.ring(()).field, src, dst, insertions, block)
-                  for src, dst in zip(layouts, layouts[1:]))
-    check_complex(diffs, "d'_")
-    return CechComplex(f, layouts, diffs)
+    return CechComplex(f, f.layouts, f.differentials)
 
 
 def cech_cohomology(cx: CechComplex) -> list[int]:
@@ -441,11 +425,9 @@ def verify_chain_map(amitsur: AmitsurComplex, cx: CechComplex,
         if lhs != rhs:
             col = next(k for k in range(lhs.cols) if lhs.column(k) != rhs.column(k))
             space = amitsur.spaces[n - 1]
-            for w, d in zip(space.words, space.dims):
-                if col < d:
-                    break
-                col -= d
-            notes.append(f"square fails on coordinate {col} of the block {w}")
+            w = space.word_at(col)
+            notes.append(f"square fails on coordinate {col - space.offset_of(w)[0]} "
+                         f"of the block {w}")
         # where phi is not well defined its blocks depend on the sections s_w,
         # and so does this verdict
         notes.extend(f"phi is not well defined in degree {k}"

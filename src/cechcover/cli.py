@@ -19,11 +19,10 @@ from typing import Optional
 from . import __version__
 from .amitsur import amitsur_homology, build_amitsur
 from .cech import build_cech, cech_cohomology, default_phi_choice, verify_chain_map
-from .coverings import build_tau, completeness_check
+from .coverings import completeness_check
 from .errors import (
     CechcoverError, DimensionCapError, NotAComplexError, ProblemFormatError, StructureError,
 )
-from .linalg import rank
 from .nerve import nerve_cohomology
 from .problem import (
     Problem, build_problem_functor, field_spec_to_json, load_problem,
@@ -155,7 +154,8 @@ def _cmd_check(problem: Problem):
         "covering": report.as_dict(),
         "patch_dims": list(c.patch_dims()),
         "pair_dims": list(c.pair_dims()),
-        "tau_rank": rank(build_tau(c)),
+        # rank-nullity on tau : (+)A_i -> (+)A_ij
+        "tau_rank": sum(c.patch_dims()) - report.ker_tau_dim,
     }
     return results, {}, EXIT_OK
 
@@ -169,10 +169,10 @@ def _functor_summary(cx) -> dict:
 def _cmd_cech(problem: Problem):
     try:
         functor, kind, _ = build_problem_functor(problem)
-        cx = build_cech(functor)
     except StructureError as exc:
         return ({"error": str(exc), "witness": repr(exc.witness)},
                 {"functor_validation": False}, EXIT_VIOLATION)
+    cx = build_cech(functor)
     results = {
         "functor": kind,
         "ring_dims": _functor_summary(cx),
@@ -215,27 +215,20 @@ def _cmd_verify(problem: Problem):
         results["d_squared_witness"] = str(exc)
         ok = False
 
-    functor = None
+    ccx = None
     try:
         functor, kind, _ = build_problem_functor(problem)
         checks["functor_validation"] = True
         results["functor"] = kind
     except StructureError as exc:
-        functor = None
         checks["functor_validation"] = False
         results["functor_witness"] = f"{exc} [{exc.witness!r}]"
         ok = False
-
-    ccx = None
-    if functor is not None:
-        try:
-            ccx = build_cech(functor)
-            checks["dprime_squared_zero"] = True
-            results["cech_cohomology"] = cech_cohomology(ccx)
-        except NotAComplexError as exc:
-            checks["dprime_squared_zero"] = False
-            results["dprime_witness"] = str(exc)
-            ok = False
+    else:
+        # functor validation has established d'.d' = 0
+        ccx = build_cech(functor)
+        checks["dprime_squared_zero"] = True
+        results["cech_cohomology"] = cech_cohomology(ccx)
 
     if ccx is not None and cx is not None:
         try:

@@ -12,13 +12,18 @@ and the projections A/I_S -> A/I_T between ideal sums; the Cech complex
 functor's restriction maps or the projections as blocks, and insert
 index i at its sorted position pos with sign (-1)^pos
 (``increasing_insertions``).
+
+Block (w, v) of d_(n+1) . d_n sums the signed paths w -> u -> v, so the
+one d.d = 0 check, ``first_nonzero_square``, is also the check that the
+squares of blocks commute, for the functors and the patch squares too.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cached_property
 from itertools import accumulate, combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DimensionMismatchError, NotAComplexError
 from .linalg import Field, Matrix, block_matrix, rank, same_field
@@ -52,6 +57,10 @@ class WordSpace(Frozen):
         """(first coordinate, dimension) of the block of ``word``."""
         k = self.index[word]
         return self._starts[k], self.dims[k]
+
+    def word_at(self, coordinate: int) -> tuple:
+        """The word whose block holds ``coordinate``."""
+        return self.words[bisect_right(self._starts, coordinate) - 1]
 
 
 def all_tuples(n_patches: int, length: int) -> list[tuple]:
@@ -107,12 +116,21 @@ def assemble(field: Field, src: WordSpace, dst: WordSpace,
     return block_matrix(field, dst.dims, src.dims, blocks)
 
 
-def check_complex(diffs: Sequence[Matrix], label: str) -> None:
-    """Raise NotAComplexError at the first n with d_(n+1) . d_n != 0;
-    ``label`` names the maps in the message (``d_`` or ``d'_``)."""
+def first_nonzero_square(spaces: Sequence[WordSpace],
+                         diffs: Sequence[Matrix]) -> Optional[tuple[int, tuple, tuple]]:
+    """(n, w, v) for the first n with d_(n+1) . d_n != 0, where
+    d_n = ``diffs[n]`` maps ``spaces[n]`` to ``spaces[n+1]``, and (w, v) is
+    the first nonzero block of that product, by source word w, then target
+    word v; None when d.d = 0."""
     for n in range(len(diffs) - 1):
-        if not diffs[n + 1].mul(diffs[n]).is_zero():
-            raise NotAComplexError(f"{label}{n + 1} . {label}{n} != 0", degree=n)
+        product = diffs[n + 1].mul(diffs[n])
+        if not product.is_zero():
+            w = spaces[n].word_at(min(min(row) for row in product.nonzeros if row))
+            lo, d = spaces[n].offset_of(w)
+            r = next(r for r, row in enumerate(product.nonzeros)
+                     if any(lo <= c < lo + d for c in row))
+            return n, w, spaces[n + 2].word_at(r)
+    return None
 
 
 def homology(dims: Sequence[int], ranks: Sequence[int], first: int) -> list[int]:
@@ -127,5 +145,7 @@ def homology_dim(d_in: Matrix, d_out: Matrix) -> int:
     if d_out.cols != d_in.rows:
         raise DimensionMismatchError(
             f"middle-space mismatch: d_out expects {d_out.cols}, d_in lands in {d_in.rows}")
-    check_complex((d_in, d_out), "d_")
+    one_word = [WordSpace(((),), (dim,)) for dim in (d_in.cols, d_in.rows, d_out.rows)]
+    if first_nonzero_square(one_word, (d_in, d_out)) is not None:
+        raise NotAComplexError("d_1 . d_0 != 0", degree=0)
     return homology([d_out.cols], [rank(d_out)], rank(d_in))[0]

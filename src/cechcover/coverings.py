@@ -10,8 +10,10 @@ pi and tau are degrees 0 -> 1 -> 2 of the covering's Cech complex, the
 word complex of ``cechcover.complexes`` on the increasing index tuples S
 with blocks A/I_S (``Covering.space``) and the projections between them:
 pi is its degree-0 differential and tau minus its degree-1 differential.
-Only ordered pairs i < j are materialized in the target of tau: the (j,i)
-blocks are negatives of the (i,j) blocks and carry no extra rank.
+Both are assembled once, by the constructor, which checks the patch
+squares as d'_1 . pi = 0.  Only ordered pairs i < j are materialized in
+the target of tau: the (j,i) blocks are negatives of the (i,j) blocks and
+carry no extra rank.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Optional, Sequence
 from .algebras import (
     Algebra, AlgebraHom, Ideal, direct_sum, ideal_intersection, quotient, zero_algebra,
 )
-from .complexes import WordSpace, all_tuples, assemble, increasing_insertions
+from .complexes import WordSpace, all_tuples, assemble, first_nonzero_square, increasing_insertions
 from .errors import DimensionMismatchError, StructureError
 from .linalg import (
     Field, Matrix, Subspace, image_basis, kernel_basis, quotient_map, quotient_section,
@@ -63,9 +65,9 @@ class Covering:
     Patch indices are 1-based.  ``patch(i)`` returns (A_i, pi_i).
     ``space(n)`` is degree n of the covering's Cech complex: one block
     A/I_S per increasing index tuple S of length n, so degree 1 holds the
-    patches and degree 2 the pairs A_ij.  For i < j the square
-    pi_i_ij . pi_i = pi_j_ij . pi_j, with pi_i_ij: A_i -> A_ij the
-    induced projection, is verified at construction.
+    patches and degree 2 the pairs A_ij.  The constructor stores ``pi``
+    and ``tau`` and verifies, for i < j, the square
+    pi_i_ij . pi_i = pi_j_ij . pi_j (pi_i_ij: A_i -> A_ij the projection).
 
     The covering also holds the lattice of its ideal sums: I_S for index
     sets S (``ideal_sum_space``), and for each ideal space J among them
@@ -94,13 +96,20 @@ class Covering:
         self._sections: dict = {}
         self._projections: dict = {}
         self._projection_homs: dict = {}
-        for a, b in all_tuples(self.n_patches, 2):
-            sum_ab = self.ideal_sum_space((a, b))
-            left = self.projection(self.ideals[a - 1].space, sum_ab).mul(self.patch(a)[1].matrix)
-            right = self.projection(self.ideals[b - 1].space, sum_ab).mul(self.patch(b)[1].matrix)
-            if left != right:
-                raise StructureError(f"patch square ({a},{b}) does not commute",
-                                     witness=(a, b))
+
+        def block(s: tuple, t: tuple) -> Matrix:
+            return self.projection(self.ideal_sum_space(s), self.ideal_sum_space(t))
+
+        spaces = tuple(self.space(n) for n in range(3))
+        pi, d1 = (assemble(self.field, src, dst, increasing_insertions(self.n_patches), block)
+                  for src, dst in zip(spaces, spaces[1:]))
+        # block (a,b) of d'_1 . pi is pi_b_ab . pi_b - pi_a_ab . pi_a
+        failure = first_nonzero_square(spaces, (pi, d1))
+        if failure is not None:
+            a, b = failure[2]
+            raise StructureError(f"patch square ({a},{b}) does not commute", witness=(a, b))
+        self.pi = pi
+        self.tau = d1.neg()
         self._b_algebra: Optional[Algebra] = None
 
     @property
@@ -139,8 +148,10 @@ class Covering:
         key = (j1, j2)
         m = self._projections.get(key)
         if m is None:
-            m = self._projections[key] = quotient_map(self.algebra.dim, j2).mul(
-                self.section(j1))
+            m = quotient_map(self.algebra.dim, j2)
+            if j1.dim:  # the section of A -> A/0 is the identity
+                m = m.mul(self.section(j1))
+            self._projections[key] = m
         return m
 
     def projection_hom(self, j1: Subspace, j2: Subspace) -> AlgebraHom:
@@ -195,24 +206,14 @@ def is_covering(c: Covering) -> bool:
     return ideal_intersection(list(c.ideals)).dim == 0
 
 
-def _cech_differential(c: Covering, n: int) -> Matrix:
-    """Degree n -> n + 1 of the covering's Cech complex."""
-
-    def block(s: tuple, t: tuple) -> Matrix:
-        return c.projection(c.ideal_sum_space(s), c.ideal_sum_space(t))
-
-    return assemble(c.field, c.space(n), c.space(n + 1),
-                    increasing_insertions(c.n_patches), block)
-
-
 def build_pi(c: Covering) -> Matrix:
     """pi = (+)_i pi_i : A -> (+)A_i as a stacked block column."""
-    return _cech_differential(c, 0)
+    return c.pi
 
 
 def build_tau(c: Covering) -> Matrix:
     """tau : (+)A_i -> (+)_(i<j) A_ij, block row (i,j) = pi_i_ij - pi_j_ij."""
-    return _cech_differential(c, 1).neg()
+    return c.tau
 
 
 def completeness_check(c: Covering) -> CompletenessReport:

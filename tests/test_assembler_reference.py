@@ -11,6 +11,12 @@ projections pi_i_ij read from ``_IdealSums`` in place of the removed
 ``Covering.pair``.  Every differential of ``build_amitsur`` and
 ``build_cech``, and ``build_pi`` and ``build_tau``, must equal its
 reference matrix entry for entry.
+
+``ref_validate_functor`` is functor validation as it stood before the
+commuting squares were checked as d'.d' = 0: it composes the two paths of
+every square by hand.  On seeded broken functors it must accept and
+reject the same functors as ``validate_functor``, with the same message
+and witness.
 """
 
 from __future__ import annotations
@@ -20,10 +26,14 @@ from itertools import combinations
 
 import pytest
 
-from cechcover.algebras import ideal_closure, matrix_algebra, split_commutative
+from cechcover.algebras import AlgebraHom, ideal_closure, matrix_algebra, split_commutative
 from cechcover.amitsur import build_amitsur
-from cechcover.cech import build_cech, constant_functor, functor_from_ringed_covering
+from cechcover.cech import (
+    PosetFunctor, all_tuples, build_cech, constant_functor, functor_from_ringed_covering,
+    one_step_inclusions, validate_functor,
+)
 from cechcover.coverings import Covering, build_pi, build_tau
+from cechcover.errors import StructureError
 from cechcover.linalg import GF, QQ, Matrix, block_matrix, quotient_map, quotient_section
 from cechcover.nerve import functor_from_cover
 from cechcover.oracles import random_cover_description, random_covering
@@ -193,6 +203,50 @@ def ref_tau(c: Covering) -> Matrix:
     return block_matrix(c.field, row_dims, col_dims, blocks)
 
 
+# -- functor validation, square by square ----------------------------------------------
+
+def ref_validate_functor(f: PosetFunctor) -> None:
+    """Presence of all tuples/steps plus commutation of every length-2 square."""
+    n = f.n_patches
+    for length in range(n + 1):
+        for zeta in all_tuples(n, length):
+            if zeta not in f.rings:
+                raise StructureError(f"functor has no ring on {zeta}", witness=("missing", zeta))
+    up = {}  # (zeta, i) -> zeta with i inserted
+    for zeta, i, _, eta in one_step_inclusions(n):
+        if (zeta, eta) not in f.steps:
+            raise StructureError(f"functor has no restriction {zeta} -> {eta}",
+                                 witness=("missing-step", zeta, eta))
+        hom = f.steps[(zeta, eta)]
+        if hom.domain != f.rings[zeta] or hom.codomain != f.rings[eta]:
+            raise StructureError(f"restriction {zeta} -> {eta} has wrong endpoints",
+                                 witness=("endpoints", zeta, eta))
+        up[zeta, i] = eta
+    # Functors reuse restriction maps (the constant functor has one), so each
+    # distinct (outer, inner) pair of step matrices is composed once.
+    composites: dict = {}
+
+    def compose(outer: Matrix, inner: Matrix) -> Matrix:
+        key = (id(outer), id(inner))
+        product = composites.get(key)
+        if product is None:
+            product = composites[key] = outer.mul(inner)
+        return product
+
+    for zeta, i, _, via_i in one_step_inclusions(n):
+        for j in range(i + 1, n + 1):
+            via_j = up.get((zeta, j))
+            if via_j is None:
+                continue
+            top = up[via_i, j]
+            path1 = compose(f.steps[(via_i, top)].matrix, f.steps[(zeta, via_i)].matrix)
+            path2 = compose(f.steps[(via_j, top)].matrix, f.steps[(zeta, via_j)].matrix)
+            if path1 != path2:
+                raise StructureError(
+                    f"restriction square {zeta} -> {top} does not commute",
+                    witness=("square", zeta, i, j))
+
+
 # -- the comparisons -------------------------------------------------------------------------
 
 def assert_same(actual, expected):
@@ -258,3 +312,42 @@ def test_pi_and_tau_of_a_one_patch_covering(field):
     c = Covering(a, [ideal_closure(a, [])])
     assert build_tau(c).rows == 0 and build_tau(c).cols == 4
     assert_pi_and_tau(c)
+
+
+def _verdict(validate, f) -> tuple | None:
+    try:
+        validate(f)
+    except StructureError as exc:
+        return str(exc), exc.witness
+    return None
+
+
+def _construct(f) -> None:
+    PosetFunctor(f.n_patches, f.rings, f.steps)
+
+
+@pytest.mark.parametrize("field", (QQ, GF(2), GF(5)))
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_squares_of_broken_constant_functors(field, n):
+    """The constant functor k^2 with 0-3 restriction steps replaced by the
+    swap of the two factors, 5 seeds per count: 20 functors per case, 240
+    in all."""
+    rng = random.Random(1000 * n + field.characteristic)
+    ring = split_commutative(field, 2)
+    swap = AlgebraHom(ring, ring, Matrix.from_rows(field, [[0, 1], [1, 0]]))
+    base = constant_functor(n, ring)
+    keys = list(base.steps)
+    rejected = 0
+    for swaps in range(4):
+        for _ in range(5):
+            steps = dict(base.steps)
+            for key in rng.sample(keys, swaps):
+                steps[key] = swap
+            # a functor that has not been validated, for both routes to check
+            f = PosetFunctor.__new__(PosetFunctor)
+            f.n_patches, f.rings, f.steps = n, base.rings, steps
+            expected = _verdict(ref_validate_functor, f)
+            assert _verdict(validate_functor, f) == expected
+            assert _verdict(_construct, f) == expected
+            rejected += expected is not None
+    assert rejected

@@ -201,7 +201,7 @@ def test_custom_ringed_structure_naturality(e1):
         a2, q2 = quotient(base, Ideal(base, fat(j2)))
         return AlgebraHom(a1, a2, q2.matrix.mul(quotient_section(base.dim, fat(j1))))
 
-    rs = RingedStructure(base, ring_of, hom_from_quotient, map_of)
+    rs = RingedStructure(ring_of, hom_from_quotient, map_of)
     f = functor_from_ringed_covering(e1, rs)
     assert f.ring(()).dim == 2
     assert f.ring((1,)).dim == 1 and f.ring((2,)).dim == 1

@@ -3,12 +3,17 @@ from __future__ import annotations
 import random
 import time
 
+import pytest
+
 from cechcover.algebras import ideal_closure, split_commutative
+from cechcover.cli import _dispatch
 from cechcover.coverings import (
     Covering, build_pi, build_tau, completeness_check, is_covering,
 )
-from cechcover.linalg import GF, QQ, image_basis, kernel_basis
+from cechcover.errors import StructureError
+from cechcover.linalg import GF, QQ, image_basis, kernel_basis, rank, subspace_sum
 from cechcover.oracles import random_covering, search_incomplete_covering
+from cechcover.problem import Problem
 
 from instances import make_e1, make_e4, make_three_lines
 
@@ -133,3 +138,51 @@ def test_three_lines_matches_hand_computation():
 def test_worked_instances_over_f5():
     assert completeness_check(make_e1(GF(5))).complete
     assert completeness_check(make_e4(GF(5))).complete
+
+
+# -- the patch squares ---------------------------------------------------------------
+
+def _covering_with_wrong_projections(pairs):
+    """k^3 covered by <e1>, <e2>, <e3>, whose projection A/I_a -> A/I_ab is
+    doubled for each (a, b) in ``pairs``; the pair sums are distinct, so no
+    other square sees the wrong map."""
+    a = split_commutative(QQ, 3)
+    ideals = [ideal_closure(a, [tuple(int(k == i) for k in range(3))]) for i in range(3)]
+    wrong = {(ideals[x - 1].space, subspace_sum(ideals[x - 1].space, ideals[y - 1].space))
+             for x, y in pairs}
+
+    class WrongProjections(Covering):
+        def projection(self, j1, j2):
+            m = super().projection(j1, j2)
+            return m.scale(2) if (j1, j2) in wrong else m
+
+    return WrongProjections(a, ideals)
+
+
+@pytest.mark.parametrize("pairs, named", (
+    ([(2, 3)], (2, 3)),
+    ([(1, 2)], (1, 2)),
+    ([(2, 3), (1, 3)], (1, 3)),
+    ([(1, 3), (1, 2)], (1, 2)),
+))
+def test_a_patch_square_that_does_not_commute_is_named(pairs, named):
+    with pytest.raises(StructureError) as err:
+        _covering_with_wrong_projections(pairs)
+    assert err.value.witness == named
+    assert str(err.value) == f"patch square ({named[0]},{named[1]}) does not commute"
+
+
+# -- tau_rank of the check report ------------------------------------------------------
+
+def _reported_tau_rank(c: Covering) -> int:
+    results, _, _ = _dispatch("check", Problem(c.field, c.algebra, {}, c, None))
+    return results["tau_rank"]
+
+
+@pytest.mark.parametrize("field", (QQ, GF(2), GF(5)))
+def test_check_reports_the_rank_of_tau(field):
+    coverings = [make(field) for make in (make_e1, make_e4, make_three_lines)]
+    rng = random.Random(20261019)
+    coverings += [random_covering(rng, field, max_dim=5, max_patches=4) for _ in range(20)]
+    for c in coverings:
+        assert _reported_tau_rank(c) == rank(build_tau(c))
