@@ -68,9 +68,6 @@ class Algebra(Frozen):
     def element(self, coords: Sequence) -> "Element":
         return Element(self, tuple(self.field.coerce(x) for x in coords))
 
-    def label(self, i: int) -> str:
-        return self.labels[i] if self.labels else f"b{i}"
-
     @property
     def is_zero(self) -> bool:
         return self.dim == 0

@@ -33,7 +33,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .complexes import WordSpace, assemble, first_nonzero_square, homology
-from .coverings import Covering, build_pi
+from .coverings import Covering
 from .errors import DimensionCapError, NotAComplexError
 from .linalg import Matrix, rank
 from .records import Frozen
@@ -132,7 +132,7 @@ def build_amitsur(c: Covering, n_max: int, cap: int = DEFAULT_DIM_CAP) -> Amitsu
     if failure is not None:
         n = failure[0]
         raise NotAComplexError(f"d_{n + 1} . d_{n} != 0", degree=n)
-    pi = build_pi(c)
+    pi = c.pi
     if first_nonzero_square((c.space(0), spaces[0], spaces[1]), (pi, diffs[0])) is not None:
         raise NotAComplexError("d_0 . pi != 0", degree=-1)
     return AmitsurComplex(c, n_max, tuple(spaces), diffs, pi)

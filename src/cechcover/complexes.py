@@ -25,8 +25,7 @@ from functools import cached_property
 from itertools import accumulate, combinations
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import DimensionMismatchError, NotAComplexError
-from .linalg import Field, Matrix, block_matrix, rank, same_field
+from .linalg import Field, Matrix, block_matrix
 from .records import Frozen
 
 
@@ -138,14 +137,3 @@ def homology(dims: Sequence[int], ranks: Sequence[int], first: int) -> list[int]
     where ranks[n] = rank d_n and ``first`` stands in for rank d_(-1)."""
     return [dims[n] - ranks[n] - (ranks[n - 1] if n else first) for n in range(len(ranks))]
 
-
-def homology_dim(d_in: Matrix, d_out: Matrix) -> int:
-    """dim ker(d_out) - rank(d_in) for consecutive maps with d_out.d_in = 0."""
-    same_field(d_in.field, d_out.field)
-    if d_out.cols != d_in.rows:
-        raise DimensionMismatchError(
-            f"middle-space mismatch: d_out expects {d_out.cols}, d_in lands in {d_in.rows}")
-    one_word = [WordSpace(((),), (dim,)) for dim in (d_in.cols, d_in.rows, d_out.rows)]
-    if first_nonzero_square(one_word, (d_in, d_out)) is not None:
-        raise NotAComplexError("d_1 . d_0 != 0", degree=0)
-    return homology([d_out.cols], [rank(d_out)], rank(d_in))[0]

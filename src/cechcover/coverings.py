@@ -2,9 +2,9 @@
 
 A covering is an ordered family I_1..I_N of ideals with zero intersection.
 Completeness asks the patch sequence 0 -> A -> (+)A_i -> (+)A_ij to be
-exact; exactness is checked on k-spans, which detects exactness of the
-underlying bimodule sequence because every map involved is k-linear with
-matching kernels and images.
+exact.  Every map in it is k-linear, so exactness is a statement about
+k-dimensions, and all of it is read off rank pi and rank tau
+(``completeness_check``).
 
 pi and tau are degrees 0 -> 1 -> 2 of the covering's Cech complex, the
 word complex of ``cechcover.complexes`` on the increasing index tuples S
@@ -20,15 +20,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .algebras import (
-    Algebra, AlgebraHom, Ideal, direct_sum, ideal_intersection, quotient, zero_algebra,
-)
+from .algebras import Algebra, AlgebraHom, Ideal, direct_sum, quotient, zero_algebra
 from .complexes import WordSpace, all_tuples, assemble, first_nonzero_square, increasing_insertions
 from .errors import DimensionMismatchError, StructureError
-from .linalg import (
-    Field, Matrix, Subspace, image_basis, kernel_basis, quotient_map, quotient_section,
-    subspace_sum,
-)
+from .linalg import Field, Matrix, Subspace, quotient_map, quotient_section, rank, subspace_sum
 from .records import Frozen
 
 
@@ -72,8 +67,10 @@ class Covering:
     The covering also holds the lattice of its ideal sums: I_S for index
     sets S (``ideal_sum_space``), and for each ideal space J among them
     the quotient A/J, its section and the projections A/J -> A/J' for
-    J inside J'.  Each is computed once and shared by everything built
-    on the covering.
+    J inside J'.  Each is computed once, when first asked for, and shared
+    by everything built on the covering.  pi and tau need only the
+    projections, so a quotient algebra is built only where a ring is read:
+    by ``patch``, ``quotient`` or ``projection_hom``.
     """
 
     def __init__(self, algebra: Algebra, ideals: Sequence[Ideal]):
@@ -90,9 +87,6 @@ class Covering:
         self._sum_spaces.update(((i,), ideal.space)
                                 for i, ideal in enumerate(self.ideals, start=1))
         self._quotients: dict = {}  # J -> (A/J, A -> A/J)
-        for ideal in self.ideals:
-            if ideal.space not in self._quotients:
-                self._quotients[ideal.space] = quotient(algebra, ideal)
         self._sections: dict = {}
         self._projections: dict = {}
         self._projection_homs: dict = {}
@@ -117,7 +111,7 @@ class Covering:
         return self.algebra.field
 
     def patch(self, i: int) -> tuple[Algebra, AlgebraHom]:
-        return self._quotients[self.ideals[i - 1].space]
+        return self.quotient(self.ideals[i - 1].space)
 
     def ideal_sum_space(self, s: tuple) -> Subspace:
         """I_S, the sum of the I_i over i in S, for an index set S given as
@@ -203,35 +197,31 @@ class Covering:
 
 
 def is_covering(c: Covering) -> bool:
-    return ideal_intersection(list(c.ideals)).dim == 0
-
-
-def build_pi(c: Covering) -> Matrix:
-    """pi = (+)_i pi_i : A -> (+)A_i as a stacked block column."""
-    return c.pi
-
-
-def build_tau(c: Covering) -> Matrix:
-    """tau : (+)A_i -> (+)_(i<j) A_ij, block row (i,j) = pi_i_ij - pi_j_ij."""
-    return c.tau
+    """Whether the ideals meet in 0, that is whether pi is injective."""
+    return rank(c.pi) == c.algebra.dim
 
 
 def completeness_check(c: Covering) -> CompletenessReport:
-    """Exactness of 0 -> A -> (+)A_i -> (+)A_ij at A and at (+)A_i."""
-    inter = ideal_intersection(list(c.ideals))
-    covering = inter.dim == 0
-    pi = build_pi(c)
-    tau = build_tau(c)
-    im_pi = image_basis(pi)
-    ker_tau = kernel_basis(tau)
-    exact_at_a = covering  # ker pi = intersection of the ideals
-    exact_at_b = ker_tau == im_pi
+    """Exactness of 0 -> A -> (+)A_i -> (+)A_ij at A and at (+)A_i, from
+    rank pi and rank tau alone.
+
+    Block i of pi is ``quotient_map`` of I_i, whose kernel is I_i, so
+    ker pi is the intersection of the ideals: its dimension is
+    dim A - rank pi, and the sequence is exact at A exactly when pi has
+    full rank.  The constructor has checked tau . pi = 0, so im pi lies
+    inside ker tau, and the two are equal exactly when their dimensions,
+    rank pi and dim (+)A_i - rank tau, are.
+    """
+    im_pi_dim = rank(c.pi)
+    ker_tau_dim = c.tau.cols - rank(c.tau)
+    covering = im_pi_dim == c.algebra.dim
+    exact_at_b = ker_tau_dim == im_pi_dim
     return CompletenessReport(
         is_covering=covering,
-        intersection_dim=inter.dim,
-        exact_at_a=exact_at_a,
+        intersection_dim=c.algebra.dim - im_pi_dim,
+        exact_at_a=covering,
         exact_at_b=exact_at_b,
-        ker_tau_dim=ker_tau.dim,
-        im_pi_dim=im_pi.dim,
-        complete=covering and exact_at_a and exact_at_b,
+        ker_tau_dim=ker_tau_dim,
+        im_pi_dim=im_pi_dim,
+        complete=covering and exact_at_b,
     )

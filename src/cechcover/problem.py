@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from hashlib import sha256
 from pathlib import Path
 from typing import Optional
 
@@ -284,6 +283,9 @@ def parse_problem(doc, field_override: Optional[Field] = None) -> Problem:
 
 def load_problem(path: str, field_override: Optional[Field] = None):
     """Read a problem file; returns (Problem, sha256 hex digest)."""
+    # imported here: _hashlib is the costliest stdlib import of the command line
+    from hashlib import sha256
+
     p = Path(path)
     try:
         data = p.read_bytes()

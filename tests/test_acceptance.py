@@ -173,8 +173,7 @@ def test_criterion_6_e1_end_to_end():
     assert sum(cov.patch_dims()) == 4  # dim B
     t2, _ = tensor_over_A(b_bimodule(cov), b_bimodule(cov))
     assert t2.dim == 6  # dim B (x)_A B
-    from cechcover.coverings import build_tau
-    assert rank(build_tau(cov)) == 1
+    assert rank(cov.tau) == 1
     assert completeness_check(cov).complete
     assert cech_cohomology(build_cech(functor_from_ringed_covering(cov))) == [3, 0]
     report("ACCEPTANCE 6 E1 end-to-end (dim B=4, dim B(x)B=6, tau rank 1, "

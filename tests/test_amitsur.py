@@ -6,13 +6,15 @@ import pytest
 
 from cechcover.algebras import ideal_sum, quotient
 from cechcover.amitsur import amitsur_homology, build_amitsur
-from cechcover.coverings import build_pi, build_tau
-from cechcover.errors import DimensionCapError
+from cechcover.cli import _dispatch
+from cechcover.coverings import Covering
+from cechcover.errors import DimensionCapError, NotAComplexError
 from cechcover.linalg import GF, QQ, kernel_basis, rank
 from cechcover.oracles import (
     TensorTower, b_bimodule, build_coring, random_covering,
     tensor_over_A, validate_bimodule, zero_bimodule,
 )
+from cechcover.problem import Problem
 
 from instances import make_e1
 
@@ -113,14 +115,14 @@ def test_e1_degree_dims(e1):
 def test_differential_zero_exactly_on_image_of_pi(e1):
     cx = build_amitsur(e1, 1)
     d0 = cx.differentials[0]
-    pi = build_pi(e1)
+    pi = e1.pi
     assert d0.mul(pi).is_zero()
-    assert kernel_basis(d0).dim == kernel_basis(build_tau(e1)).dim == 3
+    assert kernel_basis(d0).dim == kernel_basis(e1.tau).dim == 3
 
 
 def test_kernel_of_d0_equals_kernel_of_tau_incomplete(three_lines):
     cx = build_amitsur(three_lines, 1)
-    assert kernel_basis(cx.differentials[0]).dim == kernel_basis(build_tau(three_lines)).dim == 4
+    assert kernel_basis(cx.differentials[0]).dim == kernel_basis(three_lines.tau).dim == 4
     # augmented homology sees the incompleteness in degree 0
     assert amitsur_homology(cx, augmented=True)[0] == 1
 
@@ -219,3 +221,42 @@ def test_amitsur_homology_uses_rank_consistently(e1):
     d0, d1 = cx.differentials
     assert rank(d0) == 1  # B/ker d0: dim 4 - 3
     assert amitsur_homology(cx, augmented=False)[1] == (cx.spaces[1].dim - rank(d1)) - rank(d0)
+
+
+# -- a differential that is not a complex ------------------------------------------
+
+def _e1_with_one_wrong_block(s: tuple, t: tuple):
+    """E1 whose projection A/I_S -> A/I_T is doubled after construction, so
+    pi and tau are right and only the Amitsur differentials see it."""
+    c = make_e1()
+    wrong = (c.ideal_sum_space(s), c.ideal_sum_space(t))
+
+    def projection(j1, j2):
+        m = Covering.projection(c, j1, j2)
+        return m.scale(2) if (j1, j2) == wrong else m
+
+    c.projection = projection
+    return c
+
+
+@pytest.mark.parametrize("s, t, n_max, degree, message", (
+    ((1,), (1, 2), 1, -1, "d_0 . pi != 0"),
+    ((1, 2), (1, 2), 3, 1, "d_2 . d_1 != 0"),
+))
+def test_a_wrong_block_is_not_a_complex(s, t, n_max, degree, message):
+    with pytest.raises(NotAComplexError) as err:
+        build_amitsur(_e1_with_one_wrong_block(s, t), n_max)
+    assert err.value.degree == degree
+    assert str(err.value) == message
+
+
+def test_verify_reports_the_d_squared_witness():
+    c = _e1_with_one_wrong_block((1, 2), (1, 2))
+    results, checks, code = _dispatch("verify", Problem(c.field, c.algebra, {}, c, None,
+                                                        n_max=3))
+    assert code == 1
+    assert checks["d_squared_zero"] is False
+    assert results["d_squared_witness"] == "d_2 . d_1 != 0"
+    assert "degree_dims" not in results
+    # the Cech side does not use the doubled block; no chain map without the complex
+    assert checks["functor_validation"] is True and "chain_map" not in checks

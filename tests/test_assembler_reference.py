@@ -9,7 +9,7 @@ word-complex assembler; they are kept verbatim as the reference, the way
 they became degrees 0 -> 1 -> 2 of the covering's Cech complex, with the
 projections pi_i_ij read from ``_IdealSums`` in place of the removed
 ``Covering.pair``.  Every differential of ``build_amitsur`` and
-``build_cech``, and ``build_pi`` and ``build_tau``, must equal its
+``build_cech``, and ``Covering.pi`` and ``Covering.tau``, must equal its
 reference matrix entry for entry.
 
 ``ref_validate_functor`` is functor validation as it stood before the
@@ -32,7 +32,7 @@ from cechcover.cech import (
     PosetFunctor, all_tuples, build_cech, constant_functor, functor_from_ringed_covering,
     one_step_inclusions, validate_functor,
 )
-from cechcover.coverings import Covering, build_pi, build_tau
+from cechcover.coverings import Covering
 from cechcover.errors import StructureError
 from cechcover.linalg import GF, QQ, Matrix, block_matrix, quotient_map, quotient_section
 from cechcover.nerve import functor_from_cover
@@ -289,8 +289,8 @@ def test_cover_functors(field):
 
 
 def assert_pi_and_tau(c: Covering):
-    assert build_pi(c) == ref_pi(c)
-    assert build_tau(c) == ref_tau(c)
+    assert c.pi == ref_pi(c)
+    assert c.tau == ref_tau(c)
 
 
 @pytest.mark.parametrize("make", (make_e1, make_e4, make_three_lines))
@@ -310,7 +310,7 @@ def test_pi_and_tau_of_random_coverings(field):
 def test_pi_and_tau_of_a_one_patch_covering(field):
     a = matrix_algebra(field, 2)
     c = Covering(a, [ideal_closure(a, [])])
-    assert build_tau(c).rows == 0 and build_tau(c).cols == 4
+    assert c.tau.rows == 0 and c.tau.cols == 4
     assert_pi_and_tau(c)
 
 

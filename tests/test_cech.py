@@ -14,7 +14,7 @@ from cechcover.cech import (
     default_phi_choice, functor_from_ringed_covering, insert_index, space_layout,
     validate_functor, validate_index_tuple, verify_chain_map,
 )
-from cechcover.coverings import Covering, build_tau
+from cechcover.coverings import Covering
 from cechcover.errors import StructureError
 from cechcover.linalg import (
     GF, QQ, Matrix, Subspace, kernel_basis, quotient_section, rank, subspace_sum,
@@ -119,7 +119,7 @@ def test_default_ringed_functor_reuses_the_covering_quotients(e1):
 def test_e1_dprime_is_tau_up_to_sign(e1):
     f = functor_from_ringed_covering(e1)
     cx = build_cech(f)
-    assert cx.differentials[1] == build_tau(e1).neg()
+    assert cx.differentials[1] == e1.tau.neg()
     assert rank(cx.differentials[1]) == 1
 
 

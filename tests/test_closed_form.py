@@ -17,7 +17,7 @@ from cechcover.cech import (
     PosetFunctor, build_cech, default_phi_choice, functor_from_ringed_covering,
     verify_chain_map,
 )
-from cechcover.coverings import Covering, build_pi
+from cechcover.coverings import Covering
 from cechcover.linalg import GF, QQ, Matrix, kernel_basis, rank
 from cechcover.oracles import TensorTower, phi_raw_matrix, random_covering
 
@@ -31,7 +31,7 @@ def tower_oracle(c, n_max):
     tower = TensorTower(c, cap=10 ** 9)
     dims = [tower.space(n + 1).dim for n in range(n_max + 1)]
     ranks = [rank(tower.differential(n)) for n in range(n_max)]
-    pi_rank = rank(build_pi(c))
+    pi_rank = rank(c.pi)
     homology = {}
     for augmented in (True, False):
         homology[augmented] = [

@@ -2,17 +2,19 @@ from __future__ import annotations
 
 import random
 import time
+from itertools import combinations
 
 import pytest
 
-from cechcover.algebras import ideal_closure, split_commutative
+import cechcover.coverings
+from cechcover.algebras import ideal_closure, ideal_intersection, split_commutative
 from cechcover.cli import _dispatch
 from cechcover.coverings import (
-    Covering, build_pi, build_tau, completeness_check, is_covering,
+    CompletenessReport, Covering, completeness_check, is_covering,
 )
 from cechcover.errors import StructureError
 from cechcover.linalg import GF, QQ, image_basis, kernel_basis, rank, subspace_sum
-from cechcover.oracles import random_covering, search_incomplete_covering
+from cechcover.oracles import random_algebra, random_covering, search_incomplete_covering
 from cechcover.problem import Problem
 
 from instances import make_e1, make_e4, make_three_lines
@@ -29,7 +31,7 @@ def test_e1_is_complete(e1):
 def test_e1_tau_matrix_frozen(e1):
     # A_1 keeps coordinates (e1, e2), A_2 keeps (e2, e3), A_12 keeps (e2):
     # tau(x1, x2) = x1[e2] - x2[e2].
-    tau = build_tau(e1)
+    tau = e1.tau
     assert tau.to_lists() == [[0, 1, -1, 0]]
     assert kernel_basis(tau).dim == 3
 
@@ -63,7 +65,7 @@ def test_single_zero_ideal_covering():
     c = Covering(a, [ideal_closure(a, [])])
     rep = completeness_check(c)
     assert rep.is_covering and rep.complete
-    tau = build_tau(c)
+    tau = c.tau
     assert tau.rows == 0  # no pairs: ker tau is everything
     assert rep.ker_tau_dim == 3
 
@@ -78,7 +80,7 @@ def test_single_nonzero_ideal_is_incomplete():
 def test_e4_pair_quotient_is_zero(e4):
     assert e4.patch_dims() == (1, 4)
     assert e4.pair_dims() == (0,)
-    tau = build_tau(e4)
+    tau = e4.tau
     assert tau.rows == 0
     rep = completeness_check(e4)
     assert rep.complete and rep.ker_tau_dim == 5 and rep.im_pi_dim == 5
@@ -99,8 +101,8 @@ def test_image_of_pi_always_inside_kernel_of_tau():
     for field in (QQ, GF(5)):
         for _ in range(10):
             c = random_covering(rng, field, max_dim=5, max_patches=3)
-            im = image_basis(build_pi(c))
-            ker = kernel_basis(build_tau(c))
+            im = image_basis(c.pi)
+            ker = kernel_basis(c.tau)
             assert ker.contains_subspace(im)
             rep = completeness_check(c)
             assert rep.im_pi_dim == c.algebra.dim - rep.intersection_dim
@@ -126,7 +128,7 @@ def test_incomplete_covering_search_finds_one():
     rep = completeness_check(found)
     assert rep.is_covering and not rep.complete and not rep.exact_at_b
     # the structural inclusion still holds on the incomplete instance
-    assert kernel_basis(build_tau(found)).contains_subspace(image_basis(build_pi(found)))
+    assert kernel_basis(found.tau).contains_subspace(image_basis(found.pi))
 
 
 def test_three_lines_matches_hand_computation():
@@ -185,4 +187,93 @@ def test_check_reports_the_rank_of_tau(field):
     rng = random.Random(20261019)
     coverings += [random_covering(rng, field, max_dim=5, max_patches=4) for _ in range(20)]
     for c in coverings:
-        assert _reported_tau_rank(c) == rank(build_tau(c))
+        assert _reported_tau_rank(c) == rank(c.tau)
+
+
+# -- the rank route against the subspace route -----------------------------------------
+
+def ref_completeness_check(c: Covering) -> CompletenessReport:
+    """``completeness_check`` as it stood before it read every field off
+    rank pi and rank tau: the intersection of the ideals, and im pi
+    against ker tau compared as subspaces."""
+    inter = ideal_intersection(list(c.ideals))
+    covering = inter.dim == 0
+    im_pi = image_basis(c.pi)
+    ker_tau = kernel_basis(c.tau)
+    exact_at_a = covering  # ker pi = intersection of the ideals
+    exact_at_b = ker_tau == im_pi
+    return CompletenessReport(
+        is_covering=covering,
+        intersection_dim=inter.dim,
+        exact_at_a=exact_at_a,
+        exact_at_b=exact_at_b,
+        ker_tau_dim=ker_tau.dim,
+        im_pi_dim=im_pi.dim,
+        complete=covering and exact_at_a and exact_at_b,
+    )
+
+
+def _unfiltered_covering(rng: random.Random, field) -> Covering:
+    """Random principal ideals of a random algebra, kept whether or not
+    they meet in 0."""
+    a = random_algebra(rng, field, max_dim=5)
+    gens = ([field.coerce(rng.choice((0, 0, 1, -1, 2))) for _ in range(a.dim)]
+            for _ in range(rng.randint(1, 3)))
+    return Covering(a, [ideal_closure(a, [g]) for g in gens])
+
+
+def _assert_both_routes_agree(c: Covering) -> CompletenessReport:
+    ref = ref_completeness_check(c)
+    assert completeness_check(c) == ref
+    assert is_covering(c) == ref.is_covering
+    return ref
+
+
+@pytest.mark.parametrize("field", (QQ, GF(2), GF(5)))
+def test_completeness_from_ranks_matches_the_subspace_route(field):
+    rng = random.Random(20261020)
+    coverings = [make(field) for make in (make_e1, make_e4, make_three_lines)]
+    coverings += [random_covering(rng, field, max_dim=5, max_patches=4) for _ in range(12)]
+    coverings += [_unfiltered_covering(rng, field) for _ in range(12)]
+    reports = [_assert_both_routes_agree(c) for c in coverings]
+    assert any(not r.is_covering for r in reports)
+    assert any(r.is_covering and not r.complete for r in reports)
+
+
+@pytest.mark.parametrize("field", (QQ, GF(5)))
+def test_completeness_from_ranks_matches_on_found_incomplete_coverings(field):
+    found = search_incomplete_covering(random.Random(20260810), field, attempts=300)
+    assert found is not None
+    ref = _assert_both_routes_agree(found)
+    assert ref.is_covering and not ref.complete
+
+
+# -- quotient algebras are built where a ring is read ----------------------------------
+
+def _quotient_calls(monkeypatch, command: str) -> tuple:
+    calls = []
+    real = cechcover.coverings.quotient
+
+    def counted(a, j):
+        calls.append(j.space)
+        return real(a, j)
+
+    monkeypatch.setattr(cechcover.coverings, "quotient", counted)
+    c = make_three_lines()
+    _, _, code = _dispatch(command, Problem(c.field, c.algebra, {}, c, None, n_max=2))
+    assert code == 0
+    return c, calls
+
+
+@pytest.mark.parametrize("command", ("check", "amitsur"))
+def test_check_and_amitsur_build_no_quotient_algebra(monkeypatch, command):
+    _, calls = _quotient_calls(monkeypatch, command)
+    assert calls == []
+
+
+def test_verify_builds_each_ideal_sum_quotient_once(monkeypatch):
+    c, calls = _quotient_calls(monkeypatch, "verify")
+    sums = {c.ideal_sum_space(s) for n in range(c.n_patches + 1)
+            for s in combinations(range(1, c.n_patches + 1), n)}
+    assert len(calls) == len(set(calls)) == len(sums) == 5
+    assert set(calls) == sums

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cechcover.complexes import homology_dim
+from cechcover.complexes import WordSpace, first_nonzero_square, homology
 from cechcover.errors import FieldMismatchError, NotAComplexError
 from cechcover.linalg import (
     GF, QQ, Matrix, Subspace,
@@ -194,6 +194,14 @@ def test_quotient_section_is_right_inverse():
 
 
 # -- homology --------------------------------------------------------------------
+
+def homology_dim(d_in, d_out):
+    """dim ker(d_out) - rank(d_in), for one-word spaces, after the d.d = 0 check."""
+    one_word = [WordSpace(((),), (dim,)) for dim in (d_in.cols, d_in.rows, d_out.rows)]
+    if first_nonzero_square(one_word, (d_in, d_out)) is not None:
+        raise NotAComplexError("d_1 . d_0 != 0", degree=0)
+    return homology([d_out.cols], [rank(d_out)], rank(d_in))[0]
+
 
 def test_homology_zero_maps():
     z = Matrix.zero(QQ, 4, 4)

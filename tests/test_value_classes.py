@@ -1,6 +1,6 @@
 """The value classes keep the semantics of frozen dataclasses, and importing
-the command line pulls in neither ``dataclasses`` nor ``inspect`` nor the
-test oracles of ``cechcover.oracles``.
+the command line pulls in neither ``dataclasses`` nor ``inspect`` nor
+``hashlib`` nor the test oracles of ``cechcover.oracles``.
 
 The semantics pins: equal fields compare equal and hash equal, another
 class never compares equal, assignment raises AttributeError, and the
@@ -112,3 +112,18 @@ def test_importing_the_cli_skips_dataclasses_and_inspect():
     assert skipped == "[]"
     assert oracles_loaded == "False"
     assert tower_defined == "False"
+
+
+def test_importing_the_cli_adds_no_costly_module():
+    """Checked against the modules loaded before the import, since ``site``
+    may load some of them on its own; ``hashlib`` is imported only where a
+    problem file's digest is taken."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import cechcover.cli\n"
+            "added = set(sys.modules) - before\n"
+            "print(sorted(added & {'hashlib', '_hashlib', 'cechcover.oracles', 'dataclasses'}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out == "[]\n"
