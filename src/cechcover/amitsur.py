@@ -76,9 +76,10 @@ class AmitsurComplex(Frozen):
         """rank d_0..d_(n_max-1), each computed once per complex."""
         return tuple(rank(d) for d in self.differentials)
 
-    @cached_property
+    @property
     def augmentation_rank(self) -> int:
-        return rank(self.augmentation)
+        """rank pi; the augmentation is the covering's pi."""
+        return self.covering.pi_rank
 
 
 def _index_set(word: tuple) -> tuple:

@@ -25,7 +25,8 @@ from functools import cached_property
 from itertools import accumulate, combinations
 from typing import Callable, Iterable, Optional, Sequence
 
-from .linalg import Field, Matrix, block_matrix
+from .errors import DimensionMismatchError
+from .linalg import Field, Matrix
 from .records import Frozen
 
 
@@ -98,21 +99,39 @@ def assemble(field: Field, src: WordSpace, dst: WordSpace,
     ``insertions(w)`` yields (sign, target word) for each letter inserted
     into the source word w; targets that ``dst`` does not hold are dropped.
     The signs are summed per target v, and block (v, w) of the result is
-    that sum times ``block(w, v)``.
+    that sum times ``block(w, v)``, written straight into the rows of the
+    result.
     """
-    rows = dst.index
-    blocks = {}
-    for col, w in enumerate(src.words):
+    p = field.characteristic
+    index, targets, heights, starts = dst.index, dst.words, dst.dims, dst._starts
+    out = tuple({} for _ in range(dst.dim))
+    for col, (w, width, c0) in enumerate(zip(src.words, src.dims, src._starts)):
         signs: dict = {}
         for sign, v in insertions(w):
-            row = rows.get(v)
+            row = index.get(v)
             if row is not None:
                 signs[row] = signs.get(row, 0) + sign
         for row, x in signs.items():
-            if x:
-                m = block(w, dst.words[row])
-                blocks[(row, col)] = m if x == 1 else m.neg() if x == -1 else m.scale(x)
-    return block_matrix(field, dst.dims, src.dims, blocks)
+            if p:
+                x %= p
+            if not x:
+                continue
+            m = block(w, targets[row])
+            if m.rows != heights[row] or m.cols != width:
+                raise DimensionMismatchError(
+                    f"block ({row},{col}) has shape {m.rows}x{m.cols}")
+            for r, brow in enumerate(m.nonzeros, starts[row]):
+                if not brow:
+                    continue
+                if x == 1:
+                    out[r].update({c0 + c: y for c, y in brow.items()} if c0 else brow)
+                elif p:
+                    out[r].update({c0 + c: y * x % p for c, y in brow.items()})
+                elif x == -1:
+                    out[r].update({c0 + c: -y for c, y in brow.items()})
+                else:
+                    out[r].update({c0 + c: y * x for c, y in brow.items()})
+    return Matrix.from_nonzeros(field, len(out), src.dim, out)
 
 
 def first_nonzero_square(spaces: Sequence[WordSpace],

@@ -18,6 +18,7 @@ carry no extra rank.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .algebras import Algebra, AlgebraHom, Ideal, direct_sum, quotient, zero_algebra
@@ -86,6 +87,7 @@ class Covering:
         self._sum_spaces = {(): Subspace.zero(self.field, algebra.dim)}
         self._sum_spaces.update(((i,), ideal.space)
                                 for i, ideal in enumerate(self.ideals, start=1))
+        self._ideals = {ideal.space: ideal for ideal in self.ideals}
         self._quotients: dict = {}  # J -> (A/J, A -> A/J)
         self._sections: dict = {}
         self._projections: dict = {}
@@ -110,6 +112,12 @@ class Covering:
     def field(self) -> Field:
         return self.algebra.field
 
+    @cached_property
+    def pi_rank(self) -> int:
+        """rank pi, computed once: ``is_covering``, ``completeness_check``
+        and the Amitsur augmentation all read it."""
+        return rank(self.pi)
+
     def patch(self, i: int) -> tuple[Algebra, AlgebraHom]:
         return self.quotient(self.ideals[i - 1].space)
 
@@ -123,10 +131,14 @@ class Covering:
         return space
 
     def quotient(self, j: Subspace) -> tuple[Algebra, AlgebraHom]:
-        """A/J with its projection A -> A/J, for J an ideal sum."""
+        """A/J with its projection A -> A/J, for J an ideal sum; a patch
+        ideal is passed as it is, not checked again as a two-sided ideal."""
         q = self._quotients.get(j)
         if q is None:
-            q = self._quotients[j] = quotient(self.algebra, Ideal(self.algebra, j))
+            ideal = self._ideals.get(j)
+            if ideal is None:
+                ideal = Ideal(self.algebra, j)
+            q = self._quotients[j] = quotient(self.algebra, ideal)
         return q
 
     def section(self, j: Subspace) -> Matrix:
@@ -198,7 +210,7 @@ class Covering:
 
 def is_covering(c: Covering) -> bool:
     """Whether the ideals meet in 0, that is whether pi is injective."""
-    return rank(c.pi) == c.algebra.dim
+    return c.pi_rank == c.algebra.dim
 
 
 def completeness_check(c: Covering) -> CompletenessReport:
@@ -212,7 +224,7 @@ def completeness_check(c: Covering) -> CompletenessReport:
     inside ker tau, and the two are equal exactly when their dimensions,
     rank pi and dim (+)A_i - rank tau, are.
     """
-    im_pi_dim = rank(c.pi)
+    im_pi_dim = c.pi_rank
     ker_tau_dim = c.tau.cols - rank(c.tau)
     covering = im_pi_dim == c.algebra.dim
     exact_at_b = ker_tau_dim == im_pi_dim

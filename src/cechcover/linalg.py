@@ -8,10 +8,13 @@ truthiness is the zero test throughout.
 A ``Matrix`` stores its nonzeros only: one ``{column: value}`` dict per
 row, and no zero is stored.  Every operation, row reduction included, reads
 and builds these rows directly, so its cost follows the nonzeros, not
-rows x cols.  The inner loops use plain ``Fraction`` arithmetic over Q and
-plain int arithmetic with one reduction mod p per result entry over F_p,
-with no ``Field`` method call per entry.  ``Matrix.entries`` is a dense
-read-only view, built on first read, for printing.
+rows x cols.  The inner loops run on plain ints, with no ``Field`` method
+call per entry: over F_p with one reduction mod p per result entry; over Q
+elimination is fraction-free on rows scaled to integers (``_eliminate``),
+and a product of two integral matrices multiplies their numerators
+(``_product``).  Q values still enter and leave every ``Matrix`` as
+``Fraction``.  ``Matrix.entries`` is a dense read-only view, built on
+first read, for printing.
 
 Subspaces are stored by their reduced row-echelon basis, which makes RREF
 equality the canonical equality test and makes every derived choice
@@ -24,7 +27,8 @@ import heapq
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatchError, FieldMismatchError
 from .records import Frozen
@@ -336,8 +340,8 @@ class Matrix(Frozen):
         if self.cols != other.rows:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        right = other.nonzeros
-        return _product(self, other.cols, lambda k: right[k].items())
+        left, right, ints = _factor_rows(self, other)
+        return _product(self.field, left, other.cols, lambda k: right[k].items(), ints)
 
     def apply(self, vector: Sequence) -> tuple:
         """Matrix times column vector."""
@@ -416,28 +420,34 @@ def mul_kron_identity(a: Matrix, x: Matrix, n: int) -> Matrix:
     if a.cols != x.rows * n:
         raise DimensionMismatchError(
             f"cannot multiply {a.rows}x{a.cols} by ({x.rows}x{x.cols}) kron I_{n}")
-    x_rows = x.nonzeros
+    left, x_rows, ints = _factor_rows(a, x)
 
     def right_row(k):
         i, s = divmod(k, n)
         return [(j * n + s, v) for j, v in x_rows[i].items()]
 
-    return _product(a, x.cols * n, right_row)
+    return _product(a.field, left, x.cols * n, right_row, ints)
 
 
-def _product(a: Matrix, ncols: int, right_row) -> Matrix:
-    """a times the ncols-column matrix whose row k has the nonzeros
-    ``right_row(k)``, as (column, value) pairs; each row is asked for once."""
-    p = a.field.characteristic
+def _product(field: Field, left: Sequence, ncols: int, right_row, ints: bool) -> Matrix:
+    """The matrix with rows ``left`` times the ncols-column matrix whose
+    row k has the nonzeros ``right_row(k)``, as (column, value) pairs;
+    each row is asked for once.
+
+    With ``ints`` both factors hold ints, as they always do over F_p
+    (``_factor_rows``): over Q every sum is then an int, and a ``Fraction``
+    is built only for a nonzero entry of the product.
+    """
+    p = field.characteristic
     right: dict = {}
     out = []
-    for row in a.nonzeros:
+    for row in left:
         acc: dict = {}
         for k, av in row.items():
             pairs = right.get(k)
             if pairs is None:
                 pairs = right[k] = right_row(k)
-            if p:
+            if ints:
                 for c, b in pairs:
                     acc[c] = acc.get(c, 0) + av * b
             else:
@@ -446,9 +456,36 @@ def _product(a: Matrix, ncols: int, right_row) -> Matrix:
                     acc[c] = av * b if y is None else y + av * b
         if p:
             out.append({c: y for c, x in acc.items() if (y := x % p)})
+        elif ints:
+            out.append({c: Fraction(y) for c, y in acc.items() if y})
         else:
             out.append({c: y for c, y in acc.items() if y})
-    return Matrix.from_nonzeros(a.field, a.rows, ncols, tuple(out))
+    return Matrix.from_nonzeros(field, len(out), ncols, tuple(out))
+
+
+def _factor_rows(a: Matrix, b: Matrix) -> tuple[Sequence, Sequence, bool]:
+    """The rows of a and b to multiply, and whether both hold ints: their
+    nonzeros over F_p; over Q their numerators when every entry of both is
+    an integer, else their nonzeros, which hold Fractions."""
+    if a.field.characteristic:
+        return a.nonzeros, b.nonzeros, True
+    right = _int_rows(b)
+    left = _int_rows(a) if right is not None else None
+    if left is None:
+        return a.nonzeros, b.nonzeros, False
+    return left, right, True
+
+
+def _int_rows(m: Matrix) -> Optional[list]:
+    """Over Q, m's rows with the numerators of its entries when every entry
+    is an integer; None otherwise."""
+    out = []
+    for row in m.nonzeros:
+        ints = {c: x.numerator for c, x in row.items() if x.denominator == 1}
+        if len(ints) < len(row):
+            return None
+        out.append(ints)
+    return out
 
 
 def _offsets(dims: Sequence[int]):
@@ -476,16 +513,22 @@ def _eliminate(field: Field, rows: list, reduce: bool) -> tuple[list, list]:
     ``rows`` are ``{column: nonzero}`` dicts and are consumed.  Columns are
     taken in increasing order.  Every remaining row is zero left of the
     current column, so the rows nonzero there are exactly the ones whose
-    leading entry lies there: the sparsest of them, scaled to 1, is the
-    pivot, and the column is cleared from the others.  With ``reduce`` the
+    leading entry lies there: the sparsest of them is the pivot, and the
+    column is cleared from the others (``_clear``).  With ``reduce`` the
     pivot rows are then cleared above each pivot, which gives the unique
     reduced row-echelon form whatever pivot rows were chosen.
+
+    Over F_p each pivot row is scaled to 1 when it is chosen.  Over Q the
+    rows are first made primitive integer rows (``_integral``) and stay
+    integer: elimination is fraction-free, and with ``reduce`` each pivot
+    row is divided by its pivot once, at the end, into ``Fraction`` values.
+    Without ``reduce`` only the pivot columns are meaningful over Q.
     """
     p = field.characteristic
     buckets: dict = {}  # leading column -> remaining rows that start there
     for row in rows:
         if row:
-            buckets.setdefault(min(row), []).append(row)
+            buckets.setdefault(min(row), []).append(row if p else _integral(row))
     heap = list(buckets)
     heapq.heapify(heap)
     pivot_rows, pivots = [], []
@@ -494,12 +537,9 @@ def _eliminate(field: Field, rows: list, reduce: bool) -> tuple[list, list]:
         group = buckets.pop(c)
         prow = group.pop(min(range(len(group)), key=lambda i: len(group[i])))
         pv = prow[c]
-        if pv != 1:
-            if p:
-                inv = pow(pv, -1, p)
-                prow = {j: x * inv % p for j, x in prow.items()}
-            else:
-                prow = {j: x / pv for j, x in prow.items()}
+        if p and pv != 1:
+            inv = pow(pv, -1, p)
+            prow = {j: x * inv % p for j, x in prow.items()}
         pivot_rows.append(prow)
         pivots.append(c)
         for row in group:
@@ -517,11 +557,19 @@ def _eliminate(field: Field, rows: list, reduce: bool) -> tuple[list, list]:
             for row in pivot_rows[:k]:
                 if c in row:
                     _clear(row, prow, c, p)
+        if not p:
+            pivot_rows = [_over_pivot(row, row[c]) for row, c in zip(pivot_rows, pivots)]
     return pivot_rows, pivots
 
 
 def _clear(row: dict, prow: dict, c: int, p: int) -> None:
-    """row -= row[c] * prow in place, where prow[c] == 1 (mod p when p > 0)."""
+    """Clear column c of row with prow, in place.
+
+    Over F_p, prow[c] == 1 and row -= row[c] * prow.  Over Q both rows
+    hold ints: row becomes (a * row - b * prow) / content, where a / b is
+    prow[c] / row[c] in lowest terms with a > 0 and the content is the gcd
+    of the result's entries, so the row stays a primitive integer row.
+    """
     f = row[c]
     if p:
         f = p - f
@@ -531,17 +579,49 @@ def _clear(row: dict, prow: dict, c: int, p: int) -> None:
                 row[j] = y
             else:
                 del row[j]
-    else:
-        for j, x in prow.items():
-            y = row.get(j)
-            if y is None:
-                row[j] = -f * x
+        return
+    pv = prow[c]
+    g = gcd(pv, f) if pv > 0 else -gcd(pv, f)
+    a, b = pv // g, f // g
+    if a != 1:
+        for j, x in row.items():
+            row[j] = a * x
+    for j, x in prow.items():
+        y = row.get(j)
+        if y is None:
+            row[j] = -b * x
+        else:
+            y -= b * x
+            if y:
+                row[j] = y
             else:
-                y -= f * x
-                if y:
-                    row[j] = y
-                else:
-                    del row[j]
+                del row[j]
+    if row:
+        g = gcd(*row.values())
+        if g != 1:
+            for j, x in row.items():
+                row[j] = x // g
+
+
+def _integral(row: dict) -> dict:
+    """The primitive integer row that is a positive multiple of a row of
+    rationals."""
+    scale = lcm(*[x.denominator for x in row.values()])
+    if scale == 1:
+        out = {j: x.numerator for j, x in row.items()}
+    else:
+        out = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
+    g = gcd(*out.values())
+    if g != 1:
+        out = {j: x // g for j, x in out.items()}
+    return out
+
+
+def _over_pivot(row: dict, pv: int) -> dict:
+    """An integer row divided by its pivot value pv, as Fractions."""
+    if pv == 1:
+        return {j: Fraction(x) for j, x in row.items()}
+    return {j: Fraction(x, pv) for j, x in row.items()}
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
@@ -643,11 +723,19 @@ class Subspace(Frozen):
         every pivot leaves zero exactly when v lies in the span.
         """
         p = self.field.characteristic
-        acc = dict(v)
-        for row, c in zip(self.sparse_basis, self._pivots):
+        acc = dict(v) if p else _integral(v)
+        for row, c in zip(self._clearing_rows, self._pivots):
             if c in acc:
                 _clear(acc, row, c, p)
         return not acc
+
+    @cached_property
+    def _clearing_rows(self) -> tuple:
+        """The basis rows in the form ``_clear`` takes: over Q, primitive
+        integer rows."""
+        if self.field.characteristic:
+            return self.sparse_basis
+        return tuple(map(_integral, self.sparse_basis))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains_sparse(row) for row in other.sparse_basis)

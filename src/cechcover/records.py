@@ -29,6 +29,8 @@ class Record:
             cls._values = staticmethod(attrgetter(*cls._fields))
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
             return self._values(self) == self._values(other)
         return NotImplemented

@@ -12,6 +12,14 @@ projections pi_i_ij read from ``_IdealSums`` in place of the removed
 ``build_cech``, and ``Covering.pi`` and ``Covering.tau``, must equal its
 reference matrix entry for entry.
 
+``ref_assemble`` is ``complexes.assemble`` as it stood before it wrote
+each block straight into the rows of the differential: it scaled every
+block by its sign sum as a ``Matrix`` and stacked the blocks with
+``block_matrix``.  Fed the same word spaces, insertion rule and blocks,
+it must give the same Amitsur, Cech, pi and tau matrices over Q, F_2,
+F_3 and F_5, and the same matrices for insertion rules whose sign sums
+reach +-3, which vanish over F_2 or F_3.
+
 ``ref_validate_functor`` is functor validation as it stood before the
 commuting squares were checked as d'.d' = 0: it composes the two paths of
 every square by hand.  On seeded broken functors it must accept and
@@ -22,6 +30,7 @@ and witness.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -32,6 +41,7 @@ from cechcover.cech import (
     PosetFunctor, all_tuples, build_cech, constant_functor, functor_from_ringed_covering,
     one_step_inclusions, validate_functor,
 )
+from cechcover.complexes import WordSpace, assemble, increasing_insertions
 from cechcover.coverings import Covering
 from cechcover.errors import StructureError
 from cechcover.linalg import GF, QQ, Matrix, block_matrix, quotient_map, quotient_section
@@ -203,6 +213,31 @@ def ref_tau(c: Covering) -> Matrix:
     return block_matrix(c.field, row_dims, col_dims, blocks)
 
 
+# -- the word-complex assembler, block by block ---------------------------------------------
+
+def ref_assemble(field, src, dst, insertions, block) -> Matrix:
+    """The differential src -> dst.
+
+    ``insertions(w)`` yields (sign, target word) for each letter inserted
+    into the source word w; targets that ``dst`` does not hold are dropped.
+    The signs are summed per target v, and block (v, w) of the result is
+    that sum times ``block(w, v)``.
+    """
+    rows = dst.index
+    blocks = {}
+    for col, w in enumerate(src.words):
+        signs: dict = {}
+        for sign, v in insertions(w):
+            row = rows.get(v)
+            if row is not None:
+                signs[row] = signs.get(row, 0) + sign
+        for row, x in signs.items():
+            if x:
+                m = block(w, dst.words[row])
+                blocks[(row, col)] = m if x == 1 else m.neg() if x == -1 else m.scale(x)
+    return block_matrix(field, dst.dims, src.dims, blocks)
+
+
 # -- functor validation, square by square ----------------------------------------------
 
 def ref_validate_functor(f: PosetFunctor) -> None:
@@ -351,3 +386,95 @@ def test_squares_of_broken_constant_functors(field, n):
             assert _verdict(_construct, f) == expected
             rejected += expected is not None
     assert rejected
+
+
+# -- the row-direct assembler against the block-by-block one ------------------------------------
+
+ASSEMBLY_FIELDS = (QQ, GF(2), GF(3), GF(5))
+
+
+def ref_amitsur_by_assembler(c: Covering, cx) -> list:
+    """The differentials of ``cx`` through ``ref_assemble``, with the
+    insertion rule and blocks of ``build_amitsur``."""
+    patches = range(1, c.n_patches + 1)
+
+    def insertions(w):
+        for k in range(len(w) + 1):
+            for i in patches:
+                yield -1 if k % 2 else 1, w[:k] + (i,) + w[k:]
+
+    def block(w, v):
+        return c.projection(c.ideal_sum_space(_index_set(w)), c.ideal_sum_space(_index_set(v)))
+
+    return [ref_assemble(c.field, src, dst, insertions, block)
+            for src, dst in zip(cx.spaces, cx.spaces[1:])]
+
+
+def ref_cech_by_assembler(f) -> list:
+    def block(zeta, eta):
+        return f.steps[(zeta, eta)].matrix
+
+    return [ref_assemble(f.ring(()).field, src, dst, increasing_insertions(f.n_patches), block)
+            for src, dst in zip(f.layouts, f.layouts[1:])]
+
+
+def ref_pi_tau_by_assembler(c: Covering) -> tuple:
+    def block(s, t):
+        return c.projection(c.ideal_sum_space(s), c.ideal_sum_space(t))
+
+    spaces = [c.space(n) for n in range(3)]
+    pi, d1 = (ref_assemble(c.field, src, dst, increasing_insertions(c.n_patches), block)
+              for src, dst in zip(spaces, spaces[1:]))
+    return pi, d1.neg()
+
+
+@pytest.mark.parametrize("field", ASSEMBLY_FIELDS)
+def test_row_direct_assembly_of_coverings(field):
+    rng = random.Random(20261019 + field.characteristic)
+    coverings = [make(field) for make in (make_e1, make_e4, make_three_lines)]
+    coverings += [random_covering(rng, field, max_dim=5, max_patches=4) for _ in range(10)]
+    for c in coverings:
+        assert (c.pi, c.tau) == ref_pi_tau_by_assembler(c)
+        cx = build_amitsur(c, 3)
+        assert_same(cx.differentials, ref_amitsur_by_assembler(c, cx))
+        f = functor_from_ringed_covering(c)
+        assert_same(build_cech(f).differentials, ref_cech_by_assembler(f))
+
+
+@pytest.mark.parametrize("field", ASSEMBLY_FIELDS)
+def test_row_direct_assembly_of_functors(field):
+    rng = random.Random(7 + field.characteristic)
+    functors = [constant_functor(n, ring) for n in (1, 3, 5)
+                for ring in (split_commutative(field, 1), matrix_algebra(field, 2))]
+    functors += [functor_from_cover(random_cover_description(rng, max_patches=5, field=field))
+                 for _ in range(8)]
+    for f in functors:
+        assert_same(f.differentials, ref_cech_by_assembler(f))
+
+
+@pytest.mark.parametrize("field", ASSEMBLY_FIELDS)
+def test_row_direct_assembly_of_summed_signs(field):
+    """Insertion rules that hit a target up to nine times with either
+    sign, so the sign sums reach +-3 and some vanish only mod p; targets
+    outside the target space are dropped."""
+    rng = random.Random(20261020 + field.characteristic)
+    values = (0, 0, 1, -1, 2, Fraction(-3, 4), Fraction(5, 6)) if field == QQ else (0, 0, 1, 2)
+    for _ in range(40):
+        src_words = tuple((i,) for i in range(rng.randint(0, 4)))
+        src = WordSpace(src_words, tuple(rng.randint(0, 3) for _ in src_words))
+        dst_words = tuple((i, j) for i in range(3) for j in range(2))
+        dst = WordSpace(dst_words, tuple(rng.randint(0, 3) for _ in dst_words))
+        hits = {w: [(rng.choice((1, -1)), (rng.randrange(4), rng.randrange(2)))
+                    for _ in range(rng.randint(0, 9))] for w in src_words}
+        blocks = {}
+
+        def block(w, v):
+            if (w, v) not in blocks:
+                rows, cols = dst.offset_of(v)[1], src.offset_of(w)[1]
+                blocks[(w, v)] = Matrix.from_rows(field, [
+                    [rng.choice(values) for _ in range(cols)] for _ in range(rows)]
+                ) if rows else Matrix(field, 0, cols, ())
+            return blocks[(w, v)]
+
+        expected = ref_assemble(field, src, dst, hits.__getitem__, block)
+        assert assemble(field, src, dst, hits.__getitem__, block) == expected

@@ -6,6 +6,8 @@ from itertools import combinations
 
 import pytest
 
+import cechcover.algebras
+import cechcover.amitsur
 import cechcover.coverings
 from cechcover.algebras import ideal_closure, ideal_intersection, split_commutative
 from cechcover.cli import _dispatch
@@ -277,3 +279,41 @@ def test_verify_builds_each_ideal_sum_quotient_once(monkeypatch):
             for s in combinations(range(1, c.n_patches + 1), n)}
     assert len(calls) == len(set(calls)) == len(sums) == 5
     assert set(calls) == sums
+
+
+# -- work done once per covering -------------------------------------------------------------
+
+def test_amitsur_ranks_pi_once(monkeypatch):
+    # completeness_check and the augmented degree 0 both read Covering.pi_rank
+    ranked = []
+    real = cechcover.coverings.rank
+
+    def counted(m):
+        ranked.append(m)
+        return real(m)
+
+    for module in (cechcover.coverings, cechcover.amitsur):
+        monkeypatch.setattr(module, "rank", counted)
+    c = make_three_lines()
+    _, _, code = _dispatch("amitsur", Problem(c.field, c.algebra, {}, c, None, n_max=2))
+    assert code == 0
+    assert len(ranked) == 4  # pi, tau, d_0, d_1
+    assert sum(m is c.pi for m in ranked) == 1
+
+
+def test_quotient_reuses_the_patch_ideals(monkeypatch):
+    # only the ideal sums that are not patch ideals are checked as two-sided
+    # ideals again: I_empty = 0 and the one pair sum of three_lines
+    built = []
+    real = cechcover.algebras.Ideal.__init__
+
+    def counted(self, algebra, space):
+        built.append(space)
+        real(self, algebra, space)
+
+    c = make_three_lines()
+    monkeypatch.setattr(cechcover.algebras.Ideal, "__init__", counted)
+    _, _, code = _dispatch("verify", Problem(c.field, c.algebra, {}, c, None, n_max=2))
+    assert code == 0
+    patches = {ideal.space for ideal in c.ideals}
+    assert len(built) == 2 and not patches & set(built)

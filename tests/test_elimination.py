@@ -8,9 +8,11 @@ it entry for entry, whatever pivot rows it chooses.
 
 from __future__ import annotations
 
+import heapq
 import random
 from fractions import Fraction
 
+from cechcover import linalg
 from cechcover.linalg import (
     GF, QQ, Field, Matrix, Subspace, block_matrix, image_basis, kernel_basis,
     mul_kron_identity, rank, rref, subspace_intersect, subspace_sum,
@@ -351,3 +353,208 @@ def test_zero_tests_agree_on_shared_and_fresh_zeros():
             assert rref(shared) == rref(m)
             assert kernel_basis(shared) == kernel_basis(m)
             assert shared.mul(m.transpose()).entries == naive_mul(m, m.transpose())
+
+
+# -- the integer kernels over Q against the Fraction kernels they replaced ----------------
+#
+# ``ref_eliminate``, ``ref_clear`` and ``ref_product`` are the sparse kernels
+# as they stood when the inner loops over Q ran on Fraction values, kept
+# verbatim (with the F_p branches, which are unchanged) as the reference.
+
+def ref_eliminate(field: Field, rows: list, reduce: bool) -> tuple[list, list]:
+    p = field.characteristic
+    buckets: dict = {}  # leading column -> remaining rows that start there
+    for row in rows:
+        if row:
+            buckets.setdefault(min(row), []).append(row)
+    heap = list(buckets)
+    heapq.heapify(heap)
+    pivot_rows, pivots = [], []
+    while heap:
+        c = heapq.heappop(heap)
+        group = buckets.pop(c)
+        prow = group.pop(min(range(len(group)), key=lambda i: len(group[i])))
+        pv = prow[c]
+        if pv != 1:
+            if p:
+                inv = pow(pv, -1, p)
+                prow = {j: x * inv % p for j, x in prow.items()}
+            else:
+                prow = {j: x / pv for j, x in prow.items()}
+        pivot_rows.append(prow)
+        pivots.append(c)
+        for row in group:
+            ref_clear(row, prow, c, p)
+            if row:
+                lead = min(row)
+                if lead in buckets:
+                    buckets[lead].append(row)
+                else:
+                    buckets[lead] = [row]
+                    heapq.heappush(heap, lead)
+    if reduce:
+        for k in range(len(pivots) - 1, 0, -1):
+            c, prow = pivots[k], pivot_rows[k]
+            for row in pivot_rows[:k]:
+                if c in row:
+                    ref_clear(row, prow, c, p)
+    return pivot_rows, pivots
+
+
+def ref_clear(row: dict, prow: dict, c: int, p: int) -> None:
+    """row -= row[c] * prow in place, where prow[c] == 1 (mod p when p > 0)."""
+    f = row[c]
+    if p:
+        f = p - f
+        for j, x in prow.items():
+            y = (row.get(j, 0) + f * x) % p
+            if y:
+                row[j] = y
+            else:
+                del row[j]
+    else:
+        for j, x in prow.items():
+            y = row.get(j)
+            if y is None:
+                row[j] = -f * x
+            else:
+                y -= f * x
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+
+
+def ref_product(a: Matrix, ncols: int, right_row) -> Matrix:
+    """a times the ncols-column matrix whose row k has the nonzeros
+    ``right_row(k)``, as (column, value) pairs; each row is asked for once."""
+    p = a.field.characteristic
+    right: dict = {}
+    out = []
+    for row in a.nonzeros:
+        acc: dict = {}
+        for k, av in row.items():
+            pairs = right.get(k)
+            if pairs is None:
+                pairs = right[k] = right_row(k)
+            if p:
+                for c, b in pairs:
+                    acc[c] = acc.get(c, 0) + av * b
+            else:
+                for c, b in pairs:
+                    y = acc.get(c)
+                    acc[c] = av * b if y is None else y + av * b
+        if p:
+            out.append({c: y for c, x in acc.items() if (y := x % p)})
+        else:
+            out.append({c: y for c, y in acc.items() if y})
+    return Matrix.from_nonzeros(a.field, a.rows, ncols, tuple(out))
+
+
+def ref_mul(a: Matrix, b: Matrix) -> Matrix:
+    right = b.nonzeros
+    return ref_product(a, b.cols, lambda k: right[k].items())
+
+
+def ref_mul_kron_identity(a: Matrix, x: Matrix, n: int) -> Matrix:
+    x_rows = x.nonzeros
+
+    def right_row(k):
+        i, s = divmod(k, n)
+        return [(j * n + s, v) for j, v in x_rows[i].items()]
+
+    return ref_product(a, x.cols * n, right_row)
+
+
+DENOMINATORS = (1, 1, 1, 2, 3, 4, 6, 7, 9, 10, 12, 35)
+
+
+def rational_entry(rng: random.Random, integral: bool) -> Fraction:
+    if rng.random() < 0.5:
+        return Fraction(0)
+    den = 1 if integral else rng.choice(DENOMINATORS)
+    return Fraction(rng.choice((-1, 1)) * rng.choice((1, 1, 2, 3, 5, 8, 13, 60, 10 ** 12 + 39)),
+                    den)
+
+
+def rational_matrix(rng: random.Random, rows: int, cols: int, integral: bool) -> Matrix:
+    """Seeded Q matrix with zero rows, repeated and scaled rows, or of low
+    rank as a product; ``integral`` keeps every entry an integer."""
+    data = [[rational_entry(rng, integral) for _ in range(cols)] for _ in range(rows)]
+    kind = rng.randrange(4)
+    if kind == 1 and rows:
+        for i in rng.sample(range(rows), rng.randint(1, rows)):
+            data[i] = [Fraction(0)] * cols
+    elif kind == 2 and rows:
+        for i in range(rows):
+            if rng.random() < 0.5:
+                scale = rational_entry(rng, integral) or Fraction(-1)
+                data[i] = [scale * x for x in data[rng.randrange(rows)]]
+    elif kind == 3:
+        k = rng.randint(1, 3)
+        return ref_mul(rational_matrix(rng, rows, k, integral),
+                       rational_matrix(rng, k, cols, integral))
+    return Matrix(QQ, rows, cols, tuple(tuple(row) for row in data))
+
+
+def assert_fractions(m: Matrix):
+    assert all(type(x) is Fraction and x for row in m.nonzeros for x in row.values())
+
+
+def test_q_kernels_match_the_fraction_kernels():
+    rng = random.Random(20261019)
+    for trial in range(400):
+        integral = trial % 3 == 0
+        rows, cols = rng.randint(0, 9), rng.randint(0, 9)
+        m = rational_matrix(rng, rows, cols, integral)
+        ref_rows, ref_pivots = ref_eliminate(QQ, [dict(row) for row in m.nonzeros], True)
+        ref_rows.extend({} for _ in range(m.rows - len(ref_rows)))
+        reduced, rk = rref(m)
+        assert rank(m) == rk == len(ref_pivots)
+        assert reduced == Matrix.from_nonzeros(QQ, m.rows, m.cols, tuple(ref_rows))
+        assert_fractions(reduced)
+
+        span = Subspace.from_sparse(QQ, cols, [dict(row) for row in m.nonzeros])
+        assert span.sparse_basis == tuple(dict(sorted(row.items()))
+                                          for row in ref_rows[:rk])
+        assert [list(row) for row in span.sparse_basis] == [sorted(row)
+                                                            for row in span.sparse_basis]
+        assert_fractions(span.basis)
+        for row in m.nonzeros:
+            assert span.contains_sparse(row)
+        weights = Matrix.from_rows(QQ, [[Fraction(r + 2, 3) for r in range(m.rows)]])
+        assert span.contains_sparse(ref_mul(weights, m).nonzeros[0])
+        probe = rational_matrix(rng, 1, cols, integral).nonzeros[0]
+        residue = dict(probe)
+        for row, c in zip(ref_rows, ref_pivots):
+            if c in residue:
+                ref_clear(residue, row, c, 0)
+        inside = not residue
+        assert span.contains_sparse(probe) == inside
+        assert rank(m.vstack(Matrix.from_nonzeros(QQ, 1, cols, (probe,)))) == rk + (not inside)
+
+        # integral and non-integral factors, in both orders
+        other = rational_matrix(rng, cols, rng.randint(0, 6), trial % 2 == 0)
+        for a, b in ((m, other), (other.transpose(), m.transpose())):
+            prod = a.mul(b)
+            assert prod == ref_mul(a, b) and (prod.rows, prod.cols) == (a.rows, b.cols)
+            assert_fractions(prod)
+        n = rng.randint(1, 3)
+        left = rational_matrix(rng, rng.randint(0, 4), other.rows * n, trial % 5 == 0)
+        prod = mul_kron_identity(left, other, n)
+        assert prod == ref_mul_kron_identity(left, other, n)
+        assert_fractions(prod)
+
+
+def test_integral_products_that_cancel_do_no_fraction_arithmetic(monkeypatch):
+    # d.d = 0 of a coboundary: every sum cancels, so no entry is stored
+    d0 = Matrix.from_rows(QQ, [[-1, 1, 0], [-1, 0, 1], [0, -1, 1]])
+    d1 = Matrix.from_rows(QQ, [[1, -1, 1]])
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        real = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name,
+                            lambda a, b, name=name, real=real: calls.append(name) or real(a, b))
+    monkeypatch.setattr(linalg, "Fraction", lambda *args: calls.append(args))
+    assert d1.mul(d0).is_zero() and mul_kron_identity(d1, d0, 1).is_zero()
+    assert calls == []
