@@ -139,23 +139,27 @@ def validate_functor(f: PosetFunctor) -> tuple[tuple, tuple]:
     """Presence of all tuples/steps plus commutation of every length-2
     square, which holds exactly when d'.d' = 0: block (zeta, top) of d'.d'
     is +-(path via i - path via j) for {i, j} = top - zeta.  Returns
-    S^0..S^N and d'_0..d'_(N-1)."""
+    S^0..S^N and d'_0..d'_(N-1).
+
+    ``assemble`` asks for each step once, in ``one_step_inclusions`` order
+    (each insertion reaches its own target with sign +-1), so the steps'
+    presence and endpoints are checked as their blocks are read."""
     n = f.n_patches
+    rings, steps = f.rings, f.steps
     for length in range(n + 1):
         for zeta in all_tuples(n, length):
-            if zeta not in f.rings:
+            if zeta not in rings:
                 raise StructureError(f"functor has no ring on {zeta}", witness=("missing", zeta))
-    for zeta, _, _, eta in one_step_inclusions(n):
-        if (zeta, eta) not in f.steps:
-            raise StructureError(f"functor has no restriction {zeta} -> {eta}",
-                                 witness=("missing-step", zeta, eta))
-        hom = f.steps[(zeta, eta)]
-        if hom.domain != f.rings[zeta] or hom.codomain != f.rings[eta]:
-            raise StructureError(f"restriction {zeta} -> {eta} has wrong endpoints",
-                                 witness=("endpoints", zeta, eta))
 
     def block(zeta: tuple, eta: tuple) -> Matrix:
-        return f.steps[(zeta, eta)].matrix
+        hom = steps.get((zeta, eta))
+        if hom is None:
+            raise StructureError(f"functor has no restriction {zeta} -> {eta}",
+                                 witness=("missing-step", zeta, eta))
+        if hom.domain != rings[zeta] or hom.codomain != rings[eta]:
+            raise StructureError(f"restriction {zeta} -> {eta} has wrong endpoints",
+                                 witness=("endpoints", zeta, eta))
+        return hom.matrix
 
     layouts = tuple(space_layout(f, k) for k in range(n + 1))
     diffs = tuple(assemble(f.ring(()).field, src, dst, increasing_insertions(n), block)
@@ -175,8 +179,8 @@ def constant_functor(n_patches: int, ring: Algebra) -> PosetFunctor:
         raise ValueError("need at least one patch")
     rings = {zeta: ring for length in range(n_patches + 1)
              for zeta in all_tuples(n_patches, length)}
-    ident = AlgebraHom.identity(ring)
-    steps = {(zeta, eta): ident for zeta, _, _, eta in one_step_inclusions(n_patches)}
+    steps = dict.fromkeys(((zeta, eta) for zeta, _, _, eta in one_step_inclusions(n_patches)),
+                          AlgebraHom.identity(ring))
     return PosetFunctor(n_patches, rings, steps)
 
 

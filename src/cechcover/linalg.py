@@ -12,7 +12,8 @@ rows x cols.  The inner loops run on plain ints, with no ``Field`` method
 call per entry: over F_p with one reduction mod p per result entry; over Q
 elimination is fraction-free on rows scaled to integers (``_eliminate``),
 and a product of two integral matrices multiplies their numerators
-(``_product``).  Q values still enter and leave every ``Matrix`` as
+(``_product``).  A matrix converts its rows to ints once, on first use
+(``Matrix._int_rows``).  Q values still enter and leave every ``Matrix`` as
 ``Fraction``.  ``Matrix.entries`` is a dense read-only view, built on
 first read, for printing.
 
@@ -213,8 +214,9 @@ class Matrix(Frozen):
     changed once its matrix is built, so operations share unchanged rows.
     ``Matrix(field, rows, cols, entries)`` takes dense rows and drops their
     zeros.  ``entries`` (dense rows) and ``support`` (the sorted columns of
-    each row) are read-only views built on first read; equality and hashing
-    use the nonzeros only.
+    each row) are read-only views built on first read, as is ``_int_rows``,
+    the rows the integer kernels read; equality and hashing use the
+    nonzeros only.
     """
 
     _fields = ("field", "rows", "cols", "entries")
@@ -262,6 +264,21 @@ class Matrix(Frozen):
     def support(self) -> tuple:
         """Per row, the columns of its nonzero entries, in increasing order."""
         return tuple(tuple(sorted(row)) for row in self.nonzeros)
+
+    @cached_property
+    def _int_rows(self) -> Optional[tuple]:
+        """The rows as ``{column: int}`` dicts for the integer kernels: the
+        nonzeros themselves over F_p; over Q their numerators when every
+        entry is an integer, else None."""
+        if self.field.characteristic:
+            return self.nonzeros
+        out = []
+        for row in self.nonzeros:
+            ints = {c: x.numerator for c, x in row.items() if x.denominator == 1}
+            if len(ints) < len(row):
+                return None
+            out.append(ints)
+        return tuple(out)
 
     def __eq__(self, other):
         if other.__class__ is not Matrix:
@@ -465,27 +482,13 @@ def _product(field: Field, left: Sequence, ncols: int, right_row, ints: bool) ->
 
 def _factor_rows(a: Matrix, b: Matrix) -> tuple[Sequence, Sequence, bool]:
     """The rows of a and b to multiply, and whether both hold ints: their
-    nonzeros over F_p; over Q their numerators when every entry of both is
-    an integer, else their nonzeros, which hold Fractions."""
-    if a.field.characteristic:
-        return a.nonzeros, b.nonzeros, True
-    right = _int_rows(b)
-    left = _int_rows(a) if right is not None else None
+    ``_int_rows`` when both have them, else their nonzeros, which hold
+    Fractions."""
+    right = b._int_rows
+    left = a._int_rows if right is not None else None
     if left is None:
         return a.nonzeros, b.nonzeros, False
     return left, right, True
-
-
-def _int_rows(m: Matrix) -> Optional[list]:
-    """Over Q, m's rows with the numerators of its entries when every entry
-    is an integer; None otherwise."""
-    out = []
-    for row in m.nonzeros:
-        ints = {c: x.numerator for c, x in row.items() if x.denominator == 1}
-        if len(ints) < len(row):
-            return None
-        out.append(ints)
-    return out
 
 
 def _offsets(dims: Sequence[int]):
@@ -519,16 +522,16 @@ def _eliminate(field: Field, rows: list, reduce: bool) -> tuple[list, list]:
     reduced row-echelon form whatever pivot rows were chosen.
 
     Over F_p each pivot row is scaled to 1 when it is chosen.  Over Q the
-    rows are first made primitive integer rows (``_integral``) and stay
-    integer: elimination is fraction-free, and with ``reduce`` each pivot
-    row is divided by its pivot once, at the end, into ``Fraction`` values.
+    rows must be primitive integer rows (``_q_rows``) and stay integer:
+    elimination is fraction-free, and with ``reduce`` each pivot row is
+    divided by its pivot once, at the end, into ``Fraction`` values.
     Without ``reduce`` only the pivot columns are meaningful over Q.
     """
     p = field.characteristic
     buckets: dict = {}  # leading column -> remaining rows that start there
     for row in rows:
         if row:
-            buckets.setdefault(min(row), []).append(row if p else _integral(row))
+            buckets.setdefault(min(row), []).append(row)
     heap = list(buckets)
     heapq.heapify(heap)
     pivot_rows, pivots = [], []
@@ -603,6 +606,12 @@ def _clear(row: dict, prow: dict, c: int, p: int) -> None:
                 row[j] = x // g
 
 
+def _q_rows(field: Field, rows: list) -> list:
+    """Rows of canonical values in the form ``_eliminate`` takes: over Q,
+    primitive integer rows (new dicts); over F_p, the rows themselves."""
+    return rows if field.characteristic else [_integral(row) for row in rows]
+
+
 def _integral(row: dict) -> dict:
     """The primitive integer row that is a positive multiple of a row of
     rationals."""
@@ -626,20 +635,32 @@ def _over_pivot(row: dict, pv: int) -> dict:
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """Reduced row-echelon form and rank (= number of nonzero rows)."""
-    rows, _ = _eliminate(m.field, _copy_rows(m), reduce=True)
+    rows, _ = _eliminate(m.field, _own_rows(m), reduce=True)
     r = len(rows)
     rows.extend({} for _ in range(m.rows - r))
     return Matrix.from_nonzeros(m.field, m.rows, m.cols, tuple(rows)), r
 
 
 def rank(m: Matrix) -> int:
-    _, pivots = _eliminate(m.field, _copy_rows(m), reduce=False)
+    _, pivots = _eliminate(m.field, _own_rows(m), reduce=False)
     return len(pivots)
 
 
-def _copy_rows(m: Matrix) -> list:
-    """m's row dicts, copied for ``_eliminate`` to consume."""
-    return [dict(row) for row in m.nonzeros]
+def _own_rows(m: Matrix) -> list:
+    """m's rows as new dicts for ``_eliminate`` to consume: over Q,
+    primitive integer rows, from ``_int_rows`` when m has them."""
+    ints = m._int_rows
+    if ints is None:
+        return [_integral(row) for row in m.nonzeros]
+    if m.field.characteristic:
+        return [dict(row) for row in ints]
+    return [_primitive(row) for row in ints]
+
+
+def _primitive(row: dict) -> dict:
+    """An integer row divided by the gcd of its entries, as a new dict."""
+    g = gcd(*row.values())
+    return {j: x // g for j, x in row.items()} if g > 1 else dict(row)
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +696,7 @@ class Subspace(Frozen):
     def from_sparse(field: Field, ambient_dim: int, rows: list) -> "Subspace":
         """Span of vectors given as ``{column: value}`` dicts of canonical
         nonzero entries; the dicts are consumed."""
-        rows, _ = _eliminate(field, rows, reduce=True)
+        rows, _ = _eliminate(field, _q_rows(field, rows), reduce=True)
         basis = tuple(dict(sorted(row.items())) for row in rows)
         return Subspace(ambient_dim, Matrix.from_nonzeros(field, len(basis), ambient_dim, basis))
 
@@ -758,7 +779,7 @@ def kernel_basis(m: Matrix) -> Subspace:
     """Null space of m as a subspace of the domain k^cols."""
     f = m.field
     one, neg = f.one, f.neg
-    rows, pivots = _eliminate(f, _copy_rows(m), reduce=True)
+    rows, pivots = _eliminate(f, _own_rows(m), reduce=True)
     return Subspace.from_sparse(f, m.cols, _free_axes(m.cols, rows, pivots, one, neg))
 
 
@@ -800,7 +821,7 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
         r.update({c + n: x for c, x in r.items()})
         rows.append(r)
     rows.extend(dict(r) for r in v.sparse_basis)
-    reduced, pivots = _eliminate(u.field, rows, reduce=True)
+    reduced, pivots = _eliminate(u.field, _q_rows(u.field, rows), reduce=True)
     out = [{c - n: x for c, x in row.items()}
            for row, pc in zip(reduced, pivots) if pc >= n]
     return Subspace.from_sparse(u.field, n, out)

@@ -29,6 +29,9 @@ from .nerve import CoverDescription, functor_from_cover
 from .records import Record
 
 DEFAULT_N_MAX = 3
+# the deepest nesting of JSON arrays and objects a problem file may have;
+# the format needs 7 (a structure-constant quadruple of an explicit functor's ring)
+MAX_NESTING = 100
 
 
 class Problem(Record):
@@ -283,9 +286,6 @@ def parse_problem(doc, field_override: Optional[Field] = None) -> Problem:
 
 def load_problem(path: str, field_override: Optional[Field] = None):
     """Read a problem file; returns (Problem, sha256 hex digest)."""
-    # imported here: _hashlib is the costliest stdlib import of the command line
-    from hashlib import sha256
-
     p = Path(path)
     try:
         data = p.read_bytes()
@@ -297,8 +297,39 @@ def load_problem(path: str, field_override: Optional[Field] = None):
         raise ProblemFormatError(f"invalid JSON: {exc}", str(path))
     except RecursionError:
         raise ProblemFormatError("invalid JSON: nested too deeply", str(path))
+    if _nesting_exceeds(doc, MAX_NESTING):
+        raise ProblemFormatError("invalid JSON: nested too deeply", str(path))
     problem = parse_problem(doc, field_override)
-    return problem, sha256(data).hexdigest()
+    return problem, sha256_hex(data)
+
+
+def sha256_hex(data: bytes) -> str:
+    """The SHA-256 hex digest of ``data``, taken with CPython's own
+    implementation, which ``hashlib`` falls back to without OpenSSL:
+    importing ``hashlib`` would load ``_hashlib`` and libcrypto into every
+    process that reads a problem file."""
+    try:
+        from _sha2 import sha256  # 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
+def _nesting_exceeds(doc, limit: int) -> bool:
+    """Whether arrays and objects nest more than ``limit`` deep in a parsed
+    JSON document; walked with a stack, so any depth the parser accepted
+    can be measured."""
+    stack = [(doc, 1)] if isinstance(doc, (dict, list)) else []
+    while stack:
+        value, depth = stack.pop()
+        if depth > limit:
+            return True
+        children = value.values() if isinstance(value, dict) else value
+        stack.extend((x, depth + 1) for x in children if isinstance(x, (dict, list)))
+    return False
 
 
 def _unique_keys(pairs: list) -> dict:

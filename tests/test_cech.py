@@ -165,10 +165,19 @@ def _swap_step(rings: dict, steps: dict) -> None:
     steps[((1,), (1, 2))] = AlgebraHom(ring, ring, Matrix.from_rows(QQ, [[0, 1], [1, 0]]))
 
 
+def _retarget_step(rings: dict, steps: dict) -> None:
+    # the projection k^2 -> k onto the first factor: a homomorphism, but
+    # its codomain is not the ring on (1, 2)
+    ring = rings[(1,)]
+    steps[((1,), (1, 2))] = AlgebraHom(ring, split_commutative(QQ, 1),
+                                       Matrix.from_rows(QQ, [[1, 0]]))
+
+
 @pytest.mark.parametrize("n", (2, 3))
 @pytest.mark.parametrize("break_it, kind", (
     (_drop_ring, "missing"),
     (_drop_step, "missing-step"),
+    (_retarget_step, "endpoints"),
     (_swap_step, "square"),
 ))
 def test_an_invalid_functor_cannot_be_constructed(n, break_it, kind):
@@ -177,6 +186,23 @@ def test_an_invalid_functor_cannot_be_constructed(n, break_it, kind):
     with pytest.raises(StructureError) as err:
         PosetFunctor(n, rings, steps)
     assert err.value.witness[0] == kind
+
+
+def test_the_first_broken_step_is_the_witness():
+    """Steps are checked in ``one_step_inclusions`` order: length of the
+    source tuple, then the tuple, then the inserted index."""
+    ring, point = split_commutative(QQ, 2), split_commutative(QQ, 1)
+    wrong = AlgebraHom(ring, point, Matrix.from_rows(QQ, [[1, 0]]))
+    for missing, retargeted, witness in (
+            (((2,), (2, 3)), ((1,), (1, 2)), ("endpoints", (1,), (1, 2))),
+            (((1,), (1, 3)), ((2,), (1, 2)), ("missing-step", (1,), (1, 3))),
+            (((1, 2), (1, 2, 3)), ((), (3,)), ("endpoints", (), (3,)))):
+        rings, steps = _constant_parts(3)
+        del steps[missing]
+        steps[retargeted] = wrong
+        with pytest.raises(StructureError) as err:
+            PosetFunctor(3, rings, steps)
+        assert err.value.witness == witness
 
 
 def test_custom_ringed_structure_naturality(e1):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -12,7 +14,7 @@ import pytest
 
 import cechcover
 from cechcover.cli import main
-from cechcover.problem import load_problem, normalize, parse_problem
+from cechcover.problem import MAX_NESTING, load_problem, normalize, parse_problem, sha256_hex
 
 
 def run(capsys, *argv):
@@ -374,6 +376,26 @@ def test_deeply_nested_file_is_an_input_error(capsys, tmp_path):
     assert code == 2 and out == ""
     assert "Traceback" not in err
     assert err == f"input error: {path}: invalid JSON: nested too deeply\n"
+
+
+@pytest.mark.parametrize("depth", (MAX_NESTING, MAX_NESTING + 1))
+def test_nesting_is_bounded_whatever_the_json_parser_accepts(capsys, tmp_path, depth):
+    # the bound is checked on the parsed document, so it holds on a Python
+    # whose json module parses deeper documents than the bound
+    path = tmp_path / "deep.json"
+    path.write_text('{"field": ' + "[" * (depth - 1) + "]" * (depth - 1) + "}")
+    code, out, err = run(capsys, "check", "--input", str(path))
+    assert code == 2 and out == ""
+    if depth > MAX_NESTING:
+        assert err == f"input error: {path}: invalid JSON: nested too deeply\n"
+    else:  # within the bound, the schema refuses the field
+        assert err == 'input error: field: field must be "Q" or {"Fp": p}\n'
+
+
+@pytest.mark.parametrize("size", (0, 1, 55, 56, 63, 64, 65, 100_000))
+def test_the_digest_is_sha256(size):
+    data = random.Random(size).randbytes(size)
+    assert sha256_hex(data) == hashlib.sha256(data).hexdigest()
 
 
 def test_unwritable_output_is_exit_2(capsys, tmp_path, problems_dir):

@@ -11,8 +11,11 @@ from __future__ import annotations
 import heapq
 import random
 from fractions import Fraction
+from functools import cached_property
 
 from cechcover import linalg
+from cechcover.algebras import split_commutative
+from cechcover.cech import build_cech, cech_cohomology, constant_functor
 from cechcover.linalg import (
     GF, QQ, Field, Matrix, Subspace, block_matrix, image_basis, kernel_basis,
     mul_kron_identity, rank, rref, subspace_intersect, subspace_sum,
@@ -558,3 +561,85 @@ def test_integral_products_that_cancel_do_no_fraction_arithmetic(monkeypatch):
     monkeypatch.setattr(linalg, "Fraction", lambda *args: calls.append(args))
     assert d1.mul(d0).is_zero() and mul_kron_identity(d1, d0, 1).is_zero()
     assert calls == []
+
+
+# -- each Q matrix converts its rows to ints once ----------------------------------------
+#
+# ``ref_int_rows`` and ``ref_factor_rows`` are the conversions as they stood
+# when ``_factor_rows`` converted both factors again for every product,
+# kept verbatim as the reference; ranks and reduced forms are checked
+# against the Fraction kernel ``ref_eliminate``.
+
+def ref_int_rows(m: Matrix):
+    out = []
+    for row in m.nonzeros:
+        ints = {c: x.numerator for c, x in row.items() if x.denominator == 1}
+        if len(ints) < len(row):
+            return None
+        out.append(ints)
+    return out
+
+
+def ref_factor_rows(a: Matrix, b: Matrix):
+    if a.field.characteristic:
+        return a.nonzeros, b.nonzeros, True
+    right = ref_int_rows(b)
+    left = ref_int_rows(a) if right is not None else None
+    if left is None:
+        return a.nonzeros, b.nonzeros, False
+    return left, right, True
+
+
+def test_int_rows_are_the_old_conversion_built_once():
+    rng = random.Random(20261020)
+    for trial in range(300):
+        integral = trial % 2 == 0
+        m = rational_matrix(rng, rng.randint(0, 8), rng.randint(0, 8), integral)
+        expected = ref_int_rows(m)
+        ints = m._int_rows
+        assert m._int_rows is ints
+        if expected is None:
+            assert ints is None and not integral
+        else:
+            assert list(ints) == expected
+            assert all(type(x) is int for row in ints for x in row.values())
+        other = rational_matrix(rng, m.cols, rng.randint(0, 6), trial % 3 != 1)
+        for a, b in ((m, other), (other.transpose(), m.transpose())):
+            left, right, as_ints = linalg._factor_rows(a, b)
+            ref_left, ref_right, ref_ints = ref_factor_rows(a, b)
+            assert (list(left), list(right), as_ints) == (list(ref_left), list(ref_right), ref_ints)
+        # rank, rref and kernel_basis start from the cached rows and leave them as they were
+        kept = None if ints is None else [dict(row) for row in ints]
+        ref_rows, ref_pivots = ref_eliminate(QQ, [dict(row) for row in m.nonzeros], True)
+        ref_rows.extend({} for _ in range(m.rows - len(ref_rows)))
+        reduced, rk = rref(m)
+        assert rank(m) == rk == len(ref_pivots)
+        assert reduced == Matrix.from_nonzeros(QQ, m.rows, m.cols, tuple(ref_rows))
+        assert_fractions(reduced)
+        assert_fractions(kernel_basis(m).basis)
+        assert (None if m._int_rows is None else list(m._int_rows)) == kept
+    for field in FIELDS[1:]:
+        m = random_matrix(rng, field, 6)
+        assert m._int_rows is m.nonzeros
+        kept = [dict(row) for row in m.nonzeros]
+        assert rank(m) == len(ref_eliminate(field, [dict(row) for row in m.nonzeros], False)[1])
+        assert list(m.nonzeros) == kept
+
+
+def test_a_complex_converts_each_differential_once(monkeypatch):
+    # d.d = 0 and the ranks of the constant functor's Cech complex read
+    # each d' twice or three times; its rows are converted once
+    converted = []
+    real = Matrix.__dict__["_int_rows"].func
+
+    def counting(m):
+        converted.append(m)
+        return real(m)
+
+    prop = cached_property(counting)
+    prop.__set_name__(Matrix, "_int_rows")
+    monkeypatch.setattr(Matrix, "_int_rows", prop)
+    cx = build_cech(constant_functor(5, split_commutative(QQ, 2)))
+    assert cech_cohomology(cx) == [2, 0, 0, 0, 0]
+    assert len({id(m) for m in converted}) == len(converted)
+    assert [m for m in converted if any(m is d for d in cx.differentials)] == list(cx.differentials)

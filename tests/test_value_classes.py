@@ -1,6 +1,7 @@
 """The value classes keep the semantics of frozen dataclasses, and importing
 the command line pulls in neither ``dataclasses`` nor ``inspect`` nor
-``hashlib`` nor the test oracles of ``cechcover.oracles``.
+``hashlib`` nor the test oracles of ``cechcover.oracles``; running a
+command on a problem file loads neither ``hashlib`` nor OpenSSL.
 
 The semantics pins: equal fields compare equal and hash equal, another
 class never compares equal, assignment raises AttributeError, and the
@@ -129,8 +130,8 @@ def test_importing_the_cli_skips_dataclasses_and_inspect():
 
 def test_importing_the_cli_adds_no_costly_module():
     """Checked against the modules loaded before the import, since ``site``
-    may load some of them on its own; ``hashlib`` is imported only where a
-    problem file's digest is taken."""
+    may load some of them on its own; no command imports ``hashlib``
+    (``test_commands_load_neither_hashlib_nor_the_oracles``)."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     code = ("import sys\n"
             "before = set(sys.modules)\n"
@@ -140,3 +141,33 @@ def test_importing_the_cli_adds_no_costly_module():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
     assert out == "[]\n"
+
+
+COSTLY = ("_hashlib", "hashlib", "_blake2", "cechcover.oracles")
+
+
+@pytest.mark.parametrize("command, problem", (
+    ("check", "e1_split_three_points.json"),
+    ("cech", "constant_three_patches.json"),
+    ("amitsur", "e1_split_three_points.json"),
+    ("verify", "e4_matrix_plus_point.json"),
+    ("oracle", "circle_cover.json"),
+))
+def test_commands_load_neither_hashlib_nor_the_oracles(command, problem):
+    """A command that reads a problem file takes its digest with CPython's
+    own SHA-256: ``hashlib`` would load ``_hashlib`` and with it libcrypto
+    into every case process.  Checked against the modules loaded before
+    the command ran, since ``site`` may load some of them on its own."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    path = SRC.parent / "problems" / problem
+    code = ("import io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "before = set(sys.modules)\n"
+            "from cechcover.cli import main\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            f"    code = main([{command!r}, '--input', {str(path)!r}, '--format', 'json'])\n"
+            "added = set(sys.modules) - before\n"
+            f"print(code, sorted(added & {set(COSTLY)!r}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out == "0 []\n"
