@@ -12,8 +12,8 @@ Library layout:
 - ``nerve``: classical nerve-cohomology oracle for cross-validation.
 - ``problem``/``cli``: problem files, reports, command-line front end.
 - ``oracles``: literal-definition test oracles (balanced tensor tower,
-  Sweedler coring, phi on pure tensors) and random instances; no command
-  imports it.
+  Sweedler coring, phi on pure tensors), random instances, and the
+  helpers that only they and the tests call; no command imports it.
 """
 
 from .linalg import GF, QQ, Matrix, Subspace

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .errors import DimensionMismatchError, StructureError
 from .linalg import (
     Field, Matrix, Subspace,
-    _dense_row, intersect_many, quotient_map, same_field, subspace_sum,
+    _dense_row, quotient_map, same_field, subspace_sum,
 )
 from .records import Frozen
 
@@ -52,18 +52,8 @@ class Algebra(Frozen):
         pairs = ((xi * yj, terms[i][j]) for i, xi in enumerate(x) if xi for j, yj in ys)
         return _dense_row(self.field, _combine(pairs, self.field.characteristic), self.dim)
 
-    def left_mult_matrix(self, x: Sequence) -> Matrix:
-        """Matrix of v -> x*v on coordinates."""
-        cols = [self.multiply(x, _axis(self.field, self.dim, j)) for j in range(self.dim)]
-        return Matrix.from_columns(self.field, cols) if self.dim else Matrix(self.field, 0, 0, ())
-
-    def right_mult_matrix(self, x: Sequence) -> Matrix:
-        """Matrix of v -> v*x on coordinates."""
-        cols = [self.multiply(_axis(self.field, self.dim, j), x) for j in range(self.dim)]
-        return Matrix.from_columns(self.field, cols) if self.dim else Matrix(self.field, 0, 0, ())
-
     def basis_coords(self, i: int) -> tuple:
-        return _axis(self.field, self.dim, i)
+        return _dense_row(self.field, {i: self.field.one}, self.dim)
 
     def element(self, coords: Sequence) -> "Element":
         return Element(self, tuple(self.field.coerce(x) for x in coords))
@@ -71,10 +61,6 @@ class Algebra(Frozen):
     @property
     def is_zero(self) -> bool:
         return self.dim == 0
-
-
-def _axis(field: Field, dim: int, i: int) -> tuple:
-    return tuple(field.one if j == i else field.zero for j in range(dim))
 
 
 def _combine(pairs: Iterable, p: int) -> dict:
@@ -277,16 +263,6 @@ def ideal_sum(i1: Ideal, i2: Ideal) -> Ideal:
     if i1.algebra != i2.algebra:
         raise DimensionMismatchError("ideals of different algebras")
     return Ideal(i1.algebra, subspace_sum(i1.space, i2.space))
-
-
-def ideal_intersection(ideals: Sequence[Ideal]) -> Subspace:
-    if not ideals:
-        raise ValueError("need at least one ideal")
-    a = ideals[0].algebra
-    for i in ideals[1:]:
-        if i.algebra != a:
-            raise DimensionMismatchError("ideals of different algebras")
-    return intersect_many([i.space for i in ideals])
 
 
 # ---------------------------------------------------------------------------

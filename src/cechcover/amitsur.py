@@ -41,6 +41,9 @@ from .records import Frozen
 # the default bound on the coordinates of one degree, shared by the
 # problem files' ``dim_cap`` option
 DEFAULT_DIM_CAP = 20000
+# the word letters that assembling the differentials may write, per unit of
+# the cap: at the default cap a one-patch covering runs up to n_max 667
+LETTERS_PER_CAP = 5000
 
 
 def __getattr__(name: str):
@@ -90,8 +93,10 @@ def build_amitsur(c: Covering, n_max: int, cap: int = DEFAULT_DIM_CAP) -> Amitsu
     """Amitsur complex C^n = (+)_(w in [N]^(n+1)) A/I_set(w) for n = 0..n_max.
 
     Raises DimensionCapError, before any matrix is built, when a degree
-    has more than ``cap`` coordinates.  Asserts d.d = 0 between stored
-    degrees and d_0 . pi = 0 for the augmentation.
+    has more than ``cap`` coordinates, or when assembling d writes more than
+    ``LETTERS_PER_CAP * cap`` word letters: (n+2) * N insertions of length
+    n+2 per word of C^n.  Asserts d.d = 0 between stored degrees and
+    d_0 . pi = 0 for the augmentation.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -107,6 +112,7 @@ def build_amitsur(c: Covering, n_max: int, cap: int = DEFAULT_DIM_CAP) -> Amitsu
     # words with a nonzero block reaches every word with a nonzero block
     spaces = []
     words = [(i,) for i in patches if dim((i,))]
+    letters, budget = 0, LETTERS_PER_CAP * cap
     for n in range(n_max + 1):
         dims = tuple(map(dim, words))
         total = sum(dims)
@@ -116,6 +122,11 @@ def build_amitsur(c: Covering, n_max: int, cap: int = DEFAULT_DIM_CAP) -> Amitsu
                 f"{total} > cap {cap}", degree=n + 1, estimated=total, cap=cap)
         spaces.append(WordSpace(tuple(words), dims))
         if n < n_max:
+            letters += len(words) * c.n_patches * (n + 2) ** 2
+            if letters > budget:
+                raise DimensionCapError(
+                    f"Amitsur differentials d_0..d_{n} write {letters} word letters "
+                    f"> {LETTERS_PER_CAP} x cap {cap}", degree=n, estimated=letters, cap=budget)
             words = [w + (i,) for w in words for i in patches if dim(w + (i,))]
 
     def insertions(w: tuple):

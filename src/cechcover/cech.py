@@ -60,16 +60,6 @@ def __getattr__(name: str):
 # Index tuples
 # ---------------------------------------------------------------------------
 
-def validate_index_tuple(t: Sequence[int], n_patches: int) -> tuple:
-    t = tuple(t)
-    for a, b in zip(t, t[1:]):
-        if a >= b:
-            raise ValueError(f"index tuple {t} is not strictly increasing")
-    if t and (t[0] < 1 or t[-1] > n_patches):
-        raise ValueError(f"index tuple {t} out of range 1..{n_patches}")
-    return t
-
-
 def insert_index(zeta: tuple, i: int) -> tuple[int, tuple]:
     """Insert i into the increasing tuple zeta; returns (position, new tuple)."""
     if i in zeta:
@@ -117,22 +107,6 @@ class PosetFunctor(Record):
 
     def step(self, zeta: tuple, eta: tuple) -> AlgebraHom:
         return self.steps[(tuple(zeta), tuple(eta))]
-
-    def restriction(self, zeta: Sequence[int], eta: Sequence[int]) -> AlgebraHom:
-        """Composite restriction for zeta a subtuple of eta."""
-        zeta, eta = tuple(zeta), tuple(eta)
-        if not set(zeta) <= set(eta):
-            raise ValueError(f"{zeta} is not a subtuple of {eta}")
-        if zeta == eta:
-            return AlgebraHom.identity(self.ring(zeta))
-        current = zeta
-        mat = Matrix.identity(self.ring(zeta).field, self.ring(zeta).dim)
-        for i in sorted(set(eta) - set(zeta)):
-            _, nxt = insert_index(current, i)
-            step = self.step(current, nxt)
-            mat = step.matrix.mul(mat)
-            current = nxt
-        return AlgebraHom(self.ring(zeta), self.ring(eta), mat)
 
 
 def validate_functor(f: PosetFunctor) -> tuple[tuple, tuple]:
@@ -387,8 +361,8 @@ def verify_chain_map(amitsur: AmitsurComplex, cx: CechComplex,
             for i in range(1, c.n_patches + 1)}
 
     def g(i: int, zeta: tuple) -> Matrix:
-        # restrict along the insertions in increasing order, as
-        # PosetFunctor.restriction composes them
+        # restrict along the insertions in increasing order, as the
+        # oracles' ``restriction`` composes them
         m = homs.get((i, zeta))
         if m is None:
             last = max(x for x in zeta if x != i)

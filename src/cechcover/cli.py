@@ -71,6 +71,9 @@ def main(argv: Optional[list] = None) -> int:
     except ProblemFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except DimensionCapError as exc:
+        print(f"resource cap: {exc}", file=sys.stderr)
+        return EXIT_CAP
 
     started = time.perf_counter()
     try:

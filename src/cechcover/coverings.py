@@ -19,9 +19,9 @@ carry no extra rank.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .algebras import Algebra, AlgebraHom, Ideal, direct_sum, quotient, zero_algebra
+from .algebras import Algebra, AlgebraHom, Ideal, quotient
 from .complexes import WordSpace, all_tuples, assemble, first_nonzero_square, increasing_insertions
 from .errors import DimensionMismatchError, StructureError
 from .linalg import Field, Matrix, Subspace, quotient_map, quotient_section, rank, subspace_sum
@@ -106,7 +106,6 @@ class Covering:
             raise StructureError(f"patch square ({a},{b}) does not commute", witness=(a, b))
         self.pi = pi
         self.tau = d1.neg()
-        self._b_algebra: Optional[Algebra] = None
 
     @property
     def field(self) -> Field:
@@ -182,30 +181,6 @@ class Covering:
 
     def pair_dims(self) -> tuple[int, ...]:
         return self.space(2).dims
-
-    @property
-    def b_algebra(self) -> Algebra:
-        """The patch sum (+)A_i as an algebra with componentwise product."""
-        if self._b_algebra is None:
-            acc = self.patch(1)[0]
-            for i in range(2, self.n_patches + 1):
-                acc = direct_sum(acc, self.patch(i)[0])
-            if acc.dim == 0:
-                acc = zero_algebra(self.field)
-            self._b_algebra = acc
-        return self._b_algebra
-
-    def patch_offset(self, i: int) -> int:
-        return sum(self.patch(k)[0].dim for k in range(1, i))
-
-    def unit_component(self, i: int) -> tuple:
-        """Coordinates of pi_i(1) inside (+)A_i."""
-        f = self.field
-        out = [f.zero] * self.b_algebra.dim
-        off = self.patch_offset(i)
-        for k, x in enumerate(self.patch(i)[0].unit):
-            out[off + k] = x
-        return tuple(out)
 
 
 def is_covering(c: Covering) -> bool:

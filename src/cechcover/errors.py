@@ -36,10 +36,11 @@ class NotAComplexError(CechcoverError):
 
 
 class DimensionCapError(CechcoverError):
-    """A coordinate space would exceed the configured cap: an Amitsur degree
-    in coordinates, or a Cech degree of a functor in index tuples."""
+    """A space or a piece of work would exceed its cap: an Amitsur degree in
+    coordinates or its differentials in word letters, a Cech degree of a
+    functor in index tuples, or a structure-constant table (degree None)."""
 
-    def __init__(self, message: str, degree: int, estimated: int, cap: int):
+    def __init__(self, message: str, degree: int | None, estimated: int, cap: int):
         super().__init__(message)
         self.degree = degree
         self.estimated = estimated

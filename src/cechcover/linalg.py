@@ -251,10 +251,6 @@ class Matrix(Frozen):
         one = field.one
         return Matrix.from_nonzeros(field, n, n, tuple({i: one} for i in range(n)))
 
-    @staticmethod
-    def from_columns(field: Field, cols: Sequence[Sequence]) -> "Matrix":
-        return Matrix.from_rows(field, cols).transpose()
-
     @cached_property
     def entries(self) -> tuple:
         """Dense rows: entries[r][c]."""
@@ -425,25 +421,6 @@ def block_matrix(field: Field, row_dims: Sequence[int], col_dims: Sequence[int],
             if row:
                 out[r].update({c0 + c: x for c, x in row.items()} if c0 else row)
     return Matrix.from_nonzeros(field, len(out), sum(col_dims), out)
-
-
-def mul_kron_identity(a: Matrix, x: Matrix, n: int) -> Matrix:
-    """a . (x kron I_n), without forming the Kronecker product.
-
-    Row i*n + s of x kron I_n has the entries of row i of x at columns
-    j*n + s.
-    """
-    same_field(a.field, x.field)
-    if a.cols != x.rows * n:
-        raise DimensionMismatchError(
-            f"cannot multiply {a.rows}x{a.cols} by ({x.rows}x{x.cols}) kron I_{n}")
-    left, x_rows, ints = _factor_rows(a, x)
-
-    def right_row(k):
-        i, s = divmod(k, n)
-        return [(j * n + s, v) for j, v in x_rows[i].items()]
-
-    return _product(a.field, left, x.cols * n, right_row, ints)
 
 
 def _product(field: Field, left: Sequence, ncols: int, right_row, ints: bool) -> Matrix:
@@ -800,40 +777,10 @@ def _free_axes(n: int, rows: list, pivots: Sequence[int], one, neg) -> list:
     return out
 
 
-def image_basis(m: Matrix) -> Subspace:
-    """Column space of m as a subspace of the codomain k^rows."""
-    return Subspace.from_sparse(m.field, m.rows, list(m.transpose().nonzeros))
-
-
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     _check_ambient(u, v)
     return Subspace.from_sparse(u.field, u.ambient_dim,
                                 [dict(row) for row in u.sparse_basis + v.sparse_basis])
-
-
-def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
-    """Zassenhaus: RREF of [[U,U],[V,0]]; zero-left rows give the intersection."""
-    _check_ambient(u, v)
-    n = u.ambient_dim
-    rows = []
-    for r in u.sparse_basis:
-        r = dict(r)
-        r.update({c + n: x for c, x in r.items()})
-        rows.append(r)
-    rows.extend(dict(r) for r in v.sparse_basis)
-    reduced, pivots = _eliminate(u.field, _q_rows(u.field, rows), reduce=True)
-    out = [{c - n: x for c, x in row.items()}
-           for row, pc in zip(reduced, pivots) if pc >= n]
-    return Subspace.from_sparse(u.field, n, out)
-
-
-def intersect_many(spaces: Sequence[Subspace]) -> Subspace:
-    if not spaces:
-        raise ValueError("need at least one subspace")
-    acc = spaces[0]
-    for s in spaces[1:]:
-        acc = subspace_intersect(acc, s)
-    return acc
 
 
 def _check_ambient(u: Subspace, v: Subspace):

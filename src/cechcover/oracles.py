@@ -30,31 +30,130 @@ from its definition, and the tests compare the two:
   tests/test_assembler_reference.py, tests/test_algebra_reference.py,
   tests/test_amitsur.py, tests/test_cech.py, tests/test_closed_form.py,
   tests/test_coverings.py and tests/test_nerve.py.
+- The helpers in the first section serve only these oracles and the tests.
 """
 
 from __future__ import annotations
 
 import random
+from functools import reduce
 from itertools import combinations
 from typing import Optional, Sequence
 
 from .algebras import (
     Algebra, AlgebraHom, Element, Ideal,
-    direct_sum, ideal_closure, ideal_intersection,
-    matrix_algebra, split_commutative, square_zero,
-    truncated_polynomial, upper_triangular,
+    direct_sum, ideal_closure, matrix_algebra, split_commutative, square_zero,
+    truncated_polynomial, upper_triangular, zero_algebra,
 )
 from .amitsur import DEFAULT_DIM_CAP
-from .cech import PosetFunctor, space_layout
+from .cech import PosetFunctor, insert_index, space_layout
 from .complexes import WordSpace
 from .coverings import Covering, completeness_check
 from .errors import DimensionCapError, DimensionMismatchError, StructureError
 from .linalg import (
-    QQ, Field, Matrix, Subspace, block_matrix, mul_kron_identity, quotient_map,
-    quotient_section,
+    QQ, Field, Matrix, Subspace, _check_ambient, _eliminate, _factor_rows, _product,
+    _q_rows, block_matrix, quotient_map, quotient_section, same_field,
 )
 from .nerve import CoverDescription
 from .records import Frozen
+
+
+# ---------------------------------------------------------------------------
+# Helpers no command runs
+# ---------------------------------------------------------------------------
+
+def mul_kron_identity(a: Matrix, x: Matrix, n: int) -> Matrix:
+    """a . (x kron I_n), without forming the Kronecker product.
+
+    Row i*n + s of x kron I_n has the entries of row i of x at columns
+    j*n + s.
+    """
+    same_field(a.field, x.field)
+    if a.cols != x.rows * n:
+        raise DimensionMismatchError(
+            f"cannot multiply {a.rows}x{a.cols} by ({x.rows}x{x.cols}) kron I_{n}")
+    left, x_rows, ints = _factor_rows(a, x)
+
+    def right_row(k):
+        i, s = divmod(k, n)
+        return [(j * n + s, v) for j, v in x_rows[i].items()]
+
+    return _product(a.field, left, x.cols * n, right_row, ints)
+
+
+def image_basis(m: Matrix) -> Subspace:
+    """Column space of m as a subspace of the codomain k^rows."""
+    return Subspace.from_sparse(m.field, m.rows, list(m.transpose().nonzeros))
+
+
+def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
+    """Zassenhaus: RREF of [[U,U],[V,0]]; zero-left rows give the intersection."""
+    _check_ambient(u, v)
+    n = u.ambient_dim
+    rows = []
+    for r in u.sparse_basis:
+        r = dict(r)
+        r.update({c + n: x for c, x in r.items()})
+        rows.append(r)
+    rows.extend(dict(r) for r in v.sparse_basis)
+    reduced, pivots = _eliminate(u.field, _q_rows(u.field, rows), reduce=True)
+    out = [{c - n: x for c, x in row.items()}
+           for row, pc in zip(reduced, pivots) if pc >= n]
+    return Subspace.from_sparse(u.field, n, out)
+
+
+def left_mult_matrix(a: Algebra, x: Sequence) -> Matrix:
+    """Matrix of v -> x*v on coordinates."""
+    cols = [a.multiply(x, a.basis_coords(j)) for j in range(a.dim)]
+    return Matrix.from_rows(a.field, cols).transpose()
+
+
+def right_mult_matrix(a: Algebra, x: Sequence) -> Matrix:
+    """Matrix of v -> v*x on coordinates."""
+    cols = [a.multiply(a.basis_coords(j), x) for j in range(a.dim)]
+    return Matrix.from_rows(a.field, cols).transpose()
+
+
+def ideal_intersection(ideals: Sequence[Ideal]) -> Subspace:
+    if not ideals:
+        raise ValueError("need at least one ideal")
+    a = ideals[0].algebra
+    for i in ideals[1:]:
+        if i.algebra != a:
+            raise DimensionMismatchError("ideals of different algebras")
+    return reduce(subspace_intersect, [i.space for i in ideals])
+
+
+def b_algebra(c: Covering) -> Algebra:
+    """The patch sum (+)A_i as an algebra with componentwise product."""
+    acc = c.patch(1)[0]
+    for i in range(2, c.n_patches + 1):
+        acc = direct_sum(acc, c.patch(i)[0])
+    return acc if acc.dim else zero_algebra(c.field)
+
+
+def unit_component(c: Covering, i: int) -> tuple:
+    """Coordinates of pi_i(1) inside (+)A_i."""
+    dims = c.patch_dims()
+    out = [c.field.zero] * sum(dims)
+    off = sum(dims[:i - 1])
+    for k, x in enumerate(c.patch(i)[0].unit):
+        out[off + k] = x
+    return tuple(out)
+
+
+def restriction(f: PosetFunctor, zeta: Sequence[int], eta: Sequence[int]) -> AlgebraHom:
+    """Composite restriction of f for zeta a subtuple of eta."""
+    zeta, eta = tuple(zeta), tuple(eta)
+    if not set(zeta) <= set(eta):
+        raise ValueError(f"{zeta} is not a subtuple of {eta}")
+    current = zeta
+    mat = Matrix.identity(f.ring(zeta).field, f.ring(zeta).dim)
+    for i in sorted(set(eta) - set(zeta)):
+        _, nxt = insert_index(current, i)
+        mat = f.step(current, nxt).matrix.mul(mat)
+        current = nxt
+    return AlgebraHom(f.ring(zeta), f.ring(eta), mat)
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +273,8 @@ def b_bimodule(c: Covering) -> Bimodule:
         for i in range(1, c.n_patches + 1):
             ai, pi = c.patch(i)
             im = pi.apply(e)
-            lbl.append(ai.left_mult_matrix(im))
-            rbl.append(ai.right_mult_matrix(im))
+            lbl.append(left_mult_matrix(ai, im))
+            rbl.append(right_mult_matrix(ai, im))
         left.append(_block_diag(f, blocks, lbl))
         right.append(_block_diag(f, blocks, rbl))
     return Bimodule(a, total, tuple(left), tuple(right), tuple(blocks), "patch-sum")
@@ -309,7 +408,7 @@ class TensorTower:
         self.base = b_bimodule(covering)
         if check:
             validate_bimodule(self.base)
-        self.b_alg = covering.b_algebra
+        self.b_alg = b_algebra(covering)
         self._spaces = {1: self.base}
         self._proj: dict = {}
         self._sect: dict = {}
@@ -408,7 +507,7 @@ class TensorTower:
                 balg = self.b_alg
                 cols = [balg.multiply(balg.basis_coords(x), balg.basis_coords(y))
                         for x in range(bdim) for y in range(bdim)]
-                self._merge2 = Matrix.from_columns(f, cols)
+                self._merge2 = Matrix.from_rows(f, cols).transpose()
         return self._merge2
 
     def raw_mult_adjacent(self, n: int, k: int) -> Matrix:
@@ -621,7 +720,7 @@ def phi_on_pure(f: PosetFunctor, choice: Sequence[AlgebraHom],
     ring = f.ring(zeta)
     acc = ring.unit
     for (i, coords) in factors:
-        mapped = f.restriction((i,), zeta).apply(choice[i - 1].apply(coords))
+        mapped = restriction(f, (i,), zeta).apply(choice[i - 1].apply(coords))
         acc = ring.multiply(acc, mapped)
     return zeta, acc
 
@@ -684,7 +783,9 @@ def phi_raw_matrix(f: PosetFunctor, choice: Sequence[AlgebraHom],
             for k, x in enumerate(vec):
                 col[off + k] = x
         cols.append(tuple(col))
-    return Matrix.from_columns(field, cols) if cols else Matrix(field, layout.dim, 0, tuple(() for _ in range(layout.dim)))
+    if not cols:
+        return Matrix.zero(field, layout.dim, 0)
+    return Matrix.from_rows(field, cols).transpose()
 
 
 def phi_matrix(f: PosetFunctor, choice: Sequence[AlgebraHom],

@@ -32,6 +32,9 @@ DEFAULT_N_MAX = 3
 # the deepest nesting of JSON arrays and objects a problem file may have;
 # the format needs 7 (a structure-constant quadruple of an explicit functor's ring)
 MAX_NESTING = 100
+# the most cells (dim^2) an algebra's structure-constant table may have; the
+# largest algebra in problems/ and bench/ has dim 40
+MAX_ALGEBRA_CELLS = 10 ** 6
 
 
 class Problem(Record):
@@ -118,7 +121,8 @@ def parse_algebra_section(field: Field, spec, loc: str) -> Algebra:
 
     The unit and the labels are length-checked against ``dim`` first, and
     the quadruples are summed into the sparse terms of each product
-    b_i * b_j; no dense dim^3 table is built.
+    b_i * b_j; no dense dim^3 table is built.  A dim whose dim x dim grid
+    of terms passes ``MAX_ALGEBRA_CELLS`` raises DimensionCapError.
     """
     if not isinstance(spec, dict):
         raise ProblemFormatError("algebra section must be an object", loc)
@@ -150,6 +154,10 @@ def parse_algebra_section(field: Field, spec, loc: str) -> Algebra:
         x = parse_scalar(field, coeff, qloc)
         row = sums.setdefault((i, j), {})
         row[k] = field.add(row[k], x) if k in row else x
+    if dim * dim > MAX_ALGEBRA_CELLS:
+        raise DimensionCapError(
+            f"{loc}: dim {dim} needs a table of {dim * dim} structure-constant cells "
+            f"> cap {MAX_ALGEBRA_CELLS}", degree=None, estimated=dim * dim, cap=MAX_ALGEBRA_CELLS)
     terms = [[()] * dim for _ in range(dim)]
     for (i, j), row in sums.items():
         terms[i][j] = tuple((k, row[k]) for k in sorted(row) if row[k])

@@ -6,12 +6,13 @@ import pytest
 
 from cechcover.algebras import (
     AlgebraHom, Ideal, direct_sum, hom_check, hom_compose, ideal_closure,
-    ideal_intersection, ideal_sum, make_algebra, matrix_algebra, quotient,
+    ideal_sum, make_algebra, matrix_algebra, quotient,
     split_commutative, square_zero, truncated_polynomial, upper_triangular,
     zero_algebra,
 )
 from cechcover.errors import DimensionMismatchError, StructureError
 from cechcover.linalg import GF, QQ, Matrix, Subspace
+from cechcover.oracles import ideal_intersection
 
 from instances import make_e1
 

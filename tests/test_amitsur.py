@@ -12,7 +12,7 @@ from cechcover.errors import DimensionCapError, NotAComplexError
 from cechcover.linalg import GF, QQ, kernel_basis, rank
 from cechcover.oracles import (
     TensorTower, b_bimodule, build_coring, random_covering,
-    tensor_over_A, validate_bimodule, zero_bimodule,
+    tensor_over_A, unit_component, validate_bimodule, zero_bimodule,
 )
 from cechcover.problem import Problem
 
@@ -168,7 +168,7 @@ def test_coring_counit_on_e_elements(e1):
         for j in (1, 2):
             eps = coring.counit.apply(coring.elements[(i, j)])
             if i == j:
-                assert eps == e1.unit_component(i)
+                assert eps == unit_component(e1, i)
             else:
                 assert all(x == QQ.zero for x in eps)
 

@@ -12,7 +12,7 @@ from cechcover.amitsur import build_amitsur
 from cechcover.cech import (
     PosetFunctor, RingedStructure, all_tuples, build_cech, cech_cohomology, constant_functor,
     default_phi_choice, functor_from_ringed_covering, insert_index, space_layout,
-    validate_functor, validate_index_tuple, verify_chain_map,
+    validate_functor, verify_chain_map,
 )
 from cechcover.coverings import Covering
 from cechcover.errors import StructureError
@@ -28,15 +28,6 @@ from instances import make_e1
 
 
 # -- index combinatorics -----------------------------------------------------------
-
-def test_index_tuple_validation():
-    assert validate_index_tuple((1, 3), 4) == (1, 3)
-    with pytest.raises(ValueError):
-        validate_index_tuple((3, 1), 4)
-    with pytest.raises(ValueError):
-        validate_index_tuple((0, 1), 4)
-    assert validate_index_tuple((), 4) == ()
-
 
 def test_insert_index_positions():
     assert insert_index((2,), 1) == (0, (1, 2))

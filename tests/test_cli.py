@@ -13,8 +13,11 @@ from pathlib import Path
 import pytest
 
 import cechcover
+from cechcover.amitsur import LETTERS_PER_CAP
 from cechcover.cli import main
-from cechcover.problem import MAX_NESTING, load_problem, normalize, parse_problem, sha256_hex
+from cechcover.problem import (
+    MAX_ALGEBRA_CELLS, MAX_NESTING, load_problem, normalize, parse_problem, sha256_hex,
+)
 
 
 def run(capsys, *argv):
@@ -341,24 +344,71 @@ def test_booleans_are_not_integers(capsys, tmp_path, command, doc, location):
     assert err.startswith(f"input error: {location}: ")
 
 
-def test_huge_dim_is_rejected_before_any_table_is_built(tmp_path):
-    """dim is checked against the unit's length first; a table of dim^2 or
-    dim^3 entries would exhaust the 1 GiB address space allowed here."""
-    doc = _k2_problem(algebra={"dim": 10 ** 9, "mul": [[0, 0, 0, 1]], "unit": [1, 0, 0]})
-    path = tmp_path / "huge.json"
+def _run_limited(tmp_path, doc, command, *extra, timeout=60):
+    """The command on ``doc`` in a process limited to 1 GiB of address space."""
+    path = tmp_path / "limited.json"
     path.write_text(json.dumps(doc))
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     env = dict(os.environ, PYTHONPATH=str(Path(cechcover.__file__).resolve().parents[1]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", "import sys\nfrom cechcover.cli import main\nsys.exit(main())",
-         "check", "--input", str(path)],
-        env=env, preexec_fn=limit_memory, capture_output=True, text=True, timeout=60)
+         command, "--input", str(path), *extra],
+        env=env, preexec_fn=limit_memory, capture_output=True, text=True, timeout=timeout)
+
+
+def test_huge_dim_is_rejected_before_any_table_is_built(tmp_path):
+    """dim is checked against the unit's length first; a table of dim^2 or
+    dim^3 entries would exhaust the 1 GiB address space allowed here."""
+    doc = _k2_problem(algebra={"dim": 10 ** 9, "mul": [[0, 0, 0, 1]], "unit": [1, 0, 0]})
+    proc = _run_limited(tmp_path, doc, "check")
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("input error: algebra.unit: ")
+
+
+def test_a_dim_its_unit_matches_is_capped_before_the_table_is_built(tmp_path):
+    """A 40 KB file whose unit has all 20000 entries: the dim x dim grid of
+    the structure constants would not fit in the 1 GiB allowed here."""
+    dim = 20000
+    assert dim * dim > MAX_ALGEBRA_CELLS
+    doc = {"field": "Q", "algebra": {"dim": dim, "mul": [[0, 0, 0, 1]],
+                                     "unit": [1] + [0] * (dim - 1)}}
+    proc = _run_limited(tmp_path, doc, "check")
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("resource cap: algebra: dim 20000 ")
+
+
+# k covered by one patch: every Amitsur degree has one word and one coordinate
+_ONE_PATCH = {"field": "Q", "algebra": {"dim": 1, "mul": [[0, 0, 0, 1]], "unit": [1]},
+              "ideals": {"Z": []}, "covering": ["Z"]}
+
+
+@pytest.mark.parametrize("command", ("amitsur", "verify"))
+def test_small_degrees_at_a_huge_n_max_are_capped(tmp_path, command):
+    """The dim cap never trips here, and the insertions that assemble d
+    write cubically many letters in n_max (64.6 s before the budget)."""
+    proc = _run_limited(tmp_path, _ONE_PATCH, command, "--n-max", "2000", timeout=5)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("resource cap: Amitsur differentials d_0..d_")
+
+
+def test_the_word_letter_budget_scales_with_the_dim_cap(capsys, tmp_path):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(_ONE_PATCH))
+    # each word of degree n has n + 2 insertions, each of length n + 2
+    letters = sum((n + 2) ** 2 for n in range(100))
+    cap = letters // LETTERS_PER_CAP
+    code, out, err = run(capsys, "amitsur", "--input", str(path), "--n-max", "100",
+                         "--dim-cap", str(cap))
+    assert code == 3 and out == ""
+    assert f"write {letters} word letters > {LETTERS_PER_CAP} x cap {cap}" in err
+    code, _, _ = run(capsys, "amitsur", "--input", str(path), "--n-max", "100",
+                     "--dim-cap", str(cap + 1))
+    assert code == 0
 
 
 def test_invalid_utf8_is_an_input_error(capsys, tmp_path):

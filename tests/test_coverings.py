@@ -9,14 +9,16 @@ import pytest
 import cechcover.algebras
 import cechcover.amitsur
 import cechcover.coverings
-from cechcover.algebras import ideal_closure, ideal_intersection, split_commutative
+from cechcover.algebras import ideal_closure, split_commutative
 from cechcover.cli import _dispatch
 from cechcover.coverings import (
     CompletenessReport, Covering, completeness_check, is_covering,
 )
 from cechcover.errors import StructureError
-from cechcover.linalg import GF, QQ, image_basis, kernel_basis, rank, subspace_sum
-from cechcover.oracles import random_algebra, random_covering, search_incomplete_covering
+from cechcover.linalg import GF, QQ, kernel_basis, rank, subspace_sum
+from cechcover.oracles import (
+    ideal_intersection, image_basis, random_algebra, random_covering, search_incomplete_covering,
+)
 from cechcover.problem import Problem
 
 from instances import make_e1, make_e4, make_three_lines

@@ -17,9 +17,9 @@ from cechcover import linalg
 from cechcover.algebras import split_commutative
 from cechcover.cech import build_cech, cech_cohomology, constant_functor
 from cechcover.linalg import (
-    GF, QQ, Field, Matrix, Subspace, block_matrix, image_basis, kernel_basis,
-    mul_kron_identity, rank, rref, subspace_intersect, subspace_sum,
+    GF, QQ, Field, Matrix, Subspace, block_matrix, kernel_basis, rank, rref, subspace_sum,
 )
+from cechcover.oracles import image_basis, mul_kron_identity, subspace_intersect
 
 FIELDS = (QQ, GF(2), GF(5), GF(1000003))
 

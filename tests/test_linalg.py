@@ -9,9 +9,10 @@ from cechcover.complexes import WordSpace, first_nonzero_square, homology
 from cechcover.errors import FieldMismatchError, NotAComplexError
 from cechcover.linalg import (
     GF, QQ, Matrix, Subspace,
-    image_basis, kernel_basis, quotient_map, quotient_section,
-    rank, rref, subspace_intersect, subspace_sum,
+    kernel_basis, quotient_map, quotient_section,
+    rank, rref, subspace_sum,
 )
+from cechcover.oracles import image_basis, subspace_intersect
 
 
 def mat(field, rows):

@@ -10,6 +10,7 @@ cached properties stay cached.
 
 from __future__ import annotations
 
+import importlib
 import os
 import subprocess
 import sys
@@ -171,3 +172,36 @@ def test_commands_load_neither_hashlib_nor_the_oracles(command, problem):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
     assert out == "0 []\n"
+
+
+# each helper that only the oracles and the tests called, by the production
+# module that held it: the command path no longer compiles them (those still
+# needed live in cechcover.oracles; validate_index_tuple had no caller)
+MOVED = (
+    ("cechcover.linalg", "mul_kron_identity"),
+    ("cechcover.linalg", "image_basis"),
+    ("cechcover.linalg", "subspace_intersect"),
+    ("cechcover.linalg", "intersect_many"),
+    ("cechcover.linalg", "Matrix.from_columns"),
+    ("cechcover.algebras", "ideal_intersection"),
+    ("cechcover.algebras", "Algebra.left_mult_matrix"),
+    ("cechcover.algebras", "Algebra.right_mult_matrix"),
+    ("cechcover.coverings", "Covering.b_algebra"),
+    ("cechcover.coverings", "Covering.patch_offset"),
+    ("cechcover.coverings", "Covering.unit_component"),
+    ("cechcover.cech", "PosetFunctor.restriction"),
+    ("cechcover.cech", "validate_index_tuple"),
+)
+
+
+@pytest.mark.parametrize("module, name", MOVED, ids=[f"{m}.{n}" for m, n in MOVED])
+def test_oracle_helpers_stay_off_the_production_modules(module, name):
+    owner = importlib.import_module(module)
+    *path, leaf = name.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    assert not hasattr(owner, leaf), f"{module}.{name} is defined again"
+
+
+def test_the_covering_caches_no_patch_sum():
+    assert "_b_algebra" not in vars(make_e1())
