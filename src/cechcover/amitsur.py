@@ -17,12 +17,11 @@ Inserting 1_B = sum_i 1_(A_i) at slot k sends block w to the blocks
 w[:k] + (i,) + w[k:] by the canonical projections
 A/I_S -> A/I_(S + {i}); the differential is the alternating sum
 d = sum_k (-1)^k (insert 1_B at slot k), where insertions that land on the
-same word add.  The builder asserts d.d = 0 and d_0 . pi = 0.  The word
-spaces, the assembly of d, the d.d = 0 check and the homology formula are
-the word-complex construction of ``cechcover.complexes``, which the Cech
-complex shares; the ideal sums I_S, their sections and the projections
-between them come from the covering (``Covering.ideal_sum_space``,
-``section``, ``projection``), which computes each once.
+same word add.  The builder asserts d.d = 0 and d_0 . pi = 0.  The
+complex is a ``WordComplex`` (``cechcover.complexes``), like the Cech
+complex; pi, its rank, the ideal sums I_S, their sections and the
+projections between them come from the covering (``Covering.sequence``,
+``ideal_sum_space``, ``section``, ``projection``), which computes each once.
 
 The balanced tensor tower, which builds the same spaces from the
 definition, is a test oracle in ``cechcover.oracles``.
@@ -30,13 +29,10 @@ definition, is a test oracle in ``cechcover.oracles``.
 
 from __future__ import annotations
 
-from functools import cached_property
-
-from .complexes import WordSpace, assemble, first_nonzero_square, homology
+from .complexes import WordComplex, WordSpace
 from .coverings import Covering
 from .errors import DimensionCapError, NotAComplexError
-from .linalg import Matrix, rank
-from .records import Frozen
+from .linalg import Matrix
 
 # the default bound on the coordinates of one degree, shared by the
 # problem files' ``dim_cap`` option
@@ -59,30 +55,23 @@ def __getattr__(name: str):
 # Amitsur complex
 # ---------------------------------------------------------------------------
 
-class AmitsurComplex(Frozen):
-    _fields = ("covering", "n_max", "spaces", "differentials", "augmentation")
+class AmitsurComplex(WordComplex):
+    """C^0..C^n_max, C^n on the words of length n+1, and d_0..d_(n_max-1)."""
 
-    def __init__(self, covering: Covering, n_max: int, spaces: tuple,
-                 differentials: tuple, augmentation: Matrix):
-        d = self.__dict__
-        d["covering"] = covering
-        d["n_max"] = n_max
-        d["spaces"] = spaces  # WordSpace C^0..C^n_max, C^n on the words of length n+1
-        d["differentials"] = differentials  # d_0..d_(n_max-1)
-        d["augmentation"] = augmentation  # pi : A -> C^0
+    _fields = ("covering", "spaces", "differentials")
 
-    def degree_dims(self) -> tuple[int, ...]:
-        return tuple(s.dim for s in self.spaces)
-
-    @cached_property
-    def ranks(self) -> tuple[int, ...]:
-        """rank d_0..d_(n_max-1), each computed once per complex."""
-        return tuple(rank(d) for d in self.differentials)
+    def __init__(self, covering: Covering, spaces: tuple, insertions, block):
+        self.__dict__["covering"] = covering
+        super().__init__(covering.field, spaces, insertions, block)
 
     @property
-    def augmentation_rank(self) -> int:
-        """rank pi; the augmentation is the covering's pi."""
-        return self.covering.pi_rank
+    def n_max(self) -> int:
+        return len(self.spaces) - 1
+
+    @property
+    def augmentation(self) -> Matrix:
+        """pi : A -> C^0, the covering's."""
+        return self.covering.pi
 
 
 def _index_set(word: tuple) -> tuple:
@@ -138,16 +127,14 @@ def build_amitsur(c: Covering, n_max: int, cap: int = DEFAULT_DIM_CAP) -> Amitsu
     def block(w: tuple, v: tuple):
         return c.projection(ideal(w), ideal(v))
 
-    diffs = tuple(assemble(c.field, src, dst, insertions, block)
-                  for src, dst in zip(spaces, spaces[1:]))
-    failure = first_nonzero_square(spaces, diffs)
+    cx = AmitsurComplex(c, tuple(spaces), insertions, block)
+    failure = cx.first_nonzero_square()
     if failure is not None:
         n = failure[0]
         raise NotAComplexError(f"d_{n + 1} . d_{n} != 0", degree=n)
-    pi = c.pi
-    if first_nonzero_square((c.space(0), spaces[0], spaces[1]), (pi, diffs[0])) is not None:
+    if not cx.differentials[0].mul(c.pi).is_zero():
         raise NotAComplexError("d_0 . pi != 0", degree=-1)
-    return AmitsurComplex(c, n_max, tuple(spaces), diffs, pi)
+    return cx
 
 
 def amitsur_homology(cx: AmitsurComplex, augmented: bool) -> list[int]:
@@ -155,7 +142,7 @@ def amitsur_homology(cx: AmitsurComplex, augmented: bool) -> list[int]:
 
     Degree 0 is taken against the augmentation pi when augmented, against
     the zero map otherwise.  The top stored degree has no outgoing
-    differential and is not reported.  The ranks come from ``cx.ranks``;
-    build_amitsur has already checked d.d = 0 and d_0 . pi = 0.
+    differential and is not reported.  build_amitsur has already checked
+    d.d = 0 and d_0 . pi = 0.
     """
-    return homology(cx.degree_dims(), cx.ranks, cx.augmentation_rank if augmented else 0)
+    return cx.homology(0, cx.n_max, cx.covering.sequence.rank(0) if augmented else 0)

@@ -10,13 +10,13 @@ cancellation identity hold.  The tuples and this rule live in
 ``cechcover.complexes``; ``one_step_inclusions`` enumerates the
 insertions for every loop over a functor's restrictions.
 
-(S^n, d') is the word complex of ``cechcover.complexes`` on the strictly
+(S^n, d') is a ``WordComplex`` (``cechcover.complexes``) on the strictly
 increasing words, with the functor's restriction maps as blocks; the
 Amitsur complex is the same construction on all patch words.  A
 ``PosetFunctor`` is validated when it is constructed, which assembles d'
-and checks its squares as d'.d' = 0; ``build_cech`` wraps that d'.  The
-ringed structure of a covering reads the quotients and projections of the
-covering's ideal sums (``Covering.quotient``, ``projection``).
+and checks its squares as d'.d' = 0; ``build_cech`` returns that complex.
+The ringed structure of a covering reads the quotients and projections of
+the covering's ideal sums (``Covering.quotient``, ``projection``).
 
 The comparison map phi sends a pure tensor y_1 (x) ... (x) y_n with patch
 word (i_1, ..., i_n) to the product of the restricted images in the ring
@@ -32,18 +32,17 @@ tensors, as the definition reads, is a test oracle in
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cache
 from typing import Callable, Optional, Sequence
 
 from .algebras import Algebra, AlgebraHom
 from .amitsur import AmitsurComplex
 from .complexes import (
-    WordSpace, all_tuples, assemble, extensions, first_nonzero_square, homology,
-    increasing_insertions,
+    WordComplex, WordSpace, all_tuples, extensions, increasing_insertions, increasing_space,
 )
 from .coverings import Covering
 from .errors import DimensionMismatchError, StructureError
-from .linalg import Matrix, Subspace, block_matrix, rank
+from .linalg import Matrix, Subspace, block_matrix
 from .records import Frozen, Record
 
 
@@ -90,8 +89,8 @@ class PosetFunctor(Record):
     restriction for every inclusion that adds a single index, larger jumps
     are derived by composition.  The constructor runs ``validate_functor``,
     which raises StructureError unless they are well defined, and keeps
-    the ``layouts`` and ``differentials`` it assembled, so the rings and
-    steps must not be changed after construction.
+    the complex it assembled as ``cech``, so the rings and steps must not
+    be changed after construction.
     """
 
     _fields = ("n_patches", "rings", "steps")
@@ -100,7 +99,7 @@ class PosetFunctor(Record):
         self.n_patches = n_patches
         self.rings = rings
         self.steps = steps
-        self.layouts, self.differentials = validate_functor(self)
+        self.cech = validate_functor(self)
 
     def ring(self, zeta: Sequence[int]) -> Algebra:
         return self.rings[tuple(zeta)]
@@ -109,21 +108,23 @@ class PosetFunctor(Record):
         return self.steps[(tuple(zeta), tuple(eta))]
 
 
-def validate_functor(f: PosetFunctor) -> tuple[tuple, tuple]:
+def validate_functor(f: PosetFunctor) -> "CechComplex":
     """Presence of all tuples/steps plus commutation of every length-2
     square, which holds exactly when d'.d' = 0: block (zeta, top) of d'.d'
-    is +-(path via i - path via j) for {i, j} = top - zeta.  Returns
-    S^0..S^N and d'_0..d'_(N-1).
+    is +-(path via i - path via j) for {i, j} = top - zeta.  Returns the
+    Cech complex it checked.
 
-    ``assemble`` asks for each step once, in ``one_step_inclusions`` order
-    (each insertion reaches its own target with sign +-1), so the steps'
-    presence and endpoints are checked as their blocks are read."""
+    The rings are checked as the spaces read their dims.  ``assemble`` asks
+    for each step once, in ``one_step_inclusions`` order (each insertion
+    reaches its own target with sign +-1), so the steps' presence and
+    endpoints are checked as their blocks are read."""
     n = f.n_patches
     rings, steps = f.rings, f.steps
-    for length in range(n + 1):
-        for zeta in all_tuples(n, length):
-            if zeta not in rings:
-                raise StructureError(f"functor has no ring on {zeta}", witness=("missing", zeta))
+
+    def dim(zeta: tuple) -> int:
+        if zeta not in rings:
+            raise StructureError(f"functor has no ring on {zeta}", witness=("missing", zeta))
+        return rings[zeta].dim
 
     def block(zeta: tuple, eta: tuple) -> Matrix:
         hom = steps.get((zeta, eta))
@@ -135,16 +136,14 @@ def validate_functor(f: PosetFunctor) -> tuple[tuple, tuple]:
                                  witness=("endpoints", zeta, eta))
         return hom.matrix
 
-    layouts = tuple(space_layout(f, k) for k in range(n + 1))
-    diffs = tuple(assemble(f.ring(()).field, src, dst, increasing_insertions(n), block)
-                  for src, dst in zip(layouts, layouts[1:]))
-    failure = first_nonzero_square(layouts, diffs)
+    cx = CechComplex(f, [increasing_space(n, k, dim) for k in range(n + 1)], block)
+    failure = cx.first_nonzero_square()
     if failure is not None:
         _, zeta, top = failure
         i, j = (x for x in top if x not in zeta)
         raise StructureError(f"restriction square {zeta} -> {top} does not commute",
                              witness=("square", zeta, i, j))
-    return layouts, diffs
+    return cx
 
 
 def constant_functor(n_patches: int, ring: Algebra) -> PosetFunctor:
@@ -230,50 +229,37 @@ def functor_from_ringed_covering(c: Covering,
 # The Cech complex
 # ---------------------------------------------------------------------------
 
-def space_layout(f: PosetFunctor, n: int) -> WordSpace:
-    """S^n = (+)_(len(zeta)=n) R(zeta) on the increasing words of length n;
-    empty outside 0..N."""
-    words = tuple(all_tuples(f.n_patches, n)) if n >= 0 else ()
-    return WordSpace(words, tuple(f.ring(zeta).dim for zeta in words))
+class CechComplex(WordComplex):
+    """S^n = (+)_(len(zeta)=n) R(zeta) for n = 0..N and d'_0..d'_(N-1)."""
 
+    _fields = ("functor", "spaces", "differentials")
 
-class CechComplex(Frozen):
-    _fields = ("functor", "layouts", "differentials")
-
-    def __init__(self, functor: PosetFunctor, layouts: tuple, differentials: tuple):
-        d = self.__dict__
-        d["functor"] = functor
-        d["layouts"] = layouts  # WordSpace S^0..S^N
-        d["differentials"] = differentials  # d'_0..d'_(N-1)
+    def __init__(self, functor: PosetFunctor, spaces: list, block):
+        self.__dict__["functor"] = functor
+        super().__init__(functor.ring(()).field, spaces,
+                         increasing_insertions(functor.n_patches), block)
 
     @property
-    def n_patches(self) -> int:
-        return self.functor.n_patches
+    def layouts(self) -> tuple:
+        # the name bench/spans.py reads; the alias goes with ROADMAP item 1/6
+        return self.spaces
 
     def dprime(self, n: int) -> Matrix:
         """d'_n : S^n -> S^(n+1); zero map beyond the stored range."""
         if 0 <= n < len(self.differentials):
             return self.differentials[n]
         field = self.functor.ring(()).field
-        src = self.layouts[n].dim if n < len(self.layouts) else 0
+        src = self.spaces[n].dim if n < len(self.spaces) else 0
         return Matrix(field, 0, src, ())
-
-    @cached_property
-    def ranks(self) -> tuple[int, ...]:
-        """rank d'_1..d'_top, each computed once per complex, where S^top is
-        the last nonzero cochain space; S^0 = R(empty) is left out of the
-        cohomology, so d'_0 is not ranked."""
-        top = max((n for n in range(1, len(self.layouts)) if self.layouts[n].dim), default=0)
-        return tuple(rank(self.dprime(n)) for n in range(1, top + 1))
 
 
 def build_cech(f: PosetFunctor) -> CechComplex:
-    """(S^n, d') of a functor: the layouts and differentials that its
-    validation assembled and checked for d'.d' = 0 (``validate_functor``).
+    """(S^n, d') of a functor: the complex that its validation assembled
+    and checked for d'.d' = 0 (``validate_functor``).
 
     d' adds every index i not in zeta with sign (-1)^(position of i).
     """
-    return CechComplex(f, f.layouts, f.differentials)
+    return f.cech
 
 
 def cech_cohomology(cx: CechComplex) -> list[int]:
@@ -283,7 +269,8 @@ def cech_cohomology(cx: CechComplex) -> list[int]:
     S^(n+1), and S^0 = R(empty) is excluded, so H^0 is the full kernel of
     d' on S^1.  Trailing degrees whose cochain space is zero are trimmed.
     """
-    return homology([layout.dim for layout in cx.layouts[1:]], cx.ranks, 0)
+    top = max((n for n, s in enumerate(cx.spaces) if n and s.dim), default=0)
+    return cx.homology(1, top + 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +374,7 @@ def verify_chain_map(amitsur: AmitsurComplex, cx: CechComplex,
     empty = WordSpace((), ())
     for n in range(1, amitsur.n_max + 2):
         space = amitsur.spaces[n - 1]
-        layout = cx.layouts[n] if n < len(cx.layouts) else empty
+        layout = cx.spaces[n] if n < len(cx.spaces) else empty
         blocks = {}
         for col, w in enumerate(space.words):
             row = layout.index.get(w)  # the Cech blocks are the increasing words

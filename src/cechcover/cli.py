@@ -68,15 +68,8 @@ def main(argv: Optional[list] = None) -> int:
             if args.dim_cap < 1:
                 raise ProblemFormatError("dim_cap must be positive", "--dim-cap")
             problem.dim_cap = args.dim_cap
-    except ProblemFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except DimensionCapError as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
-        return EXIT_CAP
-
-    started = time.perf_counter()
-    try:
+        # loading raises only the first two: it wraps the rest into ProblemFormatError
+        started = time.perf_counter()
         results, checks, code = _dispatch(args.command, problem)
     except ProblemFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
@@ -157,16 +150,15 @@ def _cmd_check(problem: Problem):
         "covering": report.as_dict(),
         "patch_dims": list(c.patch_dims()),
         "pair_dims": list(c.pair_dims()),
-        # rank-nullity on tau : (+)A_i -> (+)A_ij
-        "tau_rank": sum(c.patch_dims()) - report.ker_tau_dim,
+        "tau_rank": c.sequence.rank(1),
     }
     return results, {}, EXIT_OK
 
 
 def _functor_summary(cx) -> dict:
     """The ring dimension on each index tuple, read off the cochain spaces."""
-    return {tuple_to_key(zeta): d for layout in cx.layouts
-            for zeta, d in zip(layout.words, layout.dims)}
+    return {tuple_to_key(zeta): d for space in cx.spaces
+            for zeta, d in zip(space.words, space.dims)}
 
 
 def _cmd_cech(problem: Problem):

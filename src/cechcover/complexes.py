@@ -1,17 +1,17 @@
-"""Word complexes: the construction shared by the Amitsur and Cech complexes.
+"""Word complexes: the one complex type of the package.
 
-Both complexes are block complexes over words of patch indices.  Degree n
-is a direct sum of blocks, one per word, and the differential inserts one
-letter into a word with a sign given by the slot it lands in.  Insertions
-that land on the same target word add their signs, and the block between
-a source word and a target word is a map that depends on the two words
-only.  The Amitsur complex (``cechcover.amitsur``) takes every patch word
-and the projections A/I_S -> A/I_T between ideal sums; the Cech complex
-(``cechcover.cech``) and a covering's patch sequence
-(``cechcover.coverings``) take the strictly increasing words, with the
-functor's restriction maps or the projections as blocks, and insert
-index i at its sorted position pos with sign (-1)^pos
-(``increasing_insertions``).
+A ``WordComplex`` is a block complex over words of patch indices.  Degree
+n is a direct sum of blocks, one per word, and the differential inserts
+one letter into a word with a sign given by the slot it lands in.
+Insertions that land on the same target word add their signs, and the
+block between a source word and a target word is a map that depends on
+the two words only (``assemble``).  The Amitsur complex
+(``cechcover.amitsur``) takes every patch word and the projections
+A/I_S -> A/I_T between ideal sums; the Cech complex (``cechcover.cech``)
+and a covering's patch sequence (``cechcover.coverings``) take the
+strictly increasing words, with the functor's restriction maps or the
+projections as blocks, and insert index i at its sorted position pos with
+sign (-1)^pos (``increasing_insertions``).
 
 Block (w, v) of d_(n+1) . d_n sums the signed paths w -> u -> v, so the
 one d.d = 0 check, ``first_nonzero_square``, is also the check that the
@@ -23,10 +23,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import cached_property
 from itertools import accumulate, combinations
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from .errors import DimensionMismatchError
-from .linalg import Field, Matrix
+from .linalg import Field, Matrix, rank
 from .records import Frozen
 
 
@@ -66,6 +66,13 @@ class WordSpace(Frozen):
 def all_tuples(n_patches: int, length: int) -> list[tuple]:
     """The increasing words of the given length over 1..N, in lexicographic order."""
     return [tuple(c) for c in combinations(range(1, n_patches + 1), length)]
+
+
+def increasing_space(n_patches: int, n: int, dim: Callable[[tuple], int]) -> WordSpace:
+    """Degree n on the increasing words of length n over 1..N, the block of
+    word S of dimension ``dim(S)``; empty for n > N."""
+    words = tuple(all_tuples(n_patches, n))
+    return WordSpace(words, tuple(map(dim, words)))
 
 
 def extensions(zeta: tuple, n_patches: int):
@@ -134,25 +141,54 @@ def assemble(field: Field, src: WordSpace, dst: WordSpace,
     return Matrix.from_nonzeros(field, len(out), src.dim, out)
 
 
-def first_nonzero_square(spaces: Sequence[WordSpace],
-                         diffs: Sequence[Matrix]) -> Optional[tuple[int, tuple, tuple]]:
-    """(n, w, v) for the first n with d_(n+1) . d_n != 0, where
-    d_n = ``diffs[n]`` maps ``spaces[n]`` to ``spaces[n+1]``, and (w, v) is
-    the first nonzero block of that product, by source word w, then target
-    word v; None when d.d = 0."""
-    for n in range(len(diffs) - 1):
-        product = diffs[n + 1].mul(diffs[n])
-        if not product.is_zero():
-            w = spaces[n].word_at(min(min(row) for row in product.nonzeros if row))
-            lo, d = spaces[n].offset_of(w)
-            r = next(r for r, row in enumerate(product.nonzeros)
-                     if any(lo <= c < lo + d for c in row))
-            return n, w, spaces[n + 2].word_at(r)
-    return None
+class WordComplex(Frozen):
+    """Degree spaces and the differentials d_n : spaces[n] -> spaces[n+1]
+    that ``assemble`` builds from one insertion rule and one block map.
+    Each d_n is ranked at most once, when its rank is first read; each
+    caller raises its own error for a ``first_nonzero_square``."""
 
+    _fields = ("spaces", "differentials")
 
-def homology(dims: Sequence[int], ranks: Sequence[int], first: int) -> list[int]:
-    """dims[n] - rank d_n - rank d_(n-1) for each degree n < len(ranks),
-    where ranks[n] = rank d_n and ``first`` stands in for rank d_(-1)."""
-    return [dims[n] - ranks[n] - (ranks[n - 1] if n else first) for n in range(len(ranks))]
+    def __init__(self, field: Field, spaces: Iterable[WordSpace],
+                 insertions: Callable[[tuple], Iterable[tuple[int, tuple]]],
+                 block: Callable[[tuple, tuple], Matrix]):
+        d = self.__dict__
+        d["spaces"] = spaces = tuple(spaces)
+        d["differentials"] = tuple(assemble(field, src, dst, insertions, block)
+                                   for src, dst in zip(spaces, spaces[1:]))
+        d["_ranks"] = {}
 
+    def degree_dims(self) -> tuple[int, ...]:
+        return tuple(s.dim for s in self.spaces)
+
+    def rank(self, n: int) -> int:
+        """rank d_n; 0 outside the stored differentials."""
+        if n not in self._ranks:
+            self._ranks[n] = rank(self.differentials[n]) if 0 <= n < len(self.differentials) else 0
+        return self._ranks[n]
+
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        """rank d_n for each stored differential, in order."""
+        return tuple(map(self.rank, range(len(self.differentials))))
+
+    def homology(self, lo: int, hi: int, below: int) -> list[int]:
+        """dim spaces[n] - rank d_n - rank d_(n-1) for each degree
+        lo <= n < hi, where ``below`` stands in for rank d_(lo-1)."""
+        return [self.spaces[n].dim - self.rank(n) - (self.rank(n - 1) if n > lo else below)
+                for n in range(lo, hi)]
+
+    def first_nonzero_square(self) -> Optional[tuple[int, tuple, tuple]]:
+        """(n, w, v) for the first n with d_(n+1) . d_n != 0, where (w, v) is
+        the first nonzero block of that product, by source word w, then
+        target word v; None when d.d = 0."""
+        spaces, diffs = self.spaces, self.differentials
+        for n in range(len(diffs) - 1):
+            product = diffs[n + 1].mul(diffs[n])
+            if not product.is_zero():
+                w = spaces[n].word_at(min(min(row) for row in product.nonzeros if row))
+                lo, d = spaces[n].offset_of(w)
+                r = next(r for r, row in enumerate(product.nonzeros)
+                         if any(lo <= c < lo + d for c in row))
+                return n, w, spaces[n + 2].word_at(r)
+        return None

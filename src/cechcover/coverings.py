@@ -6,25 +6,24 @@ exact.  Every map in it is k-linear, so exactness is a statement about
 k-dimensions, and all of it is read off rank pi and rank tau
 (``completeness_check``).
 
-pi and tau are degrees 0 -> 1 -> 2 of the covering's Cech complex, the
-word complex of ``cechcover.complexes`` on the increasing index tuples S
-with blocks A/I_S (``Covering.space``) and the projections between them:
-pi is its degree-0 differential and tau minus its degree-1 differential.
-Both are assembled once, by the constructor, which checks the patch
-squares as d'_1 . pi = 0.  Only ordered pairs i < j are materialized in
-the target of tau: the (j,i) blocks are negatives of the (i,j) blocks and
-carry no extra rank.
+The patch sequence is degrees 0 -> 1 -> 2 of the covering's Cech complex,
+one ``WordComplex`` (``Covering.sequence``) on the increasing index tuples
+S with blocks A/I_S and the projections between them: pi is its degree-0
+differential and tau minus its degree-1 differential.  The constructor
+assembles it once and checks the patch squares as d'_1 . pi = 0; the
+complex stores rank pi and rank tau.  Only ordered pairs i < j are
+materialized in the target of tau: the (j,i) blocks are negatives of the
+(i,j) blocks and carry no extra rank.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Sequence
 
 from .algebras import Algebra, AlgebraHom, Ideal, quotient
-from .complexes import WordSpace, all_tuples, assemble, first_nonzero_square, increasing_insertions
+from .complexes import WordComplex, increasing_insertions, increasing_space
 from .errors import DimensionMismatchError, StructureError
-from .linalg import Field, Matrix, Subspace, quotient_map, quotient_section, rank, subspace_sum
+from .linalg import Field, Matrix, Subspace, quotient_map, quotient_section, subspace_sum
 from .records import Frozen
 
 
@@ -59,19 +58,20 @@ class Covering:
     """An algebra with an ordered list of ideals and derived patch data.
 
     Patch indices are 1-based.  ``patch(i)`` returns (A_i, pi_i).
-    ``space(n)`` is degree n of the covering's Cech complex: one block
-    A/I_S per increasing index tuple S of length n, so degree 1 holds the
-    patches and degree 2 the pairs A_ij.  The constructor stores ``pi``
-    and ``tau`` and verifies, for i < j, the square
+    ``sequence`` is degrees 0..2 of the covering's Cech complex: one block
+    A/I_S per increasing index tuple S of length n in degree n, so degree
+    1 holds the patches and degree 2 the pairs A_ij.  The constructor
+    stores it with ``pi`` and ``tau`` and verifies, for i < j, the square
     pi_i_ij . pi_i = pi_j_ij . pi_j (pi_i_ij: A_i -> A_ij the projection).
 
     The covering also holds the lattice of its ideal sums: I_S for index
     sets S (``ideal_sum_space``), and for each ideal space J among them
     the quotient A/J, its section and the projections A/J -> A/J' for
     J inside J'.  Each is computed once, when first asked for, and shared
-    by everything built on the covering.  pi and tau need only the
-    projections, so a quotient algebra is built only where a ring is read:
-    by ``patch``, ``quotient`` or ``projection_hom``.
+    by everything built on the covering.  Equal ideal sums are one object,
+    so the caches keyed by them match by identity.  pi and tau need only
+    the projections, so a quotient algebra is built only where a ring is
+    read: by ``patch``, ``quotient`` or ``projection_hom``.
     """
 
     def __init__(self, algebra: Algebra, ideals: Sequence[Ideal]):
@@ -84,8 +84,9 @@ class Covering:
         self.ideals = tuple(ideals)
         self.n_patches = len(self.ideals)
 
-        self._sum_spaces = {(): Subspace.zero(self.field, algebra.dim)}
-        self._sum_spaces.update(((i,), ideal.space)
+        self._interned: dict = {}  # each ideal sum -> the first equal one seen
+        self._sum_spaces = {(): self._intern(Subspace.zero(self.field, algebra.dim))}
+        self._sum_spaces.update(((i,), self._intern(ideal.space))
                                 for i, ideal in enumerate(self.ideals, start=1))
         self._ideals = {ideal.space: ideal for ideal in self.ideals}
         self._quotients: dict = {}  # J -> (A/J, A -> A/J)
@@ -96,26 +97,26 @@ class Covering:
         def block(s: tuple, t: tuple) -> Matrix:
             return self.projection(self.ideal_sum_space(s), self.ideal_sum_space(t))
 
-        spaces = tuple(self.space(n) for n in range(3))
-        pi, d1 = (assemble(self.field, src, dst, increasing_insertions(self.n_patches), block)
-                  for src, dst in zip(spaces, spaces[1:]))
+        def dim(s: tuple) -> int:
+            return algebra.dim - self.ideal_sum_space(s).dim
+
+        self.sequence = WordComplex(
+            self.field, (increasing_space(self.n_patches, n, dim) for n in range(3)),
+            increasing_insertions(self.n_patches), block)
         # block (a,b) of d'_1 . pi is pi_b_ab . pi_b - pi_a_ab . pi_a
-        failure = first_nonzero_square(spaces, (pi, d1))
+        failure = self.sequence.first_nonzero_square()
         if failure is not None:
             a, b = failure[2]
             raise StructureError(f"patch square ({a},{b}) does not commute", witness=(a, b))
-        self.pi = pi
+        self.pi, d1 = self.sequence.differentials
         self.tau = d1.neg()
 
     @property
     def field(self) -> Field:
         return self.algebra.field
 
-    @cached_property
-    def pi_rank(self) -> int:
-        """rank pi, computed once: ``is_covering``, ``completeness_check``
-        and the Amitsur augmentation all read it."""
-        return rank(self.pi)
+    def _intern(self, space: Subspace) -> Subspace:
+        return self._interned.setdefault(space, space)
 
     def patch(self, i: int) -> tuple[Algebra, AlgebraHom]:
         return self.quotient(self.ideals[i - 1].space)
@@ -125,8 +126,8 @@ class Covering:
         a sorted tuple; each sum is computed once."""
         space = self._sum_spaces.get(s)
         if space is None:
-            space = self._sum_spaces[s] = subspace_sum(self.ideal_sum_space(s[:-1]),
-                                                       self.ideals[s[-1] - 1].space)
+            space = self._sum_spaces[s] = self._intern(subspace_sum(
+                self.ideal_sum_space(s[:-1]), self.ideals[s[-1] - 1].space))
         return space
 
     def quotient(self, j: Subspace) -> tuple[Algebra, AlgebraHom]:
@@ -168,24 +169,16 @@ class Covering:
                 self.quotient(j1)[0], self.quotient(j2)[0], self.projection(j1, j2))
         return h
 
-    def space(self, n: int) -> WordSpace:
-        """Degree n of the covering's Cech complex: the block of each
-        increasing index tuple S of length n is A/I_S, of dimension
-        dim A - dim I_S."""
-        words = tuple(all_tuples(self.n_patches, n))
-        return WordSpace(words, tuple(self.algebra.dim - self.ideal_sum_space(s).dim
-                                      for s in words))
-
     def patch_dims(self) -> tuple[int, ...]:
-        return self.space(1).dims
+        return self.sequence.spaces[1].dims
 
     def pair_dims(self) -> tuple[int, ...]:
-        return self.space(2).dims
+        return self.sequence.spaces[2].dims
 
 
 def is_covering(c: Covering) -> bool:
     """Whether the ideals meet in 0, that is whether pi is injective."""
-    return c.pi_rank == c.algebra.dim
+    return c.sequence.rank(0) == c.algebra.dim
 
 
 def completeness_check(c: Covering) -> CompletenessReport:
@@ -197,10 +190,10 @@ def completeness_check(c: Covering) -> CompletenessReport:
     dim A - rank pi, and the sequence is exact at A exactly when pi has
     full rank.  The constructor has checked tau . pi = 0, so im pi lies
     inside ker tau, and the two are equal exactly when their dimensions,
-    rank pi and dim (+)A_i - rank tau, are.
+    rank pi and dim (+)A_i - rank tau, are; rank tau is rank d'_1.
     """
-    im_pi_dim = c.pi_rank
-    ker_tau_dim = c.tau.cols - rank(c.tau)
+    im_pi_dim = c.sequence.rank(0)
+    ker_tau_dim = c.tau.cols - c.sequence.rank(1)
     covering = im_pi_dim == c.algebra.dim
     exact_at_b = ker_tau_dim == im_pi_dim
     return CompletenessReport(

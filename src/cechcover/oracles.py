@@ -46,8 +46,8 @@ from .algebras import (
     truncated_polynomial, upper_triangular, zero_algebra,
 )
 from .amitsur import DEFAULT_DIM_CAP
-from .cech import PosetFunctor, insert_index, space_layout
-from .complexes import WordSpace
+from .cech import PosetFunctor, insert_index
+from .complexes import WordSpace, increasing_space
 from .coverings import Covering, completeness_check
 from .errors import DimensionCapError, DimensionMismatchError, StructureError
 from .linalg import (
@@ -738,7 +738,7 @@ def phi_sum(f: PosetFunctor, choice: Sequence[AlgebraHom], terms,
         if not terms:
             raise ValueError("cannot infer degree from an empty sum")
         degree = len(terms[0][1])
-    layout = space_layout(f, degree)
+    layout = increasing_space(f.n_patches, degree, lambda zeta: f.ring(zeta).dim)
     field = f.ring(()).field
     coords = [field.zero] * layout.dim
     for coeff, factors in terms:
@@ -759,7 +759,7 @@ def phi_raw_matrix(f: PosetFunctor, choice: Sequence[AlgebraHom],
     """phi on the full k-tensor space k^(B^n) -> S^n, column per basis tensor."""
     field = tower.field
     bdim = tower.base.dim
-    layout = space_layout(f, n)
+    layout = increasing_space(f.n_patches, n, lambda zeta: f.ring(zeta).dim)
     total = bdim ** n
     cols = []
     for idx in range(total):

@@ -415,14 +415,14 @@ def ref_cech_by_assembler(f) -> list:
         return f.steps[(zeta, eta)].matrix
 
     return [ref_assemble(f.ring(()).field, src, dst, increasing_insertions(f.n_patches), block)
-            for src, dst in zip(f.layouts, f.layouts[1:])]
+            for src, dst in zip(build_cech(f).layouts, build_cech(f).layouts[1:])]
 
 
 def ref_pi_tau_by_assembler(c: Covering) -> tuple:
     def block(s, t):
         return c.projection(c.ideal_sum_space(s), c.ideal_sum_space(t))
 
-    spaces = [c.space(n) for n in range(3)]
+    spaces = c.sequence.spaces
     pi, d1 = (ref_assemble(c.field, src, dst, increasing_insertions(c.n_patches), block)
               for src, dst in zip(spaces, spaces[1:]))
     return pi, d1.neg()
@@ -449,7 +449,7 @@ def test_row_direct_assembly_of_functors(field):
     functors += [functor_from_cover(random_cover_description(rng, max_patches=5, field=field))
                  for _ in range(8)]
     for f in functors:
-        assert_same(f.differentials, ref_cech_by_assembler(f))
+        assert_same(build_cech(f).differentials, ref_cech_by_assembler(f))
 
 
 @pytest.mark.parametrize("field", ASSEMBLY_FIELDS)

@@ -11,7 +11,7 @@ from cechcover.algebras import (
 from cechcover.amitsur import build_amitsur
 from cechcover.cech import (
     PosetFunctor, RingedStructure, all_tuples, build_cech, cech_cohomology, constant_functor,
-    default_phi_choice, functor_from_ringed_covering, insert_index, space_layout,
+    default_phi_choice, functor_from_ringed_covering, insert_index,
     validate_functor, verify_chain_map,
 )
 from cechcover.coverings import Covering
@@ -359,7 +359,7 @@ def test_phi_on_pure_rejects_nothing_quietly(e1):
 
 def test_cech_element_component_accessor(e1):
     f = functor_from_ringed_covering(e1)
-    layout = space_layout(f, 1)
+    layout = build_cech(f).layouts[1]
     el = CechElement(layout, (QQ.coerce(1), QQ.coerce(2), QQ.coerce(3), QQ.coerce(4)))
     assert el.component((2,), f).coords == (QQ.coerce(3), QQ.coerce(4))
 

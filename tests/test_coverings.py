@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 import cechcover.algebras
-import cechcover.amitsur
+import cechcover.complexes
 import cechcover.coverings
 from cechcover.algebras import ideal_closure, split_commutative
 from cechcover.cli import _dispatch
@@ -285,22 +285,38 @@ def test_verify_builds_each_ideal_sum_quotient_once(monkeypatch):
 
 # -- work done once per covering -------------------------------------------------------------
 
-def test_amitsur_ranks_pi_once(monkeypatch):
-    # completeness_check and the augmented degree 0 both read Covering.pi_rank
+# the matrices each command ranks on three_lines at n_max 2: pi and d'_1 of
+# the patch sequence, d_0 and d_1 of the Amitsur complex, d'_1 and d'_2 of
+# the Cech complex (d'_0 is never ranked)
+RANKED = {"check": 2, "amitsur": 4, "verify": 6, "cech": 2}
+
+
+@pytest.mark.parametrize("command", tuple(RANKED))
+def test_amitsur_ranks_pi_once(monkeypatch, command):
+    # every rank is read off a WordComplex, which ranks each differential
+    # at most once; completeness_check and the augmented degree 0 both read
+    # the rank of pi off the covering's patch sequence
     ranked = []
-    real = cechcover.coverings.rank
+    real = cechcover.complexes.rank
 
     def counted(m):
         ranked.append(m)
         return real(m)
 
-    for module in (cechcover.coverings, cechcover.amitsur):
-        monkeypatch.setattr(module, "rank", counted)
+    monkeypatch.setattr(cechcover.complexes, "rank", counted)
     c = make_three_lines()
-    _, _, code = _dispatch("amitsur", Problem(c.field, c.algebra, {}, c, None, n_max=2))
+    _, _, code = _dispatch(command, Problem(c.field, c.algebra, {}, c, None, n_max=2))
     assert code == 0
-    assert len(ranked) == 4  # pi, tau, d_0, d_1
-    assert sum(m is c.pi for m in ranked) == 1
+    assert len({id(m) for m in ranked}) == len(ranked) == RANKED[command]
+    assert sum(m is c.pi for m in ranked) == (command != "cech")
+
+
+def test_equal_ideal_sums_are_one_object():
+    # the projection cache is keyed by ideal sums: equal sums must be the
+    # same object for a hit to skip comparing bases
+    c = make_three_lines()
+    sums = [c.ideal_sum_space(s) for s in ((1, 2), (1, 3), (2, 3), (1, 2, 3))]
+    assert all(s is sums[0] for s in sums)
 
 
 def test_quotient_reuses_the_patch_ideals(monkeypatch):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cechcover.complexes import WordSpace, first_nonzero_square, homology
+from cechcover.complexes import WordComplex, WordSpace
 from cechcover.errors import FieldMismatchError, NotAComplexError
 from cechcover.linalg import (
     GF, QQ, Matrix, Subspace,
@@ -198,10 +198,13 @@ def test_quotient_section_is_right_inverse():
 
 def homology_dim(d_in, d_out):
     """dim ker(d_out) - rank(d_in), for one-word spaces, after the d.d = 0 check."""
-    one_word = [WordSpace(((),), (dim,)) for dim in (d_in.cols, d_in.rows, d_out.rows)]
-    if first_nonzero_square(one_word, (d_in, d_out)) is not None:
+    one_word = [WordSpace((w,), (dim,)) for w, dim in zip(((), (0,), (0, 0)),
+                                                       (d_in.cols, d_in.rows, d_out.rows))]
+    cx = WordComplex(d_in.field, one_word, lambda w: [(1, w + (0,))],
+                     lambda w, v: (d_in, d_out)[len(w)])
+    if cx.first_nonzero_square() is not None:
         raise NotAComplexError("d_1 . d_0 != 0", degree=0)
-    return homology([d_out.cols], [rank(d_out)], rank(d_in))[0]
+    return cx.homology(0, 2, 0)[1]
 
 
 def test_homology_zero_maps():
