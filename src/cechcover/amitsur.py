@@ -90,12 +90,11 @@ def build_amitsur(c: Covering, n_max: int, cap: int = DEFAULT_DIM_CAP) -> Amitsu
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     patches = range(1, c.n_patches + 1)
-
-    def ideal(w: tuple):
-        return c.ideal_sum_space(_index_set(w))
+    ideals = {}  # I_set(w) of each candidate word w, looked up once
 
     def dim(w: tuple) -> int:
-        return c.algebra.dim - ideal(w).dim
+        ideal = ideals[w] = c.ideal_sum_space(_index_set(w))
+        return c.algebra.dim - ideal.dim
 
     # a word's quotient only shrinks as letters are added, so extending the
     # words with a nonzero block reaches every word with a nonzero block
@@ -103,7 +102,7 @@ def build_amitsur(c: Covering, n_max: int, cap: int = DEFAULT_DIM_CAP) -> Amitsu
     words = [(i,) for i in patches if dim((i,))]
     letters, budget = 0, LETTERS_PER_CAP * cap
     for n in range(n_max + 1):
-        dims = tuple(map(dim, words))
+        dims = tuple(c.algebra.dim - ideals[w].dim for w in words)
         total = sum(dims)
         if total > cap:
             raise DimensionCapError(
@@ -125,7 +124,7 @@ def build_amitsur(c: Covering, n_max: int, cap: int = DEFAULT_DIM_CAP) -> Amitsu
                 yield -1 if k % 2 else 1, w[:k] + (i,) + w[k:]
 
     def block(w: tuple, v: tuple):
-        return c.projection(ideal(w), ideal(v))
+        return c.projection(ideals[w], ideals[v])
 
     cx = AmitsurComplex(c, tuple(spaces), insertions, block)
     failure = cx.first_nonzero_square()

@@ -15,8 +15,10 @@ increasing words, with the functor's restriction maps as blocks; the
 Amitsur complex is the same construction on all patch words.  A
 ``PosetFunctor`` is validated when it is constructed, which assembles d'
 and checks its squares as d'.d' = 0; ``build_cech`` returns that complex.
-The ringed structure of a covering reads the quotients and projections of
-the covering's ideal sums (``Covering.quotient``, ``projection``).
+The default ringed functor of a covering reads the quotients and
+projections of its ideal sums (``Covering.quotient``, ``projection_hom``):
+that lattice is natural by construction, so only a supplied
+``RingedStructure`` has its naturality squares checked.
 
 The comparison map phi sends a pure tensor y_1 (x) ... (x) y_n with patch
 word (i_1, ..., i_n) to the product of the restricted images in the ring
@@ -164,26 +166,15 @@ def constant_functor(n_patches: int, ring: Algebra) -> PosetFunctor:
 class RingedStructure:
     """Functorial assignment J -> (Phi(J), Phi_J : A/J -> Phi(J)).
 
-    ``ring_of``/``hom_from_quotient``/``map_of`` take ideal subspaces of
-    the base algebra (canonical by RREF, hence usable as cache keys).
+    ``hom_from_quotient(J)`` is Phi_J, its codomain is Phi(J), and
     ``map_of(J1, J2)`` is the Phi-image of the projection A/J1 -> A/J2.
+    Both take ideal subspaces of the base algebra (canonical by RREF).
     """
 
-    def __init__(self, ring_of: Callable[[Subspace], Algebra],
-                 hom_from_quotient: Callable[[Subspace], AlgebraHom],
+    def __init__(self, hom_from_quotient: Callable[[Subspace], AlgebraHom],
                  map_of: Callable[[Subspace, Subspace], AlgebraHom]):
-        self.ring_of = ring_of
         self.hom_from_quotient = hom_from_quotient
         self.map_of = map_of
-
-    @staticmethod
-    def default(c: Covering) -> "RingedStructure":
-        """Phi(J) = A/J with Phi_J the identity and Phi(proj) the projection,
-        on the ideals of the covering's lattice, whose quotients and
-        projections it reads."""
-        return RingedStructure(lambda j: c.quotient(j)[0],
-                               lambda j: AlgebraHom.identity(c.quotient(j)[0]),
-                               c.projection_hom)
 
     def validate_on(self, c: Covering, ideal_spaces: Sequence[Subspace]) -> None:
         """Check the naturality squares for every comparable pair in the list
@@ -209,19 +200,24 @@ def functor_from_ringed_covering(c: Covering,
                                  rs: Optional[RingedStructure] = None) -> PosetFunctor:
     """R(zeta) = Phi(sum of the ideals named by zeta), restrictions through Phi.
 
-    Runs functor validation and the ringed-structure naturality checks on
-    the finite ideal lattice generated by the covering; a failure raises a
-    StructureError carrying the witness square.
+    Without ``rs`` Phi is the covering's lattice: A/J with its projections,
+    natural by construction.  A supplied ``rs`` is checked for naturality
+    on the covering's ideal sums; a failure raises a StructureError carrying
+    the witness square.
     """
-    rs = rs or RingedStructure.default(c)
     n = c.n_patches
     sums = {zeta: c.ideal_sum_space(zeta)
             for length in range(n + 1) for zeta in all_tuples(n, length)}
-    rings = {zeta: rs.ring_of(j) for zeta, j in sums.items()}
-    steps = {(zeta, eta): rs.map_of(sums[zeta], sums[eta])
+    if rs is None:
+        ring, step = (lambda j: c.quotient(j)[0]), c.projection_hom
+    else:
+        ring, step = (lambda j: rs.hom_from_quotient(j).codomain), rs.map_of
+    rings = {zeta: ring(j) for zeta, j in sums.items()}
+    steps = {(zeta, eta): step(sums[zeta], sums[eta])
              for zeta, _, _, eta in one_step_inclusions(n)}
     functor = PosetFunctor(n, rings, steps)
-    rs.validate_on(c, sorted(set(sums.values()), key=lambda s: (s.dim, s.basis.entries)))
+    if rs is not None:
+        rs.validate_on(c, sorted(set(sums.values()), key=lambda s: (s.dim, s.basis.entries)))
     return functor
 
 
@@ -310,6 +306,9 @@ class ChainMapReport(Frozen):
 
 def default_phi_choice(f: PosetFunctor, c: Covering) -> tuple:
     """Identity homs A_i -> R({i}) where the shapes agree (default ringed data)."""
+    if f.n_patches != c.n_patches:
+        raise DimensionMismatchError(
+            f"no default choice: the functor has {f.n_patches} patches, the covering {c.n_patches}")
     out = []
     for i in range(1, c.n_patches + 1):
         a_i, _ = c.patch(i)

@@ -260,3 +260,22 @@ def test_verify_reports_the_d_squared_witness():
     assert "degree_dims" not in results
     # the Cech side does not use the doubled block; no chain map without the complex
     assert checks["functor_validation"] is True and "chain_map" not in checks
+
+
+def test_each_candidate_word_looks_up_its_ideal_sum_once(three_lines, monkeypatch):
+    n_max = 4
+    # after one build every ideal sum is computed, so each call below is one lookup
+    build_amitsur(three_lines, n_max)
+    calls = []
+    lookup = Covering.ideal_sum_space
+
+    def counted(self, s):
+        calls.append(s)
+        return lookup(self, s)
+
+    monkeypatch.setattr(Covering, "ideal_sum_space", counted)
+    cx = build_amitsur(three_lines, n_max)
+    n = three_lines.n_patches
+    # the words of length one, then every extension of a kept word by one letter
+    candidates = n + n * sum(len(space.words) for space in cx.spaces[:-1])
+    assert 0 < len(calls) <= candidates

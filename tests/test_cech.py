@@ -24,7 +24,7 @@ from cechcover.oracles import (
     random_covering,
 )
 
-from instances import make_e1
+from instances import make_e1, make_e4, make_three_lines
 
 
 # -- index combinatorics -----------------------------------------------------------
@@ -205,9 +205,6 @@ def test_custom_ringed_structure_naturality(e1):
     def fat(j: Subspace) -> Subspace:
         return subspace_sum(j, extra)
 
-    def ring_of(j):
-        return quotient(base, Ideal(base, fat(j)))[0]
-
     def hom_from_quotient(j):
         small, _ = quotient(base, Ideal(base, j))
         big, qb = quotient(base, Ideal(base, fat(j)))
@@ -218,12 +215,39 @@ def test_custom_ringed_structure_naturality(e1):
         a2, q2 = quotient(base, Ideal(base, fat(j2)))
         return AlgebraHom(a1, a2, q2.matrix.mul(quotient_section(base.dim, fat(j1))))
 
-    rs = RingedStructure(ring_of, hom_from_quotient, map_of)
+    rs = RingedStructure(hom_from_quotient, map_of)
     f = functor_from_ringed_covering(e1, rs)
     assert f.ring(()).dim == 2
     assert f.ring((1,)).dim == 1 and f.ring((2,)).dim == 1
     assert f.ring((1, 2)).dim == 0
     assert cech_cohomology(build_cech(f)) == [2]
+
+
+@pytest.mark.parametrize("make", (make_e1, make_e4, make_three_lines))
+def test_the_default_ringed_functor_runs_no_naturality_walk(make, monkeypatch):
+    def walk(*args):
+        raise AssertionError("the covering's lattice is natural by construction")
+
+    monkeypatch.setattr(RingedStructure, "validate_on", walk)
+    c = make()
+    f = functor_from_ringed_covering(c)
+    assert f.ring((1,)) == c.patch(1)[0]
+
+
+def test_a_supplied_structure_that_is_not_natural_is_refused(e1):
+    # Phi(J) = A/J with the projections, but Phi_0 swaps e1 and e3: the
+    # functor is the default one, the square at 0 -> I_1 does not commute
+    zero = e1.ideal_sum_space(())
+    swap = Matrix.from_rows(QQ, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+
+    def hom_from_quotient(j):
+        ring = e1.quotient(j)[0]
+        return AlgebraHom(ring, ring, swap) if j == zero else AlgebraHom.identity(ring)
+
+    with pytest.raises(StructureError) as err:
+        functor_from_ringed_covering(e1, RingedStructure(hom_from_quotient, e1.projection_hom))
+    assert err.value.witness == ("naturality", zero.basis.entries,
+                                 e1.ideals[0].space.basis.entries)
 
 
 # -- phi ---------------------------------------------------------------------------------

@@ -223,6 +223,25 @@ def test_verify_chain_map_fails_when_patch_homs_disagree(capsys, tmp_path):
         assert "phi is not well defined in degree 2" in square["witness"]
 
 
+@pytest.mark.parametrize("n, overlaps", ((3, [[1], [2], [3]]), (1, [[1]])))
+def test_verify_skips_the_chain_map_when_the_patch_counts_differ(capsys, tmp_path, n, overlaps):
+    # the split plane covered by its two points has one-dimensional patches,
+    # the shape of the cover functor's rings, but the functor has n patches
+    doc = {
+        "field": "Q",
+        "algebra": {"dim": 2, "mul": [[0, 0, 0, 1], [1, 1, 1, 1]], "unit": [1, 1]},
+        "ideals": {"I1": [[1, 0]], "I2": [[0, 1]]},
+        "covering": ["I1", "I2"],
+        "functor": {"cover": {"n": n, "nonempty_overlaps": overlaps}},
+    }
+    path = tmp_path / "mismatch.json"
+    path.write_text(json.dumps(doc))
+    code, report, err = run_json(capsys, "verify", path)
+    assert code == 0, err
+    assert report["checks"]["chain_map"] == "skipped"
+    assert "chain_map_note" in report["results"]
+
+
 def test_oracle_circle(capsys, problems_dir):
     code, report, _ = run_json(capsys, "oracle", problems_dir / "circle_cover.json")
     assert code == 0
