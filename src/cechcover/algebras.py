@@ -210,25 +210,39 @@ def _side_products(a: Algebra, v: dict):
                _combine(((x, terms[m][i]) for m, x in nonzeros), p))
 
 
+def _check_two_sided(algebra: Algebra, space: Subspace) -> None:
+    for r, nonzeros in enumerate(space.sparse_basis):
+        for i, (left, right) in enumerate(_side_products(algebra, nonzeros)):
+            if not space.contains_sparse(left):
+                raise StructureError(
+                    f"not a two-sided ideal: b{i} * v escapes the span",
+                    witness=("left", i, space.basis.entries[r]))
+            if not space.contains_sparse(right):
+                raise StructureError(
+                    f"not a two-sided ideal: v * b{i} escapes the span",
+                    witness=("right", i, space.basis.entries[r]))
+
+
 class Ideal(Frozen):
     _fields = ("algebra", "space")
 
     def __init__(self, algebra: Algebra, space: Subspace):
         if space.ambient_dim != algebra.dim:
             raise DimensionMismatchError("ideal ambient dim != algebra dim")
-        for r, nonzeros in enumerate(space.sparse_basis):
-            for i, (left, right) in enumerate(_side_products(algebra, nonzeros)):
-                if not space.contains_sparse(left):
-                    raise StructureError(
-                        f"not a two-sided ideal: b{i} * v escapes the span",
-                        witness=("left", i, space.basis.entries[r]))
-                if not space.contains_sparse(right):
-                    raise StructureError(
-                        f"not a two-sided ideal: v * b{i} escapes the span",
-                        witness=("right", i, space.basis.entries[r]))
+        _check_two_sided(algebra, space)
         d = self.__dict__
         d["algebra"] = algebra
         d["space"] = space
+
+    @classmethod
+    def _proven(cls, algebra: Algebra, space: Subspace) -> "Ideal":
+        """An Ideal on a space already known to be a two-sided ideal of
+        ``algebra`` (a closure fixpoint, a sum of ideals): no check."""
+        ideal = object.__new__(cls)
+        d = ideal.__dict__
+        d["algebra"] = algebra
+        d["space"] = space
+        return ideal
 
     @property
     def dim(self) -> int:
@@ -255,14 +269,14 @@ def ideal_closure(a: Algebra, gens: Sequence) -> Ideal:
                 rows.append(right)
         bigger = Subspace.from_sparse(a.field, a.dim, rows)
         if bigger.dim == span.dim:
-            return Ideal(a, bigger)
+            return Ideal._proven(a, bigger)
         span = bigger
 
 
 def ideal_sum(i1: Ideal, i2: Ideal) -> Ideal:
     if i1.algebra != i2.algebra:
         raise DimensionMismatchError("ideals of different algebras")
-    return Ideal(i1.algebra, subspace_sum(i1.space, i2.space))
+    return Ideal._proven(i1.algebra, subspace_sum(i1.space, i2.space))
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,19 @@ Subcommands: check | cech | amitsur | verify | oracle.  One self-contained
 problem file per invocation; reports are emitted as JSON (machine) or an
 aligned text rendering of the same data.
 
-Exit codes: 0 success, 1 property violation found, 2 input error or an
-unwritable output path, 3 resource cap exceeded.
+The command line is read by ``_parse_argv``: the usage text ``HELP`` and
+the table ``OPTIONS`` of the six options are all of it.  An option is
+given as ``--opt value`` or ``--opt=value``; the last occurrence wins.
+Option names are matched exactly (no abbreviations).  ``-h``/``--help``
+before or after the command prints the usage, ``--version`` before the
+command prints the version; both exit 0.
+
+Exit codes: 0 success, 1 property violation found, 2 input error, usage
+error or an unwritable output path, 3 resource cap exceeded.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
@@ -34,43 +40,139 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
 
+USAGE = """\
+usage: cechcover [-h] [--version] COMMAND --input FILE [--output FILE]
+                 [--format text|json] [--n-max N] [--dim-cap N]
+                 [--field-override Q|Fp:<prime>]
+"""
+
+HELP = USAGE + """
+Exact Cech cohomology of algebra coverings
+
+commands:
+  check     covering and completeness report
+  cech      Cech cohomology of the problem's functor
+  amitsur   Amitsur complex dimensions and homology
+  verify    run every structural check and report pass/fail
+  oracle    compare Cech dimensions against the nerve oracle
+
+options:
+  --input FILE              problem file (JSON), required
+  --output FILE             write the report here instead of stdout
+  --format text|json        report format (default text)
+  --n-max N                 override options.n_max
+  --dim-cap N               override options.dim_cap
+  --field-override FIELD    compute over this field instead ("Q" or "Fp:5")
+  -h, --help                print this message and exit
+  --version                 print the version and exit
+
+exit codes: 0 ok, 1 property violation, 2 input or usage error,
+3 resource cap
+"""
+
+COMMANDS = ("check", "cech", "amitsur", "verify", "oracle")
+
+
+class UsageError(Exception):
+    """A command line that does not parse; ``main`` exits 2 with the usage."""
+
+
+def _text(name: str, value: str) -> str:
+    return value
+
+
+def _int(name: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise UsageError(f"{name} needs an integer, not {value!r}") from None
+
+
+def _format(name: str, value: str) -> str:
+    if value not in ("text", "json"):
+        raise UsageError(f"{name} must be text or json, not {value!r}")
+    return value
+
+
+# option -> the converter of its value
+OPTIONS = {
+    "--input": _text,
+    "--output": _text,
+    "--format": _format,
+    "--n-max": _int,
+    "--dim-cap": _int,
+    "--field-override": _text,
+}
+
+
+def _parse_argv(argv: list) -> tuple:
+    """(command, {option: value}) from the arguments after the program
+    name; the command is ``--help`` or ``--version`` when one of them
+    was asked for.  Raises UsageError."""
+    command = None
+    opts: dict = {}
+    args = iter(argv)
+    for arg in args:
+        if arg in ("-h", "--help"):
+            return "--help", {}
+        if command is None:
+            if arg == "--version":
+                return "--version", {}
+            if arg.startswith("-"):
+                raise UsageError(f"unknown option {arg}")
+            if arg not in COMMANDS:
+                raise UsageError(f"unknown command {arg!r} (choose from {', '.join(COMMANDS)})")
+            command = arg
+            continue
+        if not arg.startswith("-"):
+            raise UsageError(f"unexpected argument {arg!r}")
+        name, eq, value = arg.partition("=")
+        convert = OPTIONS.get(name)
+        if convert is None:
+            raise UsageError(f"unknown option {name}")
+        if not eq:
+            value = next(args, None)
+            if value is None or value.startswith("--"):
+                raise UsageError(f"{name} needs a value")
+        opts[name] = convert(name, value)
+    if command is None:
+        raise UsageError(f"missing command (one of {', '.join(COMMANDS)})")
+    if "--input" not in opts:
+        raise UsageError("--input FILE is required")
+    return command, opts
+
 
 def main(argv: Optional[list] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="cechcover",
-        description="Exact Cech cohomology of algebra coverings")
-    parser.add_argument("--version", action="version", version=f"cechcover {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("check", "covering and completeness report"),
-            ("cech", "Cech cohomology of the problem's functor"),
-            ("amitsur", "Amitsur complex dimensions and homology"),
-            ("verify", "run every structural check and report pass/fail"),
-            ("oracle", "compare Cech dimensions against the nerve oracle")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", required=True, help="problem file (JSON)")
-        p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--n-max", type=int, help="override options.n_max")
-        p.add_argument("--dim-cap", type=int, help="override options.dim_cap")
-        p.add_argument("--field-override",
-                       help='compute over this field instead ("Q" or "Fp:5")')
-    args = parser.parse_args(argv)
+    try:
+        command, opts = _parse_argv(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        sys.stderr.write(f"{USAGE}cechcover: error: {exc}\n")
+        return EXIT_INPUT
+    if command == "--help":
+        sys.stdout.write(HELP)
+        return EXIT_OK
+    if command == "--version":
+        sys.stdout.write(f"cechcover {__version__}\n")
+        return EXIT_OK
+    path = opts["--input"]
+    n_max = opts.get("--n-max")
+    dim_cap = opts.get("--dim-cap")
+    output = opts.get("--output")
 
     try:
-        override = _parse_field_flag(args.field_override)
-        problem, digest = load_problem(args.input, field_override=override)
-        if args.n_max is not None:
-            if args.n_max < 1:
+        override = _parse_field_flag(opts.get("--field-override"))
+        problem, digest = load_problem(path, field_override=override)
+        if n_max is not None:
+            if n_max < 1:
                 raise ProblemFormatError("n_max must be >= 1", "--n-max")
-            problem.n_max = args.n_max
-        if args.dim_cap is not None:
-            if args.dim_cap < 1:
+            problem.n_max = n_max
+        if dim_cap is not None:
+            if dim_cap < 1:
                 raise ProblemFormatError("dim_cap must be positive", "--dim-cap")
-            problem.dim_cap = args.dim_cap
+            problem.dim_cap = dim_cap
         # loading raises only the first two: it wraps the rest into ProblemFormatError
         started = time.perf_counter()
-        results, checks, code = _dispatch(args.command, problem)
+        results, checks, code = _dispatch(command, problem)
     except ProblemFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -85,8 +187,8 @@ def main(argv: Optional[list] = None) -> int:
     report = {
         "tool": "cechcover",
         "version": __version__,
-        "command": args.command,
-        "input": {"path": args.input, "sha256": digest},
+        "command": command,
+        "input": {"path": path, "sha256": digest},
         "field": field_spec_to_json(problem.field),
         "problem": normalize(problem),
         "results": results,
@@ -94,10 +196,10 @@ def main(argv: Optional[list] = None) -> int:
         "timing": {"seconds": round(elapsed, 6)},
     }
     rendered = (json.dumps(report, indent=2, sort_keys=True) + "\n"
-                if args.format == "json" else _render_text(report))
-    if args.output:
+                if opts.get("--format") == "json" else _render_text(report))
+    if output:
         try:
-            with open(args.output, "w", encoding="utf-8") as fh:
+            with open(output, "w", encoding="utf-8") as fh:
                 fh.write(rendered)
         except OSError as exc:
             print(f"output error: {exc}", file=sys.stderr)

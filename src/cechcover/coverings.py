@@ -88,7 +88,6 @@ class Covering:
         self._sum_spaces = {(): self._intern(Subspace.zero(self.field, algebra.dim))}
         self._sum_spaces.update(((i,), self._intern(ideal.space))
                                 for i, ideal in enumerate(self.ideals, start=1))
-        self._ideals = {ideal.space: ideal for ideal in self.ideals}
         self._quotients: dict = {}  # J -> (A/J, A -> A/J)
         self._sections: dict = {}
         self._projections: dict = {}
@@ -131,13 +130,13 @@ class Covering:
         return space
 
     def quotient(self, j: Subspace) -> tuple[Algebra, AlgebraHom]:
-        """A/J with its projection A -> A/J, for J an ideal sum; a patch
-        ideal is passed as it is, not checked again as a two-sided ideal."""
+        """A/J with its projection A -> A/J, for J an ideal sum.  A sum of
+        two-sided ideals is two-sided, so J is not checked again; any other
+        subspace is."""
         q = self._quotients.get(j)
         if q is None:
-            ideal = self._ideals.get(j)
-            if ideal is None:
-                ideal = Ideal(self.algebra, j)
+            ideal = (Ideal._proven(self.algebra, j) if j in self._interned
+                     else Ideal(self.algebra, j))
             q = self._quotients[j] = quotient(self.algebra, ideal)
         return q
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from pathlib import Path
 from typing import Optional
 
 from .algebras import Algebra, AlgebraHom, algebra_from_terms, ideal_closure
@@ -294,9 +293,9 @@ def parse_problem(doc, field_override: Optional[Field] = None) -> Problem:
 
 def load_problem(path: str, field_override: Optional[Field] = None):
     """Read a problem file; returns (Problem, sha256 hex digest)."""
-    p = Path(path)
     try:
-        data = p.read_bytes()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ProblemFormatError(str(exc), str(path))
     try:

@@ -543,3 +543,85 @@ def test_a_repeated_json_key_is_an_input_error(capsys, tmp_path, section, key):
     code, out, err = run(capsys, "cech", "--input", str(path))
     assert code == 2 and out == ""
     assert err == f"input error: {path}: invalid JSON: key {key!r} appears twice in one object\n"
+
+
+# -- the argv contract ----------------------------------------------------------------------
+
+E1 = "e1_split_three_points.json"
+
+ARGV_ERRORS = (
+    ((), "missing command"),
+    (("bogus", "--input", E1), "unknown command 'bogus'"),
+    (("check", "--input", E1, "--bogus", "1"), "unknown option --bogus"),
+    (("check", "--inp", E1), "unknown option --inp"),  # no abbreviations
+    (("--input", E1, "check"), "unknown option --input"),
+    (("check", "--input", E1, "--version"), "unknown option --version"),
+    (("check", "--input"), "--input needs a value"),
+    (("check", "--input", "--n-max", "2"), "--input needs a value"),
+    (("check", "--input", E1, "--n-max", "two"), "--n-max needs an integer"),
+    (("check", "--input", E1, "--dim-cap=1.5"), "--dim-cap needs an integer"),
+    (("check", "--input", E1, "--format", "xml"), "--format must be text or json"),
+    (("check",), "--input FILE is required"),
+    (("check", "--format", "json"), "--input FILE is required"),
+    (("check", "--input", E1, "stray"), "unexpected argument 'stray'"),
+)
+
+
+@pytest.mark.parametrize("argv, reason", ARGV_ERRORS, ids=[" ".join(a) for a, _ in ARGV_ERRORS])
+def test_argv_errors_exit_2_with_the_usage(capsys, problems_dir, argv, reason):
+    argv = [str(problems_dir / a) if a == E1 else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: cechcover ")
+    assert f"\ncechcover: error: {reason}" in err
+
+
+def _report_without_timing(capsys, tmp_path, argv: list) -> dict:
+    out = tmp_path / "report.json"
+    code, stdout, err = run(capsys, *argv, "--output", str(out))
+    assert (code, stdout, err) == (0, "", "")
+    report = json.loads(out.read_text())
+    report.pop("timing")
+    return report
+
+
+def test_equals_form_gives_the_same_report(capsys, tmp_path, problems_dir):
+    path = str(problems_dir / E1)
+    spaced = _report_without_timing(capsys, tmp_path, [
+        "amitsur", "--input", path, "--format", "json", "--n-max", "2",
+        "--dim-cap", "50", "--field-override", "Fp:5"])
+    joined = _report_without_timing(capsys, tmp_path, [
+        "amitsur", "--input=" + path, "--format=json", "--n-max=2",
+        "--dim-cap=50", "--field-override=Fp:5"])
+    assert joined == spaced
+    assert spaced["problem"]["options"]["n_max"] == 2
+    assert spaced["field"] == {"Fp": 5}
+
+
+def test_the_last_occurrence_of_an_option_wins(capsys, tmp_path, problems_dir):
+    path = str(problems_dir / E1)
+    once = _report_without_timing(capsys, tmp_path,
+                                  ["amitsur", "--input", path, "--format", "json", "--n-max", "2"])
+    twice = _report_without_timing(capsys, tmp_path, [
+        "amitsur", "--input", "missing.json", "--format", "text", "--n-max", "3",
+        "--input", path, "--format=json", "--n-max=2"])
+    assert twice == once
+
+
+@pytest.mark.parametrize("argv", (
+    ["--help"], ["-h"], ["check", "--help"], ["cech", "--input", E1, "-h"],
+    ["verify", "--n-max", "2", "--help", "--bogus"],
+))
+def test_help_exits_0_and_names_every_command_and_option(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: cechcover ")
+    for word in ("check", "cech", "amitsur", "verify", "oracle", "--input", "--output",
+                 "--format", "--n-max", "--dim-cap", "--field-override"):
+        assert word in out
+
+
+def test_version(capsys):
+    assert run(capsys, "--version") == (0, "cechcover 0.1.0\n", "")
+    assert run(capsys, "--version", "check") == (0, "cechcover 0.1.0\n", "")

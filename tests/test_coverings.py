@@ -9,13 +9,13 @@ import pytest
 import cechcover.algebras
 import cechcover.complexes
 import cechcover.coverings
-from cechcover.algebras import ideal_closure, split_commutative
+from cechcover.algebras import Ideal, ideal_closure, split_commutative
 from cechcover.cli import _dispatch
 from cechcover.coverings import (
     CompletenessReport, Covering, completeness_check, is_covering,
 )
 from cechcover.errors import StructureError
-from cechcover.linalg import GF, QQ, kernel_basis, rank, subspace_sum
+from cechcover.linalg import GF, QQ, Subspace, kernel_basis, rank, subspace_sum
 from cechcover.oracles import (
     ideal_intersection, image_basis, random_algebra, random_covering, search_incomplete_covering,
 )
@@ -319,19 +319,45 @@ def test_equal_ideal_sums_are_one_object():
     assert all(s is sums[0] for s in sums)
 
 
-def test_quotient_reuses_the_patch_ideals(monkeypatch):
-    # only the ideal sums that are not patch ideals are checked as two-sided
-    # ideals again: I_empty = 0 and the one pair sum of three_lines
-    built = []
-    real = cechcover.algebras.Ideal.__init__
+def test_neither_the_closure_nor_the_quotients_rerun_the_two_sided_check(monkeypatch):
+    # a closure fixpoint and a sum of two-sided ideals are two-sided ideals:
+    # building the coverings by ideal_closure and running verify, which
+    # takes the quotient by every ideal sum, checks no ideal again
+    calls = []
+    real = cechcover.algebras._check_two_sided
 
-    def counted(self, algebra, space):
-        built.append(space)
-        real(self, algebra, space)
+    def counted(algebra, space):
+        calls.append(space)
+        real(algebra, space)
 
-    c = make_three_lines()
-    monkeypatch.setattr(cechcover.algebras.Ideal, "__init__", counted)
-    _, _, code = _dispatch("verify", Problem(c.field, c.algebra, {}, c, None, n_max=2))
-    assert code == 0
-    patches = {ideal.space for ideal in c.ideals}
-    assert len(built) == 2 and not patches & set(built)
+    monkeypatch.setattr(cechcover.algebras, "_check_two_sided", counted)
+    for c in (make_three_lines(), make_e4()):
+        _, _, code = _dispatch("verify", Problem(c.field, c.algebra, {}, c, None, n_max=2))
+        assert code == 0
+    assert calls == []
+    # a subspace that is no ideal sum is still checked: span(e11) in M_2 (+) k
+    with pytest.raises(StructureError):
+        c.quotient(Subspace.from_vectors(c.field, 5, [(1, 0, 0, 0, 0)]))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("field", (QQ, GF(5)), ids=("Q", "F5"))
+def test_unchecked_ideals_pass_the_checking_constructor(monkeypatch, field):
+    proven = []
+    real = cechcover.algebras.Ideal._proven
+
+    def recorded(algebra, space):
+        ideal = real(algebra, space)
+        proven.append(ideal)
+        return ideal
+
+    monkeypatch.setattr(cechcover.algebras.Ideal, "_proven", staticmethod(recorded))
+    rng = random.Random(19)
+    for _ in range(25):
+        c = random_covering(rng, field, max_dim=6, max_patches=3)
+        for n in range(c.n_patches + 1):
+            for s in combinations(range(1, c.n_patches + 1), n):
+                c.quotient(c.ideal_sum_space(s))
+    assert len(proven) > 100
+    for ideal in proven:
+        assert Ideal(ideal.algebra, ideal.space) == ideal

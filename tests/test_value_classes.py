@@ -1,7 +1,8 @@
 """The value classes keep the semantics of frozen dataclasses, and importing
 the command line pulls in neither ``dataclasses`` nor ``inspect`` nor
 ``hashlib`` nor the test oracles of ``cechcover.oracles``; running a
-command on a problem file loads neither ``hashlib`` nor OpenSSL.
+command loads neither ``hashlib`` nor OpenSSL nor ``argparse``, and
+reading a problem file needs no ``pathlib``.
 
 The semantics pins: equal fields compare equal and hash equal, another
 class never compares equal, assignment raises AttributeError, and the
@@ -144,7 +145,26 @@ def test_importing_the_cli_adds_no_costly_module():
     assert out == "[]\n"
 
 
-COSTLY = ("_hashlib", "hashlib", "_blake2", "cechcover.oracles")
+# hashlib loads the OpenSSL binding with libcrypto; argparse brings gettext,
+# which loads locale when argparse looks up its translated messages
+COSTLY = ("_hashlib", "hashlib", "_blake2", "cechcover.oracles", "argparse", "gettext", "locale")
+
+
+def _loaded_by_main(argv: list, watched: tuple, *flags: str) -> str:
+    """Runs ``main(argv)`` in a fresh interpreter started with ``flags``;
+    returns its exit code and which of ``watched`` the import and the run
+    loaded, as "0 []"."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = ("import io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "before = set(sys.modules)\n"
+            "from cechcover.cli import main\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv!r})\n"
+            "added = set(sys.modules) - before\n"
+            f"print(code, sorted(added & {set(watched)!r}))")
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True).stdout
 
 
 @pytest.mark.parametrize("command, problem", (
@@ -153,25 +173,25 @@ COSTLY = ("_hashlib", "hashlib", "_blake2", "cechcover.oracles")
     ("amitsur", "e1_split_three_points.json"),
     ("verify", "e4_matrix_plus_point.json"),
     ("oracle", "circle_cover.json"),
+    ("--version", None),
 ))
-def test_commands_load_neither_hashlib_nor_the_oracles(command, problem):
+def test_commands_load_no_costly_module(command, problem):
     """A command that reads a problem file takes its digest with CPython's
     own SHA-256: ``hashlib`` would load ``_hashlib`` and with it libcrypto
-    into every case process.  Checked against the modules loaded before
-    the command ran, since ``site`` may load some of them on its own."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    path = SRC.parent / "problems" / problem
-    code = ("import io, sys\n"
-            "from contextlib import redirect_stdout\n"
-            "before = set(sys.modules)\n"
-            "from cechcover.cli import main\n"
-            "with redirect_stdout(io.StringIO()):\n"
-            f"    code = main([{command!r}, '--input', {str(path)!r}, '--format', 'json'])\n"
-            "added = set(sys.modules) - before\n"
-            f"print(code, sorted(added & {set(COSTLY)!r}))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60, check=True).stdout
-    assert out == "0 []\n"
+    into every case process; the command line is read without
+    ``argparse``.  Checked against the modules loaded before the command
+    ran, since ``site`` may load some of them on its own."""
+    argv = [command]
+    if problem is not None:
+        argv += ["--input", str(SRC.parent / "problems" / problem), "--format", "json"]
+    assert _loaded_by_main(argv, COSTLY) == "0 []\n"
+
+
+def test_a_command_loads_no_pathlib():
+    """``site`` usually imports pathlib before any command runs, so the
+    check runs without it (``-S``): the problem file is read with ``open``."""
+    path = SRC.parent / "problems" / "e1_split_three_points.json"
+    assert _loaded_by_main(["check", "--input", str(path)], ("pathlib",), "-S") == "0 []\n"
 
 
 # each helper that only the oracles and the tests called, by the production
