@@ -252,8 +252,9 @@ class Ideal(Frozen):
 def ideal_closure(a: Algebra, gens: Sequence) -> Ideal:
     """Smallest two-sided ideal containing gens.
 
-    Iterates span <- span + A*span + span*A until the dimension stabilizes.
-    """
+    Each round multiplies by every basis element, on both sides, only the
+    basis vectors that the last round added (those with a new pivot), and
+    adds the products that escape the span, until none does."""
     vecs = []
     for g in gens:
         coords = g.coords if isinstance(g, Element) else tuple(a.field.coerce(x) for x in g)
@@ -261,16 +262,16 @@ def ideal_closure(a: Algebra, gens: Sequence) -> Ideal:
             raise DimensionMismatchError("generator has wrong length")
         vecs.append(coords)
     span = Subspace.from_vectors(a.field, a.dim, vecs)
+    added = span.sparse_basis
     while True:
-        rows = [dict(v) for v in span.sparse_basis]
-        for v in span.sparse_basis:
-            for left, right in _side_products(a, v):
-                rows.append(left)
-                rows.append(right)
-        bigger = Subspace.from_sparse(a.field, a.dim, rows)
-        if bigger.dim == span.dim:
-            return Ideal._proven(a, bigger)
-        span = bigger
+        escaped = [w for v in added for pair in _side_products(a, v) for w in pair
+                   if w and not span.contains_sparse(w)]
+        if not escaped:
+            return Ideal._proven(a, span)
+        old = set(span.pivot_columns())
+        span = Subspace.from_sparse(a.field, a.dim,
+                                    [dict(v) for v in span.sparse_basis] + escaped)
+        added = [v for v in span.sparse_basis if next(iter(v)) not in old]
 
 
 def ideal_sum(i1: Ideal, i2: Ideal) -> Ideal:

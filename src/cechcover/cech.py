@@ -10,15 +10,15 @@ cancellation identity hold.  The tuples and this rule live in
 ``cechcover.complexes``; ``one_step_inclusions`` enumerates the
 insertions for every loop over a functor's restrictions.
 
-(S^n, d') is a ``WordComplex`` (``cechcover.complexes``) on the strictly
+(S^n, d') is a ``CechComplex`` (``cechcover.complexes``) on the strictly
 increasing words, with the functor's restriction maps as blocks; the
 Amitsur complex is the same construction on all patch words.  A
 ``PosetFunctor`` is validated when it is constructed, which assembles d'
 and checks its squares as d'.d' = 0; ``build_cech`` returns that complex.
-The default ringed functor of a covering reads the quotients and
-projections of its ideal sums (``Covering.quotient``, ``projection_hom``):
-that lattice is natural by construction, so only a supplied
-``RingedStructure`` has its naturality squares checked.
+The default ringed functor is the covering itself (``Covering.cech``),
+read off quotient dims and projection matrices with no algebra built:
+natural by construction, so only a supplied ``RingedStructure`` has its
+naturality squares checked.
 
 The comparison map phi sends a pure tensor y_1 (x) ... (x) y_n with patch
 word (i_1, ..., i_n) to the product of the restricted images in the ring
@@ -39,9 +39,7 @@ from typing import Callable, Optional, Sequence
 
 from .algebras import Algebra, AlgebraHom
 from .amitsur import AmitsurComplex
-from .complexes import (
-    WordComplex, WordSpace, all_tuples, extensions, increasing_insertions, increasing_space,
-)
+from .complexes import CechComplex, WordSpace, all_tuples, extensions
 from .coverings import Covering
 from .errors import DimensionMismatchError, StructureError
 from .linalg import Matrix, Subspace, block_matrix
@@ -110,17 +108,14 @@ class PosetFunctor(Record):
         return self.steps[(tuple(zeta), tuple(eta))]
 
 
-def validate_functor(f: PosetFunctor) -> "CechComplex":
+def validate_functor(f: PosetFunctor) -> CechComplex:
     """Presence of all tuples/steps plus commutation of every length-2
-    square, which holds exactly when d'.d' = 0: block (zeta, top) of d'.d'
-    is +-(path via i - path via j) for {i, j} = top - zeta.  Returns the
-    Cech complex it checked.
+    square (``CechComplex.check_squares``); returns the checked complex.
 
-    The rings are checked as the spaces read their dims.  ``assemble`` asks
-    for each step once, in ``one_step_inclusions`` order (each insertion
-    reaches its own target with sign +-1), so the steps' presence and
-    endpoints are checked as their blocks are read."""
-    n = f.n_patches
+    The rings are checked as the spaces read their dims, the ring on ()
+    first.  ``assemble`` asks for each step once, in ``one_step_inclusions``
+    order (each insertion reaches its own target with sign +-1), so the
+    steps' presence and endpoints are checked as their blocks are read."""
     rings, steps = f.rings, f.steps
 
     def dim(zeta: tuple) -> int:
@@ -138,13 +133,9 @@ def validate_functor(f: PosetFunctor) -> "CechComplex":
                                  witness=("endpoints", zeta, eta))
         return hom.matrix
 
-    cx = CechComplex(f, [increasing_space(n, k, dim) for k in range(n + 1)], block)
-    failure = cx.first_nonzero_square()
-    if failure is not None:
-        _, zeta, top = failure
-        i, j = (x for x in top if x not in zeta)
-        raise StructureError(f"restriction square {zeta} -> {top} does not commute",
-                             witness=("square", zeta, i, j))
+    dim(())
+    cx = CechComplex(rings[()].field, f.n_patches, dim, block)
+    cx.check_squares()
     return cx
 
 
@@ -196,28 +187,22 @@ class RingedStructure:
                         witness=("naturality", j1.basis.entries, j2.basis.entries))
 
 
-def functor_from_ringed_covering(c: Covering,
-                                 rs: Optional[RingedStructure] = None) -> PosetFunctor:
+def functor_from_ringed_covering(c: Covering, rs: RingedStructure) -> PosetFunctor:
     """R(zeta) = Phi(sum of the ideals named by zeta), restrictions through Phi.
 
-    Without ``rs`` Phi is the covering's lattice: A/J with its projections,
-    natural by construction.  A supplied ``rs`` is checked for naturality
-    on the covering's ideal sums; a failure raises a StructureError carrying
-    the witness square.
+    ``rs`` is checked for naturality on the covering's ideal sums; a
+    failure raises a StructureError carrying the witness square.  The
+    default structure, A/J with its projections, is the covering itself
+    (``Covering.cech``).
     """
     n = c.n_patches
     sums = {zeta: c.ideal_sum_space(zeta)
             for length in range(n + 1) for zeta in all_tuples(n, length)}
-    if rs is None:
-        ring, step = (lambda j: c.quotient(j)[0]), c.projection_hom
-    else:
-        ring, step = (lambda j: rs.hom_from_quotient(j).codomain), rs.map_of
-    rings = {zeta: ring(j) for zeta, j in sums.items()}
-    steps = {(zeta, eta): step(sums[zeta], sums[eta])
+    rings = {zeta: rs.hom_from_quotient(j).codomain for zeta, j in sums.items()}
+    steps = {(zeta, eta): rs.map_of(sums[zeta], sums[eta])
              for zeta, _, _, eta in one_step_inclusions(n)}
     functor = PosetFunctor(n, rings, steps)
-    if rs is not None:
-        rs.validate_on(c, sorted(set(sums.values()), key=lambda s: (s.dim, s.basis.entries)))
+    rs.validate_on(c, sorted(set(sums.values()), key=lambda s: (s.dim, s.basis.entries)))
     return functor
 
 
@@ -225,33 +210,9 @@ def functor_from_ringed_covering(c: Covering,
 # The Cech complex
 # ---------------------------------------------------------------------------
 
-class CechComplex(WordComplex):
-    """S^n = (+)_(len(zeta)=n) R(zeta) for n = 0..N and d'_0..d'_(N-1)."""
-
-    _fields = ("functor", "spaces", "differentials")
-
-    def __init__(self, functor: PosetFunctor, spaces: list, block):
-        self.__dict__["functor"] = functor
-        super().__init__(functor.ring(()).field, spaces,
-                         increasing_insertions(functor.n_patches), block)
-
-    @property
-    def layouts(self) -> tuple:
-        # the name bench/spans.py reads; the alias goes with ROADMAP item 1/6
-        return self.spaces
-
-    def dprime(self, n: int) -> Matrix:
-        """d'_n : S^n -> S^(n+1); zero map beyond the stored range."""
-        if 0 <= n < len(self.differentials):
-            return self.differentials[n]
-        field = self.functor.ring(()).field
-        src = self.spaces[n].dim if n < len(self.spaces) else 0
-        return Matrix(field, 0, src, ())
-
-
-def build_cech(f: PosetFunctor) -> CechComplex:
-    """(S^n, d') of a functor: the complex that its validation assembled
-    and checked for d'.d' = 0 (``validate_functor``).
+def build_cech(f) -> CechComplex:
+    """(S^n, d') of a functor, as its validation assembled and checked it
+    (``validate_functor``), or of a covering (``Covering.cech``).
 
     d' adds every index i not in zeta with sign (-1)^(position of i).
     """
@@ -304,8 +265,9 @@ class ChainMapReport(Frozen):
         }
 
 
-def default_phi_choice(f: PosetFunctor, c: Covering) -> tuple:
-    """Identity homs A_i -> R({i}) where the shapes agree (default ringed data)."""
+def default_phi_choice(f, c: Covering) -> tuple:
+    """Identity homs A_i -> R({i}) where the shapes agree (default ringed
+    data).  ``f`` is a functor or the covering itself, whose R({i}) is A_i."""
     if f.n_patches != c.n_patches:
         raise DimensionMismatchError(
             f"no default choice: the functor has {f.n_patches} patches, the covering {c.n_patches}")
@@ -340,7 +302,6 @@ def verify_chain_map(amitsur: AmitsurComplex, cx: CechComplex,
     depends on the chosen sections, and its witness says so.
     The degrees of ``amitsur`` bound the check; no raw tensor space is built.
     """
-    f = cx.functor
     c = amitsur.covering
     field = c.field
     homs = {(i, (i,)): choice[i - 1].matrix.mul(c.patch(i)[1].matrix)
@@ -353,13 +314,13 @@ def verify_chain_map(amitsur: AmitsurComplex, cx: CechComplex,
         if m is None:
             last = max(x for x in zeta if x != i)
             prev = tuple(x for x in zeta if x != last)
-            m = homs[(i, zeta)] = f.step(prev, zeta).matrix.mul(g(i, prev))
+            m = homs[(i, zeta)] = cx.block(prev, zeta).mul(g(i, prev))
         return m
 
     well = []
     for n in range(1, amitsur.n_max + 2):
         bad = None
-        for zeta in all_tuples(f.n_patches, n):
+        for zeta in all_tuples(cx.n_patches, n):
             for i, j in zip(zeta, zeta[1:]):
                 if g(i, zeta) != g(j, zeta):
                     bad = (f"phi does not kill a balancing relation on the word "

@@ -266,10 +266,10 @@ def _functor_summary(cx) -> dict:
 def _cmd_cech(problem: Problem):
     try:
         functor, kind, _ = build_problem_functor(problem)
+        cx = build_cech(functor)
     except StructureError as exc:
         return ({"error": str(exc), "witness": repr(exc.witness)},
                 {"functor_validation": False}, EXIT_VIOLATION)
-    cx = build_cech(functor)
     results = {
         "functor": kind,
         "ring_dims": _functor_summary(cx),
@@ -315,15 +315,15 @@ def _cmd_verify(problem: Problem):
     ccx = None
     try:
         functor, kind, _ = build_problem_functor(problem)
-        checks["functor_validation"] = True
-        results["functor"] = kind
+        ccx = build_cech(functor)
     except StructureError as exc:
         checks["functor_validation"] = False
         results["functor_witness"] = f"{exc} [{exc.witness!r}]"
         ok = False
     else:
         # functor validation has established d'.d' = 0
-        ccx = build_cech(functor)
+        checks["functor_validation"] = True
+        results["functor"] = kind
         checks["dprime_squared_zero"] = True
         results["cech_cohomology"] = cech_cohomology(ccx)
 

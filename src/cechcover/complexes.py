@@ -7,11 +7,10 @@ Insertions that land on the same target word add their signs, and the
 block between a source word and a target word is a map that depends on
 the two words only (``assemble``).  The Amitsur complex
 (``cechcover.amitsur``) takes every patch word and the projections
-A/I_S -> A/I_T between ideal sums; the Cech complex (``cechcover.cech``)
-and a covering's patch sequence (``cechcover.coverings``) take the
-strictly increasing words, with the functor's restriction maps or the
-projections as blocks, and insert index i at its sorted position pos with
-sign (-1)^pos (``increasing_insertions``).
+A/I_S -> A/I_T between ideal sums.  A ``CechComplex`` takes the strictly
+increasing words, with a functor's restrictions (``cechcover.cech``) or a
+covering's projections (``cechcover.coverings``) as blocks, and inserts
+index i at its sorted position pos with sign (-1)^pos.
 
 Block (w, v) of d_(n+1) . d_n sums the signed paths w -> u -> v, so the
 one d.d = 0 check, ``first_nonzero_square``, is also the check that the
@@ -25,7 +24,7 @@ from functools import cached_property
 from itertools import accumulate, combinations
 from typing import Callable, Iterable, Optional
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, StructureError
 from .linalg import Field, Matrix, rank
 from .records import Frozen
 
@@ -143,9 +142,10 @@ def assemble(field: Field, src: WordSpace, dst: WordSpace,
 
 class WordComplex(Frozen):
     """Degree spaces and the differentials d_n : spaces[n] -> spaces[n+1]
-    that ``assemble`` builds from one insertion rule and one block map.
-    Each d_n is ranked at most once, when its rank is first read; each
-    caller raises its own error for a ``first_nonzero_square``."""
+    that ``assemble`` builds over ``field`` from one insertion rule and one
+    ``block`` map, both kept.  Each d_n is ranked at most once, when its
+    rank is first read; each caller raises its own error for a
+    ``first_nonzero_square``."""
 
     _fields = ("spaces", "differentials")
 
@@ -153,6 +153,8 @@ class WordComplex(Frozen):
                  insertions: Callable[[tuple], Iterable[tuple[int, tuple]]],
                  block: Callable[[tuple, tuple], Matrix]):
         d = self.__dict__
+        d["field"] = field
+        d["block"] = block
         d["spaces"] = spaces = tuple(spaces)
         d["differentials"] = tuple(assemble(field, src, dst, insertions, block)
                                    for src, dst in zip(spaces, spaces[1:]))
@@ -192,3 +194,39 @@ class WordComplex(Frozen):
                          if any(lo <= c < lo + d for c in row))
                 return n, w, spaces[n + 2].word_at(r)
         return None
+
+
+class CechComplex(WordComplex):
+    """S^n = (+)_(len(zeta)=n) R(zeta) for n = 0..top (N by default) on
+    the increasing words over 1..N, with dim R(zeta) = ``dim(zeta)`` and
+    the restriction ``block(zeta, eta)`` of each one-step inclusion.  Every
+    dim is read before the first block."""
+
+    def __init__(self, field: Field, n_patches: int, dim: Callable[[tuple], int],
+                 block: Callable[[tuple, tuple], Matrix], top: Optional[int] = None):
+        self.__dict__["n_patches"] = n_patches
+        top = n_patches if top is None else top
+        super().__init__(field, (increasing_space(n_patches, n, dim) for n in range(top + 1)),
+                         increasing_insertions(n_patches), block)
+
+    @property
+    def layouts(self) -> tuple:
+        # the name bench/spans.py reads; the alias goes with ROADMAP item 1/6
+        return self.spaces
+
+    def dprime(self, n: int) -> Matrix:
+        """d'_n : S^n -> S^(n+1); zero map beyond the stored range."""
+        if 0 <= n < len(self.differentials):
+            return self.differentials[n]
+        return Matrix(self.field, 0, self.spaces[n].dim if n < len(self.spaces) else 0, ())
+
+    def check_squares(self) -> None:
+        """Raise StructureError unless every square of blocks commutes, that
+        is d'.d' = 0: block (zeta, top) of d'.d' is +-(path via i - path
+        via j) for {i, j} = top - zeta."""
+        failure = self.first_nonzero_square()
+        if failure is not None:
+            _, zeta, top = failure
+            i, j = (x for x in top if x not in zeta)
+            raise StructureError(f"restriction square {zeta} -> {top} does not commute",
+                                 witness=("square", zeta, i, j))

@@ -6,22 +6,24 @@ exact.  Every map in it is k-linear, so exactness is a statement about
 k-dimensions, and all of it is read off rank pi and rank tau
 (``completeness_check``).
 
-The patch sequence is degrees 0 -> 1 -> 2 of the covering's Cech complex,
-one ``WordComplex`` (``Covering.sequence``) on the increasing index tuples
-S with blocks A/I_S and the projections between them: pi is its degree-0
-differential and tau minus its degree-1 differential.  The constructor
-assembles it once and checks the patch squares as d'_1 . pi = 0; the
-complex stores rank pi and rank tau.  Only ordered pairs i < j are
-materialized in the target of tau: the (j,i) blocks are negatives of the
-(i,j) blocks and carry no extra rank.
+A covering is its own Cech functor, the default ringed one: a block
+A/I_S per increasing index tuple S, the projections as blocks, and no
+quotient algebra built (``Covering.cech``, degrees 0..N).  The patch
+sequence is its degrees 0 -> 1 -> 2 (``Covering.sequence``): pi is its
+degree-0 differential and tau minus its degree-1 differential.  The
+constructor assembles it once and checks the patch squares as
+d'_1 . pi = 0; the complex stores rank pi and rank tau.  Only ordered
+pairs i < j are materialized in the target of tau: the (j,i) blocks are
+negatives of the (i,j) blocks and carry no extra rank.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 from .algebras import Algebra, AlgebraHom, Ideal, quotient
-from .complexes import WordComplex, increasing_insertions, increasing_space
+from .complexes import CechComplex
 from .errors import DimensionMismatchError, StructureError
 from .linalg import Field, Matrix, Subspace, quotient_map, quotient_section, subspace_sum
 from .records import Frozen
@@ -58,10 +60,10 @@ class Covering:
     """An algebra with an ordered list of ideals and derived patch data.
 
     Patch indices are 1-based.  ``patch(i)`` returns (A_i, pi_i).
-    ``sequence`` is degrees 0..2 of the covering's Cech complex: one block
-    A/I_S per increasing index tuple S of length n in degree n, so degree
-    1 holds the patches and degree 2 the pairs A_ij.  The constructor
-    stores it with ``pi`` and ``tau`` and verifies, for i < j, the square
+    ``sequence`` is degrees 0..2 of ``cech``: one block A/I_S per
+    increasing index tuple S of length n in degree n, so degree 1 holds
+    the patches and degree 2 the pairs A_ij.  The constructor stores it
+    with ``pi`` and ``tau`` and verifies, for i < j, the square
     pi_i_ij . pi_i = pi_j_ij . pi_j (pi_i_ij: A_i -> A_ij the projection).
 
     The covering also holds the lattice of its ideal sums: I_S for index
@@ -69,9 +71,9 @@ class Covering:
     the quotient A/J, its section and the projections A/J -> A/J' for
     J inside J'.  Each is computed once, when first asked for, and shared
     by everything built on the covering.  Equal ideal sums are one object,
-    so the caches keyed by them match by identity.  pi and tau need only
-    the projections, so a quotient algebra is built only where a ring is
-    read: by ``patch``, ``quotient`` or ``projection_hom``.
+    so the caches keyed by them match by identity.  The complexes need
+    only the projections, so a quotient algebra is built only where a
+    ring is read: by ``patch``, ``ring`` or ``quotient``.
     """
 
     def __init__(self, algebra: Algebra, ideals: Sequence[Ideal]):
@@ -91,17 +93,8 @@ class Covering:
         self._quotients: dict = {}  # J -> (A/J, A -> A/J)
         self._sections: dict = {}
         self._projections: dict = {}
-        self._projection_homs: dict = {}
 
-        def block(s: tuple, t: tuple) -> Matrix:
-            return self.projection(self.ideal_sum_space(s), self.ideal_sum_space(t))
-
-        def dim(s: tuple) -> int:
-            return algebra.dim - self.ideal_sum_space(s).dim
-
-        self.sequence = WordComplex(
-            self.field, (increasing_space(self.n_patches, n, dim) for n in range(3)),
-            increasing_insertions(self.n_patches), block)
+        self.sequence = CechComplex(self.field, self.n_patches, self._dim, self._block, top=2)
         # block (a,b) of d'_1 . pi is pi_b_ab . pi_b - pi_a_ab . pi_a
         failure = self.sequence.first_nonzero_square()
         if failure is not None:
@@ -116,6 +109,23 @@ class Covering:
 
     def _intern(self, space: Subspace) -> Subspace:
         return self._interned.setdefault(space, space)
+
+    def _dim(self, s: tuple) -> int:
+        return self.algebra.dim - self.ideal_sum_space(s).dim
+
+    def _block(self, s: tuple, t: tuple) -> Matrix:
+        return self.projection(self.ideal_sum_space(s), self.ideal_sum_space(t))
+
+    @cached_property
+    def cech(self) -> CechComplex:
+        """The Cech complex of zeta -> A/I_zeta, its squares checked."""
+        cx = CechComplex(self.field, self.n_patches, self._dim, self._block)
+        cx.check_squares()
+        return cx
+
+    def ring(self, zeta: Sequence[int]) -> Algebra:
+        """A/I_zeta, the covering's ring on the index tuple zeta."""
+        return self.quotient(self.ideal_sum_space(tuple(zeta)))[0]
 
     def patch(self, i: int) -> tuple[Algebra, AlgebraHom]:
         return self.quotient(self.ideals[i - 1].space)
@@ -158,15 +168,6 @@ class Covering:
                 m = m.mul(self.section(j1))
             self._projections[key] = m
         return m
-
-    def projection_hom(self, j1: Subspace, j2: Subspace) -> AlgebraHom:
-        """``projection`` as an algebra hom between the quotient algebras."""
-        key = (j1, j2)
-        h = self._projection_homs.get(key)
-        if h is None:
-            h = self._projection_homs[key] = AlgebraHom(
-                self.quotient(j1)[0], self.quotient(j2)[0], self.projection(j1, j2))
-        return h
 
     def patch_dims(self) -> tuple[int, ...]:
         return self.sequence.spaces[1].dims

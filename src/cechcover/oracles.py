@@ -24,6 +24,9 @@ from its definition, and the tests compare the two:
   checks phi's values and that it kills the balancing relations;
   tests/test_closed_form.py compares ``verify_chain_map``'s block-by-block
   phi with the raw route; acceptance criterion 3 uses ``phi_sum``.
+- ``lattice_functor`` is a covering's default ringed functor with every
+  quotient algebra built and every projection hom-checked; tests compare
+  its complex with ``Covering.cech``, which reads only dims and matrices.
 - ``random_algebra``, ``random_covering``, ``search_incomplete_covering``
   and ``random_cover_description`` draw seeded random instances for the
   property suites: tests/test_acceptance.py (criteria 4 and 5),
@@ -46,7 +49,7 @@ from .algebras import (
     truncated_polynomial, upper_triangular, zero_algebra,
 )
 from .amitsur import DEFAULT_DIM_CAP
-from .cech import PosetFunctor, insert_index
+from .cech import PosetFunctor, all_tuples, insert_index, one_step_inclusions
 from .complexes import WordSpace, increasing_space
 from .coverings import Covering, completeness_check
 from .errors import DimensionCapError, DimensionMismatchError, StructureError
@@ -140,6 +143,26 @@ def unit_component(c: Covering, i: int) -> tuple:
     for k, x in enumerate(c.patch(i)[0].unit):
         out[off + k] = x
     return tuple(out)
+
+
+def projection_hom(c: Covering, j1: Subspace, j2: Subspace) -> AlgebraHom:
+    """``Covering.projection`` A/J1 -> A/J2 as an algebra hom between the
+    quotient algebras, checked as one."""
+    return AlgebraHom(c.quotient(j1)[0], c.quotient(j2)[0], c.projection(j1, j2))
+
+
+def lattice_functor(c: Covering) -> PosetFunctor:
+    """The covering's default ringed functor built as algebras: A/I_zeta on
+    every index tuple, each one-step projection checked as a hom, and the
+    functor validated.  ``Covering.cech`` builds the same complex from
+    dims and projection matrices alone."""
+    n = c.n_patches
+    sums = {zeta: c.ideal_sum_space(zeta)
+            for length in range(n + 1) for zeta in all_tuples(n, length)}
+    rings = {zeta: c.quotient(j)[0] for zeta, j in sums.items()}
+    steps = {(zeta, eta): projection_hom(c, sums[zeta], sums[eta])
+             for zeta, _, _, eta in one_step_inclusions(n)}
+    return PosetFunctor(n, rings, steps)
 
 
 def restriction(f: PosetFunctor, zeta: Sequence[int], eta: Sequence[int]) -> AlgebraHom:

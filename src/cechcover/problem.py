@@ -18,9 +18,7 @@ from typing import Optional
 
 from .algebras import Algebra, AlgebraHom, algebra_from_terms, ideal_closure
 from .amitsur import DEFAULT_DIM_CAP
-from .cech import (
-    PosetFunctor, all_tuples, constant_functor, functor_from_ringed_covering, one_step_inclusions,
-)
+from .cech import PosetFunctor, all_tuples, constant_functor, one_step_inclusions
 from .coverings import Covering
 from .errors import CechcoverError, DimensionCapError, ProblemFormatError
 from .linalg import GF, QQ, Field, Matrix
@@ -374,12 +372,12 @@ def normalize(problem: Problem) -> dict:
 # ---------------------------------------------------------------------------
 
 def build_problem_functor(problem: Problem):
-    """Returns (PosetFunctor, kind, CoverDescription | None).
+    """Returns (PosetFunctor | Covering, kind, CoverDescription | None).
 
-    ``ringed_default`` (also the default when a covering is present) uses
-    the covering with the default ringed structure; ``cover`` also returns
-    the CoverDescription so the oracle can run.  Every functor returned was
-    validated when it was constructed; a failure raises StructureError.
+    ``ringed_default`` (also the default when a covering is present) is
+    the covering, whose ``cech`` checks itself when read; ``cover`` also
+    returns the CoverDescription so the oracle can run.  Every other functor
+    was validated when it was constructed; a failure raises StructureError.
     Before any ring is built, a functor whose widest Cech degree has more
     index tuples than ``problem.dim_cap`` raises DimensionCapError.
     """
@@ -399,7 +397,7 @@ def build_problem_functor(problem: Problem):
             f"the functor on {n} patches has {tuples} index tuples in Cech degree {k} "
             f"> cap {problem.dim_cap}", degree=k, estimated=tuples, cap=problem.dim_cap)
     if kind == "ringed_default":
-        return functor_from_ringed_covering(problem.covering), kind, None
+        return problem.covering, kind, None
     body = spec["body"]
     if kind == "constant":
         if "ring" not in body:

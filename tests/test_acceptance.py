@@ -14,13 +14,14 @@ from cechcover.algebras import ideal_sum, matrix_algebra, quotient, split_commut
 from cechcover.amitsur import amitsur_homology, build_amitsur
 from cechcover.cech import (
     build_cech, cech_cohomology, constant_functor, default_phi_choice,
-    functor_from_ringed_covering, insert_index, verify_chain_map,
+    insert_index, verify_chain_map,
 )
 from cechcover.coverings import completeness_check
 from cechcover.linalg import GF, QQ, rank
 from cechcover.nerve import functor_from_cover, nerve_cohomology
 from cechcover.oracles import (
-    TensorTower, b_bimodule, phi_sum, random_cover_description, random_covering, tensor_over_A,
+    TensorTower, b_bimodule, lattice_functor, phi_sum, random_cover_description, random_covering,
+    tensor_over_A,
 )
 
 from instances import make_e1, make_e4
@@ -60,16 +61,16 @@ def test_criterion_2_complete_coverings_are_acyclic():
 
 def test_criterion_3_chain_map_and_relation_killing():
     for name, cov in (("E1", make_e1()), ("E4", make_e4())):
-        functor = functor_from_ringed_covering(cov)
-        choice = default_phi_choice(functor, cov)
-        rep = verify_chain_map(build_amitsur(cov, 2), build_cech(functor), choice)
+        # the covering is its own default ringed functor
+        choice = default_phi_choice(cov, cov)
+        rep = verify_chain_map(build_amitsur(cov, 2), build_cech(cov), choice)
         assert rep.passed, f"{name}: {rep.as_dict()}"
         assert [sq.degree for sq in rep.squares] == [1, 2]
         assert all(ch.ok for ch in rep.well_defined)
 
     # explicit balancing elements (y . pi_i(a)) (x) y' - y (x) (pi_j(a) . y')
     cov = make_e1()
-    functor = functor_from_ringed_covering(cov)
+    functor = lattice_functor(cov)
     choice = default_phi_choice(functor, cov)
     a1, pi1 = cov.patch(1)
     a2, pi2 = cov.patch(2)
@@ -157,7 +158,7 @@ def test_criterion_5_property_suites():
         assert t2.dim == pair_block_formula(cov)
         assert t2.dim == tower.space(2).dim == cx.spaces[1].dim
 
-        functor = functor_from_ringed_covering(cov)  # functor validation runs inside
+        functor = lattice_functor(cov)  # functor validation runs inside
         ccx = build_cech(functor)
         for k in range(len(ccx.differentials) - 1):
             assert ccx.differentials[k + 1].mul(ccx.differentials[k]).is_zero()
@@ -175,6 +176,6 @@ def test_criterion_6_e1_end_to_end():
     assert t2.dim == 6  # dim B (x)_A B
     assert rank(cov.tau) == 1
     assert completeness_check(cov).complete
-    assert cech_cohomology(build_cech(functor_from_ringed_covering(cov))) == [3, 0]
+    assert cech_cohomology(build_cech(cov)) == [3, 0]
     report("ACCEPTANCE 6 E1 end-to-end (dim B=4, dim B(x)B=6, tau rank 1, "
            "complete, Cech [3,0]): PASS")

@@ -125,6 +125,23 @@ def ref_ideal_check(a: DenseAlgebra, space: Subspace) -> None:
                     witness=("right", i, v))
 
 
+def ref_ideal_closure(a: DenseAlgebra, gens) -> tuple[Subspace, int]:
+    """The smallest two-sided ideal containing gens, and the number of
+    rounds that grew it: every basis vector of the span times every basis
+    element on both sides, until the dimension stabilizes."""
+    span, rounds = Subspace.from_vectors(a.field, a.dim, gens), 0
+    while True:
+        vecs = list(span.basis.entries)
+        for v in span.basis.entries:
+            for i in range(a.dim):
+                e = a.basis_coords(i)
+                vecs += [a.multiply(e, v), a.multiply(v, e)]
+        bigger = Subspace.from_vectors(a.field, a.dim, vecs)
+        if bigger.dim == span.dim:
+            return bigger, rounds
+        span, rounds = bigger, rounds + 1
+
+
 def ref_hom_check(dom: DenseAlgebra, cod: DenseAlgebra, matrix: Matrix) -> tuple:
     """(ok, witness, message) of the dense multiplicativity check."""
     if matrix.apply(dom.unit) != cod.unit:
@@ -402,6 +419,24 @@ def test_ideal_checks_match(field):
         assert Subspace.from_vectors(field, n, closure_vectors) == closed.space
         assert all(ref_contains(closed.space, g) for g in gens)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_ideal_closure_matches_the_dense_fixpoint(field):
+    # the closure multiplies only the vectors each round added; the dense
+    # fixpoint multiplies the whole span every round
+    rng = random.Random(f"closure:{field!r}")
+    algebras = [make_algebra(field, *random_table(rng, field, max_dim=7)) for _ in range(40)]
+    algebras += [stock(field, n) for stock in (matrix_algebra, upper_triangular)
+                 for n in (2, 3) for _ in range(5)]
+    rounds = set()
+    for a in algebras:
+        dense = DenseAlgebra(field, a.dim, a.mul_table, a.unit)
+        gens = [random_vector(rng, field, a.dim, 0.3) for _ in range(rng.randint(0, 3))]
+        want, grown = ref_ideal_closure(dense, gens)
+        assert ideal_closure(a, gens).space == want
+        rounds.add(grown)
+    assert {0, 1, 2} <= rounds
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)

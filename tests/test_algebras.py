@@ -12,7 +12,7 @@ from cechcover.algebras import (
 )
 from cechcover.errors import DimensionMismatchError, StructureError
 from cechcover.linalg import GF, QQ, Matrix, Subspace
-from cechcover.oracles import ideal_intersection
+from cechcover.oracles import ideal_intersection, projection_hom
 
 from instances import make_e1
 
@@ -198,7 +198,8 @@ def test_identity_compose_is_identity():
 
 def test_e1_patch_square_commutes():
     c = make_e1()
-    pi1_12, pi2_12 = (c.projection_hom(c.ideals[k].space, c.ideal_sum_space((1, 2))) for k in (0, 1))
+    pi1_12, pi2_12 = (projection_hom(c, c.ideals[k].space, c.ideal_sum_space((1, 2)))
+                      for k in (0, 1))
     left = pi1_12.matrix.mul(c.patch(1)[1].matrix)
     right = pi2_12.matrix.mul(c.patch(2)[1].matrix)
     assert left == right

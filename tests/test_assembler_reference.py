@@ -38,7 +38,7 @@ import pytest
 from cechcover.algebras import AlgebraHom, ideal_closure, matrix_algebra, split_commutative
 from cechcover.amitsur import build_amitsur
 from cechcover.cech import (
-    PosetFunctor, all_tuples, build_cech, constant_functor, functor_from_ringed_covering,
+    PosetFunctor, all_tuples, build_cech, constant_functor,
     one_step_inclusions, validate_functor,
 )
 from cechcover.complexes import WordSpace, assemble, increasing_insertions
@@ -46,7 +46,7 @@ from cechcover.coverings import Covering
 from cechcover.errors import StructureError
 from cechcover.linalg import GF, QQ, Matrix, block_matrix, quotient_map, quotient_section
 from cechcover.nerve import functor_from_cover
-from cechcover.oracles import random_cover_description, random_covering
+from cechcover.oracles import lattice_functor, random_cover_description, random_covering
 
 from instances import make_e1, make_e4, make_three_lines
 
@@ -304,7 +304,7 @@ def test_random_coverings_amitsur_and_ringed_default(field):
     for _ in range(12):
         c = random_covering(rng, field, max_dim=5, max_patches=3)
         assert_same(build_amitsur(c, 3).differentials, ref_amitsur_differentials(c, 3))
-        f = functor_from_ringed_covering(c)
+        f = lattice_functor(c)
         assert_same(build_cech(f).differentials, ref_cech_differentials(f))
 
 
@@ -437,7 +437,7 @@ def test_row_direct_assembly_of_coverings(field):
         assert (c.pi, c.tau) == ref_pi_tau_by_assembler(c)
         cx = build_amitsur(c, 3)
         assert_same(cx.differentials, ref_amitsur_by_assembler(c, cx))
-        f = functor_from_ringed_covering(c)
+        f = lattice_functor(c)
         assert_same(build_cech(f).differentials, ref_cech_by_assembler(f))
 
 

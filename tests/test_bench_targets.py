@@ -17,7 +17,7 @@ from pathlib import Path
 import cechcover
 import cechcover.cli  # noqa: F401  (loads the modules the tracer patches)
 from cechcover.amitsur import build_amitsur
-from cechcover.cech import build_cech, functor_from_ringed_covering
+from cechcover.cech import build_cech
 from cechcover.linalg import Matrix
 
 from instances import make_three_lines
@@ -53,7 +53,7 @@ def test_the_built_complexes_expose_what_the_tracer_reads():
     assert sum(cx.degree_dims()) > 0
     assert len(cx.differentials) == 2
     assert all(isinstance(d, Matrix) for d in cx.differentials)
-    ccx = build_cech(functor_from_ringed_covering(c))
+    ccx = build_cech(c)  # the call the command line makes on ringed_default
     assert sum(layout.dim for layout in ccx.layouts) > 0
     assert len(ccx.differentials) == c.n_patches
     assert all(isinstance(d, Matrix) for d in ccx.differentials)

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+from functools import partial
 from itertools import combinations
 
 import pytest
 
 from cechcover.algebras import (
-    AlgebraHom, Ideal, ideal_closure, matrix_algebra, quotient, split_commutative,
+    AlgebraHom, Ideal, direct_sum, ideal_closure, matrix_algebra, quotient, split_commutative,
+    square_zero, upper_triangular,
 )
 from cechcover.amitsur import build_amitsur
 from cechcover.cech import (
@@ -20,8 +22,8 @@ from cechcover.linalg import (
     GF, QQ, Matrix, Subspace, kernel_basis, quotient_section, rank, subspace_sum,
 )
 from cechcover.oracles import (
-    CechElement, TensorTower, phi, phi_matrix, phi_on_pure, phi_raw_matrix, phi_sum,
-    random_covering,
+    CechElement, TensorTower, lattice_functor, phi, phi_matrix, phi_on_pure, phi_raw_matrix,
+    phi_sum, projection_hom, random_covering,
 )
 
 from instances import make_e1, make_e4, make_three_lines
@@ -79,7 +81,7 @@ def test_constant_functor_matrix_ring_scales():
 def test_single_patch_functor():
     a = split_commutative(QQ, 3)
     c = Covering(a, [ideal_closure(a, [])])
-    f = functor_from_ringed_covering(c)
+    f = lattice_functor(c)
     assert cech_cohomology(build_cech(f)) == [3]
 
 
@@ -90,7 +92,7 @@ def test_constant_functor_single_ring():
 # -- ringed coverings ------------------------------------------------------------------
 
 def test_e1_default_ringed_dims(e1):
-    f = functor_from_ringed_covering(e1)
+    f = lattice_functor(e1)
     assert f.ring(()).dim == 3
     assert f.ring((1,)).dim == 2
     assert f.ring((2,)).dim == 2
@@ -98,7 +100,7 @@ def test_e1_default_ringed_dims(e1):
 
 
 def test_default_ringed_functor_reuses_the_covering_quotients(e1):
-    f = functor_from_ringed_covering(e1)
+    f = lattice_functor(e1)
     for i in range(1, e1.n_patches + 1):
         assert f.ring((i,)) is e1.patch(i)[0]
     for (i, j) in combinations(range(1, e1.n_patches + 1), 2):
@@ -108,18 +110,18 @@ def test_default_ringed_functor_reuses_the_covering_quotients(e1):
 
 
 def test_e1_dprime_is_tau_up_to_sign(e1):
-    f = functor_from_ringed_covering(e1)
+    f = lattice_functor(e1)
     cx = build_cech(f)
     assert cx.differentials[1] == e1.tau.neg()
     assert rank(cx.differentials[1]) == 1
 
 
 def test_e1_cech_cohomology(e1):
-    assert cech_cohomology(build_cech(functor_from_ringed_covering(e1))) == [3, 0]
+    assert cech_cohomology(build_cech(lattice_functor(e1))) == [3, 0]
 
 
 def test_e4_ringed_dims_and_cohomology(e4):
-    f = functor_from_ringed_covering(e4)
+    f = lattice_functor(e4)
     assert f.ring((1,)).dim == 1
     assert f.ring((2,)).dim == 4
     assert f.ring((1, 2)).dim == 0
@@ -230,8 +232,59 @@ def test_the_default_ringed_functor_runs_no_naturality_walk(make, monkeypatch):
 
     monkeypatch.setattr(RingedStructure, "validate_on", walk)
     c = make()
-    f = functor_from_ringed_covering(c)
-    assert f.ring((1,)) == c.patch(1)[0]
+    assert cech_cohomology(build_cech(c)) == cech_cohomology(build_cech(lattice_functor(c)))
+    assert c.ring((1,)) is c.patch(1)[0]
+
+
+def _square_zero_covering(rng: random.Random, field) -> Covering:
+    """A = k (+) V with V^2 = 0, dim V in {2, 3}, covered by 3 or 4 random
+    lines of V: every subspace of V is an ideal, and the lattice of lines
+    is often not distributive, which gives higher Cech cohomology."""
+    m = rng.randint(2, 3)
+    a = square_zero(field, m)
+    lines = []
+    for _ in range(rng.randint(3, 4)):
+        v = [0] * (m + 1)
+        while not any(field.coerce(x) for x in v):
+            v = [0] + [rng.choice((0, 1, -1, 2)) for _ in range(m)]
+        lines.append(ideal_closure(a, [v]))
+    return Covering(a, lines)
+
+
+def _block_covering(rng: random.Random, field) -> Covering:
+    """A direct sum of stock blocks covered by 3 or 4 ideals, each the sum
+    of a random set of blocks (the ideal of their units)."""
+    stock = (lambda: split_commutative(field, 1), lambda: matrix_algebra(field, 2),
+             lambda: upper_triangular(field, 2), lambda: square_zero(field, 1))
+    blocks = [rng.choice(stock)() for _ in range(rng.randint(2, 4))]
+    a = blocks[0]
+    for b in blocks[1:]:
+        a = direct_sum(a, b)
+    units, off = [], 0
+    for b in blocks:
+        units.append([0] * off + list(b.unit) + [0] * (a.dim - off - b.dim))
+        off += b.dim
+    return Covering(a, [ideal_closure(a, [u for u in units if rng.random() < 0.5])
+                        for _ in range(rng.randint(3, 4))])
+
+
+def test_the_covering_complex_equals_the_lattice_functor_complex():
+    # Covering.cech reads dims and projection matrices; the reference
+    # builds every quotient algebra and hom-checks every projection
+    higher = {}
+    for field in (QQ, GF(2), GF(3)):
+        rng = random.Random(f"lattice:{field!r}")
+        coverings = [_square_zero_covering(rng, field) for _ in range(40)]
+        coverings += [_block_covering(rng, field) for _ in range(15)]
+        higher[field] = 0
+        for c in coverings:
+            got, want = build_cech(c), build_cech(lattice_functor(c))
+            assert got.spaces == want.spaces
+            assert got.differentials == want.differentials
+            dims = cech_cohomology(got)
+            assert dims == cech_cohomology(want)
+            higher[field] += any(dims[1:])
+    assert all(higher.values())
 
 
 def test_a_supplied_structure_that_is_not_natural_is_refused(e1):
@@ -245,7 +298,8 @@ def test_a_supplied_structure_that_is_not_natural_is_refused(e1):
         return AlgebraHom(ring, ring, swap) if j == zero else AlgebraHom.identity(ring)
 
     with pytest.raises(StructureError) as err:
-        functor_from_ringed_covering(e1, RingedStructure(hom_from_quotient, e1.projection_hom))
+        functor_from_ringed_covering(
+            e1, RingedStructure(hom_from_quotient, partial(projection_hom, e1)))
     assert err.value.witness == ("naturality", zero.basis.entries,
                                  e1.ideals[0].space.basis.entries)
 
@@ -253,14 +307,14 @@ def test_a_supplied_structure_that_is_not_natural_is_refused(e1):
 # -- phi ---------------------------------------------------------------------------------
 
 def test_phi_e1_product_in_pair_ring(e1):
-    f = functor_from_ringed_covering(e1)
+    f = lattice_functor(e1)
     choice = default_phi_choice(f, e1)
     el = phi(f, choice, [(1, (1, 2)), (2, (3, 4))])
     assert el.component((1, 2), f).coords == (QQ.coerce(6),)
 
 
 def test_phi_kills_repeated_indices(e1):
-    f = functor_from_ringed_covering(e1)
+    f = lattice_functor(e1)
     choice = default_phi_choice(f, e1)
     el = phi(f, choice, [(1, (1, 2)), (1, (3, 4))])
     assert all(x == QQ.zero for x in el.coords)
@@ -271,14 +325,14 @@ def test_phi_kills_out_of_order_words(e1):
     # but unsorted is not one, and phi sends it to zero; this is what keeps
     # phi well defined and a chain map (the signed-sorting alternative
     # breaks the degree-1 square even on E1).
-    f = functor_from_ringed_covering(e1)
+    f = lattice_functor(e1)
     choice = default_phi_choice(f, e1)
     el = phi(f, choice, [(2, (3, 4)), (1, (1, 2))])
     assert all(x == QQ.zero for x in el.coords)
 
 
 def test_phi_degree_one_is_the_chosen_hom(e1):
-    f = functor_from_ringed_covering(e1)
+    f = lattice_functor(e1)
     choice = default_phi_choice(f, e1)
     el = phi(f, choice, [(1, (5, 7))])
     assert el.component((1,), f).coords == (QQ.coerce(5), QQ.coerce(7))
@@ -286,7 +340,7 @@ def test_phi_degree_one_is_the_chosen_hom(e1):
 
 def test_phi_kills_balancing_relation_elements(e1):
     # (y . pi_1(a)) (x) y' - y (x) (pi_2(a) . y') maps to zero under phi
-    f = functor_from_ringed_covering(e1)
+    f = lattice_functor(e1)
     choice = default_phi_choice(f, e1)
     a1, pi1 = e1.patch(1)
     a2, pi2 = e1.patch(2)
@@ -304,7 +358,7 @@ def test_phi_kills_balancing_relation_elements(e1):
 def test_phi_from_raw_coordinates_via_decompose(e1):
     # raw balanced coordinates -> weighted pure tensors -> phi agrees with
     # the matrix route
-    f = functor_from_ringed_covering(e1)
+    f = lattice_functor(e1)
     choice = default_phi_choice(f, e1)
     tower = TensorTower(e1)
     rng = random.Random(67)
@@ -324,7 +378,7 @@ def test_phi_from_raw_coordinates_via_decompose(e1):
 
 
 def test_phi_matrix_well_defined_on_quotient(e1):
-    f = functor_from_ringed_covering(e1)
+    f = lattice_functor(e1)
     choice = default_phi_choice(f, e1)
     tower = TensorTower(e1)
     for n in (1, 2, 3):
@@ -337,7 +391,7 @@ def test_phi_matrix_well_defined_on_quotient(e1):
 
 
 def test_chain_map_e1(e1):
-    f = functor_from_ringed_covering(e1)
+    f = lattice_functor(e1)
     report = verify_chain_map(build_amitsur(e1, 2), build_cech(f), default_phi_choice(f, e1))
     assert report.passed
     assert all(ch.ok for ch in report.squares)
@@ -345,7 +399,7 @@ def test_chain_map_e1(e1):
 
 
 def test_chain_map_e4(e4):
-    f = functor_from_ringed_covering(e4)
+    f = lattice_functor(e4)
     report = verify_chain_map(build_amitsur(e4, 2), build_cech(f), default_phi_choice(f, e4))
     assert report.passed
 
@@ -353,14 +407,14 @@ def test_chain_map_e4(e4):
 def test_chain_map_trivial_covering():
     a = split_commutative(QQ, 2)
     c = Covering(a, [ideal_closure(a, [])])
-    f = functor_from_ringed_covering(c)
+    f = lattice_functor(c)
     report = verify_chain_map(build_amitsur(c, 2), build_cech(f), default_phi_choice(f, c))
     assert report.passed
 
 
 def test_chain_map_over_f5():
     c = make_e1(GF(5))
-    f = functor_from_ringed_covering(c)
+    f = lattice_functor(c)
     report = verify_chain_map(build_amitsur(c, 2), build_cech(f), default_phi_choice(f, c))
     assert report.passed
 
@@ -370,19 +424,19 @@ def test_random_ringed_functors_validate_and_square_to_zero():
     for field in (QQ, GF(5)):
         for _ in range(5):
             c = random_covering(rng, field, max_dim=5, max_patches=3)
-            f = functor_from_ringed_covering(c)  # validates internally
+            f = lattice_functor(c)  # validates internally
             build_cech(f)  # asserts d'.d' = 0
 
 
 def test_phi_on_pure_rejects_nothing_quietly(e1):
-    f = functor_from_ringed_covering(e1)
+    f = lattice_functor(e1)
     choice = default_phi_choice(f, e1)
     assert phi_on_pure(f, choice, [(1, (1, 0)), (2, (0, 1))]) is not None
     assert phi_on_pure(f, choice, [(2, (0, 1)), (1, (1, 0))]) is None
 
 
 def test_cech_element_component_accessor(e1):
-    f = functor_from_ringed_covering(e1)
+    f = lattice_functor(e1)
     layout = build_cech(f).layouts[1]
     el = CechElement(layout, (QQ.coerce(1), QQ.coerce(2), QQ.coerce(3), QQ.coerce(4)))
     assert el.component((2,), f).coords == (QQ.coerce(3), QQ.coerce(4))

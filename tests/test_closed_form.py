@@ -14,12 +14,11 @@ import random
 from cechcover.algebras import AlgebraHom, ideal_closure, split_commutative
 from cechcover.amitsur import amitsur_homology, build_amitsur
 from cechcover.cech import (
-    PosetFunctor, build_cech, default_phi_choice, functor_from_ringed_covering,
-    verify_chain_map,
+    PosetFunctor, build_cech, default_phi_choice, verify_chain_map,
 )
 from cechcover.coverings import Covering
 from cechcover.linalg import GF, QQ, Matrix, kernel_basis, rank
-from cechcover.oracles import TensorTower, phi_raw_matrix, random_covering
+from cechcover.oracles import TensorTower, lattice_functor, phi_raw_matrix, random_covering
 
 from instances import make_e1, make_e4, make_three_lines
 
@@ -115,7 +114,7 @@ def test_block_layout_is_lexicographic_and_drops_zero_blocks(e4):
 def test_chain_map_matches_raw_route_on_ringed_functors():
     for c, n_max in ((make_e1(), 3), (make_e4(), 3), (make_three_lines(), 2)):
         assert raw_size(c, n_max) <= RAW_LIMIT
-        assert assert_chain_map_matches_raw(functor_from_ringed_covering(c), c, n_max).passed
+        assert assert_chain_map_matches_raw(lattice_functor(c), c, n_max).passed
     rng = random.Random(20261019)
     checked = 0
     for field in (QQ, GF(2), GF(5)):
@@ -126,7 +125,7 @@ def test_chain_map_matches_raw_route_on_ringed_functors():
                 n_max = 2
             if raw_size(c, n_max) > RAW_LIMIT:
                 continue
-            report = assert_chain_map_matches_raw(functor_from_ringed_covering(c), c, n_max)
+            report = assert_chain_map_matches_raw(lattice_functor(c), c, n_max)
             assert report.passed
             checked += 1
     assert checked >= 16
@@ -136,7 +135,7 @@ def twisted_functor(c, rng):
     """The default ringed functor of a covering of k^m, with the ring of each
     tuple relabelled by a permutation of its idempotents: every square still
     commutes, but the patch homs into R(zeta) may disagree."""
-    f = functor_from_ringed_covering(c)
+    f = lattice_functor(c)
     perms = {}
     for zeta, ring in f.rings.items():
         order = list(range(ring.dim))

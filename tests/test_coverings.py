@@ -9,7 +9,7 @@ import pytest
 import cechcover.algebras
 import cechcover.complexes
 import cechcover.coverings
-from cechcover.algebras import Ideal, ideal_closure, split_commutative
+from cechcover.algebras import AlgebraHom, Ideal, ideal_closure, split_commutative
 from cechcover.cli import _dispatch
 from cechcover.coverings import (
     CompletenessReport, Covering, completeness_check, is_covering,
@@ -178,6 +178,41 @@ def test_a_patch_square_that_does_not_commute_is_named(pairs, named):
     assert str(err.value) == f"patch square ({named[0]},{named[1]}) does not commute"
 
 
+def _coordinate_covering(n: int) -> Covering:
+    """k^n covered by the ideals <e_1>, ..., <e_n>: 2^n distinct ideal sums."""
+    a = split_commutative(QQ, n)
+    return Covering(a, [ideal_closure(a, [tuple(int(k == i) for k in range(n))])
+                        for i in range(n)])
+
+
+class _WrongTripleProjection(Covering):
+    """k^4 covered by <e1>..<e4>, whose projection A/I_12 -> A/I_123 is
+    doubled: the triple sum lies outside degrees 0..2 of the Cech complex,
+    so the patch sequence does not see it."""
+
+    def projection(self, j1, j2):
+        m = super().projection(j1, j2)
+        wrong = (self.ideal_sum_space((1, 2)), self.ideal_sum_space((1, 2, 3)))
+        return m.scale(2) if (j1, j2) == wrong else m
+
+
+@pytest.mark.parametrize("command", ("cech", "verify"))
+def test_a_square_beyond_the_patch_sequence_fails_functor_validation(command):
+    base = _coordinate_covering(4)
+    c = _WrongTripleProjection(base.algebra, base.ideals)
+    assert completeness_check(c).complete
+    results, checks, code = _dispatch(command, Problem(c.field, c.algebra, {}, c, None, n_max=2))
+    assert code == 1
+    assert checks["functor_validation"] is False
+    message = "restriction square (1,) -> (1, 2, 3) does not commute"
+    witness = ("square", (1,), 2, 3)
+    if command == "cech":
+        assert results == {"error": message, "witness": repr(witness)}
+    else:
+        assert results["functor_witness"] == f"{message} [{witness!r}]"
+        assert "cech_cohomology" not in results and "chain_map" not in checks
+
+
 # -- tau_rank of the check report ------------------------------------------------------
 
 def _reported_tau_rank(c: Covering) -> int:
@@ -254,33 +289,52 @@ def test_completeness_from_ranks_matches_on_found_incomplete_coverings(field):
 
 # -- quotient algebras are built where a ring is read ----------------------------------
 
-def _quotient_calls(monkeypatch, command: str) -> tuple:
-    calls = []
-    real = cechcover.coverings.quotient
+def _constructions(monkeypatch, command: str, c: Covering) -> tuple:
+    """The ideal spaces of the quotient algebras and the (domain, codomain)
+    of the algebra homs that one command builds on the covering ``c``."""
+    quotients, homs = [], []
+    real_quotient, real_init = cechcover.coverings.quotient, AlgebraHom.__init__
 
-    def counted(a, j):
-        calls.append(j.space)
-        return real(a, j)
+    def counted_quotient(a, j):
+        quotients.append(j.space)
+        return real_quotient(a, j)
 
-    monkeypatch.setattr(cechcover.coverings, "quotient", counted)
-    c = make_three_lines()
-    _, _, code = _dispatch(command, Problem(c.field, c.algebra, {}, c, None, n_max=2))
-    assert code == 0
-    return c, calls
+    def counted_init(self, domain, codomain, matrix):
+        homs.append((domain, codomain))
+        real_init(self, domain, codomain, matrix)
+
+    monkeypatch.setattr(cechcover.coverings, "quotient", counted_quotient)
+    monkeypatch.setattr(AlgebraHom, "__init__", counted_init)
+    _, checks, code = _dispatch(command, Problem(c.field, c.algebra, {}, c, None, n_max=2))
+    assert code == 0 and all(v is True for v in checks.values())
+    return quotients, homs
 
 
 @pytest.mark.parametrize("command", ("check", "amitsur"))
 def test_check_and_amitsur_build_no_quotient_algebra(monkeypatch, command):
-    _, calls = _quotient_calls(monkeypatch, command)
-    assert calls == []
+    quotients, homs = _constructions(monkeypatch, command, make_three_lines())
+    assert quotients == homs == []
 
 
-def test_verify_builds_each_ideal_sum_quotient_once(monkeypatch):
-    c, calls = _quotient_calls(monkeypatch, "verify")
-    sums = {c.ideal_sum_space(s) for n in range(c.n_patches + 1)
-            for s in combinations(range(1, c.n_patches + 1), n)}
-    assert len(calls) == len(set(calls)) == len(sums) == 5
-    assert set(calls) == sums
+@pytest.mark.parametrize("make", (make_e1, make_e4, make_three_lines,
+                                  lambda: _coordinate_covering(6)),
+                         ids=("e1", "e4", "three_lines", "coordinate6"))
+def test_cech_on_the_default_functor_builds_no_quotient_algebra_and_no_hom(monkeypatch, make):
+    # the covering is its own Cech functor: dims and projection matrices
+    quotients, homs = _constructions(monkeypatch, "cech", make())
+    assert quotients == homs == []
+
+
+def test_verify_builds_only_the_patch_quotients(monkeypatch):
+    # the chain-map check reads A_i and pi_i; the Cech complex reads no ring
+    c = make_three_lines()
+    quotients, homs = _constructions(monkeypatch, "verify", c)
+    patches = [ideal.space for ideal in c.ideals]
+    assert quotients == patches
+    # per patch: pi_i : A -> A_i in its quotient, then the chosen identity
+    # A_i -> R((i,)) = A_i
+    assert homs == [pair for i in (1, 2, 3)
+                    for pair in ((c.algebra, c.patch(i)[0]), (c.patch(i)[0],) * 2)]
 
 
 # -- work done once per covering -------------------------------------------------------------

@@ -209,6 +209,7 @@ MOVED = (
     ("cechcover.coverings", "Covering.b_algebra"),
     ("cechcover.coverings", "Covering.patch_offset"),
     ("cechcover.coverings", "Covering.unit_component"),
+    ("cechcover.coverings", "Covering.projection_hom"),
     ("cechcover.cech", "PosetFunctor.restriction"),
     ("cechcover.cech", "validate_index_tuple"),
 )
