@@ -13,25 +13,26 @@ Library layout:
 - ``nerve``: classical nerve-cohomology oracle for cross-validation.
 - ``problem``/``cli``: problem files, reports, command-line front end.
 - ``oracles``: literal-definition test oracles (balanced tensor tower,
-  Sweedler coring, phi on pure tensors), random instances, and the
-  helpers that only they and the tests call; no command imports it.
+  Sweedler coring, phi on pure tensors), random instances, the stock
+  algebras, elements, ringed structures, and the helpers that only they
+  and the tests call; no command imports it.
 """
 
 from .linalg import GF, QQ, Matrix, Subspace
-from .algebras import Algebra, AlgebraHom, Element, Ideal
+from .algebras import Algebra, AlgebraHom, Ideal
 from .coverings import Covering, CompletenessReport, completeness_check, is_covering
 from .amitsur import AmitsurComplex
-from .cech import CechComplex, PosetFunctor, RingedStructure
+from .cech import CechComplex, PosetFunctor
 from .nerve import CoverDescription
 
 __version__ = "0.1.0"
 
 __all__ = [
     "GF", "QQ", "Matrix", "Subspace",
-    "Algebra", "AlgebraHom", "Element", "Ideal",
+    "Algebra", "AlgebraHom", "Ideal",
     "Covering", "CompletenessReport", "completeness_check", "is_covering",
     "AmitsurComplex",
-    "CechComplex", "PosetFunctor", "RingedStructure",
+    "CechComplex", "PosetFunctor",
     "CoverDescription",
     "__version__",
 ]

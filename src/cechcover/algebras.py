@@ -10,20 +10,18 @@ on these terms, with truthiness as the zero test (entries over Q are
 Associativity is checked on every basis triple (i, j, k) where
 (b_i b_j) b_k or b_i (b_j b_k) can be nonzero, in lexicographic order, so
 the first failing triple is the first failing triple of the full check.
-``mul_table`` is a dense view built on first use.  The zero algebra
-(dim 0) is legal and shows up naturally as quotients by the whole algebra.
+The zero algebra (dim 0) is legal and shows up naturally as quotients by
+the whole algebra.  Elements, products of coordinate vectors, sums of
+ideals, composites of homs and the stock algebras (k^n, M_n(k), ...) are
+in ``cechcover.oracles``: no command runs them.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatchError, StructureError
-from .linalg import (
-    Field, Matrix, Subspace,
-    _dense_row, quotient_map, same_field, subspace_sum,
-)
+from .linalg import Field, Matrix, Subspace, quotient_map, same_field
 from .records import Frozen
 
 
@@ -38,29 +36,6 @@ class Algebra(Frozen):
         d["terms"] = terms  # terms[i][j] = ((k, c), ...), the nonzeros of b_i * b_j
         d["unit"] = unit
         d["labels"] = labels
-
-    @cached_property
-    def mul_table(self) -> tuple:
-        """Dense view of the structure constants: mul_table[i][j] = coords of b_i * b_j."""
-        return tuple(tuple(_dense_row(self.field, dict(t), self.dim) for t in row)
-                     for row in self.terms)
-
-    def multiply(self, x: Sequence, y: Sequence) -> tuple:
-        """Product of coordinate vectors via the structure constants."""
-        terms = self.terms
-        ys = [(j, yj) for j, yj in enumerate(y) if yj]
-        pairs = ((xi * yj, terms[i][j]) for i, xi in enumerate(x) if xi for j, yj in ys)
-        return _dense_row(self.field, _combine(pairs, self.field.characteristic), self.dim)
-
-    def basis_coords(self, i: int) -> tuple:
-        return _dense_row(self.field, {i: self.field.one}, self.dim)
-
-    def element(self, coords: Sequence) -> "Element":
-        return Element(self, tuple(self.field.coerce(x) for x in coords))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.dim == 0
 
 
 def _combine(pairs: Iterable, p: int) -> dict:
@@ -85,40 +60,6 @@ def _columns(m: Matrix) -> list:
         for c, x in row.items():
             cols[c].append((r, x))
     return cols
-
-
-class Element(Frozen):
-    _fields = ("algebra", "coords")
-
-    def __init__(self, algebra: Algebra, coords: tuple):
-        if len(coords) != algebra.dim:
-            raise DimensionMismatchError(
-                f"element has {len(coords)} coordinates in a dim-{algebra.dim} algebra")
-        d = self.__dict__
-        d["algebra"] = algebra
-        d["coords"] = coords
-
-    def _check_same_algebra(self, other: "Element") -> None:
-        if other.algebra is not self.algebra and other.algebra != self.algebra:
-            raise DimensionMismatchError("elements of different algebras")
-
-    def __mul__(self, other: "Element") -> "Element":
-        self._check_same_algebra(other)
-        return Element(self.algebra, self.algebra.multiply(self.coords, other.coords))
-
-    def __add__(self, other: "Element") -> "Element":
-        self._check_same_algebra(other)
-        add = self.algebra.field.add
-        return Element(self.algebra, tuple(add(a, b) for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "Element") -> "Element":
-        self._check_same_algebra(other)
-        sub = self.algebra.field.sub
-        return Element(self.algebra, tuple(sub(a, b) for a, b in zip(self.coords, other.coords)))
-
-    def is_zero(self) -> bool:
-        z = self.algebra.field.zero
-        return all(x == z for x in self.coords)
 
 
 def make_algebra(field: Field, dim: int, mul: Sequence, unit: Sequence,
@@ -244,24 +185,14 @@ class Ideal(Frozen):
         d["space"] = space
         return ideal
 
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
 
 def ideal_closure(a: Algebra, gens: Sequence) -> Ideal:
-    """Smallest two-sided ideal containing gens.
+    """Smallest two-sided ideal containing the coordinate vectors gens.
 
     Each round multiplies by every basis element, on both sides, only the
     basis vectors that the last round added (those with a new pivot), and
     adds the products that escape the span, until none does."""
-    vecs = []
-    for g in gens:
-        coords = g.coords if isinstance(g, Element) else tuple(a.field.coerce(x) for x in g)
-        if len(coords) != a.dim:
-            raise DimensionMismatchError("generator has wrong length")
-        vecs.append(coords)
-    span = Subspace.from_vectors(a.field, a.dim, vecs)
+    span = Subspace.from_vectors(a.field, a.dim, gens)
     added = span.sparse_basis
     while True:
         escaped = [w for v in added for pair in _side_products(a, v) for w in pair
@@ -272,12 +203,6 @@ def ideal_closure(a: Algebra, gens: Sequence) -> Ideal:
         span = Subspace.from_sparse(a.field, a.dim,
                                     [dict(v) for v in span.sparse_basis] + escaped)
         added = [v for v in span.sparse_basis if next(iter(v)) not in old]
-
-
-def ideal_sum(i1: Ideal, i2: Ideal) -> Ideal:
-    if i1.algebra != i2.algebra:
-        raise DimensionMismatchError("ideals of different algebras")
-    return Ideal._proven(i1.algebra, subspace_sum(i1.space, i2.space))
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +239,6 @@ class AlgebraHom(Frozen):
     def identity(a: Algebra) -> "AlgebraHom":
         return AlgebraHom(a, a, Matrix.identity(a.field, a.dim))
 
-    def apply(self, coords: Sequence) -> tuple:
-        return self.matrix.apply(coords)
-
-
 def hom_check(f: AlgebraHom) -> HomReport:
     """Multiplicativity on all basis pairs and unit-to-unit.
 
@@ -340,13 +261,6 @@ def hom_check(f: AlgebraHom) -> HomReport:
                 return HomReport(False, witness=(i, j),
                                  message=f"map is not multiplicative on basis pair ({i},{j})")
     return HomReport(True)
-
-
-def hom_compose(f: AlgebraHom, g: AlgebraHom) -> AlgebraHom:
-    """f after g; re-validated at construction."""
-    if g.codomain != f.domain:
-        raise DimensionMismatchError("hom domains do not line up for composition")
-    return AlgebraHom(g.domain, f.codomain, f.matrix.mul(g.matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -383,78 +297,3 @@ def quotient(a: Algebra, j: Ideal) -> tuple[Algebra, AlgebraHom]:
     qa = algebra_from_terms(a.field, qdim, terms, unit_q, labels)
     return qa, AlgebraHom(a, qa, q)
 
-
-# ---------------------------------------------------------------------------
-# Stock constructions (used by tests, the CLI corpus, and random search)
-# ---------------------------------------------------------------------------
-
-def _basis_algebra(field: Field, labels: Sequence[str],
-                   product: Callable[[int, int], Optional[int]],
-                   unit: Iterable[int]) -> Algebra:
-    """The algebra on the basis ``labels`` where b_i * b_j is the basis
-    vector b_product(i, j), or zero where ``product`` gives None, and 1 is
-    the sum of the basis vectors whose indices ``unit`` lists."""
-    dim = len(labels)
-    one = field.one
-    terms = tuple(tuple(() if k is None else ((k, one),)
-                        for k in (product(i, j) for j in range(dim)))
-                  for i in range(dim))
-    ones = set(unit)
-    return algebra_from_terms(field, dim, terms,
-                              tuple(one if k in ones else field.zero for k in range(dim)), labels)
-
-
-def split_commutative(field: Field, n: int) -> Algebra:
-    """k^n with coordinatewise product: e_i e_j = delta_ij e_i."""
-    return _basis_algebra(field, tuple(f"e{i + 1}" for i in range(n)),
-                          lambda i, j: i if i == j else None, range(n))
-
-
-def _matrix_units(field: Field, pairs: list) -> Algebra:
-    """The span of the matrix units e_ab for (a, b) in ``pairs``, in that
-    order, with e_ab e_cd = delta_bc e_ad; ``pairs`` holds every e_aa and
-    every e_ad such a product gives."""
-    index = {p: i for i, p in enumerate(pairs)}
-
-    def product(i: int, j: int) -> Optional[int]:
-        (a, b), (c, d) = pairs[i], pairs[j]
-        return index[(a, d)] if b == c else None
-
-    return _basis_algebra(field, tuple(f"e{a + 1}{b + 1}" for a, b in pairs), product,
-                          (i for i, (a, b) in enumerate(pairs) if a == b))
-
-
-def matrix_algebra(field: Field, n: int) -> Algebra:
-    """M_n(k) on matrix units e_ab, row-major basis order."""
-    return _matrix_units(field, [(a, b) for a in range(n) for b in range(n)])
-
-
-def upper_triangular(field: Field, n: int) -> Algebra:
-    """Upper-triangular n x n matrices on the units e_ab with a <= b."""
-    return _matrix_units(field, [(a, b) for a in range(n) for b in range(a, n)])
-
-
-def truncated_polynomial(field: Field, n: int) -> Algebra:
-    """k[x]/(x^n), basis 1, x, ..., x^(n-1)."""
-    labels = ("1", "x") + tuple(f"x^{k}" for k in range(2, n))
-    return _basis_algebra(field, labels[:n], lambda i, j: i + j if i + j < n else None, (0,))
-
-
-def square_zero(field: Field, m: int) -> Algebra:
-    """k * 1 + m-dimensional radical with all radical products zero."""
-    labels = ("1",) + tuple(f"x{k + 1}" for k in range(m))
-    return _basis_algebra(field, labels,
-                          lambda i, j: j if i == 0 else i if j == 0 else None, (0,))
-
-
-def direct_sum(a: Algebra, b: Algebra) -> Algebra:
-    """A + B with componentwise product and unit (1_A, 1_B)."""
-    same_field(a.field, b.field)
-    shift = a.dim
-    terms = (tuple(row + ((),) * b.dim for row in a.terms)
-             + tuple(((),) * shift + tuple(tuple((shift + k, c) for k, c in t) for t in row)
-                     for row in b.terms))
-    unit = tuple(a.unit) + tuple(b.unit)
-    la = a.labels or tuple(f"a{i}" for i in range(a.dim))
-    lb = b.labels or tuple(f"b{i}" for i in range(b.dim))
-    return algebra_from_terms(a.field, a.dim + b.dim, terms, unit, tuple(la) + tuple(lb))

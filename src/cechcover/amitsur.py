@@ -32,7 +32,6 @@ from __future__ import annotations
 from .complexes import WordComplex, WordSpace
 from .coverings import Covering
 from .errors import DimensionCapError, NotAComplexError
-from .linalg import Matrix
 
 # the default bound on the coordinates of one degree, shared by the
 # problem files' ``dim_cap`` option
@@ -44,7 +43,7 @@ LETTERS_PER_CAP = 5000
 
 def __getattr__(name: str):
     # bench/spans.py wraps TensorTower methods by name; this forwarder goes
-    # when the bench stops wrapping oracles (ROADMAP items 1 and 8)
+    # when the bench stops wrapping oracles (ROADMAP item 1)
     if name == "TensorTower":
         from .oracles import TensorTower
         return TensorTower
@@ -67,11 +66,6 @@ class AmitsurComplex(WordComplex):
     @property
     def n_max(self) -> int:
         return len(self.spaces) - 1
-
-    @property
-    def augmentation(self) -> Matrix:
-        """pi : A -> C^0, the covering's."""
-        return self.covering.pi
 
 
 def _index_set(word: tuple) -> tuple:

@@ -1,5 +1,5 @@
-"""Poset functors on increasing index tuples, the Cech complex (S^n, d'),
-ringed structures, and the comparison map from the Amitsur complex.
+"""Poset functors on increasing index tuples, the Cech complex (S^n, d')
+and the comparison map from the Amitsur complex.
 
 Index tuples are strictly increasing tuples over 1..N; they are the
 canonical representatives of ordered subsets, and the coboundary d' only
@@ -17,8 +17,9 @@ Amitsur complex is the same construction on all patch words.  A
 and checks its squares as d'.d' = 0; ``build_cech`` returns that complex.
 The default ringed functor is the covering itself (``Covering.cech``),
 read off quotient dims and projection matrices with no algebra built:
-natural by construction, so only a supplied ``RingedStructure`` has its
-naturality squares checked.
+natural by construction.  The functor of a supplied ringed structure,
+with its naturality check, is in ``cechcover.oracles``: no problem file
+can name one.
 
 The comparison map phi sends a pure tensor y_1 (x) ... (x) y_n with patch
 word (i_1, ..., i_n) to the product of the restricted images in the ring
@@ -34,21 +35,20 @@ tensors, as the definition reads, is a test oracle in
 
 from __future__ import annotations
 
-from functools import cache
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .algebras import Algebra, AlgebraHom
 from .amitsur import AmitsurComplex
 from .complexes import CechComplex, WordSpace, all_tuples, extensions
 from .coverings import Covering
 from .errors import DimensionMismatchError, StructureError
-from .linalg import Matrix, Subspace, block_matrix
+from .linalg import Matrix, block_matrix
 from .records import Frozen, Record
 
 
 def __getattr__(name: str):
     # bench/spans.py wraps phi_raw_matrix by name; this forwarder goes when
-    # the bench stops wrapping oracles (ROADMAP items 1 and 8)
+    # the bench stops wrapping oracles (ROADMAP item 1)
     if name == "phi_raw_matrix":
         from .oracles import phi_raw_matrix
         return phi_raw_matrix
@@ -58,16 +58,6 @@ def __getattr__(name: str):
 # ---------------------------------------------------------------------------
 # Index tuples
 # ---------------------------------------------------------------------------
-
-def insert_index(zeta: tuple, i: int) -> tuple[int, tuple]:
-    """Insert i into the increasing tuple zeta; returns (position, new tuple)."""
-    if i in zeta:
-        raise ValueError(f"{i} already in {zeta}")
-    pos = 0
-    while pos < len(zeta) and zeta[pos] < i:
-        pos += 1
-    return pos, zeta[:pos] + (i,) + zeta[pos:]
-
 
 def one_step_inclusions(n_patches: int):
     """(zeta, i, pos, eta) for every one-step inclusion over 1..N, by the
@@ -86,11 +76,11 @@ class PosetFunctor(Record):
     """Unital rings on increasing tuples with one-step restriction maps.
 
     ``rings`` must cover every tuple of length 0..N; ``steps`` holds the
-    restriction for every inclusion that adds a single index, larger jumps
-    are derived by composition.  The constructor runs ``validate_functor``,
-    which raises StructureError unless they are well defined, and keeps
-    the complex it assembled as ``cech``, so the rings and steps must not
-    be changed after construction.
+    restriction for every inclusion that adds a single index, keyed by
+    (zeta, eta).  The constructor runs ``validate_functor``, which raises
+    StructureError unless they are well defined, and keeps the complex it
+    assembled as ``cech``, so the rings and steps must not be changed
+    after construction.
     """
 
     _fields = ("n_patches", "rings", "steps")
@@ -103,9 +93,6 @@ class PosetFunctor(Record):
 
     def ring(self, zeta: Sequence[int]) -> Algebra:
         return self.rings[tuple(zeta)]
-
-    def step(self, zeta: tuple, eta: tuple) -> AlgebraHom:
-        return self.steps[(tuple(zeta), tuple(eta))]
 
 
 def validate_functor(f: PosetFunctor) -> CechComplex:
@@ -148,62 +135,6 @@ def constant_functor(n_patches: int, ring: Algebra) -> PosetFunctor:
     steps = dict.fromkeys(((zeta, eta) for zeta, _, _, eta in one_step_inclusions(n_patches)),
                           AlgebraHom.identity(ring))
     return PosetFunctor(n_patches, rings, steps)
-
-
-# ---------------------------------------------------------------------------
-# Ringed structures
-# ---------------------------------------------------------------------------
-
-class RingedStructure:
-    """Functorial assignment J -> (Phi(J), Phi_J : A/J -> Phi(J)).
-
-    ``hom_from_quotient(J)`` is Phi_J, its codomain is Phi(J), and
-    ``map_of(J1, J2)`` is the Phi-image of the projection A/J1 -> A/J2.
-    Both take ideal subspaces of the base algebra (canonical by RREF).
-    """
-
-    def __init__(self, hom_from_quotient: Callable[[Subspace], AlgebraHom],
-                 map_of: Callable[[Subspace, Subspace], AlgebraHom]):
-        self.hom_from_quotient = hom_from_quotient
-        self.map_of = map_of
-
-    def validate_on(self, c: Covering, ideal_spaces: Sequence[Subspace]) -> None:
-        """Check the naturality squares for every comparable pair in the list
-        of ideal sums of the covering ``c``."""
-
-        @cache  # Phi_J of each distinct ideal is built once
-        def hom(j: Subspace) -> Matrix:
-            return self.hom_from_quotient(j).matrix
-
-        for j1 in ideal_spaces:
-            for j2 in ideal_spaces:
-                if j1 == j2 or not j2.contains_subspace(j1):
-                    continue
-                lhs = hom(j2).mul(c.projection(j1, j2))
-                rhs = self.map_of(j1, j2).matrix.mul(hom(j1))
-                if lhs != rhs:
-                    raise StructureError(
-                        "ringed-structure naturality square does not commute",
-                        witness=("naturality", j1.basis.entries, j2.basis.entries))
-
-
-def functor_from_ringed_covering(c: Covering, rs: RingedStructure) -> PosetFunctor:
-    """R(zeta) = Phi(sum of the ideals named by zeta), restrictions through Phi.
-
-    ``rs`` is checked for naturality on the covering's ideal sums; a
-    failure raises a StructureError carrying the witness square.  The
-    default structure, A/J with its projections, is the covering itself
-    (``Covering.cech``).
-    """
-    n = c.n_patches
-    sums = {zeta: c.ideal_sum_space(zeta)
-            for length in range(n + 1) for zeta in all_tuples(n, length)}
-    rings = {zeta: rs.hom_from_quotient(j).codomain for zeta, j in sums.items()}
-    steps = {(zeta, eta): rs.map_of(sums[zeta], sums[eta])
-             for zeta, _, _, eta in one_step_inclusions(n)}
-    functor = PosetFunctor(n, rings, steps)
-    rs.validate_on(c, sorted(set(sums.values()), key=lambda s: (s.dim, s.basis.entries)))
-    return functor
 
 
 # ---------------------------------------------------------------------------

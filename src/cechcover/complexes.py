@@ -169,11 +169,6 @@ class WordComplex(Frozen):
             self._ranks[n] = rank(self.differentials[n]) if 0 <= n < len(self.differentials) else 0
         return self._ranks[n]
 
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        """rank d_n for each stored differential, in order."""
-        return tuple(map(self.rank, range(len(self.differentials))))
-
     def homology(self, lo: int, hi: int, below: int) -> list[int]:
         """dim spaces[n] - rank d_n - rank d_(n-1) for each degree
         lo <= n < hi, where ``below`` stands in for rank d_(lo-1)."""
@@ -211,7 +206,7 @@ class CechComplex(WordComplex):
 
     @property
     def layouts(self) -> tuple:
-        # the name bench/spans.py reads; the alias goes with ROADMAP item 1/6
+        # the name bench/spans.py reads; the alias goes with ROADMAP item 1
         return self.spaces
 
     def dprime(self, n: int) -> Matrix:

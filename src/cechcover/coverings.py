@@ -68,12 +68,12 @@ class Covering:
 
     The covering also holds the lattice of its ideal sums: I_S for index
     sets S (``ideal_sum_space``), and for each ideal space J among them
-    the quotient A/J, its section and the projections A/J -> A/J' for
-    J inside J'.  Each is computed once, when first asked for, and shared
-    by everything built on the covering.  Equal ideal sums are one object,
-    so the caches keyed by them match by identity.  The complexes need
-    only the projections, so a quotient algebra is built only where a
-    ring is read: by ``patch``, ``ring`` or ``quotient``.
+    the quotient A/J, its quotient map and section, and the projections
+    A/J -> A/J' for J inside J'.  Each is computed once, when first asked
+    for, and shared by everything built on the covering.  Equal ideal sums
+    are one object, so the caches keyed by them match by identity.  The
+    complexes need only the projections, so a quotient algebra is built
+    only where a ring is read: by ``patch``, ``ring`` or ``quotient``.
     """
 
     def __init__(self, algebra: Algebra, ideals: Sequence[Ideal]):
@@ -91,6 +91,7 @@ class Covering:
         self._sum_spaces.update(((i,), self._intern(ideal.space))
                                 for i, ideal in enumerate(self.ideals, start=1))
         self._quotients: dict = {}  # J -> (A/J, A -> A/J)
+        self._quotient_maps: dict = {}
         self._sections: dict = {}
         self._projections: dict = {}
 
@@ -159,13 +160,22 @@ class Covering:
 
     def projection(self, j1: Subspace, j2: Subspace) -> Matrix:
         """The canonical projection A/J1 -> A/J2 for J1 inside J2, on the
-        ``quotient_map`` coordinates; no quotient algebra is built."""
+        ``quotient_map`` coordinates; no quotient algebra is built.
+
+        It is ``quotient_map`` of J2 times the section of J1, and that
+        section sends coordinate t to the t-th non-pivot axis of J1, so the
+        product is the non-pivot columns of J2's map: selected, not
+        multiplied.  J2's map is built once per ideal sum."""
         key = (j1, j2)
         m = self._projections.get(key)
         if m is None:
-            m = quotient_map(self.algebra.dim, j2)
+            m = self._quotient_maps.get(j2)
+            if m is None:
+                m = self._quotient_maps[j2] = quotient_map(self.algebra.dim, j2)
             if j1.dim:  # the section of A -> A/0 is the identity
-                m = m.mul(self.section(j1))
+                free = {r: t for r, row in enumerate(self.section(j1).nonzeros) for t in row}
+                m = Matrix.from_nonzeros(m.field, m.rows, len(free), tuple(
+                    {free[c]: x for c, x in row.items() if c in free} for row in m.nonzeros))
             self._projections[key] = m
         return m
 
@@ -194,7 +204,7 @@ def completeness_check(c: Covering) -> CompletenessReport:
     """
     im_pi_dim = c.sequence.rank(0)
     ker_tau_dim = c.tau.cols - c.sequence.rank(1)
-    covering = im_pi_dim == c.algebra.dim
+    covering = is_covering(c)
     exact_at_b = ker_tau_dim == im_pi_dim
     return CompletenessReport(
         is_covering=covering,

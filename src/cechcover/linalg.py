@@ -43,36 +43,12 @@ class Field:
     """Field descriptor; scalar values are plain Python objects it governs.
 
     ``characteristic`` is 0 for Q and p for F_p; the elimination kernels
-    branch on it once per call.
+    branch on it once per call.  A field gives ``coerce``, ``add``,
+    ``neg``, ``zero`` and ``one``; the arithmetic no command runs is in
+    ``cechcover.oracles``.
     """
 
     characteristic = 0
-
-    def coerce(self, x):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def div(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    @property
-    def zero(self):
-        raise NotImplementedError
-
-    @property
-    def one(self):
-        raise NotImplementedError
 
 
 _Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
@@ -86,17 +62,6 @@ class RationalField(Field):
 
     def add(self, a, b):
         return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero in Q")
-        return a / b
 
     def neg(self, a):
         return -a
@@ -141,17 +106,6 @@ class PrimeField(Field):
 
     def add(self, a, b):
         return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def div(self, a, b):
-        if b % self.p == 0:
-            raise ZeroDivisionError(f"division by zero in F_{self.p}")
-        return (a * pow(b, -1, self.p)) % self.p
 
     def neg(self, a):
         return (-a) % self.p
@@ -213,10 +167,9 @@ class Matrix(Frozen):
     row r, in no set column order; no zero is stored.  A row dict is never
     changed once its matrix is built, so operations share unchanged rows.
     ``Matrix(field, rows, cols, entries)`` takes dense rows and drops their
-    zeros.  ``entries`` (dense rows) and ``support`` (the sorted columns of
-    each row) are read-only views built on first read, as is ``_int_rows``,
-    the rows the integer kernels read; equality and hashing use the
-    nonzeros only.
+    zeros.  ``entries`` (dense rows) is a read-only view built on first
+    read, as is ``_int_rows``, the rows the integer kernels read; equality
+    and hashing use the nonzeros only.
     """
 
     _fields = ("field", "rows", "cols", "entries")
@@ -234,15 +187,6 @@ class Matrix(Frozen):
         return m
 
     @staticmethod
-    def from_rows(field: Field, rows: Sequence[Sequence]) -> "Matrix":
-        data = tuple(tuple(field.coerce(x) for x in row) for row in rows)
-        ncols = len(data[0]) if data else 0
-        for row in data:
-            if len(row) != ncols:
-                raise DimensionMismatchError("ragged rows")
-        return Matrix(field, len(data), ncols, data)
-
-    @staticmethod
     def zero(field: Field, rows: int, cols: int) -> "Matrix":
         return Matrix.from_nonzeros(field, rows, cols, tuple({} for _ in range(rows)))
 
@@ -255,11 +199,6 @@ class Matrix(Frozen):
     def entries(self) -> tuple:
         """Dense rows: entries[r][c]."""
         return tuple(_dense_row(self.field, row, self.cols) for row in self.nonzeros)
-
-    @cached_property
-    def support(self) -> tuple:
-        """Per row, the columns of its nonzero entries, in increasing order."""
-        return tuple(tuple(sorted(row)) for row in self.nonzeros)
 
     @cached_property
     def _int_rows(self) -> Optional[tuple]:
@@ -291,42 +230,8 @@ class Matrix(Frozen):
         zero = self.field.zero
         return tuple(row.get(c, zero) for row in self.nonzeros)
 
-    def transpose(self) -> "Matrix":
-        out = tuple({} for _ in range(self.cols))
-        for r, row in enumerate(self.nonzeros):
-            for c, x in row.items():
-                out[c][r] = x
-        return Matrix.from_nonzeros(self.field, self.cols, self.rows, out)
-
     def is_zero(self) -> bool:
         return not any(self.nonzeros)
-
-    def add(self, other: "Matrix") -> "Matrix":
-        return self._combine(other, subtract=False)
-
-    def sub(self, other: "Matrix") -> "Matrix":
-        return self._combine(other, subtract=True)
-
-    def _combine(self, other: "Matrix", subtract: bool) -> "Matrix":
-        """self + other or self - other, visiting other's nonzeros only."""
-        self._check_shape(other, same=True)
-        p = self.field.characteristic
-        out = []
-        for ra, rb in zip(self.nonzeros, other.nonzeros):
-            if not rb:
-                out.append(ra)
-                continue
-            row = dict(ra)
-            for c, y in rb.items():
-                x = row.get(c, 0) - y if subtract else row.get(c, 0) + y
-                if p:
-                    x %= p
-                if x:
-                    row[c] = x
-                else:
-                    del row[c]
-            out.append(row)
-        return Matrix.from_nonzeros(self.field, self.rows, self.cols, tuple(out))
 
     def neg(self) -> "Matrix":
         p = self.field.characteristic
@@ -334,17 +239,6 @@ class Matrix(Frozen):
             out = tuple({c: p - x for c, x in row.items()} for row in self.nonzeros)
         else:
             out = tuple({c: -x for c, x in row.items()} for row in self.nonzeros)
-        return Matrix.from_nonzeros(self.field, self.rows, self.cols, out)
-
-    def scale(self, c) -> "Matrix":
-        c = self.field.coerce(c)
-        if not c:
-            return Matrix.zero(self.field, self.rows, self.cols)
-        p = self.field.characteristic
-        if p:
-            out = tuple({k: c * x % p for k, x in row.items()} for row in self.nonzeros)
-        else:
-            out = tuple({k: c * x for k, x in row.items()} for row in self.nonzeros)
         return Matrix.from_nonzeros(self.field, self.rows, self.cols, out)
 
     def mul(self, other: "Matrix") -> "Matrix":
@@ -371,41 +265,6 @@ class Matrix(Frozen):
                     s += a * v
             out.append(s % p if p else (s if s else zero))
         return tuple(out)
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        same_field(self.field, other.field)
-        if self.cols != other.cols:
-            raise DimensionMismatchError("vstack col mismatch")
-        return Matrix.from_nonzeros(self.field, self.rows + other.rows, self.cols,
-                                    self.nonzeros + other.nonzeros)
-
-    def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product; index order (i*other.rows + k, j*other.cols + l)."""
-        same_field(self.field, other.field)
-        p = self.field.characteristic
-        width = other.cols
-        out = []
-        for arow in self.nonzeros:
-            shifted = [(j * width, a) for j, a in arow.items()]
-            for brow in other.nonzeros:  # a product of nonzeros is nonzero in a field
-                if p:
-                    out.append({base + l: a * b % p for base, a in shifted
-                                for l, b in brow.items()})
-                else:
-                    out.append({base + l: a * b for base, a in shifted
-                                for l, b in brow.items()})
-        return Matrix.from_nonzeros(self.field, self.rows * other.rows, self.cols * width,
-                                    tuple(out))
-
-    def _check_shape(self, other: "Matrix", same: bool = False):
-        same_field(self.field, other.field)
-        if same and (self.rows != other.rows or self.cols != other.cols):
-            raise DimensionMismatchError(
-                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-
-    def to_lists(self):
-        return [list(row) for row in self.entries]
-
 
 def block_matrix(field: Field, row_dims: Sequence[int], col_dims: Sequence[int],
                  blocks: dict) -> Matrix:
@@ -610,14 +469,6 @@ def _over_pivot(row: dict, pv: int) -> dict:
     return {j: Fraction(x, pv) for j, x in row.items()}
 
 
-def rref(m: Matrix) -> tuple[Matrix, int]:
-    """Reduced row-echelon form and rank (= number of nonzero rows)."""
-    rows, _ = _eliminate(m.field, _own_rows(m), reduce=True)
-    r = len(rows)
-    rows.extend({} for _ in range(m.rows - r))
-    return Matrix.from_nonzeros(m.field, m.rows, m.cols, tuple(rows)), r
-
-
 def rank(m: Matrix) -> int:
     _, pivots = _eliminate(m.field, _own_rows(m), reduce=False)
     return len(pivots)
@@ -681,10 +532,6 @@ class Subspace(Frozen):
     def zero(field: Field, ambient_dim: int) -> "Subspace":
         return Subspace(ambient_dim, Matrix.zero(field, 0, ambient_dim))
 
-    @staticmethod
-    def full(field: Field, ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix.identity(field, ambient_dim))
-
     @property
     def field(self) -> Field:
         return self.basis.field
@@ -705,13 +552,6 @@ class Subspace(Frozen):
 
     def pivot_columns(self) -> tuple[int, ...]:
         return self._pivots
-
-    def contains(self, vector: Sequence) -> bool:
-        """Membership by reducing against the RREF basis."""
-        if len(vector) != self.ambient_dim:
-            raise DimensionMismatchError("vector/ambient mismatch")
-        coerce = self.field.coerce
-        return self.contains_sparse({c: y for c, x in enumerate(vector) if x and (y := coerce(x))})
 
     def contains_sparse(self, v: dict) -> bool:
         """Membership of the vector whose nonzeros are ``v`` ({column: value},
@@ -734,9 +574,6 @@ class Subspace(Frozen):
         if self.field.characteristic:
             return self.sparse_basis
         return tuple(map(_integral, self.sparse_basis))
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains_sparse(row) for row in other.sparse_basis)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)

@@ -27,38 +27,345 @@ from its definition, and the tests compare the two:
 - ``lattice_functor`` is a covering's default ringed functor with every
   quotient algebra built and every projection hom-checked; tests compare
   its complex with ``Covering.cech``, which reads only dims and matrices.
+  ``functor_from_ringed_covering`` builds the functor of a supplied
+  ``RingedStructure`` and checks its naturality squares.
 - ``random_algebra``, ``random_covering``, ``search_incomplete_covering``
   and ``random_cover_description`` draw seeded random instances for the
   property suites: tests/test_acceptance.py (criteria 4 and 5),
   tests/test_assembler_reference.py, tests/test_algebra_reference.py,
   tests/test_amitsur.py, tests/test_cech.py, tests/test_closed_form.py,
   tests/test_coverings.py and tests/test_nerve.py.
-- The helpers in the first section serve only these oracles and the tests.
+- The first sections hold what only these oracles and the tests run:
+  scalar, matrix and subspace operations (``scalar_mul``, ``transpose``,
+  ``kron``, ``rref``, ``contains``, ...), algebra elements and products
+  (``Element``, ``multiply``, ``mul_table``), ``ideal_sum``,
+  ``hom_compose``, the stock algebras (``split_commutative``,
+  ``matrix_algebra``, ``upper_triangular``, ``truncated_polynomial``,
+  ``square_zero``, ``direct_sum``) and helpers such as subspace
+  intersections and multiplication matrices.  No command compiles them.
 """
 
 from __future__ import annotations
 
 import random
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .algebras import (
-    Algebra, AlgebraHom, Element, Ideal,
-    direct_sum, ideal_closure, matrix_algebra, split_commutative, square_zero,
-    truncated_polynomial, upper_triangular, zero_algebra,
+    Algebra, AlgebraHom, Ideal, _combine, algebra_from_terms, ideal_closure, zero_algebra,
 )
 from .amitsur import DEFAULT_DIM_CAP
-from .cech import PosetFunctor, all_tuples, insert_index, one_step_inclusions
+from .cech import PosetFunctor, all_tuples, one_step_inclusions
 from .complexes import WordSpace, increasing_space
 from .coverings import Covering, completeness_check
 from .errors import DimensionCapError, DimensionMismatchError, StructureError
 from .linalg import (
-    QQ, Field, Matrix, Subspace, _check_ambient, _eliminate, _factor_rows, _product,
-    _q_rows, block_matrix, quotient_map, quotient_section, same_field,
+    QQ, Field, Matrix, Subspace, _check_ambient, _dense_row, _eliminate, _factor_rows,
+    _own_rows, _product, _q_rows, block_matrix, quotient_map, quotient_section, same_field,
+    subspace_sum,
 )
 from .nerve import CoverDescription
 from .records import Frozen
+
+
+# ---------------------------------------------------------------------------
+# Scalars, matrices and subspaces: the operations no command runs
+# ---------------------------------------------------------------------------
+
+def scalar_sub(field: Field, a, b):
+    """a - b for canonical field values."""
+    p = field.characteristic
+    return (a - b) % p if p else a - b
+
+
+def scalar_mul(field: Field, a, b):
+    """a * b for canonical field values."""
+    p = field.characteristic
+    return a * b % p if p else a * b
+
+
+def scalar_div(field: Field, a, b):
+    """a / b for canonical field values; ZeroDivisionError when b is zero."""
+    p = field.characteristic
+    if p:
+        if b % p == 0:
+            raise ZeroDivisionError(f"division by zero in F_{p}")
+        return a * pow(b, -1, p) % p
+    if b == 0:
+        raise ZeroDivisionError("division by zero in Q")
+    return a / b
+
+
+def from_rows(field: Field, rows: Sequence[Sequence]) -> Matrix:
+    """The matrix with these dense rows, each value coerced into the field."""
+    data = tuple(tuple(field.coerce(x) for x in row) for row in rows)
+    ncols = len(data[0]) if data else 0
+    for row in data:
+        if len(row) != ncols:
+            raise DimensionMismatchError("ragged rows")
+    return Matrix(field, len(data), ncols, data)
+
+
+def support(m: Matrix) -> tuple:
+    """Per row of m, the columns of its nonzero entries, in increasing order."""
+    return tuple(tuple(sorted(row)) for row in m.nonzeros)
+
+
+def transpose(m: Matrix) -> Matrix:
+    out = tuple({} for _ in range(m.cols))
+    for r, row in enumerate(m.nonzeros):
+        for c, x in row.items():
+            out[c][r] = x
+    return Matrix.from_nonzeros(m.field, m.cols, m.rows, out)
+
+
+def matrix_add(a: Matrix, b: Matrix) -> Matrix:
+    return _matrix_combine(a, b, subtract=False)
+
+
+def matrix_sub(a: Matrix, b: Matrix) -> Matrix:
+    return _matrix_combine(a, b, subtract=True)
+
+
+def _matrix_combine(a: Matrix, b: Matrix, subtract: bool) -> Matrix:
+    """a + b or a - b, visiting b's nonzeros only."""
+    same_field(a.field, b.field)
+    if a.rows != b.rows or a.cols != b.cols:
+        raise DimensionMismatchError(
+            f"shape mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
+    p = a.field.characteristic
+    out = []
+    for ra, rb in zip(a.nonzeros, b.nonzeros):
+        if not rb:
+            out.append(ra)
+            continue
+        row = dict(ra)
+        for c, y in rb.items():
+            x = row.get(c, 0) - y if subtract else row.get(c, 0) + y
+            if p:
+                x %= p
+            if x:
+                row[c] = x
+            else:
+                del row[c]
+        out.append(row)
+    return Matrix.from_nonzeros(a.field, a.rows, a.cols, tuple(out))
+
+
+def scale(m: Matrix, c) -> Matrix:
+    """c times m, for c any value the field coerces."""
+    c = m.field.coerce(c)
+    if not c:
+        return Matrix.zero(m.field, m.rows, m.cols)
+    p = m.field.characteristic
+    if p:
+        out = tuple({k: c * x % p for k, x in row.items()} for row in m.nonzeros)
+    else:
+        out = tuple({k: c * x for k, x in row.items()} for row in m.nonzeros)
+    return Matrix.from_nonzeros(m.field, m.rows, m.cols, out)
+
+
+def vstack(a: Matrix, b: Matrix) -> Matrix:
+    same_field(a.field, b.field)
+    if a.cols != b.cols:
+        raise DimensionMismatchError("vstack col mismatch")
+    return Matrix.from_nonzeros(a.field, a.rows + b.rows, a.cols, a.nonzeros + b.nonzeros)
+
+
+def kron(a: Matrix, b: Matrix) -> Matrix:
+    """Kronecker product; index order (i*b.rows + k, j*b.cols + l)."""
+    same_field(a.field, b.field)
+    p = a.field.characteristic
+    width = b.cols
+    out = []
+    for arow in a.nonzeros:
+        shifted = [(j * width, x) for j, x in arow.items()]
+        for brow in b.nonzeros:  # a product of nonzeros is nonzero in a field
+            if p:
+                out.append({base + l: x * y % p for base, x in shifted
+                            for l, y in brow.items()})
+            else:
+                out.append({base + l: x * y for base, x in shifted
+                            for l, y in brow.items()})
+    return Matrix.from_nonzeros(a.field, a.rows * b.rows, a.cols * width, tuple(out))
+
+
+def to_lists(m: Matrix) -> list:
+    return [list(row) for row in m.entries]
+
+
+def rref(m: Matrix) -> tuple[Matrix, int]:
+    """Reduced row-echelon form and rank (= number of nonzero rows)."""
+    rows, _ = _eliminate(m.field, _own_rows(m), reduce=True)
+    r = len(rows)
+    rows.extend({} for _ in range(m.rows - r))
+    return Matrix.from_nonzeros(m.field, m.rows, m.cols, tuple(rows)), r
+
+
+def full_space(field: Field, ambient_dim: int) -> Subspace:
+    return Subspace(ambient_dim, Matrix.identity(field, ambient_dim))
+
+
+def contains(s: Subspace, vector: Sequence) -> bool:
+    """Membership of a dense vector, by reducing against the RREF basis."""
+    if len(vector) != s.ambient_dim:
+        raise DimensionMismatchError("vector/ambient mismatch")
+    coerce = s.field.coerce
+    return s.contains_sparse({c: y for c, x in enumerate(vector) if x and (y := coerce(x))})
+
+
+def contains_subspace(s: Subspace, other: Subspace) -> bool:
+    return all(s.contains_sparse(row) for row in other.sparse_basis)
+
+
+# ---------------------------------------------------------------------------
+# Elements, products, sums of ideals and composites of homs
+# ---------------------------------------------------------------------------
+
+def multiply(a: Algebra, x: Sequence, y: Sequence) -> tuple:
+    """Product of coordinate vectors via the structure constants."""
+    terms = a.terms
+    ys = [(j, yj) for j, yj in enumerate(y) if yj]
+    pairs = ((xi * yj, terms[i][j]) for i, xi in enumerate(x) if xi for j, yj in ys)
+    return _dense_row(a.field, _combine(pairs, a.field.characteristic), a.dim)
+
+
+def basis_coords(a: Algebra, i: int) -> tuple:
+    return _dense_row(a.field, {i: a.field.one}, a.dim)
+
+
+def mul_table(a: Algebra) -> tuple:
+    """Dense view of the structure constants: mul_table(a)[i][j] = coords of b_i * b_j."""
+    return tuple(tuple(_dense_row(a.field, dict(t), a.dim) for t in row) for row in a.terms)
+
+
+class Element(Frozen):
+    _fields = ("algebra", "coords")
+
+    def __init__(self, algebra: Algebra, coords: tuple):
+        if len(coords) != algebra.dim:
+            raise DimensionMismatchError(
+                f"element has {len(coords)} coordinates in a dim-{algebra.dim} algebra")
+        d = self.__dict__
+        d["algebra"] = algebra
+        d["coords"] = coords
+
+    def _check_same_algebra(self, other: "Element") -> None:
+        if other.algebra is not self.algebra and other.algebra != self.algebra:
+            raise DimensionMismatchError("elements of different algebras")
+
+    def __mul__(self, other: "Element") -> "Element":
+        self._check_same_algebra(other)
+        return Element(self.algebra, multiply(self.algebra, self.coords, other.coords))
+
+    def __add__(self, other: "Element") -> "Element":
+        self._check_same_algebra(other)
+        add = self.algebra.field.add
+        return Element(self.algebra, tuple(add(a, b) for a, b in zip(self.coords, other.coords)))
+
+    def __sub__(self, other: "Element") -> "Element":
+        self._check_same_algebra(other)
+        f = self.algebra.field
+        return Element(self.algebra,
+                       tuple(scalar_sub(f, a, b) for a, b in zip(self.coords, other.coords)))
+
+    def is_zero(self) -> bool:
+        z = self.algebra.field.zero
+        return all(x == z for x in self.coords)
+
+
+def element(a: Algebra, coords: Sequence) -> Element:
+    return Element(a, tuple(a.field.coerce(x) for x in coords))
+
+
+def ideal_sum(i1: Ideal, i2: Ideal) -> Ideal:
+    if i1.algebra != i2.algebra:
+        raise DimensionMismatchError("ideals of different algebras")
+    return Ideal._proven(i1.algebra, subspace_sum(i1.space, i2.space))
+
+
+def hom_compose(f: AlgebraHom, g: AlgebraHom) -> AlgebraHom:
+    """f after g; re-validated at construction."""
+    if g.codomain != f.domain:
+        raise DimensionMismatchError("hom domains do not line up for composition")
+    return AlgebraHom(g.domain, f.codomain, f.matrix.mul(g.matrix))
+
+
+# ---------------------------------------------------------------------------
+# Stock algebras (tests, random instances)
+# ---------------------------------------------------------------------------
+
+def _basis_algebra(field: Field, labels: Sequence[str],
+                   product: Callable[[int, int], Optional[int]],
+                   unit: Iterable[int]) -> Algebra:
+    """The algebra on the basis ``labels`` where b_i * b_j is the basis
+    vector b_product(i, j), or zero where ``product`` gives None, and 1 is
+    the sum of the basis vectors whose indices ``unit`` lists."""
+    dim = len(labels)
+    one = field.one
+    terms = tuple(tuple(() if k is None else ((k, one),)
+                        for k in (product(i, j) for j in range(dim)))
+                  for i in range(dim))
+    ones = set(unit)
+    return algebra_from_terms(field, dim, terms,
+                              tuple(one if k in ones else field.zero for k in range(dim)), labels)
+
+
+def split_commutative(field: Field, n: int) -> Algebra:
+    """k^n with coordinatewise product: e_i e_j = delta_ij e_i."""
+    return _basis_algebra(field, tuple(f"e{i + 1}" for i in range(n)),
+                          lambda i, j: i if i == j else None, range(n))
+
+
+def _matrix_units(field: Field, pairs: list) -> Algebra:
+    """The span of the matrix units e_ab for (a, b) in ``pairs``, in that
+    order, with e_ab e_cd = delta_bc e_ad; ``pairs`` holds every e_aa and
+    every e_ad such a product gives."""
+    index = {p: i for i, p in enumerate(pairs)}
+
+    def product(i: int, j: int) -> Optional[int]:
+        (a, b), (c, d) = pairs[i], pairs[j]
+        return index[(a, d)] if b == c else None
+
+    return _basis_algebra(field, tuple(f"e{a + 1}{b + 1}" for a, b in pairs), product,
+                          (i for i, (a, b) in enumerate(pairs) if a == b))
+
+
+def matrix_algebra(field: Field, n: int) -> Algebra:
+    """M_n(k) on matrix units e_ab, row-major basis order."""
+    return _matrix_units(field, [(a, b) for a in range(n) for b in range(n)])
+
+
+def upper_triangular(field: Field, n: int) -> Algebra:
+    """Upper-triangular n x n matrices on the units e_ab with a <= b."""
+    return _matrix_units(field, [(a, b) for a in range(n) for b in range(a, n)])
+
+
+def truncated_polynomial(field: Field, n: int) -> Algebra:
+    """k[x]/(x^n), basis 1, x, ..., x^(n-1)."""
+    labels = ("1", "x") + tuple(f"x^{k}" for k in range(2, n))
+    return _basis_algebra(field, labels[:n], lambda i, j: i + j if i + j < n else None, (0,))
+
+
+def square_zero(field: Field, m: int) -> Algebra:
+    """k * 1 + m-dimensional radical with all radical products zero."""
+    labels = ("1",) + tuple(f"x{k + 1}" for k in range(m))
+    return _basis_algebra(field, labels,
+                          lambda i, j: j if i == 0 else i if j == 0 else None, (0,))
+
+
+def direct_sum(a: Algebra, b: Algebra) -> Algebra:
+    """A + B with componentwise product and unit (1_A, 1_B)."""
+    same_field(a.field, b.field)
+    shift = a.dim
+    terms = (tuple(row + ((),) * b.dim for row in a.terms)
+             + tuple(((),) * shift + tuple(tuple((shift + k, c) for k, c in t) for t in row)
+                     for row in b.terms))
+    unit = tuple(a.unit) + tuple(b.unit)
+    la = a.labels or tuple(f"a{i}" for i in range(a.dim))
+    lb = b.labels or tuple(f"b{i}" for i in range(b.dim))
+    return algebra_from_terms(a.field, a.dim + b.dim, terms, unit, tuple(la) + tuple(lb))
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +393,7 @@ def mul_kron_identity(a: Matrix, x: Matrix, n: int) -> Matrix:
 
 def image_basis(m: Matrix) -> Subspace:
     """Column space of m as a subspace of the codomain k^rows."""
-    return Subspace.from_sparse(m.field, m.rows, list(m.transpose().nonzeros))
+    return Subspace.from_sparse(m.field, m.rows, list(transpose(m).nonzeros))
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
@@ -107,14 +414,14 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
 
 def left_mult_matrix(a: Algebra, x: Sequence) -> Matrix:
     """Matrix of v -> x*v on coordinates."""
-    cols = [a.multiply(x, a.basis_coords(j)) for j in range(a.dim)]
-    return Matrix.from_rows(a.field, cols).transpose()
+    cols = [multiply(a, x, basis_coords(a, j)) for j in range(a.dim)]
+    return transpose(from_rows(a.field, cols))
 
 
 def right_mult_matrix(a: Algebra, x: Sequence) -> Matrix:
     """Matrix of v -> v*x on coordinates."""
-    cols = [a.multiply(a.basis_coords(j), x) for j in range(a.dim)]
-    return Matrix.from_rows(a.field, cols).transpose()
+    cols = [multiply(a, basis_coords(a, j), x) for j in range(a.dim)]
+    return transpose(from_rows(a.field, cols))
 
 
 def ideal_intersection(ideals: Sequence[Ideal]) -> Subspace:
@@ -165,6 +472,16 @@ def lattice_functor(c: Covering) -> PosetFunctor:
     return PosetFunctor(n, rings, steps)
 
 
+def insert_index(zeta: tuple, i: int) -> tuple[int, tuple]:
+    """Insert i into the increasing tuple zeta; returns (position, new tuple)."""
+    if i in zeta:
+        raise ValueError(f"{i} already in {zeta}")
+    pos = 0
+    while pos < len(zeta) and zeta[pos] < i:
+        pos += 1
+    return pos, zeta[:pos] + (i,) + zeta[pos:]
+
+
 def restriction(f: PosetFunctor, zeta: Sequence[int], eta: Sequence[int]) -> AlgebraHom:
     """Composite restriction of f for zeta a subtuple of eta."""
     zeta, eta = tuple(zeta), tuple(eta)
@@ -174,9 +491,66 @@ def restriction(f: PosetFunctor, zeta: Sequence[int], eta: Sequence[int]) -> Alg
     mat = Matrix.identity(f.ring(zeta).field, f.ring(zeta).dim)
     for i in sorted(set(eta) - set(zeta)):
         _, nxt = insert_index(current, i)
-        mat = f.step(current, nxt).matrix.mul(mat)
+        mat = f.steps[(current, nxt)].matrix.mul(mat)
         current = nxt
     return AlgebraHom(f.ring(zeta), f.ring(eta), mat)
+
+
+# ---------------------------------------------------------------------------
+# Ringed structures
+# ---------------------------------------------------------------------------
+
+class RingedStructure:
+    """Functorial assignment J -> (Phi(J), Phi_J : A/J -> Phi(J)).
+
+    ``hom_from_quotient(J)`` is Phi_J, its codomain is Phi(J), and
+    ``map_of(J1, J2)`` is the Phi-image of the projection A/J1 -> A/J2.
+    Both take ideal subspaces of the base algebra (canonical by RREF).
+    """
+
+    def __init__(self, hom_from_quotient: Callable[[Subspace], AlgebraHom],
+                 map_of: Callable[[Subspace, Subspace], AlgebraHom]):
+        self.hom_from_quotient = hom_from_quotient
+        self.map_of = map_of
+
+    def validate_on(self, c: Covering, ideal_spaces: Sequence[Subspace]) -> None:
+        """Check the naturality squares for every comparable pair in the list
+        of ideal sums of the covering ``c``."""
+
+        @cache  # Phi_J of each distinct ideal is built once
+        def hom(j: Subspace) -> Matrix:
+            return self.hom_from_quotient(j).matrix
+
+        for j1 in ideal_spaces:
+            for j2 in ideal_spaces:
+                if j1 == j2 or not contains_subspace(j2, j1):
+                    continue
+                lhs = hom(j2).mul(c.projection(j1, j2))
+                rhs = self.map_of(j1, j2).matrix.mul(hom(j1))
+                if lhs != rhs:
+                    raise StructureError(
+                        "ringed-structure naturality square does not commute",
+                        witness=("naturality", j1.basis.entries, j2.basis.entries))
+
+
+def functor_from_ringed_covering(c: Covering, rs: RingedStructure) -> PosetFunctor:
+    """R(zeta) = Phi(sum of the ideals named by zeta), restrictions through Phi.
+
+    ``rs`` is checked for naturality on the covering's ideal sums; a
+    failure raises a StructureError carrying the witness square.  The
+    default structure, A/J with its projections, is the covering itself
+    (``Covering.cech``).  No command builds this functor: a problem file
+    names no ringed structure.
+    """
+    n = c.n_patches
+    sums = {zeta: c.ideal_sum_space(zeta)
+            for length in range(n + 1) for zeta in all_tuples(n, length)}
+    rings = {zeta: rs.hom_from_quotient(j).codomain for zeta, j in sums.items()}
+    steps = {(zeta, eta): rs.map_of(sums[zeta], sums[eta])
+             for zeta, _, _, eta in one_step_inclusions(n)}
+    functor = PosetFunctor(n, rings, steps)
+    rs.validate_on(c, sorted(set(sums.values()), key=lambda s: (s.dim, s.basis.entries)))
+    return functor
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +610,7 @@ def _combine_actions(m: Bimodule, mats: tuple, coords: Sequence) -> Matrix:
     out = Matrix.zero(f, m.dim, m.dim)
     for c, mat in zip(coords, mats):
         if c != f.zero:
-            out = out.add(mat.scale(c))
+            out = matrix_add(out, scale(mat, c))
     return out
 
 
@@ -251,9 +625,10 @@ def validate_bimodule(m: Bimodule) -> None:
     if m.right_action(a.unit) != ident:
         raise StructureError("right action of the unit is not the identity",
                              witness=("unit", "right"))
+    table = mul_table(a)
     for i in range(a.dim):
         for j in range(a.dim):
-            prod = a.mul_table[i][j]
+            prod = table[i][j]
             if m.left_action(prod) != m.left[i].mul(m.left[j]):
                 raise StructureError(f"left action not associative at ({i},{j})",
                                      witness=("left", i, j))
@@ -267,7 +642,7 @@ def validate_bimodule(m: Bimodule) -> None:
         for mat in mats:
             for b in m.blocks:
                 for r in range(b.offset, b.offset + b.dim):
-                    for c in mat.support[r]:
+                    for c in support(mat)[r]:
                         if not (b.offset <= c < b.offset + b.dim):
                             raise StructureError("action is not block diagonal",
                                                  witness=("block", b.word, r, c))
@@ -291,11 +666,11 @@ def b_bimodule(c: Covering) -> Bimodule:
         off += d
     left, right = [], []
     for m in range(a.dim):
-        e = a.basis_coords(m)
+        e = basis_coords(a, m)
         lbl, rbl = [], []
         for i in range(1, c.n_patches + 1):
             ai, pi = c.patch(i)
-            im = pi.apply(e)
+            im = pi.matrix.apply(e)
             lbl.append(left_mult_matrix(ai, im))
             rbl.append(right_mult_matrix(ai, im))
         left.append(_block_diag(f, blocks, lbl))
@@ -359,7 +734,7 @@ def _tensor_with_section(m: Bimodule, n: Bimodule, check: bool = False):
                                 vec[r * dv + yi] = cr
                         for s, cl in enumerate(la_cols[yi]):
                             if cl:
-                                vec[xi * dv + s] = f.sub(vec[xi * dv + s], cl)
+                                vec[xi * dv + s] = scalar_sub(f, vec[xi * dv + s], cl)
                         t = tuple(vec)
                         if any(t) and t not in seen:
                             seen.add(t)
@@ -392,9 +767,9 @@ def _tensor_with_section(m: Bimodule, n: Bimodule, check: bool = False):
     for am in range(a.dim):
         # the action on each block of one factor, kron the identity of each block
         # size of the other, built once and shared by the blocks of the product
-        la = {(u, d): _slice(m.left[am], u.offset, u.dim, u.offset, u.dim).kron(idents[d])
+        la = {(u, d): kron(_slice(m.left[am], u.offset, u.dim, u.offset, u.dim), idents[d])
               for u in m.blocks for d in {v.dim for v in n.blocks}}
-        ra = {(d, v): idents[d].kron(_slice(n.right[am], v.offset, v.dim, v.offset, v.dim))
+        ra = {(d, v): kron(idents[d], _slice(n.right[am], v.offset, v.dim, v.offset, v.dim))
               for v in n.blocks for d in {u.dim for u in m.blocks}}
         mats = []
         rmats = []
@@ -479,7 +854,7 @@ class TensorTower:
         """A right inverse of flat(n) (flat . unflatten = identity)."""
         if n not in self._unflat:
             ident = Matrix.identity(self.field, self.base.dim)
-            self._unflat[n] = self.unflatten(n - 1).kron(ident).mul(self.sect(n))
+            self._unflat[n] = kron(self.unflatten(n - 1), ident).mul(self.sect(n))
         return self._unflat[n]
 
     # -- structure maps -------------------------------------------------------
@@ -528,9 +903,9 @@ class TensorTower:
                 self._merge2 = Matrix(f, 0, 0, ())
             else:
                 balg = self.b_alg
-                cols = [balg.multiply(balg.basis_coords(x), balg.basis_coords(y))
+                cols = [multiply(balg, basis_coords(balg, x), basis_coords(balg, y))
                         for x in range(bdim) for y in range(bdim)]
-                self._merge2 = Matrix.from_rows(f, cols).transpose()
+                self._merge2 = transpose(from_rows(f, cols))
         return self._merge2
 
     def raw_mult_adjacent(self, n: int, k: int) -> Matrix:
@@ -539,7 +914,7 @@ class TensorTower:
         bdim = self.base.dim
         left = Matrix.identity(f, bdim ** k)
         right = Matrix.identity(f, bdim ** (n - 2 - k))
-        return left.kron(self.merge2()).kron(right)
+        return kron(kron(left, self.merge2()), right)
 
     def mult_adjacent(self, n: int, k: int) -> Matrix:
         """T_n -> T_(n-1), multiply factors k and k+1 (0-based, 0..n-2)."""
@@ -553,8 +928,8 @@ class TensorTower:
                 built = self.merge2().mul(self.sect(2))
             elif k == n - 2:
                 prev_dim = self.space(n - 2).dim
-                lift = self.sect(n - 1).kron(Matrix.identity(f, bdim))
-                merge = Matrix.identity(f, prev_dim).kron(self.merge2())
+                lift = kron(self.sect(n - 1), Matrix.identity(f, bdim))
+                merge = kron(Matrix.identity(f, prev_dim), self.merge2())
                 built = self.proj(n - 1).mul(merge).mul(lift).mul(self.sect(n))
             else:
                 prev = self.mult_adjacent(n - 1, k)
@@ -576,7 +951,7 @@ class TensorTower:
             term = self.insert_unit(n + 1, k)
             if k % 2 == 1:
                 term = term.neg()
-            out = term if out is None else out.add(term)
+            out = term if out is None else matrix_add(out, term)
         return out
 
     def raw_insert_unit(self, n: int, k: int) -> Matrix:
@@ -586,7 +961,7 @@ class TensorTower:
         unit_col = Matrix(f, bdim, 1, tuple((u,) for u in self.b_alg.unit))
         left = Matrix.identity(f, bdim ** k)
         right = Matrix.identity(f, bdim ** (n - k))
-        return left.kron(unit_col).kron(right)
+        return kron(kron(left, unit_col), right)
 
     def raw_differential(self, n: int) -> Matrix:
         """Amitsur differential on full k-tensors k^(B^(n+1)) -> k^(B^(n+2))."""
@@ -595,7 +970,7 @@ class TensorTower:
             term = self.raw_insert_unit(n + 1, k)
             if k % 2 == 1:
                 term = term.neg()
-            out = term if out is None else out.add(term)
+            out = term if out is None else matrix_add(out, term)
         return out
 
     # -- element helpers --------------------------------------------------
@@ -616,7 +991,7 @@ class TensorTower:
                     continue
                 for b, xb in enumerate(nxt):
                     if xb != f.zero:
-                        out[a * len(nxt) + b] = f.mul(xa, xb)
+                        out[a * len(nxt) + b] = scalar_mul(f, xa, xb)
             vec = out
         return self.flat(n).apply(vec)
 
@@ -726,7 +1101,7 @@ class CechElement(Frozen):
 
     def component(self, zeta: Sequence[int], functor: PosetFunctor) -> Element:
         off, d = self.layout.offset_of(tuple(zeta))
-        return functor.ring(zeta).element(self.coords[off:off + d])
+        return element(functor.ring(zeta), self.coords[off:off + d])
 
 
 def phi_on_pure(f: PosetFunctor, choice: Sequence[AlgebraHom],
@@ -743,8 +1118,8 @@ def phi_on_pure(f: PosetFunctor, choice: Sequence[AlgebraHom],
     ring = f.ring(zeta)
     acc = ring.unit
     for (i, coords) in factors:
-        mapped = restriction(f, (i,), zeta).apply(choice[i - 1].apply(coords))
-        acc = ring.multiply(acc, mapped)
+        mapped = restriction(f, (i,), zeta).matrix.apply(choice[i - 1].matrix.apply(coords))
+        acc = multiply(ring, acc, mapped)
     return zeta, acc
 
 
@@ -773,7 +1148,8 @@ def phi_sum(f: PosetFunctor, choice: Sequence[AlgebraHom], terms,
         zeta, vec = res
         off, _ = layout.offset_of(zeta)
         for k, x in enumerate(vec):
-            coords[off + k] = field.add(coords[off + k], field.mul(field.coerce(coeff), x))
+            coords[off + k] = field.add(coords[off + k],
+                                        scalar_mul(field, field.coerce(coeff), x))
     return CechElement(layout, tuple(coords))
 
 
@@ -808,7 +1184,7 @@ def phi_raw_matrix(f: PosetFunctor, choice: Sequence[AlgebraHom],
         cols.append(tuple(col))
     if not cols:
         return Matrix.zero(field, layout.dim, 0)
-    return Matrix.from_rows(field, cols).transpose()
+    return transpose(from_rows(field, cols))
 
 
 def phi_matrix(f: PosetFunctor, choice: Sequence[AlgebraHom],

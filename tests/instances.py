@@ -10,11 +10,10 @@ the zero algebra.
 
 from __future__ import annotations
 
-from cechcover.algebras import (
-    direct_sum, ideal_closure, matrix_algebra, split_commutative, square_zero,
-)
+from cechcover.algebras import ideal_closure
 from cechcover.coverings import Covering
 from cechcover.linalg import QQ
+from cechcover.oracles import direct_sum, matrix_algebra, split_commutative, square_zero
 
 
 def make_e1(field=QQ) -> Covering:

@@ -35,7 +35,7 @@ from itertools import combinations
 
 import pytest
 
-from cechcover.algebras import AlgebraHom, ideal_closure, matrix_algebra, split_commutative
+from cechcover.algebras import AlgebraHom, ideal_closure
 from cechcover.amitsur import build_amitsur
 from cechcover.cech import (
     PosetFunctor, all_tuples, build_cech, constant_functor,
@@ -46,7 +46,10 @@ from cechcover.coverings import Covering
 from cechcover.errors import StructureError
 from cechcover.linalg import GF, QQ, Matrix, block_matrix, quotient_map, quotient_section
 from cechcover.nerve import functor_from_cover
-from cechcover.oracles import lattice_functor, random_cover_description, random_covering
+from cechcover.oracles import (
+    from_rows, lattice_functor, matrix_add, matrix_algebra, random_cover_description,
+    random_covering, scale, split_commutative, vstack,
+)
 
 from instances import make_e1, make_e4, make_three_lines
 
@@ -114,7 +117,7 @@ def _differential(field, sums: _IdealSums, patches, src, dst) -> Matrix:
         for row, x in signs.items():
             if x:
                 proj = sums.projection(s, _index_set(dst.words[row]))
-                blocks[(row, col)] = proj if x == 1 else proj.scale(field.coerce(x))
+                blocks[(row, col)] = proj if x == 1 else scale(proj, field.coerce(x))
     return block_matrix(field, dst.dims, src.dims, blocks)
 
 
@@ -178,11 +181,11 @@ def ref_cech_differentials(f) -> list:
                 if i in zeta:
                     continue
                 pos, eta = _insert_index(zeta, i)
-                mat = f.step(zeta, eta).matrix
+                mat = f.steps[(zeta, eta)].matrix
                 if pos % 2 == 1:
                     mat = mat.neg()
                 key = (dst_index[eta], ci)
-                blocks[key] = blocks[key].add(mat) if key in blocks else mat
+                blocks[key] = matrix_add(blocks[key], mat) if key in blocks else mat
         diffs.append(block_matrix(field, row_dims, col_dims, blocks))
     return diffs
 
@@ -194,7 +197,7 @@ def ref_pi(c: Covering) -> Matrix:
     mats = [c.patch(i)[1].matrix for i in range(1, c.n_patches + 1)]
     out = mats[0]
     for m in mats[1:]:
-        out = out.vstack(m)
+        out = vstack(out, m)
     return out
 
 
@@ -234,7 +237,7 @@ def ref_assemble(field, src, dst, insertions, block) -> Matrix:
         for row, x in signs.items():
             if x:
                 m = block(w, dst.words[row])
-                blocks[(row, col)] = m if x == 1 else m.neg() if x == -1 else m.scale(x)
+                blocks[(row, col)] = m if x == 1 else m.neg() if x == -1 else scale(m, x)
     return block_matrix(field, dst.dims, src.dims, blocks)
 
 
@@ -369,7 +372,7 @@ def test_squares_of_broken_constant_functors(field, n):
     in all."""
     rng = random.Random(1000 * n + field.characteristic)
     ring = split_commutative(field, 2)
-    swap = AlgebraHom(ring, ring, Matrix.from_rows(field, [[0, 1], [1, 0]]))
+    swap = AlgebraHom(ring, ring, from_rows(field, [[0, 1], [1, 0]]))
     base = constant_functor(n, ring)
     keys = list(base.steps)
     rejected = 0
@@ -471,7 +474,7 @@ def test_row_direct_assembly_of_summed_signs(field):
         def block(w, v):
             if (w, v) not in blocks:
                 rows, cols = dst.offset_of(v)[1], src.offset_of(w)[1]
-                blocks[(w, v)] = Matrix.from_rows(field, [
+                blocks[(w, v)] = from_rows(field, [
                     [rng.choice(values) for _ in range(cols)] for _ in range(rows)]
                 ) if rows else Matrix(field, 0, cols, ())
             return blocks[(w, v)]

@@ -6,24 +6,20 @@ from itertools import combinations
 
 import pytest
 
-from cechcover.algebras import (
-    AlgebraHom, Ideal, direct_sum, ideal_closure, matrix_algebra, quotient, split_commutative,
-    square_zero, upper_triangular,
-)
+from cechcover.algebras import AlgebraHom, Ideal, ideal_closure, quotient
 from cechcover.amitsur import build_amitsur
 from cechcover.cech import (
-    PosetFunctor, RingedStructure, all_tuples, build_cech, cech_cohomology, constant_functor,
-    default_phi_choice, functor_from_ringed_covering, insert_index,
+    PosetFunctor, all_tuples, build_cech, cech_cohomology, constant_functor, default_phi_choice,
     validate_functor, verify_chain_map,
 )
 from cechcover.coverings import Covering
 from cechcover.errors import StructureError
-from cechcover.linalg import (
-    GF, QQ, Matrix, Subspace, kernel_basis, quotient_section, rank, subspace_sum,
-)
+from cechcover.linalg import GF, QQ, Subspace, kernel_basis, quotient_section, rank, subspace_sum
 from cechcover.oracles import (
-    CechElement, TensorTower, lattice_functor, phi, phi_matrix, phi_on_pure, phi_raw_matrix,
-    phi_sum, projection_hom, random_covering,
+    CechElement, RingedStructure, TensorTower, direct_sum, from_rows,
+    functor_from_ringed_covering, insert_index, lattice_functor, matrix_algebra, multiply, phi,
+    phi_matrix, phi_on_pure, phi_raw_matrix, phi_sum, projection_hom, random_covering,
+    split_commutative, square_zero, to_lists, upper_triangular,
 )
 
 from instances import make_e1, make_e4, make_three_lines
@@ -62,7 +58,7 @@ def line():
 def test_constant_functor_coboundary_signs():
     # S^1 -> S^2 for N = 2: x = (a, b) goes to b - a on the pair block
     cx = build_cech(constant_functor(2, line()))
-    assert cx.differentials[1].to_lists() == [[-1, 1]]
+    assert to_lists(cx.differentials[1]) == [[-1, 1]]
 
 
 def test_constant_functor_point_pattern():
@@ -131,7 +127,7 @@ def test_e4_ringed_dims_and_cohomology(e4):
 def test_functor_validation_catches_bad_square():
     ring = split_commutative(QQ, 2)
     f = constant_functor(2, ring)
-    swap = AlgebraHom(ring, ring, Matrix.from_rows(QQ, [[0, 1], [1, 0]]))
+    swap = AlgebraHom(ring, ring, from_rows(QQ, [[0, 1], [1, 0]]))
     f.steps[((1,), (1, 2))] = swap
     with pytest.raises(StructureError) as err:
         validate_functor(f)
@@ -155,7 +151,7 @@ def _drop_step(rings: dict, steps: dict) -> None:
 
 def _swap_step(rings: dict, steps: dict) -> None:
     ring = rings[(1,)]
-    steps[((1,), (1, 2))] = AlgebraHom(ring, ring, Matrix.from_rows(QQ, [[0, 1], [1, 0]]))
+    steps[((1,), (1, 2))] = AlgebraHom(ring, ring, from_rows(QQ, [[0, 1], [1, 0]]))
 
 
 def _retarget_step(rings: dict, steps: dict) -> None:
@@ -163,7 +159,7 @@ def _retarget_step(rings: dict, steps: dict) -> None:
     # its codomain is not the ring on (1, 2)
     ring = rings[(1,)]
     steps[((1,), (1, 2))] = AlgebraHom(ring, split_commutative(QQ, 1),
-                                       Matrix.from_rows(QQ, [[1, 0]]))
+                                       from_rows(QQ, [[1, 0]]))
 
 
 @pytest.mark.parametrize("n", (2, 3))
@@ -185,7 +181,7 @@ def test_the_first_broken_step_is_the_witness():
     """Steps are checked in ``one_step_inclusions`` order: length of the
     source tuple, then the tuple, then the inserted index."""
     ring, point = split_commutative(QQ, 2), split_commutative(QQ, 1)
-    wrong = AlgebraHom(ring, point, Matrix.from_rows(QQ, [[1, 0]]))
+    wrong = AlgebraHom(ring, point, from_rows(QQ, [[1, 0]]))
     for missing, retargeted, witness in (
             (((2,), (2, 3)), ((1,), (1, 2)), ("endpoints", (1,), (1, 2))),
             (((1,), (1, 3)), ((2,), (1, 2)), ("missing-step", (1,), (1, 3))),
@@ -291,7 +287,7 @@ def test_a_supplied_structure_that_is_not_natural_is_refused(e1):
     # Phi(J) = A/J with the projections, but Phi_0 swaps e1 and e3: the
     # functor is the default one, the square at 0 -> I_1 does not commute
     zero = e1.ideal_sum_space(())
-    swap = Matrix.from_rows(QQ, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    swap = from_rows(QQ, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
 
     def hom_from_quotient(j):
         ring = e1.quotient(j)[0]
@@ -349,8 +345,8 @@ def test_phi_kills_balancing_relation_elements(e1):
         y = tuple(QQ.coerce(rng.randint(-3, 3)) for _ in range(a1.dim))
         yp = tuple(QQ.coerce(rng.randint(-3, 3)) for _ in range(a2.dim))
         a = tuple(QQ.coerce(rng.randint(-3, 3)) for _ in range(e1.algebra.dim))
-        left = a1.multiply(y, pi1.apply(a))
-        right = a2.multiply(pi2.apply(a), yp)
+        left = multiply(a1, y, pi1.matrix.apply(a))
+        right = multiply(a2, pi2.matrix.apply(a), yp)
         el = phi_sum(f, choice, [(1, [(1, left), (2, yp)]), (-1, [(1, y), (2, right)])])
         assert all(x == QQ.zero for x in el.coords)
 

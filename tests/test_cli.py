@@ -15,6 +15,7 @@ import pytest
 import cechcover
 from cechcover.amitsur import LETTERS_PER_CAP
 from cechcover.cli import main
+from cechcover.oracles import mul_table
 from cechcover.problem import (
     MAX_ALGEBRA_CELLS, MAX_NESTING, load_problem, normalize, parse_problem, sha256_hex,
 )
@@ -282,7 +283,7 @@ def test_report_problem_round_trip(capsys, problems_dir):
     reparsed = parse_problem(report["problem"])
     original, _ = load_problem(str(problems_dir / "e1_split_three_points.json"))
     assert reparsed.field == original.field
-    assert reparsed.algebra.mul_table == original.algebra.mul_table
+    assert mul_table(reparsed.algebra) == mul_table(original.algebra)
     assert reparsed.algebra.unit == original.algebra.unit
     assert {k: v.space for k, v in reparsed.ideals.items()} == \
         {k: v.space for k, v in original.ideals.items()}

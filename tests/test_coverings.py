@@ -9,15 +9,19 @@ import pytest
 import cechcover.algebras
 import cechcover.complexes
 import cechcover.coverings
-from cechcover.algebras import AlgebraHom, Ideal, ideal_closure, split_commutative
+from cechcover.algebras import AlgebraHom, Ideal, ideal_closure
+from cechcover.amitsur import build_amitsur
 from cechcover.cli import _dispatch
 from cechcover.coverings import (
     CompletenessReport, Covering, completeness_check, is_covering,
 )
 from cechcover.errors import StructureError
-from cechcover.linalg import GF, QQ, Subspace, kernel_basis, rank, subspace_sum
+from cechcover.linalg import (
+    GF, QQ, Matrix, Subspace, kernel_basis, quotient_map, quotient_section, rank, subspace_sum,
+)
 from cechcover.oracles import (
-    ideal_intersection, image_basis, random_algebra, random_covering, search_incomplete_covering,
+    contains_subspace, ideal_intersection, image_basis, random_algebra, random_covering, scale,
+    search_incomplete_covering, split_commutative, to_lists,
 )
 from cechcover.problem import Problem
 
@@ -36,7 +40,7 @@ def test_e1_tau_matrix_frozen(e1):
     # A_1 keeps coordinates (e1, e2), A_2 keeps (e2, e3), A_12 keeps (e2):
     # tau(x1, x2) = x1[e2] - x2[e2].
     tau = e1.tau
-    assert tau.to_lists() == [[0, 1, -1, 0]]
+    assert to_lists(tau) == [[0, 1, -1, 0]]
     assert kernel_basis(tau).dim == 3
 
 
@@ -57,7 +61,7 @@ def test_k40_three_patch_covering_is_checked_quickly():
               for p in range(3)]
     rep = completeness_check(Covering(a, ideals))
     elapsed = time.perf_counter() - started
-    assert [i.dim for i in ideals] == [14, 13, 13]
+    assert [i.space.dim for i in ideals] == [14, 13, 13]
     assert rep.as_dict() == {
         "is_covering": True, "intersection_dim": 0, "exact_at_A": True,
         "exact_at_B": True, "ker_tau_dim": 40, "im_pi_dim": 40, "complete": True}
@@ -107,7 +111,7 @@ def test_image_of_pi_always_inside_kernel_of_tau():
             c = random_covering(rng, field, max_dim=5, max_patches=3)
             im = image_basis(c.pi)
             ker = kernel_basis(c.tau)
-            assert ker.contains_subspace(im)
+            assert contains_subspace(ker, im)
             rep = completeness_check(c)
             assert rep.im_pi_dim == c.algebra.dim - rep.intersection_dim
 
@@ -132,7 +136,7 @@ def test_incomplete_covering_search_finds_one():
     rep = completeness_check(found)
     assert rep.is_covering and not rep.complete and not rep.exact_at_b
     # the structural inclusion still holds on the incomplete instance
-    assert kernel_basis(found.tau).contains_subspace(image_basis(found.pi))
+    assert contains_subspace(kernel_basis(found.tau), image_basis(found.pi))
 
 
 def test_three_lines_matches_hand_computation():
@@ -160,7 +164,7 @@ def _covering_with_wrong_projections(pairs):
     class WrongProjections(Covering):
         def projection(self, j1, j2):
             m = super().projection(j1, j2)
-            return m.scale(2) if (j1, j2) in wrong else m
+            return scale(m, 2) if (j1, j2) in wrong else m
 
     return WrongProjections(a, ideals)
 
@@ -193,7 +197,7 @@ class _WrongTripleProjection(Covering):
     def projection(self, j1, j2):
         m = super().projection(j1, j2)
         wrong = (self.ideal_sum_space((1, 2)), self.ideal_sum_space((1, 2, 3)))
-        return m.scale(2) if (j1, j2) == wrong else m
+        return scale(m, 2) if (j1, j2) == wrong else m
 
 
 @pytest.mark.parametrize("command", ("cech", "verify"))
@@ -415,3 +419,60 @@ def test_unchecked_ideals_pass_the_checking_constructor(monkeypatch, field):
     assert len(proven) > 100
     for ideal in proven:
         assert Ideal(ideal.algebra, ideal.space) == ideal
+
+
+# -- projections between ideal sums ------------------------------------------------------------
+
+@pytest.mark.parametrize("field", (QQ, GF(2), GF(3)), ids=repr)
+def test_a_projection_is_the_quotient_map_times_the_section(field):
+    # the section of J1 is a column selection, so the covering selects the
+    # columns of J2's quotient map where the product would multiply
+    rng = random.Random(f"projection:{field!r}")
+    selected = 0
+    for _ in range(30):
+        c = random_covering(rng, field, max_dim=6, max_patches=3)
+        dim, n = c.algebra.dim, c.n_patches
+        words = [w for k in range(n + 1) for w in combinations(range(1, n + 1), k)]
+        for s in words:
+            for t in words:
+                if set(s) < set(t):
+                    j1, j2 = c.ideal_sum_space(s), c.ideal_sum_space(t)
+                    want = quotient_map(dim, j2).mul(quotient_section(dim, j1))
+                    assert c.projection(j1, j2) == want
+                    selected += bool(j1.dim and want.rows and want.cols)
+    assert selected > 50
+
+
+def test_projections_multiply_no_matrix_and_map_each_ideal_sum_once(monkeypatch):
+    inside, products, maps = [], [], []
+    real_mul, real_projection = Matrix.mul, Covering.projection
+    real_map = cechcover.coverings.quotient_map
+
+    def mul(a, b):
+        products.extend(inside)
+        return real_mul(a, b)
+
+    def projection(self, j1, j2):
+        inside.append((j1, j2))
+        try:
+            return real_projection(self, j1, j2)
+        finally:
+            inside.pop()
+
+    def quotient_map(ambient_dim, w):
+        maps.append(w)
+        return real_map(ambient_dim, w)
+
+    monkeypatch.setattr(Matrix, "mul", mul)
+    monkeypatch.setattr(Covering, "projection", projection)
+    monkeypatch.setattr(cechcover.coverings, "quotient_map", quotient_map)
+    c = _coordinate_covering(5)
+    c.cech
+    # every nonempty index set of the coordinate covering has its own sum
+    assert len(maps) == len({id(w) for w in maps}) == 2 ** 5 - 1
+    c = make_three_lines()
+    build_amitsur(c, 4)
+    c.cech
+    # the pair sums and the triple sum of three_lines are one sum: A itself
+    assert len(maps) - 31 == len({id(w) for w in maps[31:]}) == 4
+    assert products == []

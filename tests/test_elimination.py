@@ -11,15 +11,17 @@ from __future__ import annotations
 import heapq
 import random
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 from cechcover import linalg
-from cechcover.algebras import split_commutative
 from cechcover.cech import build_cech, cech_cohomology, constant_functor
 from cechcover.linalg import (
-    GF, QQ, Field, Matrix, Subspace, block_matrix, kernel_basis, rank, rref, subspace_sum,
+    GF, QQ, Field, Matrix, Subspace, block_matrix, kernel_basis, rank, subspace_sum,
 )
-from cechcover.oracles import image_basis, mul_kron_identity, subspace_intersect
+from cechcover.oracles import (
+    from_rows, image_basis, kron, matrix_add, matrix_sub, mul_kron_identity, rref, scalar_div,
+    scalar_mul, scalar_sub, scale, split_commutative, subspace_intersect, transpose, vstack,
+)
 
 FIELDS = (QQ, GF(2), GF(5), GF(1000003))
 
@@ -27,7 +29,7 @@ FIELDS = (QQ, GF(2), GF(5), GF(1000003))
 def _rref_rows(field: Field, rows: list) -> tuple[list, list]:
     """In-place RREF on a list of row lists; returns (rows, pivot_columns)."""
     zero = field.zero
-    div, sub, mul = field.div, field.sub, field.mul
+    div, sub, mul = (partial(op, field) for op in (scalar_div, scalar_sub, scalar_mul))
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots = []
@@ -102,7 +104,7 @@ def naive_mul(a: Matrix, b: Matrix) -> tuple:
         for j in range(b.cols):
             s = f.zero
             for k in range(a.cols):
-                s = f.add(s, f.mul(a.entries[i][k], b.entries[k][j]))
+                s = f.add(s, scalar_mul(f, a.entries[i][k], b.entries[k][j]))
             row.append(s)
         out.append(tuple(row))
     return tuple(out)
@@ -143,10 +145,10 @@ def random_matrix(rng: random.Random, field: Field, cols: int) -> Matrix:
                 data[i] = [scale * x for x in src]
     elif kind == 3:  # rank at most k, as a product
         k = rng.randint(1, 3)
-        left = Matrix.from_rows(field, random_rows(rng, field, rows, k))
-        right = Matrix.from_rows(field, random_rows(rng, field, k, cols))
+        left = from_rows(field, random_rows(rng, field, rows, k))
+        right = from_rows(field, random_rows(rng, field, k, cols))
         return Matrix(field, rows, cols, naive_mul(left, right))
-    return Matrix.from_rows(field, data)
+    return from_rows(field, data)
 
 
 def assert_canonical(field: Field, m: Matrix):
@@ -203,7 +205,7 @@ def test_mul_matches_naive_product():
     for field in FIELDS:
         for _ in range(40):
             a = random_matrix(rng, field, rng.randint(0, 6))
-            b = Matrix.from_rows(field, random_rows(rng, field, a.cols, rng.randint(0, 6)))
+            b = from_rows(field, random_rows(rng, field, a.cols, rng.randint(0, 6)))
             if b.rows == 0:
                 b = Matrix(field, 0, rng.randint(0, 6), ())
             prod = a.mul(b)
@@ -219,11 +221,11 @@ def test_mul_kron_identity_matches_naive_product():
         for _ in range(30):
             x = random_matrix(rng, field, rng.randint(0, 4))
             n = rng.randint(1, 3)
-            a = Matrix.from_rows(field, random_rows(rng, field, rng.randint(0, 5), x.rows * n))
+            a = from_rows(field, random_rows(rng, field, rng.randint(0, 5), x.rows * n))
             if a.rows == 0:
                 a = Matrix(field, 0, x.rows * n, ())
             prod = mul_kron_identity(a, x, n)
-            assert prod.entries == naive_mul(a, x.kron(Matrix.identity(field, n)))
+            assert prod.entries == naive_mul(a, kron(x, Matrix.identity(field, n)))
             assert (prod.rows, prod.cols) == (a.rows, x.cols * n)
             assert_canonical(field, prod)
             assert_stored(prod)
@@ -236,10 +238,10 @@ def test_mul_reduces_unreduced_sums_mod_p():
         field = GF(p)
         for _ in range(20):
             rows, inner, cols = rng.randint(1, 6), rng.randint(1, 8), rng.randint(1, 6)
-            a = Matrix.from_rows(field, [[p - 1 if rng.random() < 0.8 else 0
-                                          for _ in range(inner)] for _ in range(rows)])
-            b = Matrix.from_rows(field, [[p - 1 if rng.random() < 0.8 else 0
-                                          for _ in range(cols)] for _ in range(inner)])
+            a = from_rows(field, [[p - 1 if rng.random() < 0.8 else 0
+                                   for _ in range(inner)] for _ in range(rows)])
+            b = from_rows(field, [[p - 1 if rng.random() < 0.8 else 0
+                                   for _ in range(cols)] for _ in range(inner)])
             prod = a.mul(b)
             assert prod.entries == naive_mul(a, b)
             assert_canonical(field, prod)
@@ -250,13 +252,13 @@ def test_mul_cancels_to_stored_zeros():
     # the first two rows of each product sum terms that cancel: 1 - 1 over Q,
     # and p - 1 + 1 over F_p
     for field in FIELDS:
-        a = Matrix.from_rows(field, [[1, 1, 0], [0, 1, 1], [1, 0, 0]])
-        b = Matrix.from_rows(field, [[1, -1], [-1, 1], [1, -1]])
-        k = Matrix.from_rows(field, [[1, 0, -1, 0], [0, 1, 0, -1], [1, 0, 0, 0]])
-        x = Matrix.from_rows(field, [[1], [1]])
+        a = from_rows(field, [[1, 1, 0], [0, 1, 1], [1, 0, 0]])
+        b = from_rows(field, [[1, -1], [-1, 1], [1, -1]])
+        k = from_rows(field, [[1, 0, -1, 0], [0, 1, 0, -1], [1, 0, 0, 0]])
+        x = from_rows(field, [[1], [1]])
         for prod, expected in ((a.mul(b), naive_mul(a, b)),
                                (mul_kron_identity(k, x, 2),
-                                naive_mul(k, x.kron(Matrix.identity(field, 2))))):
+                                naive_mul(k, kron(x, Matrix.identity(field, 2))))):
             assert prod.entries == expected
             assert prod.nonzeros[0] == prod.nonzeros[1] == {}
             assert prod.nonzeros[2]
@@ -267,17 +269,17 @@ def test_routes_to_one_matrix_or_subspace_agree_as_keys():
     # Covering keys its lattice by Subspace, so equal values must hash equal
     # whatever order their row dicts were filled in
     for field in FIELDS:
-        prod = Matrix.from_rows(field, [[1, 1]]).mul(Matrix.from_rows(field, [[0, 0, 1],
-                                                                           [1, 0, 0]]))
+        prod = from_rows(field, [[1, 1]]).mul(from_rows(field, [[0, 0, 1],
+                                                                [1, 0, 0]]))
         assert list(prod.nonzeros[0]) == [2, 0]  # filled out of column order
-        dense = Matrix.from_rows(field, [[1, 0, 1]])
+        dense = from_rows(field, [[1, 0, 1]])
         assert prod == dense and hash(prod) == hash(dense)
         assert {prod: "prod"}[dense] == "prod" and len({prod, dense}) == 1
 
         spans = [Subspace.from_sparse(field, 3, [dict(row) for row in prod.nonzeros]),
                  Subspace.from_vectors(field, 3, dense.entries),
-                 image_basis(prod.transpose()),
-                 subspace_sum(Subspace.zero(field, 3), image_basis(dense.transpose()))]
+                 image_basis(transpose(prod)),
+                 subspace_sum(Subspace.zero(field, 3), image_basis(transpose(dense)))]
         for span in spans:
             assert span == spans[0] and hash(span) == hash(spans[0])
             assert [list(row) for row in span.sparse_basis] == [[0, 2]]  # pivot first
@@ -299,13 +301,13 @@ def test_entrywise_ops_kron_and_apply_match_field_ops():
             zeros = tuple((field.zero,) * cols for _ in range(a.rows))
             expected = {
                 "add": tuple(tuple(field.add(x, y) for x, y in row) for row in pairs),
-                "sub": tuple(tuple(field.sub(x, y) for x, y in row) for row in pairs),
+                "sub": tuple(tuple(scalar_sub(field, x, y) for x, y in row) for row in pairs),
                 "sub-self": zeros,  # every term cancels
                 "add-neg": zeros,
                 "neg": tuple(tuple(field.neg(x) for x in row) for row in a.entries),
-                "scale": tuple(tuple(field.mul(c, x) for x in row) for row in a.entries),
+                "scale": tuple(tuple(scalar_mul(field, c, x) for x in row) for row in a.entries),
                 "scale-by-p": zeros,  # 3p over F_p, 0 over Q
-                "kron": tuple(tuple(field.mul(a.entries[i][j], b.entries[k][l])
+                "kron": tuple(tuple(scalar_mul(field, a.entries[i][j], b.entries[k][l])
                                     for j in range(a.cols) for l in range(b.cols))
                               for i in range(a.rows) for k in range(b.rows)),
                 "transpose": tuple(zip(*a.entries)) if a.rows else (),
@@ -314,10 +316,11 @@ def test_entrywise_ops_kron_and_apply_match_field_ops():
                 + tuple((field.zero,) * cols + rb for rb in b.entries)
                 + tuple(rb + rb for rb in b.entries),
             }
-            got = {"add": a.add(b), "sub": a.sub(b), "sub-self": a.sub(a),
-                   "add-neg": a.add(a.neg()), "neg": a.neg(), "scale": a.scale(c),
-                   "scale-by-p": a.scale(3 * p), "kron": a.kron(b),
-                   "transpose": a.transpose(), "vstack": a.vstack(b),
+            got = {"add": matrix_add(a, b), "sub": matrix_sub(a, b),
+                   "sub-self": matrix_sub(a, a), "add-neg": matrix_add(a, a.neg()),
+                   "neg": a.neg(), "scale": scale(a, c),
+                   "scale-by-p": scale(a, 3 * p), "kron": kron(a, b),
+                   "transpose": transpose(a), "vstack": vstack(a, b),
                    "block": block_matrix(field, [a.rows, b.rows, b.rows], [cols, cols],
                                          {(0, 0): a, (1, 1): b, (2, 0): b, (2, 1): b})}
             for name, m in got.items():
@@ -344,8 +347,8 @@ def test_zero_tests_agree_on_shared_and_fresh_zeros():
                 for c in range(cols):
                     data = [[0] * cols for _ in range(rows)]
                     data[r][c] = 1
-                    assert not Matrix.from_rows(field, data).is_zero()
-            assert Matrix.from_rows(field, [[0] * cols for _ in range(rows)]).is_zero()
+                    assert not from_rows(field, data).is_zero()
+            assert from_rows(field, [[0] * cols for _ in range(rows)]).is_zero()
             assert Matrix.zero(field, rows, cols).is_zero()
         for _ in range(60):
             m = random_matrix(rng, field, rng.randint(0, 6))
@@ -355,7 +358,7 @@ def test_zero_tests_agree_on_shared_and_fresh_zeros():
             assert m.is_zero() == shared.is_zero() == all(x == 0 for x in sum(m.entries, ()))
             assert rref(shared) == rref(m)
             assert kernel_basis(shared) == kernel_basis(m)
-            assert shared.mul(m.transpose()).entries == naive_mul(m, m.transpose())
+            assert shared.mul(transpose(m)).entries == naive_mul(m, transpose(m))
 
 
 # -- the integer kernels over Q against the Fraction kernels they replaced ----------------
@@ -525,7 +528,7 @@ def test_q_kernels_match_the_fraction_kernels():
         assert_fractions(span.basis)
         for row in m.nonzeros:
             assert span.contains_sparse(row)
-        weights = Matrix.from_rows(QQ, [[Fraction(r + 2, 3) for r in range(m.rows)]])
+        weights = from_rows(QQ, [[Fraction(r + 2, 3) for r in range(m.rows)]])
         assert span.contains_sparse(ref_mul(weights, m).nonzeros[0])
         probe = rational_matrix(rng, 1, cols, integral).nonzeros[0]
         residue = dict(probe)
@@ -534,11 +537,11 @@ def test_q_kernels_match_the_fraction_kernels():
                 ref_clear(residue, row, c, 0)
         inside = not residue
         assert span.contains_sparse(probe) == inside
-        assert rank(m.vstack(Matrix.from_nonzeros(QQ, 1, cols, (probe,)))) == rk + (not inside)
+        assert rank(vstack(m, Matrix.from_nonzeros(QQ, 1, cols, (probe,)))) == rk + (not inside)
 
         # integral and non-integral factors, in both orders
         other = rational_matrix(rng, cols, rng.randint(0, 6), trial % 2 == 0)
-        for a, b in ((m, other), (other.transpose(), m.transpose())):
+        for a, b in ((m, other), (transpose(other), transpose(m))):
             prod = a.mul(b)
             assert prod == ref_mul(a, b) and (prod.rows, prod.cols) == (a.rows, b.cols)
             assert_fractions(prod)
@@ -551,8 +554,8 @@ def test_q_kernels_match_the_fraction_kernels():
 
 def test_integral_products_that_cancel_do_no_fraction_arithmetic(monkeypatch):
     # d.d = 0 of a coboundary: every sum cancels, so no entry is stored
-    d0 = Matrix.from_rows(QQ, [[-1, 1, 0], [-1, 0, 1], [0, -1, 1]])
-    d1 = Matrix.from_rows(QQ, [[1, -1, 1]])
+    d0 = from_rows(QQ, [[-1, 1, 0], [-1, 0, 1], [0, -1, 1]])
+    d1 = from_rows(QQ, [[1, -1, 1]])
     calls = []
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
         real = getattr(Fraction, name)
@@ -604,7 +607,7 @@ def test_int_rows_are_the_old_conversion_built_once():
             assert list(ints) == expected
             assert all(type(x) is int for row in ints for x in row.values())
         other = rational_matrix(rng, m.cols, rng.randint(0, 6), trial % 3 != 1)
-        for a, b in ((m, other), (other.transpose(), m.transpose())):
+        for a, b in ((m, other), (transpose(other), transpose(m))):
             left, right, as_ints = linalg._factor_rows(a, b)
             ref_left, ref_right, ref_ints = ref_factor_rows(a, b)
             assert (list(left), list(right), as_ints) == (list(ref_left), list(ref_right), ref_ints)

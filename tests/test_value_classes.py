@@ -20,9 +20,10 @@ from pathlib import Path
 import pytest
 
 import cechcover
-from cechcover.algebras import AlgebraHom, Element, Ideal, ideal_closure, split_commutative
+from cechcover.algebras import AlgebraHom, Ideal, ideal_closure
 from cechcover.coverings import completeness_check
 from cechcover.linalg import QQ, Matrix, Subspace
+from cechcover.oracles import Element, from_rows, split_commutative
 
 from instances import make_e1
 
@@ -35,7 +36,7 @@ def _pairs():
     rows = ((1, 0, 2), (0, 1, 0))
     space = ideal_closure(a, [(0, 0, 1)]).space
     return [
-        ("Matrix", lambda: Matrix.from_rows(QQ, rows)),
+        ("Matrix", lambda: from_rows(QQ, rows)),
         ("Subspace", lambda: Subspace.from_vectors(QQ, 3, [(0, 2, 0), (1, 0, 1)])),
         ("Algebra", lambda: split_commutative(QQ, 3)),
         ("Element", lambda: Element(a, (QQ.coerce(1), QQ.coerce(0), QQ.coerce(3)))),
@@ -102,11 +103,11 @@ def test_repr_names_the_class_and_its_fields():
 
 
 def test_cached_properties_are_still_cached():
-    m = Matrix.from_rows(QQ, ((1, 0, 2), (0, 0, 0)))
-    assert "support" not in vars(m)
-    support = m.support
-    assert support == ((0, 2), ())
-    assert m.support is support and vars(m)["support"] is support
+    m = from_rows(QQ, ((1, 0, 2), (0, 0, 0)))
+    assert "entries" not in vars(m)
+    entries = m.entries
+    assert entries == ((1, 0, 2), (0, 0, 0))
+    assert m.entries is entries and vars(m)["entries"] is entries
 
     s = Subspace.from_vectors(QQ, 3, [(0, 2, 0), (1, 0, 1)])
     basis = s.sparse_basis
@@ -194,9 +195,12 @@ def test_a_command_loads_no_pathlib():
     assert _loaded_by_main(["check", "--input", str(path)], ("pathlib",), "-S") == "0 []\n"
 
 
-# each helper that only the oracles and the tests called, by the production
-# module that held it: the command path no longer compiles them (those still
-# needed live in cechcover.oracles; validate_index_tuple had no caller)
+# each name that only the oracles and the tests called, by the production
+# module that held it: the command path no longer compiles them.  Those still
+# needed live in cechcover.oracles; the ones with no caller left, or a
+# one-line body its callers now write out, were deleted (validate_index_tuple,
+# the Field stubs, Algebra.is_zero, Ideal.dim, AlgebraHom.apply,
+# PosetFunctor.step, WordComplex.ranks, AmitsurComplex.augmentation)
 MOVED = (
     ("cechcover.linalg", "mul_kron_identity"),
     ("cechcover.linalg", "image_basis"),
@@ -212,6 +216,57 @@ MOVED = (
     ("cechcover.coverings", "Covering.projection_hom"),
     ("cechcover.cech", "PosetFunctor.restriction"),
     ("cechcover.cech", "validate_index_tuple"),
+    ("cechcover.linalg", "Field.coerce"),
+    ("cechcover.linalg", "Field.sub"),
+    ("cechcover.linalg", "Field.mul"),
+    ("cechcover.linalg", "Field.div"),
+    ("cechcover.linalg", "RationalField.sub"),
+    ("cechcover.linalg", "RationalField.mul"),
+    ("cechcover.linalg", "RationalField.div"),
+    ("cechcover.linalg", "PrimeField.sub"),
+    ("cechcover.linalg", "PrimeField.mul"),
+    ("cechcover.linalg", "PrimeField.div"),
+    ("cechcover.linalg", "Matrix.from_rows"),
+    ("cechcover.linalg", "Matrix.support"),
+    ("cechcover.linalg", "Matrix.transpose"),
+    ("cechcover.linalg", "Matrix.add"),
+    ("cechcover.linalg", "Matrix.sub"),
+    ("cechcover.linalg", "Matrix._combine"),
+    ("cechcover.linalg", "Matrix.scale"),
+    ("cechcover.linalg", "Matrix.vstack"),
+    ("cechcover.linalg", "Matrix.kron"),
+    ("cechcover.linalg", "Matrix._check_shape"),
+    ("cechcover.linalg", "Matrix.to_lists"),
+    ("cechcover.linalg", "rref"),
+    ("cechcover.linalg", "Subspace.full"),
+    ("cechcover.linalg", "Subspace.contains"),
+    ("cechcover.linalg", "Subspace.contains_subspace"),
+    ("cechcover.algebras", "Algebra.mul_table"),
+    ("cechcover.algebras", "Algebra.multiply"),
+    ("cechcover.algebras", "Algebra.basis_coords"),
+    ("cechcover.algebras", "Algebra.element"),
+    ("cechcover.algebras", "Algebra.is_zero"),
+    ("cechcover.algebras", "Element"),
+    ("cechcover.algebras", "Ideal.dim"),
+    ("cechcover.algebras", "ideal_sum"),
+    ("cechcover.algebras", "AlgebraHom.apply"),
+    ("cechcover.algebras", "hom_compose"),
+    ("cechcover.algebras", "_basis_algebra"),
+    ("cechcover.algebras", "split_commutative"),
+    ("cechcover.algebras", "_matrix_units"),
+    ("cechcover.algebras", "matrix_algebra"),
+    ("cechcover.algebras", "upper_triangular"),
+    ("cechcover.algebras", "truncated_polynomial"),
+    ("cechcover.algebras", "square_zero"),
+    ("cechcover.algebras", "direct_sum"),
+    ("cechcover.cech", "insert_index"),
+    ("cechcover.cech", "PosetFunctor.step"),
+    ("cechcover.cech", "RingedStructure"),
+    ("cechcover.cech", "functor_from_ringed_covering"),
+    ("cechcover.complexes", "WordComplex.ranks"),
+    ("cechcover.amitsur", "AmitsurComplex.augmentation"),
+    ("cechcover", "Element"),
+    ("cechcover", "RingedStructure"),
 )
 
 
