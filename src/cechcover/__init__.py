@@ -6,8 +6,8 @@ Library layout:
 - ``algebras``: structure-constant algebras, ideals, homomorphisms.
 - ``coverings``: coverings by ideals, their ideal-sum lattice, the
   completeness check.
-- ``complexes``: ``WordComplex``, the one complex type, which stores its
-  ranks: the patch sequence, the Amitsur and the Cech complex.
+- ``complexes``: ``WordComplex``, the one complex type, built degree by
+  degree with its ranks stored: the Amitsur and the Cech complex.
 - ``amitsur``: the Amitsur complex in closed form.
 - ``cech``: poset functors, the (S^n, d') complex, the chain-map check.
 - ``nerve``: classical nerve-cohomology oracle for cross-validation.

@@ -267,8 +267,8 @@ def hom_check(f: AlgebraHom) -> HomReport:
 # Quotients
 # ---------------------------------------------------------------------------
 
-def quotient(a: Algebra, j: Ideal) -> tuple[Algebra, AlgebraHom]:
-    """A/J on complement coordinates, with the canonical projection.
+def quotient(a: Algebra, j: Ideal, *, q: Optional[Matrix] = None) -> tuple[Algebra, AlgebraHom]:
+    """A/J on complement coordinates, with the projection q (``quotient_map``, unless given).
 
     Coordinates of the quotient are the non-pivot columns of J's RREF basis,
     so the result is reproducible bit-for-bit from the ideal alone.  The
@@ -277,7 +277,7 @@ def quotient(a: Algebra, j: Ideal) -> tuple[Algebra, AlgebraHom]:
     """
     if j.algebra != a:
         raise DimensionMismatchError("ideal of a different algebra")
-    q = quotient_map(a.dim, j.space)
+    q = quotient_map(a.dim, j.space) if q is None else q
     qdim = q.rows
     if qdim == 0:
         qa = zero_algebra(a.field)

@@ -19,9 +19,9 @@ A/I_S -> A/I_(S + {i}); the differential is the alternating sum
 d = sum_k (-1)^k (insert 1_B at slot k), where insertions that land on the
 same word add.  The builder asserts d.d = 0 and d_0 . pi = 0.  The
 complex is a ``WordComplex`` (``cechcover.complexes``), like the Cech
-complex; pi, its rank, the ideal sums I_S, their sections and the
-projections between them come from the covering (``Covering.sequence``,
-``ideal_sum_space``, ``section``, ``projection``), which computes each once.
+complex; pi, its rank, the ideal sums I_S and the projections between
+them come from the covering (``Covering.complex``, ``ideal_sum_space``,
+``projection``), which computes each once.
 
 The balanced tensor tower, which builds the same spaces from the
 definition, is a test oracle in ``cechcover.oracles``.
@@ -60,12 +60,8 @@ class AmitsurComplex(WordComplex):
     _fields = ("covering", "spaces", "differentials")
 
     def __init__(self, covering: Covering, spaces: tuple, insertions, block):
-        self.__dict__["covering"] = covering
-        super().__init__(covering.field, spaces, insertions, block)
-
-    @property
-    def n_max(self) -> int:
-        return len(self.spaces) - 1
+        self.__dict__.update(covering=covering, n_max=len(spaces) - 1)
+        super().__init__(covering.field, self.n_max, spaces.__getitem__, insertions, block)
 
 
 def _index_set(word: tuple) -> tuple:
@@ -138,4 +134,4 @@ def amitsur_homology(cx: AmitsurComplex, augmented: bool) -> list[int]:
     differential and is not reported.  build_amitsur has already checked
     d.d = 0 and d_0 . pi = 0.
     """
-    return cx.homology(0, cx.n_max, cx.covering.sequence.rank(0) if augmented else 0)
+    return cx.homology(0, cx.n_max, cx.covering.complex.rank(0) if augmented else 0)

@@ -39,10 +39,10 @@ from typing import Optional, Sequence
 
 from .algebras import Algebra, AlgebraHom
 from .amitsur import AmitsurComplex
-from .complexes import CechComplex, WordSpace, all_tuples, extensions
+from .complexes import CechComplex, all_tuples, extensions
 from .coverings import Covering
 from .errors import DimensionMismatchError, StructureError
-from .linalg import Matrix, block_matrix
+from .linalg import Matrix, block_matrix, section_columns
 from .records import Frozen, Record
 
 
@@ -225,8 +225,8 @@ def verify_chain_map(amitsur: AmitsurComplex, cx: CechComplex,
     gives necessity, multiplicativity gives sufficiency.  On the
     closed-form coordinates of ``amitsur`` (block w of C^(n-1) is A/I_set(w),
     see ``cechcover.amitsur``) block w of phi_n is g^w_(w_1) . s_w, with
-    s_w the section of A -> A/I_set(w), when w is strictly increasing, and
-    zero otherwise.  For n = 1..n_max the square
+    s_w the section of A -> A/I_set(w) (``section_columns``), when w is
+    strictly increasing, and zero otherwise.  For n = 1..n_max the square
     d'_n . phi_n = phi_(n+1) . d_(n-1) is compared on these matrices and a
     failure names the first block and coordinate where the sides differ.
     Where phi is not well defined in degree n or n + 1 the square's verdict
@@ -262,25 +262,23 @@ def verify_chain_map(amitsur: AmitsurComplex, cx: CechComplex,
         well.append(DegreeCheck(n, bad is None, bad))
 
     phis = {}
-    empty = WordSpace((), ())
     for n in range(1, amitsur.n_max + 2):
-        space = amitsur.spaces[n - 1]
-        layout = cx.spaces[n] if n < len(cx.spaces) else empty
+        space, layout = amitsur.space(n - 1), cx.space(n)
         blocks = {}
         for col, w in enumerate(space.words):
             row = layout.index.get(w)  # the Cech blocks are the increasing words
             if row is not None:  # w is its own index set
-                blocks[(row, col)] = g(w[0], w).mul(c.section(c.ideal_sum_space(w)))
+                blocks[(row, col)] = section_columns(g(w[0], w), c.ideal_sum_space(w))
         phis[n] = block_matrix(field, layout.dims, space.dims, blocks)
 
     squares = []
     for n in range(1, amitsur.n_max + 1):
-        lhs = cx.dprime(n).mul(phis[n])
-        rhs = phis[n + 1].mul(amitsur.differentials[n - 1])
+        lhs = cx.differential(n).mul(phis[n])
+        rhs = phis[n + 1].mul(amitsur.differential(n - 1))
         notes = []
         if lhs != rhs:
             col = next(k for k in range(lhs.cols) if lhs.column(k) != rhs.column(k))
-            space = amitsur.spaces[n - 1]
+            space = amitsur.space(n - 1)
             w = space.word_at(col)
             notes.append(f"square fails on coordinate {col - space.offset_of(w)[0]} "
                          f"of the block {w}")

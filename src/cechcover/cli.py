@@ -252,7 +252,7 @@ def _cmd_check(problem: Problem):
         "covering": report.as_dict(),
         "patch_dims": list(c.patch_dims()),
         "pair_dims": list(c.pair_dims()),
-        "tau_rank": c.sequence.rank(1),
+        "tau_rank": c.complex.rank(1),
     }
     return results, {}, EXIT_OK
 

@@ -141,46 +141,66 @@ def assemble(field: Field, src: WordSpace, dst: WordSpace,
 
 
 class WordComplex(Frozen):
-    """Degree spaces and the differentials d_n : spaces[n] -> spaces[n+1]
-    that ``assemble`` builds over ``field`` from one insertion rule and one
-    ``block`` map, both kept.  Each d_n is ranked at most once, when its
-    rank is first read; each caller raises its own error for a
+    """The complex of degrees 0..top over ``field``: degree n is the word
+    space ``space(n)``, and d_n : space(n) -> space(n+1) is what ``assemble``
+    builds from one insertion rule and one ``block`` map.  Each space, d_n
+    and rank is built when first read, and kept; outside 0..top a space is
+    empty and d_n a zero map.  Each caller raises its own error for a
     ``first_nonzero_square``."""
 
     _fields = ("spaces", "differentials")
 
-    def __init__(self, field: Field, spaces: Iterable[WordSpace],
+    def __init__(self, field: Field, top: int, space: Callable[[int], WordSpace],
                  insertions: Callable[[tuple], Iterable[tuple[int, tuple]]],
                  block: Callable[[tuple, tuple], Matrix]):
-        d = self.__dict__
-        d["field"] = field
-        d["block"] = block
-        d["spaces"] = spaces = tuple(spaces)
-        d["differentials"] = tuple(assemble(field, src, dst, insertions, block)
-                                   for src, dst in zip(spaces, spaces[1:]))
-        d["_ranks"] = {}
+        self.__dict__.update(field=field, top=top, block=block, _space=space,
+                             _insertions=insertions, _spaces={}, _differentials={},
+                             _ranks={}, _zero_below=0)
+
+    def space(self, n: int) -> WordSpace:
+        if n not in self._spaces:
+            self._spaces[n] = self._space(n) if 0 <= n <= self.top else WordSpace((), ())
+        return self._spaces[n]
+
+    def differential(self, n: int) -> Matrix:
+        if n not in self._differentials:
+            self._differentials[n] = assemble(self.field, self.space(n), self.space(n + 1),
+                                              self._insertions, self.block)
+        return self._differentials[n]
+
+    @property
+    def spaces(self) -> tuple:
+        return tuple(map(self.space, range(self.top + 1)))
+
+    @property
+    def differentials(self) -> tuple:
+        return tuple(map(self.differential, range(self.top)))
 
     def degree_dims(self) -> tuple[int, ...]:
         return tuple(s.dim for s in self.spaces)
 
     def rank(self, n: int) -> int:
-        """rank d_n; 0 outside the stored differentials."""
+        """rank d_n; 0 outside degrees 0..top-1."""
         if n not in self._ranks:
-            self._ranks[n] = rank(self.differentials[n]) if 0 <= n < len(self.differentials) else 0
+            self._ranks[n] = rank(self.differential(n)) if 0 <= n < self.top else 0
         return self._ranks[n]
 
     def homology(self, lo: int, hi: int, below: int) -> list[int]:
-        """dim spaces[n] - rank d_n - rank d_(n-1) for each degree
+        """dim space(n) - rank d_n - rank d_(n-1) for each degree
         lo <= n < hi, where ``below`` stands in for rank d_(lo-1)."""
-        return [self.spaces[n].dim - self.rank(n) - (self.rank(n - 1) if n > lo else below)
+        return [self.space(n).dim - self.rank(n) - (self.rank(n - 1) if n > lo else below)
                 for n in range(lo, hi)]
 
-    def first_nonzero_square(self) -> Optional[tuple[int, tuple, tuple]]:
-        """(n, w, v) for the first n with d_(n+1) . d_n != 0, where (w, v) is
-        the first nonzero block of that product, by source word w, then
-        target word v; None when d.d = 0."""
-        spaces, diffs = self.spaces, self.differentials
-        for n in range(len(diffs) - 1):
+    def first_nonzero_square(self, stop: Optional[int] = None) -> Optional[tuple]:
+        """(n, w, v) for the first n < stop (top - 1 by default) with
+        d_(n+1) . d_n != 0, where (w, v) is the first nonzero block of that
+        product, by source word w, then target word v; None when those
+        squares are zero.  Every space, then every differential, that they
+        read is built first; a square found zero is not checked again."""
+        stop = self.top - 1 if stop is None else stop
+        spaces = [self.space(n) for n in range(stop + 2)]
+        diffs = [self.differential(n) for n in range(stop + 1)]
+        for n in range(self._zero_below, stop):
             product = diffs[n + 1].mul(diffs[n])
             if not product.is_zero():
                 w = spaces[n].word_at(min(min(row) for row in product.nonzeros if row))
@@ -188,32 +208,25 @@ class WordComplex(Frozen):
                 r = next(r for r, row in enumerate(product.nonzeros)
                          if any(lo <= c < lo + d for c in row))
                 return n, w, spaces[n + 2].word_at(r)
+            self.__dict__["_zero_below"] = n + 1  # squares 0..n are zero
         return None
 
 
 class CechComplex(WordComplex):
-    """S^n = (+)_(len(zeta)=n) R(zeta) for n = 0..top (N by default) on
-    the increasing words over 1..N, with dim R(zeta) = ``dim(zeta)`` and
-    the restriction ``block(zeta, eta)`` of each one-step inclusion.  Every
-    dim is read before the first block."""
+    """S^n = (+)_(len(zeta)=n) R(zeta) for n = 0..N on the increasing
+    words over 1..N, with dim R(zeta) = ``dim(zeta)`` and the restriction
+    ``block(zeta, eta)`` of each one-step inclusion."""
 
     def __init__(self, field: Field, n_patches: int, dim: Callable[[tuple], int],
-                 block: Callable[[tuple, tuple], Matrix], top: Optional[int] = None):
+                 block: Callable[[tuple, tuple], Matrix]):
         self.__dict__["n_patches"] = n_patches
-        top = n_patches if top is None else top
-        super().__init__(field, (increasing_space(n_patches, n, dim) for n in range(top + 1)),
+        super().__init__(field, n_patches, lambda n: increasing_space(n_patches, n, dim),
                          increasing_insertions(n_patches), block)
 
     @property
     def layouts(self) -> tuple:
         # the name bench/spans.py reads; the alias goes with ROADMAP item 1
         return self.spaces
-
-    def dprime(self, n: int) -> Matrix:
-        """d'_n : S^n -> S^(n+1); zero map beyond the stored range."""
-        if 0 <= n < len(self.differentials):
-            return self.differentials[n]
-        return Matrix(self.field, 0, self.spaces[n].dim if n < len(self.spaces) else 0, ())
 
     def check_squares(self) -> None:
         """Raise StructureError unless every square of blocks commutes, that

@@ -8,13 +8,13 @@ k-dimensions, and all of it is read off rank pi and rank tau
 
 A covering is its own Cech functor, the default ringed one: a block
 A/I_S per increasing index tuple S, the projections as blocks, and no
-quotient algebra built (``Covering.cech``, degrees 0..N).  The patch
-sequence is its degrees 0 -> 1 -> 2 (``Covering.sequence``): pi is its
-degree-0 differential and tau minus its degree-1 differential.  The
-constructor assembles it once and checks the patch squares as
-d'_1 . pi = 0; the complex stores rank pi and rank tau.  Only ordered
-pairs i < j are materialized in the target of tau: the (j,i) blocks are
-negatives of the (i,j) blocks and carry no extra rank.
+quotient algebra built: one complex per covering (``Covering.complex``),
+built degree by degree.  The patch sequence is its degrees 0 -> 1 -> 2:
+pi is d'_0 and tau is -d'_1.  The constructor checks the patch squares as
+d'_1 . pi = 0 and reads no sum of three ideals; the complex stores rank pi
+and rank tau.  Only ordered pairs i < j are materialized in the target of
+tau: the (j,i) blocks are negatives of the (i,j) blocks and carry no extra
+rank.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Sequence
 from .algebras import Algebra, AlgebraHom, Ideal, quotient
 from .complexes import CechComplex
 from .errors import DimensionMismatchError, StructureError
-from .linalg import Field, Matrix, Subspace, quotient_map, quotient_section, subspace_sum
+from .linalg import Field, Matrix, Subspace, quotient_map, section_columns, subspace_sum
 from .records import Frozen
 
 
@@ -60,20 +60,20 @@ class Covering:
     """An algebra with an ordered list of ideals and derived patch data.
 
     Patch indices are 1-based.  ``patch(i)`` returns (A_i, pi_i).
-    ``sequence`` is degrees 0..2 of ``cech``: one block A/I_S per
-    increasing index tuple S of length n in degree n, so degree 1 holds
-    the patches and degree 2 the pairs A_ij.  The constructor stores it
-    with ``pi`` and ``tau`` and verifies, for i < j, the square
-    pi_i_ij . pi_i = pi_j_ij . pi_j (pi_i_ij: A_i -> A_ij the projection).
+    ``complex`` has one block A/I_S per increasing index tuple S of length
+    n in degree n, so degree 1 holds the patches and degree 2 the pairs
+    A_ij.  The constructor stores its d'_0 as ``pi`` and -d'_1 as ``tau``
+    and verifies, for i < j, the square pi_i_ij . pi_i = pi_j_ij . pi_j
+    (pi_i_ij: A_i -> A_ij the projection); ``cech`` checks every square.
 
     The covering also holds the lattice of its ideal sums: I_S for index
     sets S (``ideal_sum_space``), and for each ideal space J among them
-    the quotient A/J, its quotient map and section, and the projections
-    A/J -> A/J' for J inside J'.  Each is computed once, when first asked
-    for, and shared by everything built on the covering.  Equal ideal sums
-    are one object, so the caches keyed by them match by identity.  The
-    complexes need only the projections, so a quotient algebra is built
-    only where a ring is read: by ``patch``, ``ring`` or ``quotient``.
+    the quotient A/J, its quotient map, and the projections A/J -> A/J'
+    for J inside J'.  Each is computed once, when first asked for, and
+    shared by everything built on the covering.  Equal ideal sums are one
+    object, so the caches keyed by them match by identity.  The complexes
+    need only the projections, so a quotient algebra is built only where a
+    ring is read: by ``patch``, ``ring`` or ``quotient``.
     """
 
     def __init__(self, algebra: Algebra, ideals: Sequence[Ideal]):
@@ -92,17 +92,18 @@ class Covering:
                                 for i, ideal in enumerate(self.ideals, start=1))
         self._quotients: dict = {}  # J -> (A/J, A -> A/J)
         self._quotient_maps: dict = {}
-        self._sections: dict = {}
         self._projections: dict = {}
 
-        self.sequence = CechComplex(self.field, self.n_patches, self._dim, self._block, top=2)
+        self.complex = CechComplex(
+            self.field, self.n_patches, lambda s: algebra.dim - self.ideal_sum_space(s).dim,
+            lambda s, t: self.projection(self.ideal_sum_space(s), self.ideal_sum_space(t)))
         # block (a,b) of d'_1 . pi is pi_b_ab . pi_b - pi_a_ab . pi_a
-        failure = self.sequence.first_nonzero_square()
+        failure = self.complex.first_nonzero_square(1)
         if failure is not None:
             a, b = failure[2]
             raise StructureError(f"patch square ({a},{b}) does not commute", witness=(a, b))
-        self.pi, d1 = self.sequence.differentials
-        self.tau = d1.neg()
+        self.pi = self.complex.differential(0)
+        self.tau = self.complex.differential(1).neg()
 
     @property
     def field(self) -> Field:
@@ -111,18 +112,11 @@ class Covering:
     def _intern(self, space: Subspace) -> Subspace:
         return self._interned.setdefault(space, space)
 
-    def _dim(self, s: tuple) -> int:
-        return self.algebra.dim - self.ideal_sum_space(s).dim
-
-    def _block(self, s: tuple, t: tuple) -> Matrix:
-        return self.projection(self.ideal_sum_space(s), self.ideal_sum_space(t))
-
     @cached_property
     def cech(self) -> CechComplex:
-        """The Cech complex of zeta -> A/I_zeta, its squares checked."""
-        cx = CechComplex(self.field, self.n_patches, self._dim, self._block)
-        cx.check_squares()
-        return cx
+        """``complex``, the Cech complex of zeta -> A/I_zeta, its squares checked."""
+        self.complex.check_squares()
+        return self.complex
 
     def ring(self, zeta: Sequence[int]) -> Algebra:
         """A/I_zeta, the covering's ring on the index tuple zeta."""
@@ -148,47 +142,39 @@ class Covering:
         if q is None:
             ideal = (Ideal._proven(self.algebra, j) if j in self._interned
                      else Ideal(self.algebra, j))
-            q = self._quotients[j] = quotient(self.algebra, ideal)
+            q = self._quotients[j] = quotient(self.algebra, ideal, q=self._quotient_map(j))
         return q
 
-    def section(self, j: Subspace) -> Matrix:
-        """The section A/J -> A of ``quotient_map`` (see ``linalg``)."""
-        s = self._sections.get(j)
-        if s is None:
-            s = self._sections[j] = quotient_section(self.algebra.dim, j)
-        return s
+    def _quotient_map(self, j: Subspace) -> Matrix:
+        """``quotient_map`` of J, built once per ideal sum."""
+        m = self._quotient_maps.get(j)
+        if m is None:
+            m = self._quotient_maps[j] = quotient_map(self.algebra.dim, j)
+        return m
 
     def projection(self, j1: Subspace, j2: Subspace) -> Matrix:
         """The canonical projection A/J1 -> A/J2 for J1 inside J2, on the
         ``quotient_map`` coordinates; no quotient algebra is built.
 
-        It is ``quotient_map`` of J2 times the section of J1, and that
-        section sends coordinate t to the t-th non-pivot axis of J1, so the
-        product is the non-pivot columns of J2's map: selected, not
-        multiplied.  J2's map is built once per ideal sum."""
+        It is J2's quotient map times the section of J1, whose columns are
+        non-pivot axes of J1, so it is those columns of J2's map
+        (``section_columns``)."""
         key = (j1, j2)
         m = self._projections.get(key)
         if m is None:
-            m = self._quotient_maps.get(j2)
-            if m is None:
-                m = self._quotient_maps[j2] = quotient_map(self.algebra.dim, j2)
-            if j1.dim:  # the section of A -> A/0 is the identity
-                free = {r: t for r, row in enumerate(self.section(j1).nonzeros) for t in row}
-                m = Matrix.from_nonzeros(m.field, m.rows, len(free), tuple(
-                    {free[c]: x for c, x in row.items() if c in free} for row in m.nonzeros))
-            self._projections[key] = m
+            m = self._projections[key] = section_columns(self._quotient_map(j2), j1)
         return m
 
     def patch_dims(self) -> tuple[int, ...]:
-        return self.sequence.spaces[1].dims
+        return self.complex.space(1).dims
 
     def pair_dims(self) -> tuple[int, ...]:
-        return self.sequence.spaces[2].dims
+        return self.complex.space(2).dims
 
 
 def is_covering(c: Covering) -> bool:
     """Whether the ideals meet in 0, that is whether pi is injective."""
-    return c.sequence.rank(0) == c.algebra.dim
+    return c.complex.rank(0) == c.algebra.dim
 
 
 def completeness_check(c: Covering) -> CompletenessReport:
@@ -202,8 +188,8 @@ def completeness_check(c: Covering) -> CompletenessReport:
     inside ker tau, and the two are equal exactly when their dimensions,
     rank pi and dim (+)A_i - rank tau, are; rank tau is rank d'_1.
     """
-    im_pi_dim = c.sequence.rank(0)
-    ker_tau_dim = c.tau.cols - c.sequence.rank(1)
+    im_pi_dim = c.complex.rank(0)
+    ker_tau_dim = c.tau.cols - c.complex.rank(1)
     covering = is_covering(c)
     exact_at_b = ker_tau_dim == im_pi_dim
     return CompletenessReport(

@@ -644,17 +644,13 @@ def quotient_map(ambient_dim: int, w: Subspace) -> Matrix:
     return Matrix.from_nonzeros(f, len(rows), ambient_dim, tuple(rows))
 
 
-def quotient_section(ambient_dim: int, w: Subspace) -> Matrix:
-    """Section s of quotient_map: s sends unit t to the t-th non-pivot axis."""
-    if w.ambient_dim != ambient_dim:
-        raise DimensionMismatchError("subspace/ambient mismatch")
-    one = w.field.one
-    pivot_set = set(w.pivot_columns())
-    rows, t = [], 0
-    for r in range(ambient_dim):
-        if r in pivot_set:
-            rows.append({})
-        else:
-            rows.append({t: one})
-            t += 1
-    return Matrix.from_nonzeros(w.field, ambient_dim, t, tuple(rows))
+def section_columns(m: Matrix, w: Subspace) -> Matrix:
+    """m . s for the section s of ``quotient_map(m.cols, w)``, which sends
+    unit t to the t-th non-pivot axis of w: the non-pivot columns of m,
+    selected, not multiplied."""
+    if not w.dim:  # the section of k^n -> k^n / 0 is the identity
+        return m
+    pivots = set(w.pivot_columns())
+    free = {c: t for t, c in enumerate(c for c in range(m.cols) if c not in pivots)}
+    return Matrix.from_nonzeros(m.field, m.rows, len(free), tuple(
+        {free[c]: x for c, x in row.items() if c in free} for row in m.nonzeros))

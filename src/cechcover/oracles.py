@@ -37,12 +37,13 @@ from its definition, and the tests compare the two:
   tests/test_coverings.py and tests/test_nerve.py.
 - The first sections hold what only these oracles and the tests run:
   scalar, matrix and subspace operations (``scalar_mul``, ``transpose``,
-  ``kron``, ``rref``, ``contains``, ...), algebra elements and products
-  (``Element``, ``multiply``, ``mul_table``), ``ideal_sum``,
-  ``hom_compose``, the stock algebras (``split_commutative``,
-  ``matrix_algebra``, ``upper_triangular``, ``truncated_polynomial``,
-  ``square_zero``, ``direct_sum``) and helpers such as subspace
-  intersections and multiplication matrices.  No command compiles them.
+  ``kron``, ``rref``, ``contains``, ``quotient_section``, ...), algebra
+  elements and products (``Element``, ``multiply``, ``mul_table``),
+  ``ideal_sum``, ``hom_compose``, the stock algebras
+  (``split_commutative``, ``matrix_algebra``, ``upper_triangular``,
+  ``truncated_polynomial``, ``square_zero``, ``direct_sum``) and helpers
+  such as subspace intersections and multiplication matrices.  No
+  command compiles them.
 """
 
 from __future__ import annotations
@@ -62,8 +63,7 @@ from .coverings import Covering, completeness_check
 from .errors import DimensionCapError, DimensionMismatchError, StructureError
 from .linalg import (
     QQ, Field, Matrix, Subspace, _check_ambient, _dense_row, _eliminate, _factor_rows,
-    _own_rows, _product, _q_rows, block_matrix, quotient_map, quotient_section, same_field,
-    subspace_sum,
+    _own_rows, _product, _q_rows, block_matrix, quotient_map, same_field, subspace_sum,
 )
 from .nerve import CoverDescription
 from .records import Frozen
@@ -217,6 +217,15 @@ def contains(s: Subspace, vector: Sequence) -> bool:
 
 def contains_subspace(s: Subspace, other: Subspace) -> bool:
     return all(s.contains_sparse(row) for row in other.sparse_basis)
+
+
+def quotient_section(ambient_dim: int, w: Subspace) -> Matrix:
+    """Section s of quotient_map: s sends unit t to the t-th non-pivot axis."""
+    if w.ambient_dim != ambient_dim:
+        raise DimensionMismatchError("subspace/ambient mismatch")
+    free = [r for r in range(ambient_dim) if r not in w.pivot_columns()]
+    return Matrix(w.field, ambient_dim, len(free),
+                  [[w.field.one if r == c else 0 for c in free] for r in range(ambient_dim)])
 
 
 # ---------------------------------------------------------------------------

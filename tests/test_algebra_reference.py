@@ -23,10 +23,10 @@ import pytest
 
 from cechcover.algebras import AlgebraHom, Ideal, hom_check, ideal_closure, make_algebra, quotient
 from cechcover.errors import StructureError
-from cechcover.linalg import GF, QQ, Matrix, Subspace, quotient_map, quotient_section
+from cechcover.linalg import GF, QQ, Matrix, Subspace, quotient_map
 from cechcover.oracles import (
-    matrix_add, matrix_algebra, mul_table, multiply, random_algebra, rref, scalar_div,
-    scalar_mul, scalar_sub, split_commutative, square_zero, truncated_polynomial,
+    matrix_add, matrix_algebra, mul_table, multiply, quotient_section, random_algebra, rref,
+    scalar_div, scalar_mul, scalar_sub, split_commutative, square_zero, truncated_polynomial,
     upper_triangular,
 )
 

@@ -44,11 +44,11 @@ from cechcover.cech import (
 from cechcover.complexes import WordSpace, assemble, increasing_insertions
 from cechcover.coverings import Covering
 from cechcover.errors import StructureError
-from cechcover.linalg import GF, QQ, Matrix, block_matrix, quotient_map, quotient_section
+from cechcover.linalg import GF, QQ, Matrix, block_matrix, quotient_map
 from cechcover.nerve import functor_from_cover
 from cechcover.oracles import (
-    from_rows, lattice_functor, matrix_add, matrix_algebra, random_cover_description,
-    random_covering, scale, split_commutative, vstack,
+    from_rows, lattice_functor, matrix_add, matrix_algebra, quotient_section,
+    random_cover_description, random_covering, scale, split_commutative, vstack,
 )
 
 from instances import make_e1, make_e4, make_three_lines
@@ -425,7 +425,7 @@ def ref_pi_tau_by_assembler(c: Covering) -> tuple:
     def block(s, t):
         return c.projection(c.ideal_sum_space(s), c.ideal_sum_space(t))
 
-    spaces = c.sequence.spaces
+    spaces = [c.complex.space(n) for n in range(3)]
     pi, d1 = (ref_assemble(c.field, src, dst, increasing_insertions(c.n_patches), block)
               for src, dst in zip(spaces, spaces[1:]))
     return pi, d1.neg()

@@ -14,11 +14,12 @@ from cechcover.cech import (
 )
 from cechcover.coverings import Covering
 from cechcover.errors import StructureError
-from cechcover.linalg import GF, QQ, Subspace, kernel_basis, quotient_section, rank, subspace_sum
+from cechcover.linalg import GF, QQ, Subspace, kernel_basis, rank, subspace_sum
 from cechcover.oracles import (
     CechElement, RingedStructure, TensorTower, direct_sum, from_rows,
     functor_from_ringed_covering, insert_index, lattice_functor, matrix_algebra, multiply, phi,
-    phi_matrix, phi_on_pure, phi_raw_matrix, phi_sum, projection_hom, random_covering,
+    phi_matrix, phi_on_pure, phi_raw_matrix, phi_sum, projection_hom, quotient_section,
+    random_covering,
     split_commutative, square_zero, to_lists, upper_triangular,
 )
 

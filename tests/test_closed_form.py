@@ -61,7 +61,7 @@ def raw_chain_map(f, choice, c, n_max):
     for n in range(1, n_max + 2):
         ker = kernel_basis(t.flat(n))
         well.append(all(not any(raw_phi[n].apply(v)) for v in ker.basis.entries))
-    squares = [cx.dprime(n).mul(raw_phi[n]) == raw_phi[n + 1].mul(t.raw_differential(n - 1))
+    squares = [cx.differential(n).mul(raw_phi[n]) == raw_phi[n + 1].mul(t.raw_differential(n - 1))
                for n in range(1, n_max + 1)]
     return well, squares
 

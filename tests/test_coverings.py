@@ -11,17 +11,19 @@ import cechcover.complexes
 import cechcover.coverings
 from cechcover.algebras import AlgebraHom, Ideal, ideal_closure
 from cechcover.amitsur import build_amitsur
+from cechcover.cech import build_cech
 from cechcover.cli import _dispatch
+from cechcover.complexes import WordComplex
 from cechcover.coverings import (
     CompletenessReport, Covering, completeness_check, is_covering,
 )
 from cechcover.errors import StructureError
 from cechcover.linalg import (
-    GF, QQ, Matrix, Subspace, kernel_basis, quotient_map, quotient_section, rank, subspace_sum,
+    GF, QQ, Matrix, Subspace, kernel_basis, quotient_map, rank, subspace_sum,
 )
 from cechcover.oracles import (
-    contains_subspace, ideal_intersection, image_basis, random_algebra, random_covering, scale,
-    search_incomplete_covering, split_commutative, to_lists,
+    contains_subspace, ideal_intersection, image_basis, quotient_section, random_algebra,
+    random_covering, scale, search_incomplete_covering, split_commutative, to_lists,
 )
 from cechcover.problem import Problem
 
@@ -299,9 +301,9 @@ def _constructions(monkeypatch, command: str, c: Covering) -> tuple:
     quotients, homs = [], []
     real_quotient, real_init = cechcover.coverings.quotient, AlgebraHom.__init__
 
-    def counted_quotient(a, j):
+    def counted_quotient(a, j, **kwargs):
         quotients.append(j.space)
-        return real_quotient(a, j)
+        return real_quotient(a, j, **kwargs)
 
     def counted_init(self, domain, codomain, matrix):
         homs.append((domain, codomain))
@@ -343,17 +345,17 @@ def test_verify_builds_only_the_patch_quotients(monkeypatch):
 
 # -- work done once per covering -------------------------------------------------------------
 
-# the matrices each command ranks on three_lines at n_max 2: pi and d'_1 of
-# the patch sequence, d_0 and d_1 of the Amitsur complex, d'_1 and d'_2 of
-# the Cech complex (d'_0 is never ranked)
-RANKED = {"check": 2, "amitsur": 4, "verify": 6, "cech": 2}
+# the matrices each command ranks on three_lines at n_max 2: pi = d'_0 and
+# d'_1 of the covering's Cech complex, d_0 and d_1 of the Amitsur complex,
+# d'_2 of the Cech complex (cech never ranks d'_0); verify ranks d'_1 once
+RANKED = {"check": 2, "amitsur": 4, "verify": 5, "cech": 2}
 
 
 @pytest.mark.parametrize("command", tuple(RANKED))
 def test_amitsur_ranks_pi_once(monkeypatch, command):
     # every rank is read off a WordComplex, which ranks each differential
     # at most once; completeness_check and the augmented degree 0 both read
-    # the rank of pi off the covering's patch sequence
+    # the rank of pi off the covering's complex
     ranked = []
     real = cechcover.complexes.rank
 
@@ -367,6 +369,82 @@ def test_amitsur_ranks_pi_once(monkeypatch, command):
     assert code == 0
     assert len({id(m) for m in ranked}) == len(ranked) == RANKED[command]
     assert sum(m is c.pi for m in ranked) == (command != "cech")
+
+
+# the differentials each command assembles on three_lines at n_max 2: d'_0
+# and d'_1 of the covering's Cech complex, d_0 and d_1 of the Amitsur
+# complex, d'_2 of the same Cech complex
+ASSEMBLED = {"check": 2, "cech": 3, "amitsur": 4, "verify": 5}
+
+
+@pytest.mark.parametrize("command", tuple(ASSEMBLED))
+def test_no_command_assembles_a_differential_twice(monkeypatch, command):
+    # the covering holds one Cech complex, which assembles each degree once,
+    # when it is first read: check reads degrees 0..2 only
+    assembled = []
+    real = cechcover.complexes.assemble
+
+    def counted(field, src, dst, insertions, block):
+        assembled.append((src, dst))
+        return real(field, src, dst, insertions, block)
+
+    monkeypatch.setattr(cechcover.complexes, "assemble", counted)
+    c = make_three_lines()
+    _, _, code = _dispatch(command, Problem(c.field, c.algebra, {}, c, None, n_max=2))
+    assert code == 0
+    assert len(set(assembled)) == len(assembled) == ASSEMBLED[command]
+    if command in ("cech", "verify"):
+        assert build_cech(c) is c.complex
+        assert len(assembled) == ASSEMBLED[command]
+    # one complex per covering: no second one is kept beside it
+    assert {id(v) for v in vars(c).values() if isinstance(v, WordComplex)} == {id(c.complex)}
+
+
+@pytest.mark.parametrize("make, sums", ((make_three_lines, 4), (make_e4, 3)),
+                         ids=("three_lines", "e4"))
+def test_verify_builds_one_quotient_map_per_ideal_sum(monkeypatch, make, sums):
+    # the projections and the patch quotient algebras share one map per sum:
+    # three_lines reads its 3 patch ideals and A (every pair sums to A), e4
+    # its 2 patch ideals and A
+    maps = []
+    for module in (cechcover.coverings, cechcover.algebras):
+        def counted(ambient_dim, w, real=module.quotient_map):
+            maps.append(w)
+            return real(ambient_dim, w)
+
+        monkeypatch.setattr(module, "quotient_map", counted)
+    c = make()
+    _, checks, code = _dispatch("verify", Problem(c.field, c.algebra, {}, c, None, n_max=2))
+    assert code == 0 and checks["chain_map"] is True
+    assert len(maps) == len(set(maps)) == sums
+
+
+def _point_covering(n: int) -> Covering:
+    """k^n covered by the ideals <e_j : j != i>: each A_i is k and every sum
+    of two ideals is A, so the nerve is n points."""
+    a = split_commutative(QQ, n)
+    return Covering(a, [ideal_closure(a, [tuple(int(k == j) for k in range(n)) for j in range(n)
+                                          if j != i]) for i in range(n)])
+
+
+def test_check_forms_only_the_patch_and_pair_sums(monkeypatch):
+    # degrees 0..2 of the covering's complex read the sums of one and two
+    # ideals; the whole lattice of k^12 would be 2^12 sums
+    sums = []
+    real = cechcover.coverings.subspace_sum
+
+    def counted(u, v):
+        sums.append((u, v))
+        return real(u, v)
+
+    monkeypatch.setattr(cechcover.coverings, "subspace_sum", counted)
+    n = 12
+    c = _point_covering(n)
+    results, _, code = _dispatch("check", Problem(c.field, c.algebra, {}, c, None))
+    assert code == 0 and results["covering"]["complete"]
+    assert results["pair_dims"] == [0] * (n * (n - 1) // 2)
+    assert len(sums) == n * (n - 1) // 2
+    assert len(c._sum_spaces) == 1 + n + n * (n - 1) // 2
 
 
 def test_equal_ideal_sums_are_one_object():

@@ -8,11 +8,11 @@ import pytest
 from cechcover.complexes import WordComplex, WordSpace
 from cechcover.errors import FieldMismatchError, NotAComplexError
 from cechcover.linalg import (
-    GF, QQ, Matrix, Subspace, kernel_basis, quotient_map, quotient_section, rank, subspace_sum,
+    GF, QQ, Matrix, Subspace, kernel_basis, quotient_map, rank, subspace_sum,
 )
 from cechcover.oracles import (
-    contains, from_rows, full_space, image_basis, rref, scalar_div, subspace_intersect,
-    to_lists, transpose,
+    contains, from_rows, full_space, image_basis, quotient_section, rref, scalar_div,
+    subspace_intersect, to_lists, transpose,
 )
 
 
@@ -201,7 +201,7 @@ def homology_dim(d_in, d_out):
     """dim ker(d_out) - rank(d_in), for one-word spaces, after the d.d = 0 check."""
     one_word = [WordSpace((w,), (dim,)) for w, dim in zip(((), (0,), (0, 0)),
                                                        (d_in.cols, d_in.rows, d_out.rows))]
-    cx = WordComplex(d_in.field, one_word, lambda w: [(1, w + (0,))],
+    cx = WordComplex(d_in.field, 2, one_word.__getitem__, lambda w: [(1, w + (0,))],
                      lambda w, v: (d_in, d_out)[len(w)])
     if cx.first_nonzero_square() is not None:
         raise NotAComplexError("d_1 . d_0 != 0", degree=0)

@@ -200,7 +200,9 @@ def test_a_command_loads_no_pathlib():
 # needed live in cechcover.oracles; the ones with no caller left, or a
 # one-line body its callers now write out, were deleted (validate_index_tuple,
 # the Field stubs, Algebra.is_zero, Ideal.dim, AlgebraHom.apply,
-# PosetFunctor.step, WordComplex.ranks, AmitsurComplex.augmentation)
+# PosetFunctor.step, WordComplex.ranks, AmitsurComplex.augmentation,
+# CechComplex.dprime, which is WordComplex.differential, and Covering.section,
+# whose products are column selections, linalg.section_columns)
 MOVED = (
     ("cechcover.linalg", "mul_kron_identity"),
     ("cechcover.linalg", "image_basis"),
@@ -265,6 +267,9 @@ MOVED = (
     ("cechcover.cech", "functor_from_ringed_covering"),
     ("cechcover.complexes", "WordComplex.ranks"),
     ("cechcover.amitsur", "AmitsurComplex.augmentation"),
+    ("cechcover.linalg", "quotient_section"),
+    ("cechcover.coverings", "Covering.section"),
+    ("cechcover.complexes", "CechComplex.dprime"),
     ("cechcover", "Element"),
     ("cechcover", "RingedStructure"),
 )
