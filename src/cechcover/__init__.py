@@ -16,23 +16,37 @@ Library layout:
   Sweedler coring, phi on pure tensors), random instances, the stock
   algebras, elements, ringed structures, and the helpers that only they
   and the tests call; no command imports it.
+
+Importing the package registers each library module above, ``cli`` and
+``oracles`` aside, in ``sys.modules`` and as an attribute of the package,
+but compiles none of them: a module is compiled and run when one of its
+attributes is first read (``importlib.util.LazyLoader``).  So a command
+compiles only the modules it uses, and ``--version`` none of them.  The
+package re-exports no names; import them from their modules, as in
+``from cechcover.coverings import Covering``.
 """
 
-from .linalg import GF, QQ, Matrix, Subspace
-from .algebras import Algebra, AlgebraHom, Ideal
-from .coverings import Covering, CompletenessReport, completeness_check, is_covering
-from .amitsur import AmitsurComplex
-from .cech import CechComplex, PosetFunctor
-from .nerve import CoverDescription
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GF", "QQ", "Matrix", "Subspace",
-    "Algebra", "AlgebraHom", "Ideal",
-    "Covering", "CompletenessReport", "completeness_check", "is_covering",
-    "AmitsurComplex",
-    "CechComplex", "PosetFunctor",
-    "CoverDescription",
-    "__version__",
-]
+
+def _register(name: str):
+    """The submodule ``name``, in ``sys.modules``, to be loaded on first use."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+records = _register("records")
+linalg = _register("linalg")
+algebras = _register("algebras")
+complexes = _register("complexes")
+coverings = _register("coverings")
+amitsur = _register("amitsur")
+cech = _register("cech")
+nerve = _register("nerve")
+problem = _register("problem")

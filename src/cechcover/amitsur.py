@@ -31,11 +31,8 @@ from __future__ import annotations
 
 from .complexes import WordComplex, WordSpace
 from .coverings import Covering
-from .errors import DimensionCapError, NotAComplexError
+from .errors import DEFAULT_DIM_CAP, DimensionCapError, NotAComplexError
 
-# the default bound on the coordinates of one degree, shared by the
-# problem files' ``dim_cap`` option
-DEFAULT_DIM_CAP = 20000
 # the word letters that assembling the differentials may write, per unit of
 # the cap: at the default cap a one-patch covering runs up to n_max 667
 LETTERS_PER_CAP = 5000

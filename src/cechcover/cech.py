@@ -35,15 +35,17 @@ tensors, as the definition reads, is a test oracle in
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .algebras import Algebra, AlgebraHom
-from .amitsur import AmitsurComplex
 from .complexes import CechComplex, all_tuples, extensions
-from .coverings import Covering
 from .errors import DimensionMismatchError, StructureError
 from .linalg import Matrix, block_matrix, section_columns
 from .records import Frozen, Record
+
+if TYPE_CHECKING:  # annotations only: cech and oracle on a functor file load neither
+    from .amitsur import AmitsurComplex
+    from .coverings import Covering
 
 
 def __getattr__(name: str):

@@ -22,17 +22,9 @@ import sys
 import time
 from typing import Optional
 
-from . import __version__
-from .amitsur import amitsur_homology, build_amitsur
-from .cech import build_cech, cech_cohomology, default_phi_choice, verify_chain_map
-from .coverings import completeness_check
+from . import __version__, amitsur, cech, coverings, nerve, problem as problem_file
 from .errors import (
     CechcoverError, DimensionCapError, NotAComplexError, ProblemFormatError, StructureError,
-)
-from .nerve import nerve_cohomology
-from .problem import (
-    Problem, build_problem_functor, field_spec_to_json, load_problem,
-    normalize, parse_field_spec, tuple_to_key,
 )
 
 EXIT_OK = 0
@@ -161,7 +153,7 @@ def main(argv: Optional[list] = None) -> int:
 
     try:
         override = _parse_field_flag(opts.get("--field-override"))
-        problem, digest = load_problem(path, field_override=override)
+        problem, digest = problem_file.load_problem(path, field_override=override)
         if n_max is not None:
             if n_max < 1:
                 raise ProblemFormatError("n_max must be >= 1", "--n-max")
@@ -189,8 +181,8 @@ def main(argv: Optional[list] = None) -> int:
         "version": __version__,
         "command": command,
         "input": {"path": path, "sha256": digest},
-        "field": field_spec_to_json(problem.field),
-        "problem": normalize(problem),
+        "field": problem_file.field_spec_to_json(problem.field),
+        "problem": problem_file.normalize(problem),
         "results": results,
         "checks": checks,
         "timing": {"seconds": round(elapsed, 6)},
@@ -213,10 +205,10 @@ def _parse_field_flag(flag: Optional[str]):
     if flag is None:
         return None
     if flag == "Q":
-        return parse_field_spec("Q", "--field-override")
+        return problem_file.parse_field_spec("Q", "--field-override")
     if flag.startswith("Fp:"):
         try:
-            return parse_field_spec({"Fp": int(flag[3:])}, "--field-override")
+            return problem_file.parse_field_spec({"Fp": int(flag[3:])}, "--field-override")
         except ValueError:
             pass
     raise ProblemFormatError('expected "Q" or "Fp:<prime>"', "--field-override")
@@ -226,14 +218,14 @@ def _parse_field_flag(flag: Optional[str]):
 # Commands
 # ---------------------------------------------------------------------------
 
-def _need_covering(problem: Problem):
+def _need_covering(problem: problem_file.Problem):
     if problem.covering is None:
         raise ProblemFormatError("this command needs algebra, ideals and covering sections",
                                  "covering")
     return problem.covering
 
 
-def _dispatch(command: str, problem: Problem):
+def _dispatch(command: str, problem: problem_file.Problem):
     if command == "check":
         return _cmd_check(problem)
     if command == "cech":
@@ -245,9 +237,9 @@ def _dispatch(command: str, problem: Problem):
     return _cmd_oracle(problem)
 
 
-def _cmd_check(problem: Problem):
+def _cmd_check(problem: problem_file.Problem):
     c = _need_covering(problem)
-    report = completeness_check(c)
+    report = coverings.completeness_check(c)
     results = {
         "covering": report.as_dict(),
         "patch_dims": list(c.patch_dims()),
@@ -259,54 +251,54 @@ def _cmd_check(problem: Problem):
 
 def _functor_summary(cx) -> dict:
     """The ring dimension on each index tuple, read off the cochain spaces."""
-    return {tuple_to_key(zeta): d for space in cx.spaces
+    return {problem_file.tuple_to_key(zeta): d for space in cx.spaces
             for zeta, d in zip(space.words, space.dims)}
 
 
-def _cmd_cech(problem: Problem):
+def _cmd_cech(problem: problem_file.Problem):
     try:
-        functor, kind, _ = build_problem_functor(problem)
-        cx = build_cech(functor)
+        functor, kind, _ = problem_file.build_problem_functor(problem)
+        cx = cech.build_cech(functor)
     except StructureError as exc:
         return ({"error": str(exc), "witness": repr(exc.witness)},
                 {"functor_validation": False}, EXIT_VIOLATION)
     results = {
         "functor": kind,
         "ring_dims": _functor_summary(cx),
-        "cech_cohomology": cech_cohomology(cx),
+        "cech_cohomology": cech.cech_cohomology(cx),
     }
     checks = {"functor_validation": True, "dprime_squared_zero": True}
     return results, checks, EXIT_OK
 
 
-def _cmd_amitsur(problem: Problem):
+def _cmd_amitsur(problem: problem_file.Problem):
     c = _need_covering(problem)
-    cx = build_amitsur(c, problem.n_max, cap=problem.dim_cap)
+    cx = amitsur.build_amitsur(c, problem.n_max, cap=problem.dim_cap)
     results = {
-        "covering": completeness_check(c).as_dict(),
+        "covering": coverings.completeness_check(c).as_dict(),
         "degree_dims": list(cx.degree_dims()),
-        "homology_augmented": amitsur_homology(cx, augmented=True),
-        "homology_unaugmented": amitsur_homology(cx, augmented=False),
+        "homology_augmented": amitsur.amitsur_homology(cx, augmented=True),
+        "homology_unaugmented": amitsur.amitsur_homology(cx, augmented=False),
     }
     checks = {"d_squared_zero": True, "augmentation_chain": True}
     return results, checks, EXIT_OK
 
 
-def _cmd_verify(problem: Problem):
+def _cmd_verify(problem: problem_file.Problem):
     c = _need_covering(problem)
     checks: dict = {}
     results: dict = {}
     ok = True
 
-    report = completeness_check(c)
+    report = coverings.completeness_check(c)
     results["covering"] = report.as_dict()
 
     cx = None
     try:
-        cx = build_amitsur(c, problem.n_max, cap=problem.dim_cap)
+        cx = amitsur.build_amitsur(c, problem.n_max, cap=problem.dim_cap)
         checks["d_squared_zero"] = True
         results["degree_dims"] = list(cx.degree_dims())
-        results["homology_augmented"] = amitsur_homology(cx, augmented=True)
+        results["homology_augmented"] = amitsur.amitsur_homology(cx, augmented=True)
     except NotAComplexError as exc:
         checks["d_squared_zero"] = False
         results["d_squared_witness"] = str(exc)
@@ -314,8 +306,8 @@ def _cmd_verify(problem: Problem):
 
     ccx = None
     try:
-        functor, kind, _ = build_problem_functor(problem)
-        ccx = build_cech(functor)
+        functor, kind, _ = problem_file.build_problem_functor(problem)
+        ccx = cech.build_cech(functor)
     except StructureError as exc:
         checks["functor_validation"] = False
         results["functor_witness"] = f"{exc} [{exc.witness!r}]"
@@ -325,18 +317,18 @@ def _cmd_verify(problem: Problem):
         checks["functor_validation"] = True
         results["functor"] = kind
         checks["dprime_squared_zero"] = True
-        results["cech_cohomology"] = cech_cohomology(ccx)
+        results["cech_cohomology"] = cech.cech_cohomology(ccx)
 
     if ccx is not None and cx is not None:
         try:
-            choice = default_phi_choice(functor, c)
+            choice = cech.default_phi_choice(functor, c)
         except CechcoverError:
             choice = None
             checks["chain_map"] = "skipped"
             results["chain_map_note"] = ("no canonical patch homs A_i -> R((i,)); "
                                          "chain-map check needs the default ringed functor")
         if choice is not None:
-            cm = verify_chain_map(cx, ccx, choice)
+            cm = cech.verify_chain_map(cx, ccx, choice)
             checks["chain_map"] = cm.passed
             results["chain_map"] = cm.as_dict()
             ok = ok and cm.passed
@@ -344,12 +336,12 @@ def _cmd_verify(problem: Problem):
     return results, checks, EXIT_OK if ok else EXIT_VIOLATION
 
 
-def _cmd_oracle(problem: Problem):
+def _cmd_oracle(problem: problem_file.Problem):
     if problem.functor_spec is None or problem.functor_spec["kind"] != "cover":
         raise ProblemFormatError('oracle needs a {"cover": ...} functor section', "functor")
-    functor, kind, cd = build_problem_functor(problem)
-    nerve_dims = nerve_cohomology(cd)
-    cech_dims = cech_cohomology(build_cech(functor))
+    functor, kind, cd = problem_file.build_problem_functor(problem)
+    nerve_dims = nerve.nerve_cohomology(cd)
+    cech_dims = cech.cech_cohomology(cech.build_cech(functor))
     match = nerve_dims == cech_dims
     results = {
         "functor": kind,

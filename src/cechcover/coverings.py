@@ -127,11 +127,14 @@ class Covering:
 
     def ideal_sum_space(self, s: tuple) -> Subspace:
         """I_S, the sum of the I_i over i in S, for an index set S given as
-        a sorted tuple; each sum is computed once."""
+        a sorted tuple; each sum is computed once.  A sum whose prefix
+        I_(S[:-1]) is already all of A is that prefix, formed with no sum."""
         space = self._sum_spaces.get(s)
         if space is None:
-            space = self._sum_spaces[s] = self._intern(subspace_sum(
-                self.ideal_sum_space(s[:-1]), self.ideals[s[-1] - 1].space))
+            space = self.ideal_sum_space(s[:-1])
+            if space.dim < self.algebra.dim:
+                space = self._intern(subspace_sum(space, self.ideals[s[-1] - 1].space))
+            self._sum_spaces[s] = space
         return space
 
     def quotient(self, j: Subspace) -> tuple[Algebra, AlgebraHom]:

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+# the default bound on the coordinates of one Amitsur degree, shared by the
+# problem files' ``dim_cap`` option; here because both amitsur and problem
+# load this module, and problem does not load amitsur
+DEFAULT_DIM_CAP = 20000
+
 
 class CechcoverError(Exception):
     """Base class for all structured errors raised by this package."""

@@ -56,11 +56,10 @@ from typing import Callable, Iterable, Optional, Sequence
 from .algebras import (
     Algebra, AlgebraHom, Ideal, _combine, algebra_from_terms, ideal_closure, zero_algebra,
 )
-from .amitsur import DEFAULT_DIM_CAP
 from .cech import PosetFunctor, all_tuples, one_step_inclusions
 from .complexes import WordSpace, increasing_space
 from .coverings import Covering, completeness_check
-from .errors import DimensionCapError, DimensionMismatchError, StructureError
+from .errors import DEFAULT_DIM_CAP, DimensionCapError, DimensionMismatchError, StructureError
 from .linalg import (
     QQ, Field, Matrix, Subspace, _check_ambient, _dense_row, _eliminate, _factor_rows,
     _own_rows, _product, _q_rows, block_matrix, quotient_map, same_field, subspace_sum,

@@ -16,13 +16,10 @@ import json
 from fractions import Fraction
 from typing import Optional
 
+from . import cech, coverings, nerve
 from .algebras import Algebra, AlgebraHom, algebra_from_terms, ideal_closure
-from .amitsur import DEFAULT_DIM_CAP
-from .cech import PosetFunctor, all_tuples, constant_functor, one_step_inclusions
-from .coverings import Covering
-from .errors import CechcoverError, DimensionCapError, ProblemFormatError
+from .errors import DEFAULT_DIM_CAP, CechcoverError, DimensionCapError, ProblemFormatError
 from .linalg import GF, QQ, Field, Matrix
-from .nerve import CoverDescription, functor_from_cover
 from .records import Record
 
 DEFAULT_N_MAX = 3
@@ -39,7 +36,7 @@ class Problem(Record):
                "n_max", "dim_cap", "raw")
 
     def __init__(self, field: Field, algebra: Optional[Algebra], ideals: dict,
-                 covering: Optional[Covering], functor_spec: Optional[dict],
+                 covering: Optional[coverings.Covering], functor_spec: Optional[dict],
                  n_max: int = DEFAULT_N_MAX, dim_cap: int = DEFAULT_DIM_CAP,
                  raw: Optional[dict] = None):
         self.field = field
@@ -69,10 +66,26 @@ def parse_scalar(field: Field, value, loc: str):
         if isinstance(value, int):
             return field.coerce(value)
         if isinstance(value, str):
-            return field.coerce(Fraction(value))
+            return field.coerce(_parse_fraction(value))
         raise ValueError(f"unsupported scalar {value!r}")
     except (ValueError, ZeroDivisionError) as exc:
         raise ProblemFormatError(str(exc), loc)
+
+
+def _parse_fraction(text: str) -> Fraction:
+    """An optional sign, ASCII digits and an optional ``/digits``, as in
+    "-3" or "2/3".  ``Fraction`` alone would also take decimals, exponents,
+    spaces and underscores, and it expands an exponent such as "1e999999999"
+    digit by digit."""
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if not (_is_digits(digits) and (not slash or _is_digits(den))):
+        raise ValueError(f'a scalar string is an integer or a fraction like "-2/3", not {text!r}')
+    return Fraction(int(num), int(den) if slash else 1)
+
+
+def _is_digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
 
 
 def scalar_to_json(field: Field, value):
@@ -260,7 +273,7 @@ def parse_problem(doc, field_override: Optional[Field] = None) -> Problem:
             if name not in ideals:
                 raise ProblemFormatError(f"unknown ideal name {name!r}", "covering")
         try:
-            covering = Covering(algebra, [ideals[n] for n in names])
+            covering = coverings.Covering(algebra, [ideals[n] for n in names])
         except CechcoverError as exc:
             raise ProblemFormatError(str(exc), "covering")
 
@@ -403,7 +416,7 @@ def build_problem_functor(problem: Problem):
         if "ring" not in body:
             raise ProblemFormatError("constant functor needs a 'ring'", "functor.constant")
         ring = parse_algebra_section(problem.field, body["ring"], "functor.constant.ring")
-        return constant_functor(n, ring), kind, None
+        return cech.constant_functor(n, ring), kind, None
     if kind == "cover":
         overlaps = body.get("nonempty_overlaps")
         if not isinstance(overlaps, list):
@@ -415,10 +428,10 @@ def build_problem_functor(problem: Problem):
                                          f"functor.cover.nonempty_overlaps[{t}]")
             tuples.add(tuple(item))
         try:
-            cd = CoverDescription(n, frozenset(tuples), problem.field)
+            cd = nerve.CoverDescription(n, frozenset(tuples), problem.field)
         except CechcoverError as exc:
             raise ProblemFormatError(str(exc), "functor.cover")
-        return functor_from_cover(cd), kind, cd
+        return nerve.functor_from_cover(cd), kind, cd
     # explicit
     rings_spec = body.get("rings")
     rest_spec = body.get("restrictions")
@@ -431,7 +444,7 @@ def build_problem_functor(problem: Problem):
         rings[zeta] = parse_algebra_section(problem.field, spec_a,
                                             f"functor.explicit.rings.{key}")
     for length in range(n + 1):
-        for zeta in all_tuples(n, length):
+        for zeta in cech.all_tuples(n, length):
             if zeta not in rings:
                 raise ProblemFormatError(f"missing ring for tuple {zeta}",
                                          "functor.explicit.rings")
@@ -457,9 +470,9 @@ def build_problem_functor(problem: Problem):
             steps[(zeta, eta)] = AlgebraHom(dom, cod, matrix)
         except CechcoverError as exc:
             raise ProblemFormatError(str(exc), loc)
-    for zeta, _, _, eta in one_step_inclusions(n):
+    for zeta, _, _, eta in cech.one_step_inclusions(n):
         if (zeta, eta) not in steps:
             raise ProblemFormatError(
                 f"missing restriction {tuple_to_key(zeta)}->{tuple_to_key(eta)}",
                 "functor.explicit.restrictions")
-    return PosetFunctor(n, rings, steps), kind, None
+    return cech.PosetFunctor(n, rings, steps), kind, None

@@ -1,7 +1,10 @@
 """Every function the traced benchmark wraps by name still resolves.
 
 ``bench/spans.py`` looks its targets up in the modules that importing the
-command line loads, so a renamed or moved target breaks the traced run.
+command line registers in ``sys.modules``; the package registers them on
+import and a module is compiled when one of its attributes is first read,
+which the tracer's lookups do.  So a renamed or moved target breaks the
+traced run.
 Two targets are oracles in ``cechcover.oracles``, which the command line
 does not import; ``amitsur`` and ``cech`` forward those two names.  The
 tracer also reads the complexes that ``build_amitsur`` and ``build_cech``
@@ -15,7 +18,7 @@ import sys
 from pathlib import Path
 
 import cechcover
-import cechcover.cli  # noqa: F401  (loads the modules the tracer patches)
+import cechcover.cli  # noqa: F401  (registers the modules the tracer patches)
 from cechcover.amitsur import build_amitsur
 from cechcover.cech import build_cech
 from cechcover.linalg import Matrix

@@ -402,6 +402,26 @@ def test_a_dim_its_unit_matches_is_capped_before_the_table_is_built(tmp_path):
     assert proc.stderr.startswith("resource cap: algebra: dim 20000 ")
 
 
+@pytest.mark.parametrize("text", ("1.5", "1e3", " 2/3 ", "1_000", "2/-3", "+", "/3", "", "\u0663"),
+                         ids=("decimal", "exponent", "spaces", "underscore", "signed-denominator",
+                              "sign-only", "no-numerator", "empty", "arabic-indic-digit"))
+def test_a_scalar_string_is_an_integer_or_a_fraction(capsys, tmp_path, text):
+    path = tmp_path / "scalar.json"
+    path.write_text(json.dumps(_k2_problem(algebra=dict(_K2, unit=[1, text]))))
+    code, out, err = run(capsys, "check", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("input error: algebra.unit[1]: ")
+
+
+def test_an_exponent_in_a_scalar_is_rejected_before_it_is_expanded(tmp_path):
+    """``Fraction`` reads "1e999999999" as a power of ten with a billion
+    digits, which did not finish in 20 s."""
+    doc = _k2_problem(algebra=dict(_K2, unit=["1e999999999", 1]))
+    proc = _run_limited(tmp_path, doc, "check", timeout=10)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("input error: algebra.unit[0]: ")
+
+
 # k covered by one patch: every Amitsur degree has one word and one coordinate
 _ONE_PATCH = {"field": "Q", "algebra": {"dim": 1, "mul": [[0, 0, 0, 1]], "unit": [1]},
               "ideals": {"Z": []}, "covering": ["Z"]}

@@ -427,9 +427,9 @@ def _point_covering(n: int) -> Covering:
                                           if j != i]) for i in range(n)])
 
 
-def test_check_forms_only_the_patch_and_pair_sums(monkeypatch):
-    # degrees 0..2 of the covering's complex read the sums of one and two
-    # ideals; the whole lattice of k^12 would be 2^12 sums
+def _sums_formed(monkeypatch, command: str, n: int):
+    """(covering, results, number of ``subspace_sum`` calls) of one command
+    on the point covering of k^n, its construction included."""
     sums = []
     real = cechcover.coverings.subspace_sum
 
@@ -438,13 +438,33 @@ def test_check_forms_only_the_patch_and_pair_sums(monkeypatch):
         return real(u, v)
 
     monkeypatch.setattr(cechcover.coverings, "subspace_sum", counted)
-    n = 12
     c = _point_covering(n)
-    results, _, code = _dispatch("check", Problem(c.field, c.algebra, {}, c, None))
-    assert code == 0 and results["covering"]["complete"]
+    results, _, code = _dispatch(command, Problem(c.field, c.algebra, {}, c, None))
+    assert code == 0
+    return c, results, len(sums)
+
+
+def test_check_forms_only_the_patch_and_pair_sums(monkeypatch):
+    # degrees 0..2 of the covering's complex read the sums of one and two
+    # ideals; the whole lattice of k^12 would be 2^12 sums
+    n = 12
+    c, results, sums = _sums_formed(monkeypatch, "check", n)
+    assert results["covering"]["complete"]
     assert results["pair_dims"] == [0] * (n * (n - 1) // 2)
-    assert len(sums) == n * (n - 1) // 2
+    assert sums == n * (n - 1) // 2
     assert len(c._sum_spaces) == 1 + n + n * (n - 1) // 2
+
+
+def test_cech_on_the_point_covering_forms_only_the_pair_sums(monkeypatch):
+    # cech reads I_S for every word S, but every sum of two of these ideals
+    # is A, and a sum whose prefix is A is that prefix: C(n, 2) sums, not the
+    # 2^n - n - 1 of the whole lattice
+    n = 12
+    c, results, sums = _sums_formed(monkeypatch, "cech", n)
+    assert results["cech_cohomology"] == [n]
+    assert sums == n * (n - 1) // 2
+    assert len(c._sum_spaces) == 2 ** n
+    assert c.ideal_sum_space(tuple(range(1, n + 1))) is c.ideal_sum_space((1, 2))
 
 
 def test_equal_ideal_sums_are_one_object():

@@ -8,9 +8,11 @@ constant, a constant functor beside a covering of the same patch count)
 and two reach exits (a table that breaks the unit law, a dimension
 cap).  Every function defined in a production module
 (``src/cechcover/*.py`` but ``oracles.py``) must then have been entered,
-except those on ``ALLOWED``, each with its reason.  Each case process compiles every module that
-importing the command line loads, so a function no command enters belongs
-in ``cechcover.oracles``, or nowhere.
+except those on ``ALLOWED``, each with its reason.  Importing the package
+registers each production module and a case process compiles a module
+when it first uses it, whole: a function that no command enters is
+compiled by every command that uses its module, so it belongs in
+``cechcover.oracles``, or nowhere.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """The value classes keep the semantics of frozen dataclasses, and importing
 the command line pulls in neither ``dataclasses`` nor ``inspect`` nor
 ``hashlib`` nor the test oracles of ``cechcover.oracles``; running a
-command loads neither ``hashlib`` nor OpenSSL nor ``argparse``, and
-reading a problem file needs no ``pathlib``.
+command loads neither ``hashlib`` nor OpenSSL nor ``argparse``, reading a
+problem file needs no ``pathlib``, and each command executes only the
+production modules it uses.
 
 The semantics pins: equal fields compare equal and hash equal, another
 class never compares equal, assignment raises AttributeError, and the
@@ -11,6 +12,7 @@ cached properties stay cached.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import subprocess
@@ -151,21 +153,30 @@ def test_importing_the_cli_adds_no_costly_module():
 COSTLY = ("_hashlib", "hashlib", "_blake2", "cechcover.oracles", "argparse", "gettext", "locale")
 
 
-def _loaded_by_main(argv: list, watched: tuple, *flags: str) -> str:
+def _loaded_by_main(argv: list, watched: tuple, *flags: str) -> tuple:
     """Runs ``main(argv)`` in a fresh interpreter started with ``flags``;
-    returns its exit code and which of ``watched`` the import and the run
-    loaded, as "0 []"."""
+    returns its exit code, which of ``watched`` the import and the run
+    loaded, and which production modules they executed, as
+    (0, [], ["cli", "errors"]).  A module counts as executed when its code
+    object reaches ``exec`` (an audit event), so a module that is only
+    registered, not compiled and run, does not count."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    code = ("import io, sys\n"
+    code = ("import io, os, sys\n"
             "from contextlib import redirect_stdout\n"
+            "files = set()\n"
+            "sys.addaudithook(lambda event, args: event == 'exec'"
+            " and files.add(args[0].co_filename))\n"
             "before = set(sys.modules)\n"
             "from cechcover.cli import main\n"
             "with redirect_stdout(io.StringIO()):\n"
             f"    code = main({argv!r})\n"
             "added = set(sys.modules) - before\n"
-            f"print(code, sorted(added & {set(watched)!r}))")
-    return subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, check=True).stdout
+            "package = os.path.dirname(sys.modules['cechcover'].__file__)\n"
+            "ran = [os.path.basename(f)[:-3] for f in files if os.path.dirname(f) == package]\n"
+            f"print(repr((code, sorted(added & {set(watched)!r}), sorted(ran))))")
+    out = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    return ast.literal_eval(out)
 
 
 @pytest.mark.parametrize("command, problem", (
@@ -185,14 +196,41 @@ def test_commands_load_no_costly_module(command, problem):
     argv = [command]
     if problem is not None:
         argv += ["--input", str(SRC.parent / "problems" / problem), "--format", "json"]
-    assert _loaded_by_main(argv, COSTLY) == "0 []\n"
+    assert _loaded_by_main(argv, COSTLY)[:2] == (0, [])
+
+
+# the production modules each command executes, beside the package's
+# __init__, which registers the library modules and compiles none: check
+# skips amitsur, cech and nerve, and cech and oracle on a functor file with
+# no covering section skip coverings and amitsur
+BASE = ("algebras", "cli", "complexes", "errors", "linalg", "problem", "records")
+EXECUTED = (
+    ("--version", None, ("cli", "errors")),
+    ("check", "e1_split_three_points.json", BASE + ("coverings",)),
+    ("cech", "constant_three_patches.json", BASE + ("cech",)),
+    ("cech", "e1_split_three_points.json", BASE + ("cech", "coverings")),
+    ("amitsur", "e1_split_three_points.json", BASE + ("amitsur", "coverings")),
+    ("verify", "e4_matrix_plus_point.json", BASE + ("amitsur", "cech", "coverings")),
+    ("oracle", "circle_cover.json", BASE + ("cech", "nerve")),
+)
+
+
+@pytest.mark.parametrize("command, problem, modules", EXECUTED,
+                         ids=[f"{c}-{p}" for c, p, _ in EXECUTED])
+def test_a_command_executes_only_the_modules_it_uses(command, problem, modules):
+    argv = [command]
+    if problem is not None:
+        argv += ["--input", str(SRC.parent / "problems" / problem), "--format", "json"]
+    code, _, ran = _loaded_by_main(argv, ())
+    assert code == 0
+    assert [m for m in ran if m != "__init__"] == sorted(modules)
 
 
 def test_a_command_loads_no_pathlib():
     """``site`` usually imports pathlib before any command runs, so the
     check runs without it (``-S``): the problem file is read with ``open``."""
     path = SRC.parent / "problems" / "e1_split_three_points.json"
-    assert _loaded_by_main(["check", "--input", str(path)], ("pathlib",), "-S") == "0 []\n"
+    assert _loaded_by_main(["check", "--input", str(path)], ("pathlib",), "-S")[:2] == (0, [])
 
 
 # each name that only the oracles and the tests called, by the production
