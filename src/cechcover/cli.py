@@ -22,6 +22,8 @@ import sys
 import time
 from typing import Optional
 
+# modules rather than names from them: each module is compiled when a command
+# first reads it (cechcover/__init__.py), so --version compiles none of them
 from . import __version__, amitsur, cech, coverings, nerve, problem as problem_file
 from .errors import (
     CechcoverError, DimensionCapError, NotAComplexError, ProblemFormatError, StructureError,
