@@ -8,7 +8,8 @@ C^n = B^((x)_A (n+1)) is the direct sum over patch words w in [N]^(n+1)
 of A/I_set(w), where I_S is the sum of the I_i with i in S.  The class of
 a in block w is pi_(w_1)(a) (x) 1 (x) ... (x) 1.  Blocks come in
 lexicographic word order (the block order of the tensor tower); a word
-whose quotient is zero has no coordinates and is left out.  Block w uses
+whose quotient is zero has no coordinates and is left out, and so are its
+extensions, whose quotients are smaller (``WordComplex``).  Block w uses
 the coordinates of ``quotient_map`` of the RREF basis of I_set(w), so
 words of length one carry the patch coordinates and pi = (+)_i pi_i is
 the augmentation.
@@ -18,10 +19,11 @@ w[:k] + (i,) + w[k:] by the canonical projections
 A/I_S -> A/I_(S + {i}); the differential is the alternating sum
 d = sum_k (-1)^k (insert 1_B at slot k), where insertions that land on the
 same word add.  The builder asserts d.d = 0 and d_0 . pi = 0.  The
-complex is a ``WordComplex`` (``cechcover.complexes``), like the Cech
-complex; pi, its rank, the ideal sums I_S and the projections between
-them come from the covering (``Covering.complex``, ``ideal_sum_space``,
-``projection``), which computes each once.
+complex is a ``WordComplex`` (``cechcover.complexes``) on the patches
+extended by every patch, like the Cech complex; pi, its rank, the blocks
+A/I_set(w) and the projections between them come from the covering
+(``Covering.complex``, ``word_dim``, ``word_block``), which computes each
+once.
 
 The balanced tensor tower, which builds the same spaces from the
 definition, is a test oracle in ``cechcover.oracles``.
@@ -29,7 +31,7 @@ definition, is a test oracle in ``cechcover.oracles``.
 
 from __future__ import annotations
 
-from .complexes import WordComplex, WordSpace
+from .complexes import WordComplex
 from .coverings import Covering
 from .errors import DEFAULT_DIM_CAP, DimensionCapError, NotAComplexError
 
@@ -56,13 +58,18 @@ class AmitsurComplex(WordComplex):
 
     _fields = ("covering", "spaces", "differentials")
 
-    def __init__(self, covering: Covering, spaces: tuple, insertions, block):
-        self.__dict__.update(covering=covering, n_max=len(spaces) - 1)
-        super().__init__(covering.field, self.n_max, spaces.__getitem__, insertions, block)
+    def __init__(self, covering: Covering, n_max: int):
+        patches = range(1, covering.n_patches + 1)
 
+        def insertions(w: tuple):
+            # inserting 1_B = sum_i 1_(A_i) at slot k, with sign (-1)^k
+            for k in range(len(w) + 1):
+                for i in patches:
+                    yield -1 if k % 2 else 1, w[:k] + (i,) + w[k:]
 
-def _index_set(word: tuple) -> tuple:
-    return tuple(sorted(set(word)))
+        self.__dict__.update(covering=covering, n_max=n_max)
+        super().__init__(covering.field, n_max, tuple((i,) for i in patches), lambda w: patches,
+                         covering.word_dim, insertions, covering.word_block)
 
 
 def build_amitsur(c: Covering, n_max: int, cap: int = DEFAULT_DIM_CAP) -> AmitsurComplex:
@@ -76,44 +83,20 @@ def build_amitsur(c: Covering, n_max: int, cap: int = DEFAULT_DIM_CAP) -> Amitsu
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    patches = range(1, c.n_patches + 1)
-    ideals = {}  # I_set(w) of each candidate word w, looked up once
-
-    def dim(w: tuple) -> int:
-        ideal = ideals[w] = c.ideal_sum_space(_index_set(w))
-        return c.algebra.dim - ideal.dim
-
-    # a word's quotient only shrinks as letters are added, so extending the
-    # words with a nonzero block reaches every word with a nonzero block
-    spaces = []
-    words = [(i,) for i in patches if dim((i,))]
+    cx = AmitsurComplex(c, n_max)
     letters, budget = 0, LETTERS_PER_CAP * cap
     for n in range(n_max + 1):
-        dims = tuple(c.algebra.dim - ideals[w].dim for w in words)
-        total = sum(dims)
-        if total > cap:
+        space = cx.space(n)
+        if space.dim > cap:
             raise DimensionCapError(
                 f"Amitsur degree {n} (tensor power {n + 1}) has dimension "
-                f"{total} > cap {cap}", degree=n + 1, estimated=total, cap=cap)
-        spaces.append(WordSpace(tuple(words), dims))
+                f"{space.dim} > cap {cap}", degree=n + 1, estimated=space.dim, cap=cap)
         if n < n_max:
-            letters += len(words) * c.n_patches * (n + 2) ** 2
+            letters += len(space.words) * c.n_patches * (n + 2) ** 2
             if letters > budget:
                 raise DimensionCapError(
                     f"Amitsur differentials d_0..d_{n} write {letters} word letters "
                     f"> {LETTERS_PER_CAP} x cap {cap}", degree=n, estimated=letters, cap=budget)
-            words = [w + (i,) for w in words for i in patches if dim(w + (i,))]
-
-    def insertions(w: tuple):
-        # inserting 1_B = sum_i 1_(A_i) at slot k, with sign (-1)^k
-        for k in range(len(w) + 1):
-            for i in patches:
-                yield -1 if k % 2 else 1, w[:k] + (i,) + w[k:]
-
-    def block(w: tuple, v: tuple):
-        return c.projection(ideals[w], ideals[v])
-
-    cx = AmitsurComplex(c, tuple(spaces), insertions, block)
     failure = cx.first_nonzero_square()
     if failure is not None:
         n = failure[0]

@@ -11,10 +11,12 @@ cancellation identity hold.  The tuples and this rule live in
 insertions for every loop over a functor's restrictions.
 
 (S^n, d') is a ``CechComplex`` (``cechcover.complexes``) on the strictly
-increasing words, with the functor's restriction maps as blocks; the
-Amitsur complex is the same construction on all patch words.  A
-``PosetFunctor`` is validated when it is constructed, which assembles d'
-and checks its squares as d'.d' = 0; ``build_cech`` returns that complex.
+increasing words with a nonzero ring, with the functor's restriction maps
+as blocks; the Amitsur complex is the same construction on all patch
+words.  A ``PosetFunctor`` is validated when it is constructed: every
+ring and every step is checked for presence and endpoints first, since
+the complex reads none between zero rings, then d' is assembled and its
+squares checked as d'.d' = 0; ``build_cech`` returns that complex.
 The default ringed functor is the covering itself (``Covering.cech``),
 read off quotient dims and projection matrices with no algebra built:
 natural by construction.  The functor of a supplied ringed structure,
@@ -98,32 +100,27 @@ class PosetFunctor(Record):
 
 
 def validate_functor(f: PosetFunctor) -> CechComplex:
-    """Presence of all tuples/steps plus commutation of every length-2
-    square (``CechComplex.check_squares``); returns the checked complex.
-
-    The rings are checked as the spaces read their dims, the ring on ()
-    first.  ``assemble`` asks for each step once, in ``one_step_inclusions``
-    order (each insertion reaches its own target with sign +-1), so the
-    steps' presence and endpoints are checked as their blocks are read."""
+    """Presence of every ring, by length, then presence and endpoints of
+    every step, in ``one_step_inclusions`` order, then commutation of every
+    length-2 square (``CechComplex.check_squares``); returns the checked
+    complex.  The complex reads only the nonzero rings and the steps
+    between them, which loses no block: a step out of the zero ring lands
+    in the zero ring (``AlgebraHom`` checks unit to unit)."""
     rings, steps = f.rings, f.steps
-
-    def dim(zeta: tuple) -> int:
-        if zeta not in rings:
-            raise StructureError(f"functor has no ring on {zeta}", witness=("missing", zeta))
-        return rings[zeta].dim
-
-    def block(zeta: tuple, eta: tuple) -> Matrix:
+    for length in range(f.n_patches + 1):
+        for zeta in all_tuples(f.n_patches, length):
+            if zeta not in rings:
+                raise StructureError(f"functor has no ring on {zeta}", witness=("missing", zeta))
+    for zeta, _, _, eta in one_step_inclusions(f.n_patches):
         hom = steps.get((zeta, eta))
         if hom is None:
             raise StructureError(f"functor has no restriction {zeta} -> {eta}",
                                  witness=("missing-step", zeta, eta))
-        if hom.domain != rings[zeta] or hom.codomain != rings[eta]:
+        if (hom.domain, hom.codomain) != (rings[zeta], rings[eta]):
             raise StructureError(f"restriction {zeta} -> {eta} has wrong endpoints",
                                  witness=("endpoints", zeta, eta))
-        return hom.matrix
-
-    dim(())
-    cx = CechComplex(rings[()].field, f.n_patches, dim, block)
+    cx = CechComplex(rings[()].field, f.n_patches, lambda zeta: rings[zeta].dim,
+                     lambda zeta, eta: steps[(zeta, eta)].matrix)
     cx.check_squares()
     return cx
 
@@ -253,7 +250,7 @@ def verify_chain_map(amitsur: AmitsurComplex, cx: CechComplex,
     well = []
     for n in range(1, amitsur.n_max + 2):
         bad = None
-        for zeta in all_tuples(cx.n_patches, n):
+        for zeta in cx.space(n).words:  # a zero ring has nothing to balance
             for i, j in zip(zeta, zeta[1:]):
                 if g(i, zeta) != g(j, zeta):
                     bad = (f"phi does not kill a balancing relation on the word "

@@ -191,7 +191,7 @@ def main(argv: Optional[list] = None) -> int:
     }
     rendered = (json.dumps(report, indent=2, sort_keys=True) + "\n"
                 if opts.get("--format") == "json" else _render_text(report))
-    if output:
+    if output is not None:  # an empty path cannot be written: an output error
         try:
             with open(output, "w", encoding="utf-8") as fh:
                 fh.write(rendered)
@@ -252,9 +252,10 @@ def _cmd_check(problem: problem_file.Problem):
 
 
 def _functor_summary(cx) -> dict:
-    """The ring dimension on each index tuple, read off the cochain spaces."""
-    return {problem_file.tuple_to_key(zeta): d for space in cx.spaces
-            for zeta, d in zip(space.words, space.dims)}
+    """The ring dimension on each index tuple; the cochain spaces hold the nonzero ones."""
+    held = {zeta: d for space in cx.spaces for zeta, d in zip(space.words, space.dims)}
+    return {problem_file.tuple_to_key(zeta): held.get(zeta, 0)
+            for n in range(cx.n_patches + 1) for zeta in cech.all_tuples(cx.n_patches, n)}
 
 
 def _cmd_cech(problem: problem_file.Problem):

@@ -5,12 +5,16 @@ n is a direct sum of blocks, one per word, and the differential inserts
 one letter into a word with a sign given by the slot it lands in.
 Insertions that land on the same target word add their signs, and the
 block between a source word and a target word is a map that depends on
-the two words only (``assemble``).  The Amitsur complex
-(``cechcover.amitsur``) takes every patch word and the projections
-A/I_S -> A/I_T between ideal sums.  A ``CechComplex`` takes the strictly
-increasing words, with a functor's restrictions (``cechcover.cech``) or a
-covering's projections (``cechcover.coverings``) as blocks, and inserts
-index i at its sorted position pos with sign (-1)^pos.
+the two words only (``assemble``).  Degree n + 1 extends each word of
+degree n by its letters and keeps the words with a nonzero block.  That
+loses nothing: a word with a zero face has a zero block, since A/I_S only
+shrinks as S grows and a unital map out of the zero ring lands in the
+zero ring.  The Amitsur complex (``cechcover.amitsur``) starts from the
+patches and extends by every patch, with the projections A/I_S -> A/I_T
+as blocks.  A ``CechComplex`` starts from () and extends by the patches
+after the last letter, with a functor's restrictions (``cechcover.cech``)
+or a covering's projections (``cechcover.coverings``) as blocks, and
+inserts index i at its sorted position pos with sign (-1)^pos.
 
 Block (w, v) of d_(n+1) . d_n sums the signed paths w -> u -> v, so the
 one d.d = 0 check, ``first_nonzero_square``, is also the check that the
@@ -65,13 +69,6 @@ class WordSpace(Frozen):
 def all_tuples(n_patches: int, length: int) -> list[tuple]:
     """The increasing words of the given length over 1..N, in lexicographic order."""
     return [tuple(c) for c in combinations(range(1, n_patches + 1), length)]
-
-
-def increasing_space(n_patches: int, n: int, dim: Callable[[tuple], int]) -> WordSpace:
-    """Degree n on the increasing words of length n over 1..N, the block of
-    word S of dimension ``dim(S)``; empty for n > N."""
-    words = tuple(all_tuples(n_patches, n))
-    return WordSpace(words, tuple(map(dim, words)))
 
 
 def extensions(zeta: tuple, n_patches: int):
@@ -143,23 +140,33 @@ def assemble(field: Field, src: WordSpace, dst: WordSpace,
 class WordComplex(Frozen):
     """The complex of degrees 0..top over ``field``: degree n is the word
     space ``space(n)``, and d_n : space(n) -> space(n+1) is what ``assemble``
-    builds from one insertion rule and one ``block`` map.  Each space, d_n
-    and rank is built when first read, and kept; outside 0..top a space is
-    empty and d_n a zero map.  Each caller raises its own error for a
-    ``first_nonzero_square``."""
+    builds from one insertion rule and one ``block`` map.  Degree 0 holds
+    the words of ``first``, degree n + 1 each word w of degree n extended by
+    each letter of ``letters(w)``, in that order, and a word is kept when
+    ``dim`` of it is nonzero.  Each space, d_n and rank is built when first
+    read, and kept; outside 0..top a space is empty and d_n a zero map.
+    Each caller raises its own error for a ``first_nonzero_square``."""
 
     _fields = ("spaces", "differentials")
 
-    def __init__(self, field: Field, top: int, space: Callable[[int], WordSpace],
+    def __init__(self, field: Field, top: int, first: Iterable[tuple],
+                 letters: Callable[[tuple], Iterable[int]], dim: Callable[[tuple], int],
                  insertions: Callable[[tuple], Iterable[tuple[int, tuple]]],
                  block: Callable[[tuple, tuple], Matrix]):
-        self.__dict__.update(field=field, top=top, block=block, _space=space,
-                             _insertions=insertions, _spaces={}, _differentials={},
+        self.__dict__.update(field=field, top=top, block=block, _first=first, _letters=letters,
+                             _dim=dim, _insertions=insertions, _spaces={}, _differentials={},
                              _ranks={}, _zero_below=0)
 
     def space(self, n: int) -> WordSpace:
         if n not in self._spaces:
-            self._spaces[n] = self._space(n) if 0 <= n <= self.top else WordSpace((), ())
+            if not 0 <= n <= self.top:
+                words = ()
+            elif n:
+                words = [w + (i,) for w in self.space(n - 1).words for i in self._letters(w)]
+            else:
+                words = self._first
+            kept = [(w, d) for w in words if (d := self._dim(w))]
+            self._spaces[n] = WordSpace(tuple(w for w, _ in kept), tuple(d for _, d in kept))
         return self._spaces[n]
 
     def differential(self, n: int) -> Matrix:
@@ -214,14 +221,15 @@ class WordComplex(Frozen):
 
 class CechComplex(WordComplex):
     """S^n = (+)_(len(zeta)=n) R(zeta) for n = 0..N on the increasing
-    words over 1..N, with dim R(zeta) = ``dim(zeta)`` and the restriction
-    ``block(zeta, eta)`` of each one-step inclusion."""
+    words over 1..N with R(zeta) nonzero, dim R(zeta) = ``dim(zeta)``, and
+    the restriction ``block(zeta, eta)`` of each one-step inclusion."""
 
     def __init__(self, field: Field, n_patches: int, dim: Callable[[tuple], int],
                  block: Callable[[tuple, tuple], Matrix]):
         self.__dict__["n_patches"] = n_patches
-        super().__init__(field, n_patches, lambda n: increasing_space(n_patches, n, dim),
-                         increasing_insertions(n_patches), block)
+        super().__init__(field, n_patches, ((),),
+                         lambda zeta: range(zeta[-1] + 1 if zeta else 1, n_patches + 1),
+                         dim, increasing_insertions(n_patches), block)
 
     @property
     def layouts(self) -> tuple:

@@ -9,12 +9,14 @@ k-dimensions, and all of it is read off rank pi and rank tau
 A covering is its own Cech functor, the default ringed one: a block
 A/I_S per increasing index tuple S, the projections as blocks, and no
 quotient algebra built: one complex per covering (``Covering.complex``),
-built degree by degree.  The patch sequence is its degrees 0 -> 1 -> 2:
-pi is d'_0 and tau is -d'_1.  The constructor checks the patch squares as
-d'_1 . pi = 0 and reads no sum of three ideals; the complex stores rank pi
-and rank tau.  Only ordered pairs i < j are materialized in the target of
-tau: the (j,i) blocks are negatives of the (i,j) blocks and carry no extra
-rank.
+built degree by degree.  The block A/I_set(w) of any patch word w and the
+projections between blocks are the covering's (``word_dim``,
+``word_block``), for the Amitsur complex too.  The patch sequence is the
+complex's degrees 0 -> 1 -> 2: pi is d'_0 and tau is -d'_1.  The
+constructor checks the patch squares as d'_1 . pi = 0 and reads no sum of
+three ideals; the complex stores rank pi and rank tau.  Only ordered pairs
+i < j are materialized in the target of tau: the (j,i) blocks are
+negatives of the (i,j) blocks and carry no extra rank.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .algebras import Algebra, AlgebraHom, Ideal, quotient
-from .complexes import CechComplex
+from .complexes import CechComplex, all_tuples
 from .errors import DimensionMismatchError, StructureError
 from .linalg import Field, Matrix, Subspace, quotient_map, section_columns, subspace_sum
 from .records import Frozen
@@ -61,14 +63,14 @@ class Covering:
 
     Patch indices are 1-based.  ``patch(i)`` returns (A_i, pi_i).
     ``complex`` has one block A/I_S per increasing index tuple S of length
-    n in degree n, so degree 1 holds the patches and degree 2 the pairs
-    A_ij.  The constructor stores its d'_0 as ``pi`` and -d'_1 as ``tau``
-    and verifies, for i < j, the square pi_i_ij . pi_i = pi_j_ij . pi_j
+    n in degree n, A/I_S nonzero, so degree 1 holds the patches and degree
+    2 the pairs A_ij.  The constructor stores its d'_0 as ``pi`` and -d'_1
+    as ``tau`` and verifies, for i < j, the square pi_i_ij . pi_i = pi_j_ij . pi_j
     (pi_i_ij: A_i -> A_ij the projection); ``cech`` checks every square.
 
-    The covering also holds the lattice of its ideal sums: I_S for index
-    sets S (``ideal_sum_space``), and for each ideal space J among them
-    the quotient A/J, its quotient map, and the projections A/J -> A/J'
+    The covering also holds the lattice of its ideal sums: I_set(w) for
+    each patch word w (``ideal_sum_space``), and for each ideal space J
+    among them the quotient A/J, its quotient map, and the projections A/J -> A/J'
     for J inside J'.  Each is computed once, when first asked for, and
     shared by everything built on the covering.  Equal ideal sums are one
     object, so the caches keyed by them match by identity.  The complexes
@@ -94,9 +96,7 @@ class Covering:
         self._quotient_maps: dict = {}
         self._projections: dict = {}
 
-        self.complex = CechComplex(
-            self.field, self.n_patches, lambda s: algebra.dim - self.ideal_sum_space(s).dim,
-            lambda s, t: self.projection(self.ideal_sum_space(s), self.ideal_sum_space(t)))
+        self.complex = CechComplex(self.field, self.n_patches, self.word_dim, self.word_block)
         # block (a,b) of d'_1 . pi is pi_b_ab . pi_b - pi_a_ab . pi_a
         failure = self.complex.first_nonzero_square(1)
         if failure is not None:
@@ -125,17 +125,27 @@ class Covering:
     def patch(self, i: int) -> tuple[Algebra, AlgebraHom]:
         return self.quotient(self.ideals[i - 1].space)
 
-    def ideal_sum_space(self, s: tuple) -> Subspace:
-        """I_S, the sum of the I_i over i in S, for an index set S given as
-        a sorted tuple; each sum is computed once.  A sum whose prefix
-        I_(S[:-1]) is already all of A is that prefix, formed with no sum."""
-        space = self._sum_spaces.get(s)
+    def ideal_sum_space(self, w: tuple) -> Subspace:
+        """I_set(w), the sum of the I_i over the letters i of the patch word
+        w: the sum of its index set S, the sorted tuple of the letters, which
+        extends the prefix I_(S[:-1]).  Each word's sum is found once; a sum
+        whose prefix is already all of A is that prefix, formed with no sum."""
+        space = self._sum_spaces.get(w)
         if space is None:
-            space = self.ideal_sum_space(s[:-1])
-            if space.dim < self.algebra.dim:
+            s = tuple(sorted(set(w)))
+            space = self.ideal_sum_space(s if s != w else s[:-1])
+            if s == w and space.dim < self.algebra.dim:
                 space = self._intern(subspace_sum(space, self.ideals[s[-1] - 1].space))
-            self._sum_spaces[s] = space
+            self._sum_spaces[w] = space
         return space
+
+    def word_dim(self, w: tuple) -> int:
+        """dim A/I_set(w), the block of the patch word w in either complex."""
+        return self.algebra.dim - self.ideal_sum_space(w).dim
+
+    def word_block(self, w: tuple, v: tuple) -> Matrix:
+        """Block (w, v) of either complex: the projection A/I_set(w) -> A/I_set(v)."""
+        return self.projection(self.ideal_sum_space(w), self.ideal_sum_space(v))
 
     def quotient(self, j: Subspace) -> tuple[Algebra, AlgebraHom]:
         """A/J with its projection A -> A/J, for J an ideal sum.  A sum of
@@ -169,10 +179,10 @@ class Covering:
         return m
 
     def patch_dims(self) -> tuple[int, ...]:
-        return self.complex.space(1).dims
+        return tuple(map(self.word_dim, all_tuples(self.n_patches, 1)))
 
     def pair_dims(self) -> tuple[int, ...]:
-        return self.complex.space(2).dims
+        return tuple(map(self.word_dim, all_tuples(self.n_patches, 2)))
 
 
 def is_covering(c: Covering) -> bool:

@@ -57,7 +57,7 @@ from .algebras import (
     Algebra, AlgebraHom, Ideal, _combine, algebra_from_terms, ideal_closure, zero_algebra,
 )
 from .cech import PosetFunctor, all_tuples, one_step_inclusions
-from .complexes import WordSpace, increasing_space
+from .complexes import WordSpace
 from .coverings import Covering, completeness_check
 from .errors import DEFAULT_DIM_CAP, DimensionCapError, DimensionMismatchError, StructureError
 from .linalg import (
@@ -1096,6 +1096,14 @@ def build_coring(c: Covering, tower: Optional[TensorTower] = None,
 # ---------------------------------------------------------------------------
 # The comparison map phi
 # ---------------------------------------------------------------------------
+
+def increasing_space(n_patches: int, n: int, dim: Callable[[tuple], int]) -> WordSpace:
+    """Degree n on every increasing word of length n over 1..N, zero blocks
+    included, the block of word S of dimension ``dim(S)``; empty for n > N.
+    The phi oracles lay out S^n on it, so any tuple's component is found."""
+    words = tuple(all_tuples(n_patches, n))
+    return WordSpace(words, tuple(map(dim, words)))
+
 
 class CechElement(Frozen):
     """An element of S^n with its block layout."""

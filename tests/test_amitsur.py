@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,7 +17,7 @@ from cechcover.oracles import (
 )
 from cechcover.problem import Problem
 
-from instances import make_e1
+from instances import make_e1, make_three_lines
 
 
 def pair_block_formula(c):
@@ -262,20 +263,36 @@ def test_verify_reports_the_d_squared_witness():
     assert checks["functor_validation"] is True and "chain_map" not in checks
 
 
-def test_each_candidate_word_looks_up_its_ideal_sum_once(three_lines, monkeypatch):
-    n_max = 4
-    # after one build every ideal sum is computed, so each call below is one lookup
-    build_amitsur(three_lines, n_max)
-    calls = []
-    lookup = Covering.ideal_sum_space
+def test_each_candidate_word_looks_up_its_ideal_sum_once(monkeypatch):
+    # the covering keeps I_set(w) per word: a candidate word's sum is found
+    # once, its dim read once per build, and a second build finds no sum
+    c = make_three_lines()
+    found, dims = Counter(), []
 
-    def counted(self, s):
-        calls.append(s)
-        return lookup(self, s)
+    class PerWord(dict):
+        def __setitem__(self, w, space):
+            found[w] += 1
+            super().__setitem__(w, space)
 
-    monkeypatch.setattr(Covering, "ideal_sum_space", counted)
-    cx = build_amitsur(three_lines, n_max)
-    n = three_lines.n_patches
+    word_dim = Covering.word_dim
+
+    def counted(self, w):
+        dims.append(w)
+        return word_dim(self, w)
+
+    c._sum_spaces = PerWord(c._sum_spaces)
+    monkeypatch.setattr(Covering, "word_dim", counted)
+    n_max, patches = 4, range(1, c.n_patches + 1)
+    cx = build_amitsur(c, n_max)
     # the words of length one, then every extension of a kept word by one letter
-    candidates = n + n * sum(len(space.words) for space in cx.spaces[:-1])
-    assert 0 < len(calls) <= candidates
+    candidates = [(i,) for i in patches]
+    candidates += [w + (i,) for space in cx.spaces[:-1] for w in space.words for i in patches]
+    assert sorted(dims) == sorted(candidates)
+    assert set(candidates) <= set(c._sum_spaces)
+    # beyond the candidates the cache holds only index sets, each found once
+    assert all(list(w) == sorted(set(w)) for w in set(c._sum_spaces) - set(candidates))
+    assert set(found.values()) == {1}
+    before = dict(found)
+    build_amitsur(c, n_max)
+    assert found == before
+    assert len(dims) == 2 * len(candidates)

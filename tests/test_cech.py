@@ -14,7 +14,8 @@ from cechcover.cech import (
 )
 from cechcover.coverings import Covering
 from cechcover.errors import StructureError
-from cechcover.linalg import GF, QQ, Subspace, kernel_basis, rank, subspace_sum
+from cechcover.linalg import GF, QQ, Matrix, Subspace, kernel_basis, rank, subspace_sum
+from cechcover.nerve import CoverDescription, functor_from_cover
 from cechcover.oracles import (
     CechElement, RingedStructure, TensorTower, direct_sum, from_rows,
     functor_from_ringed_covering, insert_index, lattice_functor, matrix_algebra, multiply, phi,
@@ -195,6 +196,38 @@ def test_the_first_broken_step_is_the_witness():
         assert err.value.witness == witness
 
 
+def _cover_functor_on_one_edge() -> PosetFunctor:
+    """k on (), the 4 patches and the overlap (1, 2); the zero ring elsewhere."""
+    return functor_from_cover(CoverDescription(4, frozenset({(1,), (2,), (3,), (4,), (1, 2)}), QQ))
+
+
+def test_a_cover_functor_complex_holds_only_its_nerve():
+    f = _cover_functor_on_one_edge()
+    assert [space.words for space in f.cech.spaces] == [
+        ((),), ((1,), (2,), (3,), (4,)), ((1, 2),), (), ()]
+    assert cech_cohomology(f.cech) == [3, 0]
+
+
+@pytest.mark.parametrize("broken, witness", (
+    ("drop", ("missing-step", (1, 3), (1, 3, 4))),
+    ("retarget", ("endpoints", (2, 4), (1, 2, 4))),
+    ("both", ("missing-step", (1, 3), (1, 3, 4))),
+))
+def test_steps_between_zero_rings_are_still_checked(broken, witness):
+    # the complex reads no step between two zero rings, but validation
+    # still checks every step, in one_step_inclusions order
+    f = _cover_functor_on_one_edge()
+    line, zero = f.ring((1,)), f.ring((2, 4))
+    steps = dict(f.steps)
+    if broken != "retarget":
+        del steps[((1, 3), (1, 3, 4))]
+    if broken != "drop":
+        steps[((2, 4), (1, 2, 4))] = AlgebraHom(line, zero, Matrix(QQ, 0, 1, ()))
+    with pytest.raises(StructureError) as err:
+        PosetFunctor(4, f.rings, steps)
+    assert err.value.witness == witness
+
+
 def test_custom_ringed_structure_naturality(e1):
     # Phi(J) = A/(J + I0) with I0 = <e2>: a ringed structure that collapses
     # the shared coordinate.  Naturality squares still commute.
@@ -248,12 +281,12 @@ def _square_zero_covering(rng: random.Random, field) -> Covering:
     return Covering(a, lines)
 
 
-def _block_covering(rng: random.Random, field) -> Covering:
-    """A direct sum of stock blocks covered by 3 or 4 ideals, each the sum
-    of a random set of blocks (the ideal of their units)."""
+def _stock_sum(rng: random.Random, field, count: int) -> tuple:
+    """(A, units): a direct sum of ``count`` random stock blocks and the
+    unit of each block, as a vector of A."""
     stock = (lambda: split_commutative(field, 1), lambda: matrix_algebra(field, 2),
              lambda: upper_triangular(field, 2), lambda: square_zero(field, 1))
-    blocks = [rng.choice(stock)() for _ in range(rng.randint(2, 4))]
+    blocks = [rng.choice(stock)() for _ in range(count)]
     a = blocks[0]
     for b in blocks[1:]:
         a = direct_sum(a, b)
@@ -261,27 +294,59 @@ def _block_covering(rng: random.Random, field) -> Covering:
     for b in blocks:
         units.append([0] * off + list(b.unit) + [0] * (a.dim - off - b.dim))
         off += b.dim
+    return a, units
+
+
+def _block_covering(rng: random.Random, field) -> Covering:
+    """A direct sum of stock blocks covered by 3 or 4 ideals, each the sum
+    of a random set of blocks (the ideal of their units)."""
+    a, units = _stock_sum(rng, field, rng.randint(2, 4))
     return Covering(a, [ideal_closure(a, [u for u in units if rng.random() < 0.5])
                         for _ in range(rng.randint(3, 4))])
 
 
+def _point_like_covering(rng: random.Random, field) -> Covering:
+    """A direct sum of N to 5 stock blocks covered by N in {3, 4} ideals;
+    patch i keeps a set of blocks, I_i is the ideal of the other blocks'
+    units.  Half the time the kept sets are disjoint, so I_i + I_j = A for
+    all i != j and the nerve is N points; otherwise each patch keeps one or
+    two random blocks, and two patches with no block in common still have
+    I_i + I_j = A."""
+    n = rng.randint(3, 4)
+    a, units = _stock_sum(rng, field, rng.randint(n, 5))
+    if rng.random() < 0.5:
+        order = rng.sample(range(len(units)), len(units))
+        kept = [order[i::n] for i in range(n)]
+    else:
+        kept = [rng.sample(range(len(units)), rng.randint(1, 2)) for _ in range(n)]
+    return Covering(a, [ideal_closure(a, [u for k, u in enumerate(units) if k not in keep])
+                        for keep in kept])
+
+
 def test_the_covering_complex_equals_the_lattice_functor_complex():
     # Covering.cech reads dims and projection matrices; the reference
-    # builds every quotient algebra and hom-checks every projection
-    higher = {}
+    # builds every quotient algebra and hom-checks every projection.  Both
+    # complexes leave out every zero block, so they hold the nerve only
+    higher, pruned, points = {}, {}, {}
     for field in (QQ, GF(2), GF(3)):
         rng = random.Random(f"lattice:{field!r}")
         coverings = [_square_zero_covering(rng, field) for _ in range(40)]
         coverings += [_block_covering(rng, field) for _ in range(15)]
-        higher[field] = 0
+        coverings += [_point_like_covering(rng, field) for _ in range(15)]
+        higher[field] = pruned[field] = points[field] = 0
         for c in coverings:
             got, want = build_cech(c), build_cech(lattice_functor(c))
             assert got.spaces == want.spaces
+            assert all(all(space.dims) for space in got.spaces + want.spaces)
             assert got.differentials == want.differentials
             dims = cech_cohomology(got)
             assert dims == cech_cohomology(want)
             higher[field] += any(dims[1:])
+            pruned[field] += sum(len(space.words) for space in got.spaces) < 2 ** c.n_patches
+            points[field] += not got.space(2).words
     assert all(higher.values())
+    assert all(count >= 15 for count in pruned.values())
+    assert all(count >= 3 for count in points.values())
 
 
 def test_a_supplied_structure_that_is_not_natural_is_refused(e1):

@@ -488,13 +488,17 @@ def test_the_digest_is_sha256(size):
     assert sha256_hex(data) == hashlib.sha256(data).hexdigest()
 
 
-def test_unwritable_output_is_exit_2(capsys, tmp_path, problems_dir):
-    target = tmp_path / "absent" / "r.json"
+@pytest.mark.parametrize("spelling", ("separate", "joined"))
+@pytest.mark.parametrize("name", ("missing_directory", "empty"))
+def test_unwritable_output_is_exit_2(capsys, tmp_path, problems_dir, name, spelling):
+    # an empty path names no file: the report must not go to stdout instead
+    target = str(tmp_path / "absent" / "r.json") if name == "missing_directory" else ""
+    option = ["--output", target] if spelling == "separate" else [f"--output={target}"]
     code, out, err = run(capsys, "check", "--input",
-                         str(problems_dir / "e1_split_three_points.json"), "--output", str(target))
+                         str(problems_dir / "e1_split_three_points.json"), *option)
     assert code == 2 and out == ""
-    assert err.startswith("output error: ") and str(target) in err
-    assert not target.exists()
+    assert err.startswith("output error: ") and repr(target) in err
+    assert not os.path.exists(target)
 
 
 _PLANE = {"dim": 2, "mul": [[0, 0, 0, 1], [1, 1, 1, 1]], "unit": [1, 1]}

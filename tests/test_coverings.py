@@ -25,7 +25,7 @@ from cechcover.oracles import (
     contains_subspace, ideal_intersection, image_basis, quotient_section, random_algebra,
     random_covering, scale, search_incomplete_covering, split_commutative, to_lists,
 )
-from cechcover.problem import Problem
+from cechcover.problem import Problem, tuple_to_key
 
 from instances import make_e1, make_e4, make_three_lines
 
@@ -400,12 +400,13 @@ def test_no_command_assembles_a_differential_twice(monkeypatch, command):
     assert {id(v) for v in vars(c).values() if isinstance(v, WordComplex)} == {id(c.complex)}
 
 
-@pytest.mark.parametrize("make, sums", ((make_three_lines, 4), (make_e4, 3)),
+@pytest.mark.parametrize("make, sums", ((make_three_lines, 4), (make_e4, 2)),
                          ids=("three_lines", "e4"))
 def test_verify_builds_one_quotient_map_per_ideal_sum(monkeypatch, make, sums):
     # the projections and the patch quotient algebras share one map per sum:
-    # three_lines reads its 3 patch ideals and A (every pair sums to A), e4
-    # its 2 patch ideals and A
+    # three_lines reads its 3 patch ideals and the one sum of any two or
+    # three of them, e4 its 2 patch ideals only: their sum is A, whose
+    # block is zero and left out of both complexes
     maps = []
     for module in (cechcover.coverings, cechcover.algebras):
         def counted(ambient_dim, w, real=module.quotient_map):
@@ -456,14 +457,18 @@ def test_check_forms_only_the_patch_and_pair_sums(monkeypatch):
 
 
 def test_cech_on_the_point_covering_forms_only_the_pair_sums(monkeypatch):
-    # cech reads I_S for every word S, but every sum of two of these ideals
-    # is A, and a sum whose prefix is A is that prefix: C(n, 2) sums, not the
-    # 2^n - n - 1 of the whole lattice
+    # every sum of two of these ideals is A, so every pair block is zero and
+    # no word of length 3 or more is a candidate: cech reads I_S for the
+    # 1 + n + C(n, 2) words S of length at most 2, not the 2^n of the whole
+    # lattice, and forms the C(n, 2) pair sums
     n = 12
     c, results, sums = _sums_formed(monkeypatch, "cech", n)
     assert results["cech_cohomology"] == [n]
+    assert results["ring_dims"] == {tuple_to_key(s): (n, 1, 0)[min(len(s), 2)] for k in range(n + 1)
+                                    for s in combinations(range(1, n + 1), k)}
     assert sums == n * (n - 1) // 2
-    assert len(c._sum_spaces) == 2 ** n
+    assert len(c._sum_spaces) == 1 + n + n * (n - 1) // 2
+    assert [len(space.words) for space in c.complex.spaces] == [1, n] + [0] * (n - 1)
     assert c.ideal_sum_space(tuple(range(1, n + 1))) is c.ideal_sum_space((1, 2))
 
 
@@ -566,11 +571,14 @@ def test_projections_multiply_no_matrix_and_map_each_ideal_sum_once(monkeypatch)
     monkeypatch.setattr(cechcover.coverings, "quotient_map", quotient_map)
     c = _coordinate_covering(5)
     c.cech
-    # every nonempty index set of the coordinate covering has its own sum
-    assert len(maps) == len({id(w) for w in maps}) == 2 ** 5 - 1
+    # every nonempty index set of the coordinate covering but [5] has its
+    # own sum; the sum of all five ideals is A, whose block is zero, so no
+    # projection maps into it
+    assert len(maps) == len({id(w) for w in maps}) == 2 ** 5 - 2
     c = make_three_lines()
     build_amitsur(c, 4)
     c.cech
-    # the pair sums and the triple sum of three_lines are one sum: A itself
-    assert len(maps) - 31 == len({id(w) for w in maps[31:]}) == 4
+    # the pair sums and the triple sum of three_lines are one sum, the span
+    # of x and y
+    assert len(maps) - 30 == len({id(w) for w in maps[30:]}) == 4
     assert products == []

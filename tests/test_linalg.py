@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cechcover.complexes import WordComplex, WordSpace
+from cechcover.complexes import WordComplex
 from cechcover.errors import FieldMismatchError, NotAComplexError
 from cechcover.linalg import (
     GF, QQ, Matrix, Subspace, kernel_basis, quotient_map, rank, subspace_sum,
@@ -199,10 +199,10 @@ def test_quotient_section_is_right_inverse():
 
 def homology_dim(d_in, d_out):
     """dim ker(d_out) - rank(d_in), for one-word spaces, after the d.d = 0 check."""
-    one_word = [WordSpace((w,), (dim,)) for w, dim in zip(((), (0,), (0, 0)),
-                                                       (d_in.cols, d_in.rows, d_out.rows))]
-    cx = WordComplex(d_in.field, 2, one_word.__getitem__, lambda w: [(1, w + (0,))],
-                     lambda w, v: (d_in, d_out)[len(w)])
+    dims = (d_in.cols, d_in.rows, d_out.rows)
+    cx = WordComplex(d_in.field, 2, ((),), lambda w: (0,), lambda w: dims[len(w)],
+                     lambda w: [(1, w + (0,))], lambda w, v: (d_in, d_out)[len(w)])
+    assert [space.words for space in cx.spaces] == [((),), ((0,),), ((0, 0),)]
     if cx.first_nonzero_square() is not None:
         raise NotAComplexError("d_1 . d_0 != 0", degree=0)
     return cx.homology(0, 2, 0)[1]

@@ -308,6 +308,7 @@ MOVED = (
     ("cechcover.linalg", "quotient_section"),
     ("cechcover.coverings", "Covering.section"),
     ("cechcover.complexes", "CechComplex.dprime"),
+    ("cechcover.complexes", "increasing_space"),
     ("cechcover", "Element"),
     ("cechcover", "RingedStructure"),
 )
