@@ -30,9 +30,9 @@ Zero on repeated indices follows the definition of the map; zero on
 out-of-order words is what makes phi well defined over the balanced
 tensor product and a chain map when the rings are noncommutative, and it
 matches reading "ordered subsets" as order-inherited tuples.
-``verify_chain_map`` checks phi block by block; evaluating it on pure
-tensors, as the definition reads, is a test oracle in
-``cechcover.oracles``.
+``verify_chain_map`` checks phi block by block, as a word map assembled
+like the differentials; evaluating it on pure tensors, as the definition
+reads, is a test oracle in ``cechcover.oracles``.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .algebras import Algebra, AlgebraHom
-from .complexes import CechComplex, all_tuples, extensions
+from .complexes import CechComplex, all_tuples, assemble, extensions
 from .errors import DimensionMismatchError, StructureError
-from .linalg import Matrix, block_matrix, section_columns
+from .linalg import Matrix, section_columns
 from .records import Frozen, Record
 
 if TYPE_CHECKING:  # annotations only: cech and oracle on a functor file load neither
@@ -196,20 +196,14 @@ class ChainMapReport(Frozen):
 
 
 def default_phi_choice(f, c: Covering) -> tuple:
-    """Identity homs A_i -> R({i}) where the shapes agree (default ringed
-    data).  ``f`` is a functor or the covering itself, whose R({i}) is A_i."""
+    """Identity homs A_i -> R({i}), which ``AlgebraHom`` checks (default
+    ringed data).  ``f`` is a functor or the covering itself, whose R({i}) is A_i."""
     if f.n_patches != c.n_patches:
         raise DimensionMismatchError(
             f"no default choice: the functor has {f.n_patches} patches, the covering {c.n_patches}")
-    out = []
-    for i in range(1, c.n_patches + 1):
-        a_i, _ = c.patch(i)
-        r_i = f.ring((i,))
-        if a_i.dim != r_i.dim:
-            raise DimensionMismatchError(
-                f"no default choice: A_{i} has dim {a_i.dim}, R(({i},)) has dim {r_i.dim}")
-        out.append(AlgebraHom(a_i, r_i, Matrix.identity(a_i.field, a_i.dim)))
-    return tuple(out)
+    patches = (c.patch(i)[0] for i in range(1, c.n_patches + 1))
+    return tuple(AlgebraHom(a_i, f.ring((i,)), Matrix.identity(a_i.field, a_i.dim))
+                 for i, a_i in enumerate(patches, start=1))
 
 
 def verify_chain_map(amitsur: AmitsurComplex, cx: CechComplex,
@@ -217,7 +211,8 @@ def verify_chain_map(amitsur: AmitsurComplex, cx: CechComplex,
     """Check that phi is well defined and intertwines d and d'.
 
     For an increasing tuple zeta and i in zeta let g_i^zeta be
-    rho_((i),zeta) . choice_i . pi_i : A -> R(zeta), a unital algebra hom.
+    rho_((i),zeta) . choice_i . pi_i : A -> R(zeta), a unital algebra hom,
+    with pi_i block ((), (i,)) of the covering's d'_0.
     The balancing relations of B^((x)_A n) sit between adjacent factors,
     so phi is well defined in degree n exactly when g_i^zeta = g_j^zeta
     for consecutive i, j of every zeta of length n: 1 in the other factors
@@ -225,7 +220,9 @@ def verify_chain_map(amitsur: AmitsurComplex, cx: CechComplex,
     closed-form coordinates of ``amitsur`` (block w of C^(n-1) is A/I_set(w),
     see ``cechcover.amitsur``) block w of phi_n is g^w_(w_1) . s_w, with
     s_w the section of A -> A/I_set(w) (``section_columns``), when w is
-    strictly increasing, and zero otherwise.  For n = 1..n_max the square
+    strictly increasing, and zero otherwise: phi_n is the word map that
+    ``assemble`` builds from C^(n-1) to S^n, each word to itself, as it
+    builds every differential.  For n = 1..n_max the square
     d'_n . phi_n = phi_(n+1) . d_(n-1) is compared on these matrices and a
     failure names the first block and coordinate where the sides differ.
     Where phi is not well defined in degree n or n + 1 the square's verdict
@@ -233,8 +230,7 @@ def verify_chain_map(amitsur: AmitsurComplex, cx: CechComplex,
     The degrees of ``amitsur`` bound the check; no raw tensor space is built.
     """
     c = amitsur.covering
-    field = c.field
-    homs = {(i, (i,)): choice[i - 1].matrix.mul(c.patch(i)[1].matrix)
+    homs = {(i, (i,)): choice[i - 1].matrix.mul(c.word_block((), (i,)))
             for i in range(1, c.n_patches + 1)}
 
     def g(i: int, zeta: tuple) -> Matrix:
@@ -260,23 +256,20 @@ def verify_chain_map(amitsur: AmitsurComplex, cx: CechComplex,
                 break
         well.append(DegreeCheck(n, bad is None, bad))
 
-    phis = {}
-    for n in range(1, amitsur.n_max + 2):
-        space, layout = amitsur.space(n - 1), cx.space(n)
-        blocks = {}
-        for col, w in enumerate(space.words):
-            row = layout.index.get(w)  # the Cech blocks are the increasing words
-            if row is not None:  # w is its own index set
-                blocks[(row, col)] = section_columns(g(w[0], w), c.ideal_sum_space(w))
-        phis[n] = block_matrix(field, layout.dims, space.dims, blocks)
+    # block w of phi_n sits on the Cech block of w itself; assemble drops
+    # the words that S^n does not hold, those not increasing or of zero ring
+    phis = {n: assemble(c.field, amitsur.space(n - 1), cx.space(n), lambda w: ((1, w),),
+                        lambda w, _: section_columns(g(w[0], w), c.ideal_sum_space(w)))
+            for n in range(1, amitsur.n_max + 2)}
 
     squares = []
     for n in range(1, amitsur.n_max + 1):
         lhs = cx.differential(n).mul(phis[n])
         rhs = phis[n + 1].mul(amitsur.differential(n - 1))
         notes = []
-        if lhs != rhs:
-            col = next(k for k in range(lhs.cols) if lhs.column(k) != rhs.column(k))
+        if lhs != rhs:  # the first column where the rows differ
+            col = min(k for a, b in zip(lhs.nonzeros, rhs.nonzeros) if a != b
+                      for k in a.keys() | b.keys() if a.get(k) != b.get(k))
             space = amitsur.space(n - 1)
             w = space.word_at(col)
             notes.append(f"square fails on coordinate {col - space.offset_of(w)[0]} "

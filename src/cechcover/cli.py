@@ -76,10 +76,9 @@ def _text(name: str, value: str) -> str:
 
 
 def _int(name: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise UsageError(f"{name} needs an integer, not {value!r}") from None
+    if not problem_file.is_integer_text(value):
+        raise UsageError(f"{name} needs an integer, not {value!r}")
+    return int(value)
 
 
 def _format(name: str, value: str) -> str:
@@ -208,11 +207,8 @@ def _parse_field_flag(flag: Optional[str]):
         return None
     if flag == "Q":
         return problem_file.parse_field_spec("Q", "--field-override")
-    if flag.startswith("Fp:"):
-        try:
-            return problem_file.parse_field_spec({"Fp": int(flag[3:])}, "--field-override")
-        except ValueError:
-            pass
+    if flag.startswith("Fp:") and problem_file.is_integer_text(flag[3:]):
+        return problem_file.parse_field_spec({"Fp": int(flag[3:])}, "--field-override")
     raise ProblemFormatError('expected "Q" or "Fp:<prime>"', "--field-override")
 
 

@@ -5,16 +5,18 @@ n is a direct sum of blocks, one per word, and the differential inserts
 one letter into a word with a sign given by the slot it lands in.
 Insertions that land on the same target word add their signs, and the
 block between a source word and a target word is a map that depends on
-the two words only (``assemble``).  Degree n + 1 extends each word of
-degree n by its letters and keeps the words with a nonzero block.  That
-loses nothing: a word with a zero face has a zero block, since A/I_S only
-shrinks as S grows and a unital map out of the zero ring lands in the
-zero ring.  The Amitsur complex (``cechcover.amitsur``) starts from the
-patches and extends by every patch, with the projections A/I_S -> A/I_T
-as blocks.  A ``CechComplex`` starts from () and extends by the patches
-after the last letter, with a functor's restrictions (``cechcover.cech``)
-or a covering's projections (``cechcover.coverings``) as blocks, and
-inserts index i at its sorted position pos with sign (-1)^pos.
+the two words only (``assemble``, the one block writer on the production
+path, which also lays out the comparison map phi of ``cechcover.cech``).
+Degree n + 1 extends each word of degree n by its letters and keeps the
+words with a nonzero block.  That loses nothing: a word with a zero face
+has a zero block, since A/I_S only shrinks as S grows and a unital map
+out of the zero ring lands in the zero ring.  The Amitsur complex
+(``cechcover.amitsur``) starts from the patches and extends by every
+patch, with the projections A/I_S -> A/I_T as blocks.  A ``CechComplex``
+starts from () and extends by the patches after the last letter, with a
+functor's restrictions (``cechcover.cech``) or a covering's projections
+(``cechcover.coverings``) as blocks, and inserts index i at its sorted
+position pos with sign (-1)^pos.
 
 Block (w, v) of d_(n+1) . d_n sums the signed paths w -> u -> v, so the
 one d.d = 0 check, ``first_nonzero_square``, is also the check that the

@@ -15,7 +15,9 @@ and a product of two integral matrices multiplies their numerators
 (``_product``).  A matrix converts its rows to ints once, on first use
 (``Matrix._int_rows``).  Q values still enter and leave every ``Matrix`` as
 ``Fraction``.  ``Matrix.entries`` is a dense read-only view, built on
-first read, for printing.
+first read, for printing.  Block matrices are written by
+``cechcover.complexes.assemble``; a dense column and an independent block
+stacker are test oracles in ``cechcover.oracles``.
 
 Subspaces are stored by their reduced row-echelon basis, which makes RREF
 equality the canonical equality test and makes every derived choice
@@ -226,10 +228,6 @@ class Matrix(Frozen):
         return hash((self.field, self.rows, self.cols,
                      tuple(frozenset(row.items()) for row in self.nonzeros)))
 
-    def column(self, c: int) -> tuple:
-        zero = self.field.zero
-        return tuple(row.get(c, zero) for row in self.nonzeros)
-
     def is_zero(self) -> bool:
         return not any(self.nonzeros)
 
@@ -265,21 +263,6 @@ class Matrix(Frozen):
                     s += a * v
             out.append(s % p if p else (s if s else zero))
         return tuple(out)
-
-def block_matrix(field: Field, row_dims: Sequence[int], col_dims: Sequence[int],
-                 blocks: dict) -> Matrix:
-    """Assemble a matrix from a sparse dict {(block_row, block_col): Matrix}."""
-    row_off = _offsets(row_dims)
-    col_off = _offsets(col_dims)
-    out = tuple({} for _ in range(sum(row_dims)))
-    for (br, bc), m in blocks.items():
-        if m.rows != row_dims[br] or m.cols != col_dims[bc]:
-            raise DimensionMismatchError(f"block ({br},{bc}) has shape {m.rows}x{m.cols}")
-        c0 = col_off[bc]
-        for r, row in enumerate(m.nonzeros, row_off[br]):
-            if row:
-                out[r].update({c0 + c: x for c, x in row.items()} if c0 else row)
-    return Matrix.from_nonzeros(field, len(out), sum(col_dims), out)
 
 
 def _product(field: Field, left: Sequence, ncols: int, right_row, ints: bool) -> Matrix:
@@ -325,14 +308,6 @@ def _factor_rows(a: Matrix, b: Matrix) -> tuple[Sequence, Sequence, bool]:
     if left is None:
         return a.nonzeros, b.nonzeros, False
     return left, right, True
-
-
-def _offsets(dims: Sequence[int]):
-    out, acc = [], 0
-    for d in dims:
-        out.append(acc)
-        acc += d
-    return out
 
 
 def _dense_row(field: Field, row: dict, ncols: int) -> tuple:

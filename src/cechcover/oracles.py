@@ -37,8 +37,8 @@ from its definition, and the tests compare the two:
   tests/test_coverings.py and tests/test_nerve.py.
 - The first sections hold what only these oracles and the tests run:
   scalar, matrix and subspace operations (``scalar_mul``, ``transpose``,
-  ``kron``, ``rref``, ``contains``, ``quotient_section``, ...), algebra
-  elements and products (``Element``, ``multiply``, ``mul_table``),
+  ``kron``, ``block_matrix``, ``rref``, ``contains``, ``quotient_section``,
+  ...), algebra elements and products (``Element``, ``multiply``, ``mul_table``),
   ``ideal_sum``, ``hom_compose``, the stock algebras
   (``split_commutative``, ``matrix_algebra``, ``upper_triangular``,
   ``truncated_polynomial``, ``square_zero``, ``direct_sum``) and helpers
@@ -62,7 +62,7 @@ from .coverings import Covering, completeness_check
 from .errors import DEFAULT_DIM_CAP, DimensionCapError, DimensionMismatchError, StructureError
 from .linalg import (
     QQ, Field, Matrix, Subspace, _check_ambient, _dense_row, _eliminate, _factor_rows,
-    _own_rows, _product, _q_rows, block_matrix, quotient_map, same_field, subspace_sum,
+    _own_rows, _product, _q_rows, quotient_map, same_field, subspace_sum,
 )
 from .nerve import CoverDescription
 from .records import Frozen
@@ -109,6 +109,37 @@ def from_rows(field: Field, rows: Sequence[Sequence]) -> Matrix:
 def support(m: Matrix) -> tuple:
     """Per row of m, the columns of its nonzero entries, in increasing order."""
     return tuple(tuple(sorted(row)) for row in m.nonzeros)
+
+
+def column(m: Matrix, c: int) -> tuple:
+    """Column c of m, dense."""
+    zero = m.field.zero
+    return tuple(row.get(c, zero) for row in m.nonzeros)
+
+
+def block_matrix(field: Field, row_dims: Sequence[int], col_dims: Sequence[int],
+                 blocks: dict) -> Matrix:
+    """Assemble a matrix from a sparse dict {(block_row, block_col): Matrix}:
+    the stacker that tests hold ``complexes.assemble`` to."""
+    row_off = _offsets(row_dims)
+    col_off = _offsets(col_dims)
+    out = tuple({} for _ in range(sum(row_dims)))
+    for (br, bc), m in blocks.items():
+        if m.rows != row_dims[br] or m.cols != col_dims[bc]:
+            raise DimensionMismatchError(f"block ({br},{bc}) has shape {m.rows}x{m.cols}")
+        c0 = col_off[bc]
+        for r, row in enumerate(m.nonzeros, row_off[br]):
+            if row:
+                out[r].update({c0 + c: x for c, x in row.items()} if c0 else row)
+    return Matrix.from_nonzeros(field, len(out), sum(col_dims), out)
+
+
+def _offsets(dims: Sequence[int]):
+    out, acc = [], 0
+    for d in dims:
+        out.append(acc)
+        acc += d
+    return out
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -732,9 +763,9 @@ def _tensor_with_section(m: Bimodule, n: Bimodule, check: bool = False):
             for am in range(a.dim):
                 ra = _slice(m.right[am], u.offset, du, u.offset, du)
                 la = _slice(n.left[am], v.offset, dv, v.offset, dv)
-                la_cols = [la.column(yi) for yi in range(dv)]
+                la_cols = [column(la, yi) for yi in range(dv)]
                 for xi in range(du):
-                    col_r = ra.column(xi)
+                    col_r = column(ra, xi)
                     for yi in range(dv):
                         vec = [zero] * (du * dv)
                         for r, cr in enumerate(col_r):

@@ -78,10 +78,15 @@ def _parse_fraction(text: str) -> Fraction:
     spaces and underscores, and it expands an exponent such as "1e999999999"
     digit by digit."""
     num, slash, den = text.partition("/")
-    digits = num[1:] if num[:1] in ("+", "-") else num
-    if not (_is_digits(digits) and (not slash or _is_digits(den))):
+    if not (is_integer_text(num) and (not slash or _is_digits(den))):
         raise ValueError(f'a scalar string is an integer or a fraction like "-2/3", not {text!r}')
     return Fraction(int(num), int(den) if slash else 1)
+
+
+def is_integer_text(text: str) -> bool:
+    """An optional sign and ASCII digits: the integer grammar of scalar strings
+    and of the command line, where ``int`` alone takes " 3", "1_0" and more."""
+    return _is_digits(text[1:] if text[:1] in ("+", "-") else text)
 
 
 def _is_digits(text: str) -> bool:

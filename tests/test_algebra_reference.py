@@ -25,9 +25,9 @@ from cechcover.algebras import AlgebraHom, Ideal, hom_check, ideal_closure, make
 from cechcover.errors import StructureError
 from cechcover.linalg import GF, QQ, Matrix, Subspace, quotient_map
 from cechcover.oracles import (
-    matrix_add, matrix_algebra, mul_table, multiply, quotient_section, random_algebra, rref,
-    scalar_div, scalar_mul, scalar_sub, split_commutative, square_zero, truncated_polynomial,
-    upper_triangular,
+    column, matrix_add, matrix_algebra, mul_table, multiply, quotient_section, random_algebra,
+    rref, scalar_div, scalar_mul, scalar_sub, split_commutative, square_zero,
+    truncated_polynomial, upper_triangular,
 )
 
 FIELDS = (QQ, GF(2), GF(5), GF(1000003))
@@ -297,7 +297,7 @@ def random_table(rng, field, max_dim=6) -> tuple[int, tuple, tuple]:
     n = base.dim
     dense = DenseAlgebra(field, n, mul_table(base), base.unit)
     p, p_inv = random_invertible(rng, field, n)
-    cols = [p.column(i) for i in range(n)]
+    cols = [column(p, i) for i in range(n)]
     table = tuple(tuple(p_inv.apply(dense.multiply(cols[i], cols[j])) for j in range(n))
                   for i in range(n))
     return n, table, p_inv.apply(base.unit)

@@ -44,10 +44,10 @@ from cechcover.cech import (
 from cechcover.complexes import WordSpace, assemble, increasing_insertions
 from cechcover.coverings import Covering
 from cechcover.errors import StructureError
-from cechcover.linalg import GF, QQ, Matrix, block_matrix, quotient_map
+from cechcover.linalg import GF, QQ, Matrix, quotient_map
 from cechcover.nerve import functor_from_cover
 from cechcover.oracles import (
-    from_rows, lattice_functor, matrix_add, matrix_algebra, quotient_section,
+    block_matrix, from_rows, lattice_functor, matrix_add, matrix_algebra, quotient_section,
     random_cover_description, random_covering, scale, split_commutative, vstack,
 )
 

@@ -481,6 +481,44 @@ def test_chain_map_over_f5():
     assert report.passed
 
 
+def _twisted_plane(swapped: set) -> tuple:
+    """The split plane covered three times by the zero ideal, and the
+    functor with the plane on every tuple whose restrictions are the swap
+    of e1, e2 on the inclusions named "zeta->eta" in ``swapped`` and the
+    identity on the others."""
+    a = split_commutative(QQ, 2)
+    c = Covering(a, [ideal_closure(a, [])] * 3)
+    swap = AlgebraHom(a, a, from_rows(QQ, [[0, 1], [1, 0]]))
+    rings = {zeta: a for k in range(4) for zeta in all_tuples(3, k)}
+    steps = {}
+    for zeta, eta in ((z, tuple(sorted(z + (i,)))) for z in rings for i in range(1, 4)
+                      if i not in z):
+        name = ",".join(map(str, zeta)) + "->" + ",".join(map(str, eta))
+        steps[(zeta, eta)] = swap if name in swapped else AlgebraHom.identity(a)
+    return c, PosetFunctor(3, rings, steps)
+
+
+@pytest.mark.parametrize("swapped, squares", [
+    ({"->3", "3->1,3", "3->2,3"},
+     ((False, "square fails on coordinate 0 of the block (3,); "
+              "phi is not well defined in degree 2"),
+      (True, "phi is not well defined in degree 2; phi is not well defined in degree 3"))),
+    ({"->2", "2->1,2", "2->2,3"},
+     ((False, "square fails on coordinate 0 of the block (2,); "
+              "phi is not well defined in degree 2"),
+      (False, "square fails on coordinate 0 of the block (2, 3); "
+              "phi is not well defined in degree 2; phi is not well defined in degree 3"))),
+])
+def test_chain_map_witness_names_the_first_failing_block(swapped, squares):
+    # the patch homs are identities and the restrictions out of one patch
+    # swap e1 and e2: g_i and g_j differ on the pairs of that patch, so phi
+    # is not well defined in degree 2, and the squares fail on its blocks
+    c, f = _twisted_plane(swapped)
+    report = verify_chain_map(build_amitsur(c, 2), build_cech(f), default_phi_choice(f, c))
+    assert tuple((ch.ok, ch.witness) for ch in report.squares) == squares
+    assert not report.passed
+
+
 def test_random_ringed_functors_validate_and_square_to_zero():
     rng = random.Random(59)
     for field in (QQ, GF(5)):

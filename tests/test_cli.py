@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -290,6 +291,37 @@ def test_report_problem_round_trip(capsys, problems_dir):
     assert normalize(reparsed) == report["problem"]
 
 
+def _rescaled(doc: dict, scale: list) -> dict:
+    """The same problem on the basis b'_k = scale[k] * b_k: a structure
+    constant c_ij^k becomes scale[i] * scale[j] / scale[k] times c_ij^k,
+    and the unit and every generator coordinate k is divided by scale[k]."""
+    def coords(v):
+        return [str(Fraction(x) / s) for x, s in zip(v, scale)]
+
+    alg = doc["algebra"]
+    return dict(doc, algebra=dict(alg, unit=coords(alg["unit"]), mul=[
+        [i, j, k, str(Fraction(c) * scale[i] * scale[j] / scale[k])]
+        for i, j, k, c in alg["mul"]]),
+        ideals={name: [coords(v) for v in gens] for name, gens in doc["ideals"].items()})
+
+
+def test_a_rescaled_basis_gives_the_same_reports(capsys, tmp_path, problems_dir):
+    # y -> 2y puts 1/2 into the generators, so the ideal D has RREF basis
+    # (0, 1, 1/2) and the differentials hold fractions: the Q kernels run
+    # their Fraction branches, which integer coverings never reach
+    original = problems_dir / "incomplete_three_lines.json"
+    path = tmp_path / "rescaled.json"
+    path.write_text(json.dumps(_rescaled(json.loads(original.read_text()), [1, 1, 2])))
+    problem, _ = load_problem(str(path))
+    assert problem.covering.ideals[2].space.sparse_basis == ({1: 1, 2: Fraction(1, 2)},)
+    assert problem.covering.complex.differential(0)._int_rows is None
+    for command in ("check", "cech", "amitsur", "verify"):
+        want_code, want, _ = run_json(capsys, command, original)
+        code, got, _ = run_json(capsys, command, path)
+        assert code == want_code
+        assert (got["results"], got["checks"]) == (want["results"], want["checks"]), command
+
+
 def test_field_override(capsys, problems_dir):
     code, report, _ = run_json(capsys, "check", problems_dir / "e1_split_three_points.json",
                                "--field-override", "Fp:5")
@@ -299,10 +331,27 @@ def test_field_override(capsys, problems_dir):
 
 
 def test_bad_field_override(capsys, problems_dir):
-    code, _, err = run(capsys, "check", "--input",
-                       str(problems_dir / "e1_split_three_points.json"),
-                       "--field-override", "F4")
-    assert code == 2
+    # Fp: takes the problem file's integers, not every spelling int() takes
+    for flag in ("F4", "Fp:", "Fp:\u0665", "Fp:1_000_003", "Fp: 5"):
+        code, out, err = run(capsys, "check", "--input",
+                             str(problems_dir / "e1_split_three_points.json"),
+                             "--field-override", flag)
+        assert (code, out) == (2, ""), flag
+        assert err == 'input error: --field-override: expected "Q" or "Fp:<prime>"\n'
+
+
+def test_signed_command_line_integers(capsys, problems_dir):
+    path = problems_dir / "e1_split_three_points.json"
+    code, report, _ = run_json(capsys, "amitsur", path, "--n-max", "+2",
+                               "--field-override", "Fp:+5")
+    assert code == 0
+    assert report["problem"]["options"]["n_max"] == 2
+    assert report["field"] == {"Fp": 5}
+    code, out, err = run(capsys, "check", "--input", str(path), "--n-max", "-1")
+    assert (code, out, err) == (2, "", "input error: --n-max: n_max must be >= 1\n")
+    code, out, err = run(capsys, "check", "--input", str(path), "--field-override", "Fp:-1")
+    assert (code, out) == (2, "")
+    assert err == "input error: --field-override: prime field order out of range: -1\n"
 
 
 def test_text_format_renders(capsys, problems_dir):
@@ -585,6 +634,13 @@ ARGV_ERRORS = (
     (("check", "--input", "--n-max", "2"), "--input needs a value"),
     (("check", "--input", E1, "--n-max", "two"), "--n-max needs an integer"),
     (("check", "--input", E1, "--dim-cap=1.5"), "--dim-cap needs an integer"),
+    # the integer grammar of problem files: a sign and ASCII digits, which
+    # int() alone widens with underscores, spaces and other scripts' digits
+    (("check", "--input", E1, "--n-max", "1_0"), "--n-max needs an integer"),
+    (("check", "--input", E1, "--n-max", "\u0663"), "--n-max needs an integer"),
+    (("check", "--input", E1, "--n-max", " 3"), "--n-max needs an integer"),
+    (("check", "--input", E1, "--dim-cap", "1_0"), "--dim-cap needs an integer"),
+    (("check", "--input", E1, "--dim-cap=\u0665"), "--dim-cap needs an integer"),
     (("check", "--input", E1, "--format", "xml"), "--format must be text or json"),
     (("check",), "--input FILE is required"),
     (("check", "--format", "json"), "--input FILE is required"),

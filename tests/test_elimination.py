@@ -15,12 +15,11 @@ from functools import cached_property, partial
 
 from cechcover import linalg
 from cechcover.cech import build_cech, cech_cohomology, constant_functor
-from cechcover.linalg import (
-    GF, QQ, Field, Matrix, Subspace, block_matrix, kernel_basis, rank, subspace_sum,
-)
+from cechcover.linalg import GF, QQ, Field, Matrix, Subspace, kernel_basis, rank, subspace_sum
 from cechcover.oracles import (
-    from_rows, image_basis, kron, matrix_add, matrix_sub, mul_kron_identity, rref, scalar_div,
-    scalar_mul, scalar_sub, scale, split_commutative, subspace_intersect, transpose, vstack,
+    block_matrix, from_rows, image_basis, kron, matrix_add, matrix_sub, mul_kron_identity, rref,
+    scalar_div, scalar_mul, scalar_sub, scale, split_commutative, subspace_intersect, transpose,
+    vstack,
 )
 
 FIELDS = (QQ, GF(2), GF(5), GF(1000003))

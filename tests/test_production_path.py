@@ -45,7 +45,6 @@ ALLOWED = {
     "errors.NotAComplexError.__init__": "error path: d.d = 0 holds for every covering",
     "linalg.RationalField.__repr__": "error path: a FieldMismatchError names the fields",
     "linalg.PrimeField.__repr__": "error path: a FieldMismatchError names the fields",
-    "linalg.Matrix.column": "error path: the witness of a failing chain-map square",
     "complexes.WordSpace.offset_of": "error path: the witness of a nonzero square",
     "complexes.WordSpace.word_at": "error path: the witness of a nonzero square",
 }

@@ -309,6 +309,9 @@ MOVED = (
     ("cechcover.coverings", "Covering.section"),
     ("cechcover.complexes", "CechComplex.dprime"),
     ("cechcover.complexes", "increasing_space"),
+    ("cechcover.linalg", "block_matrix"),
+    ("cechcover.linalg", "_offsets"),
+    ("cechcover.linalg", "Matrix.column"),
     ("cechcover", "Element"),
     ("cechcover", "RingedStructure"),
 )
