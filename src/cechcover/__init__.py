@@ -2,6 +2,7 @@
 
 Library layout:
 
+- ``records``: ``Frozen``, the read-only base of every value type.
 - ``linalg``: exact fields (Q, F_p), matrices, subspaces, quotients.
 - ``algebras``: structure-constant algebras, ideals, homomorphisms.
 - ``coverings``: coverings by ideals, their ideal-sum lattice, the

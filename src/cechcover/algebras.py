@@ -26,16 +26,9 @@ from .records import Frozen
 
 
 class Algebra(Frozen):
+    # terms[i][j] = ((k, c), ...), the nonzeros of b_i * b_j
     _fields = ("field", "dim", "terms", "unit", "labels")
-
-    def __init__(self, field: Field, dim: int, terms: tuple, unit: tuple,
-                 labels: Optional[tuple] = None):
-        d = self.__dict__
-        d["field"] = field
-        d["dim"] = dim
-        d["terms"] = terms  # terms[i][j] = ((k, c), ...), the nonzeros of b_i * b_j
-        d["unit"] = unit
-        d["labels"] = labels
+    _defaults = {"labels": None}
 
 
 def _combine(pairs: Iterable, p: int) -> dict:
@@ -171,18 +164,14 @@ class Ideal(Frozen):
         if space.ambient_dim != algebra.dim:
             raise DimensionMismatchError("ideal ambient dim != algebra dim")
         _check_two_sided(algebra, space)
-        d = self.__dict__
-        d["algebra"] = algebra
-        d["space"] = space
+        super().__init__(algebra, space)
 
     @classmethod
     def _proven(cls, algebra: Algebra, space: Subspace) -> "Ideal":
         """An Ideal on a space already known to be a two-sided ideal of
         ``algebra`` (a closure fixpoint, a sum of ideals): no check."""
         ideal = object.__new__(cls)
-        d = ideal.__dict__
-        d["algebra"] = algebra
-        d["space"] = space
+        Frozen.__init__(ideal, algebra, space)
         return ideal
 
 
@@ -211,12 +200,7 @@ def ideal_closure(a: Algebra, gens: Sequence) -> Ideal:
 
 class HomReport(Frozen):
     _fields = ("ok", "witness", "message")
-
-    def __init__(self, ok: bool, witness: Optional[tuple] = None, message: str = ""):
-        d = self.__dict__
-        d["ok"] = ok
-        d["witness"] = witness
-        d["message"] = message
+    _defaults = {"witness": None, "message": ""}
 
 
 class AlgebraHom(Frozen):
@@ -227,10 +211,7 @@ class AlgebraHom(Frozen):
             raise DimensionMismatchError(
                 f"hom matrix {matrix.rows}x{matrix.cols} does not map "
                 f"dim {domain.dim} to dim {codomain.dim}")
-        d = self.__dict__
-        d["domain"] = domain
-        d["codomain"] = codomain
-        d["matrix"] = matrix
+        super().__init__(domain, codomain, matrix)
         report = hom_check(self)
         if not report.ok:
             raise StructureError(report.message, witness=report.witness)

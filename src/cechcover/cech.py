@@ -37,13 +37,13 @@ reads, is a test oracle in ``cechcover.oracles``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .algebras import Algebra, AlgebraHom
 from .complexes import CechComplex, all_tuples, assemble, extensions
 from .errors import DimensionMismatchError, StructureError
 from .linalg import Matrix, section_columns
-from .records import Frozen, Record
+from .records import Frozen
 
 if TYPE_CHECKING:  # annotations only: cech and oracle on a functor file load neither
     from .amitsur import AmitsurComplex
@@ -76,24 +76,22 @@ def one_step_inclusions(n_patches: int):
 # Poset functors
 # ---------------------------------------------------------------------------
 
-class PosetFunctor(Record):
+class PosetFunctor(Frozen):
     """Unital rings on increasing tuples with one-step restriction maps.
 
     ``rings`` must cover every tuple of length 0..N; ``steps`` holds the
     restriction for every inclusion that adds a single index, keyed by
     (zeta, eta).  The constructor runs ``validate_functor``, which raises
     StructureError unless they are well defined, and keeps the complex it
-    assembled as ``cech``, so the rings and steps must not be changed
-    after construction.
+    assembled as ``cech``, the one attribute that is not a field, so the
+    rings and steps must not be changed after construction.
     """
 
     _fields = ("n_patches", "rings", "steps")
 
     def __init__(self, n_patches: int, rings: dict, steps: dict):
-        self.n_patches = n_patches
-        self.rings = rings
-        self.steps = steps
-        self.cech = validate_functor(self)
+        super().__init__(n_patches, rings, steps)
+        self.__dict__["cech"] = validate_functor(self)
 
     def ring(self, zeta: Sequence[int]) -> Algebra:
         return self.rings[tuple(zeta)]
@@ -166,31 +164,16 @@ def cech_cohomology(cx: CechComplex) -> list[int]:
 
 class DegreeCheck(Frozen):
     _fields = ("degree", "ok", "witness")
-
-    def __init__(self, degree: int, ok: bool, witness: Optional[str] = None):
-        d = self.__dict__
-        d["degree"] = degree
-        d["ok"] = ok
-        d["witness"] = witness
+    _defaults = {"witness": None}
 
 
 class ChainMapReport(Frozen):
     _fields = ("well_defined", "squares", "passed")
 
-    def __init__(self, well_defined: tuple, squares: tuple, passed: bool):
-        d = self.__dict__
-        d["well_defined"] = well_defined
-        d["squares"] = squares
-        d["passed"] = passed
-
     def as_dict(self) -> dict:
         return {
-            "well_defined": [
-                {"degree": c.degree, "ok": c.ok, "witness": c.witness}
-                for c in self.well_defined],
-            "squares": [
-                {"degree": c.degree, "ok": c.ok, "witness": c.witness}
-                for c in self.squares],
+            "well_defined": [{f: getattr(c, f) for f in c._fields} for c in self.well_defined],
+            "squares": [{f: getattr(c, f) for f in c._fields} for c in self.squares],
             "passed": self.passed,
         }
 

@@ -158,11 +158,11 @@ def main(argv: Optional[list] = None) -> int:
         if n_max is not None:
             if n_max < 1:
                 raise ProblemFormatError("n_max must be >= 1", "--n-max")
-            problem.n_max = n_max
+            problem = problem._replace(n_max=n_max)
         if dim_cap is not None:
             if dim_cap < 1:
                 raise ProblemFormatError("dim_cap must be positive", "--dim-cap")
-            problem.dim_cap = dim_cap
+            problem = problem._replace(dim_cap=dim_cap)
         # loading raises only the first two: it wraps the rest into ProblemFormatError
         started = time.perf_counter()
         results, checks, code = _dispatch(command, problem)

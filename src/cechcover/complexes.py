@@ -40,11 +40,6 @@ class WordSpace(Frozen):
 
     _fields = ("words", "dims")
 
-    def __init__(self, words: tuple, dims: tuple):
-        d = self.__dict__
-        d["words"] = words
-        d["dims"] = dims
-
     @cached_property
     def dim(self) -> int:
         return sum(self.dims)

@@ -35,17 +35,6 @@ class CompletenessReport(Frozen):
     _fields = ("is_covering", "intersection_dim", "exact_at_a", "exact_at_b",
                "ker_tau_dim", "im_pi_dim", "complete")
 
-    def __init__(self, is_covering: bool, intersection_dim: int, exact_at_a: bool,
-                 exact_at_b: bool, ker_tau_dim: int, im_pi_dim: int, complete: bool):
-        d = self.__dict__
-        d["is_covering"] = is_covering
-        d["intersection_dim"] = intersection_dim
-        d["exact_at_a"] = exact_at_a
-        d["exact_at_b"] = exact_at_b
-        d["ker_tau_dim"] = ker_tau_dim
-        d["im_pi_dim"] = im_pi_dim
-        d["complete"] = complete
-
     def as_dict(self) -> dict:
         return {
             "is_covering": self.is_covering,

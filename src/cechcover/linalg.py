@@ -41,7 +41,7 @@ from .records import Frozen
 # Fields
 # ---------------------------------------------------------------------------
 
-class Field:
+class Field(Frozen):
     """Field descriptor; scalar values are plain Python objects it governs.
 
     ``characteristic`` is 0 for Q and p for F_p; the elimination kernels
@@ -79,23 +79,18 @@ class RationalField(Field):
     def __repr__(self):
         return "QQ"
 
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("QQ")
-
 
 class PrimeField(Field):
     """F_p for a prime p < 2^31; elements are ints in [0, p)."""
+
+    _fields = ("p", "characteristic")
 
     def __init__(self, p: int):
         if p < 2 or p >= 2 ** 31:
             raise ValueError(f"prime field order out of range: {p}")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.characteristic = p
+        super().__init__(p, p)
 
     def coerce(self, x):
         if type(x) is int:
@@ -122,12 +117,6 @@ class PrimeField(Field):
 
     def __repr__(self):
         return f"GF({self.p})"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
 
 
 def _is_prime(n: int) -> bool:
@@ -478,12 +467,7 @@ class Subspace(Frozen):
     nonzeros in column order, pivot first.
     """
 
-    _fields = ("ambient_dim", "basis")
-
-    def __init__(self, ambient_dim: int, basis: Matrix):
-        d = self.__dict__
-        d["ambient_dim"] = ambient_dim
-        d["basis"] = basis  # RREF, no zero rows
+    _fields = ("ambient_dim", "basis")  # basis: RREF, no zero rows
 
     @staticmethod
     def from_vectors(field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":

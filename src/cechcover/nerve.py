@@ -29,10 +29,7 @@ class CoverDescription(Frozen):
     _fields = ("n_patches", "nonempty_overlaps", "field")
 
     def __init__(self, n_patches: int, nonempty_overlaps: frozenset, field: Field):
-        d = self.__dict__
-        d["n_patches"] = n_patches
-        d["nonempty_overlaps"] = nonempty_overlaps
-        d["field"] = field
+        super().__init__(n_patches, nonempty_overlaps, field)
         if self.n_patches < 1:
             raise ValueError("need at least one patch")
         for t in self.nonempty_overlaps:

@@ -286,9 +286,7 @@ class Element(Frozen):
         if len(coords) != algebra.dim:
             raise DimensionMismatchError(
                 f"element has {len(coords)} coordinates in a dim-{algebra.dim} algebra")
-        d = self.__dict__
-        d["algebra"] = algebra
-        d["coords"] = coords
+        super().__init__(algebra, coords)
 
     def _check_same_algebra(self, other: "Element") -> None:
         if other.algebra is not self.algebra and other.algebra != self.algebra:
@@ -597,13 +595,8 @@ def functor_from_ringed_covering(c: Covering, rs: RingedStructure) -> PosetFunct
 # ---------------------------------------------------------------------------
 
 class TensorBlock(Frozen):
+    # word: patch indices, 1-based; length = tensor power
     _fields = ("word", "offset", "dim")
-
-    def __init__(self, word: tuple, offset: int, dim: int):
-        d = self.__dict__
-        d["word"] = word  # patch indices, 1-based; length = tensor power
-        d["offset"] = offset
-        d["dim"] = dim
 
 
 class Bimodule(Frozen):
@@ -611,19 +604,10 @@ class Bimodule(Frozen):
 
     ``blocks`` partitions the coordinates into action-invariant ranges
     labelled by patch words; provenance records how the space arose.
+    ``left[m]`` is the Matrix of the action of basis element b_m.
     """
 
     _fields = ("algebra", "dim", "left", "right", "blocks", "provenance")
-
-    def __init__(self, algebra: Algebra, dim: int, left: tuple, right: tuple,
-                 blocks: tuple, provenance: str):
-        d = self.__dict__
-        d["algebra"] = algebra
-        d["dim"] = dim
-        d["left"] = left  # left[m]: Matrix, action of basis element b_m
-        d["right"] = right
-        d["blocks"] = blocks
-        d["provenance"] = provenance
 
     def left_action(self, coords: Sequence) -> Matrix:
         return _combine_actions(self, self.left, coords)
@@ -1083,16 +1067,11 @@ def _scatter(field, rows: int, cols: int, triples) -> Matrix:
 # ---------------------------------------------------------------------------
 
 class SweedlerCoring(Frozen):
-    _fields = ("covering", "module", "coproduct", "counit", "elements")
+    """``module`` is B (x)_A B; ``coproduct`` is T_2 -> T_3, x(x)y -> x(x)1(x)y;
+    ``counit`` is T_2 -> B, induced by multiplication; ``elements`` maps
+    (i, j) to the coordinates of pi_i(1)(x)pi_j(1) in T_2."""
 
-    def __init__(self, covering: Covering, module: Bimodule, coproduct: Matrix,
-                 counit: Matrix, elements: dict):
-        d = self.__dict__
-        d["covering"] = covering
-        d["module"] = module  # B (x)_A B
-        d["coproduct"] = coproduct  # T_2 -> T_3, x(x)y -> x(x)1(x)y
-        d["counit"] = counit  # T_2 -> B, induced by multiplication
-        d["elements"] = elements  # (i, j) -> coordinates of pi_i(1)(x)pi_j(1) in T_2
+    _fields = ("covering", "module", "coproduct", "counit", "elements")
 
 
 def build_coring(c: Covering, tower: Optional[TensorTower] = None,
@@ -1140,11 +1119,6 @@ class CechElement(Frozen):
     """An element of S^n with its block layout."""
 
     _fields = ("layout", "coords")
-
-    def __init__(self, layout: WordSpace, coords: tuple):
-        d = self.__dict__
-        d["layout"] = layout
-        d["coords"] = coords
 
     def component(self, zeta: Sequence[int], functor: PosetFunctor) -> Element:
         off, d = self.layout.offset_of(tuple(zeta))

@@ -20,7 +20,7 @@ from . import cech, coverings, nerve
 from .algebras import Algebra, AlgebraHom, algebra_from_terms, ideal_closure
 from .errors import DEFAULT_DIM_CAP, CechcoverError, DimensionCapError, ProblemFormatError
 from .linalg import GF, QQ, Field, Matrix
-from .records import Record
+from .records import Frozen
 
 DEFAULT_N_MAX = 3
 # the deepest nesting of JSON arrays and objects a problem file may have;
@@ -31,22 +31,11 @@ MAX_NESTING = 100
 MAX_ALGEBRA_CELLS = 10 ** 6
 
 
-class Problem(Record):
+class Problem(Frozen):
+    # functor_spec is {"kind": "ringed_default"} or {"kind": kind, "body": body}
     _fields = ("field", "algebra", "ideals", "covering", "functor_spec",
-               "n_max", "dim_cap", "raw")
-
-    def __init__(self, field: Field, algebra: Optional[Algebra], ideals: dict,
-                 covering: Optional[coverings.Covering], functor_spec: Optional[dict],
-                 n_max: int = DEFAULT_N_MAX, dim_cap: int = DEFAULT_DIM_CAP,
-                 raw: Optional[dict] = None):
-        self.field = field
-        self.algebra = algebra
-        self.ideals = ideals
-        self.covering = covering
-        self.functor_spec = functor_spec  # {"kind": ..., ...}
-        self.n_max = n_max
-        self.dim_cap = dim_cap
-        self.raw = {} if raw is None else raw
+               "n_max", "dim_cap", "covering_names")
+    _defaults = {"n_max": DEFAULT_N_MAX, "dim_cap": DEFAULT_DIM_CAP, "covering_names": ()}
 
 
 def _is_int(value) -> bool:
@@ -304,7 +293,7 @@ def parse_problem(doc, field_override: Optional[Field] = None) -> Problem:
                 raise ProblemFormatError("dim_cap must be a positive integer", "options.dim_cap")
 
     return Problem(field, algebra, ideals, covering, functor_spec,
-                   n_max, dim_cap, raw=doc)
+                   n_max, dim_cap, tuple(doc.get("covering", ())))
 
 
 def load_problem(path: str, field_override: Optional[Field] = None):
@@ -377,10 +366,11 @@ def normalize(problem: Problem) -> dict:
             name: [[scalar_to_json(f, x) for x in row] for row in ideal.space.basis.entries]
             for name, ideal in problem.ideals.items()}
     if problem.covering is not None:
-        names = list(problem.raw.get("covering", []))
-        doc["covering"] = names
-    if problem.functor_spec is not None:
-        doc["functor"] = (problem.raw or {}).get("functor", "ringed_default")
+        doc["covering"] = list(problem.covering_names)
+    spec = problem.functor_spec
+    if spec is not None:
+        doc["functor"] = ("ringed_default" if spec["kind"] == "ringed_default"
+                          else {spec["kind"]: spec["body"]})
     doc["options"] = {"n_max": problem.n_max, "dim_cap": problem.dim_cap}
     return doc
 

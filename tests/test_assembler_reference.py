@@ -383,7 +383,7 @@ def test_squares_of_broken_constant_functors(field, n):
                 steps[key] = swap
             # a functor that has not been validated, for both routes to check
             f = PosetFunctor.__new__(PosetFunctor)
-            f.n_patches, f.rings, f.steps = n, base.rings, steps
+            vars(f).update(n_patches=n, rings=base.rings, steps=steps)
             expected = _verdict(ref_validate_functor, f)
             assert _verdict(validate_functor, f) == expected
             assert _verdict(_construct, f) == expected

@@ -41,7 +41,7 @@ ALLOWED = {
     "records.Frozen.__setattr__": "public check: a value refuses assignment",
     "records.Frozen.__delattr__": "public check: a value refuses deletion",
     "records.Frozen.__hash__": "public check: values hash by their fields",
-    "records.Record.__repr__": "public check: values print their fields",
+    "records.Frozen.__repr__": "public check: values print their fields",
     "errors.NotAComplexError.__init__": "error path: d.d = 0 holds for every covering",
     "linalg.RationalField.__repr__": "error path: a FieldMismatchError names the fields",
     "linalg.PrimeField.__repr__": "error path: a FieldMismatchError names the fields",

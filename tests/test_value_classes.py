@@ -7,7 +7,9 @@ production modules it uses.
 
 The semantics pins: equal fields compare equal and hash equal, another
 class never compares equal, assignment raises AttributeError, and the
-cached properties stay cached.
+cached properties stay cached.  Every value type that declares only its
+fields is built by the one constructor of ``records.Frozen``, whose
+contract is pinned here.
 """
 
 from __future__ import annotations
@@ -23,9 +25,13 @@ import pytest
 
 import cechcover
 from cechcover.algebras import AlgebraHom, Ideal, ideal_closure
+from cechcover.cech import DegreeCheck, constant_functor
 from cechcover.coverings import completeness_check
-from cechcover.linalg import QQ, Matrix, Subspace
+from cechcover.errors import StructureError
+from cechcover.linalg import GF, QQ, Matrix, Subspace
 from cechcover.oracles import Element, from_rows, split_commutative
+from cechcover.problem import Problem
+from cechcover.records import Frozen
 
 from instances import make_e1
 
@@ -45,6 +51,7 @@ def _pairs():
         ("Ideal", lambda: Ideal(a, space)),
         ("AlgebraHom", lambda: AlgebraHom.identity(a)),
         ("CompletenessReport", lambda: completeness_check(make_e1())),
+        ("PrimeField", lambda: GF(5)),
     ]
 
 
@@ -102,6 +109,91 @@ def test_an_instance_equals_itself_without_comparing_fields(name, make, monkeypa
 def test_repr_names_the_class_and_its_fields():
     m = Matrix(QQ, 1, 1, ((QQ.one,),))
     assert repr(m) == "Matrix(field=QQ, rows=1, cols=1, entries=((Fraction(1, 1),),))"
+
+
+def _declared_only():
+    """Every Frozen subclass of the package, oracles included, built by the
+    base's constructor, in a fixed order."""
+    found, stack = set(), [Frozen]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            if cls.__module__.startswith("cechcover.") and cls.__init__ is Frozen.__init__:
+                found.add(cls)
+    return sorted(found, key=lambda cls: (cls.__module__, cls.__qualname__))
+
+
+DECLARED = _declared_only()
+
+
+def test_value_types_declare_their_fields_once():
+    assert {cls.__qualname__ for cls in DECLARED} >= {
+        "Algebra", "HomReport", "WordSpace", "CompletenessReport", "Subspace",
+        "DegreeCheck", "ChainMapReport", "Problem", "RationalField",
+        "TensorBlock", "Bimodule", "SweedlerCoring", "CechElement"}
+
+
+@pytest.mark.parametrize("cls", DECLARED, ids=[cls.__qualname__ for cls in DECLARED])
+def test_the_base_constructor_contract(cls):
+    fields = cls._fields
+    values = [object() for _ in fields]
+    by_name = dict(zip(fields, values))
+    x = cls(*values)
+    assert [getattr(x, name) for name in fields] == values
+    assert cls(**by_name) == x
+    assert cls(*values[:1], **dict(list(by_name.items())[1:])) == x
+    for name, default in cls._defaults.items():
+        y = cls(**{k: v for k, v in by_name.items() if k != name})
+        assert getattr(y, name) is default
+    with pytest.raises(TypeError, match="takes"):
+        cls(*values, object())
+    with pytest.raises(TypeError, match="has no field"):
+        cls(*values, not_a_field=1)
+    for name in fields:
+        with pytest.raises(TypeError, match="twice"):
+            cls(*values, **{name: by_name[name]})
+        if name not in cls._defaults:
+            with pytest.raises(TypeError, match="needs field"):
+                cls(**{k: v for k, v in by_name.items() if k != name})
+
+
+def test_replace_builds_a_changed_copy_through_the_constructor():
+    x = DegreeCheck(2, True)
+    y = x._replace(ok=False, witness="w")
+    assert (y.degree, y.ok, y.witness) == (2, False, "w")
+    assert (x.degree, x.ok, x.witness) == (2, True, None)
+    same = x._replace()
+    assert same == x and same is not x
+    with pytest.raises(TypeError, match="has no field"):
+        x._replace(not_a_field=1)
+    # a checking constructor checks the copy too
+    a = split_commutative(QQ, 2)
+    hom = AlgebraHom.identity(a)
+    with pytest.raises(StructureError):
+        hom._replace(matrix=Matrix.zero(QQ, 2, 2))
+    assert hom.matrix == Matrix.identity(QQ, 2)
+
+
+@pytest.mark.parametrize("make, field", (
+    (lambda: Problem(QQ, None, {}, None, None), "n_max"),
+    (lambda: constant_functor(2, split_commutative(QQ, 1)), "rings"),
+    (lambda: QQ, "characteristic"),
+    (lambda: GF(5), "p"),
+), ids=("Problem", "PosetFunctor", "QQ", "GF(5)"))
+def test_problems_functors_and_fields_refuse_assignment(make, field):
+    x = make()
+    before = repr(x), getattr(x, field)
+    with pytest.raises(AttributeError):
+        setattr(x, field, 7)
+    with pytest.raises(AttributeError):
+        x.not_a_field = 1
+    assert (repr(x), getattr(x, field)) == before
+    assert not hasattr(x, "not_a_field")
+
+
+def test_fields_differ_by_kind_and_order():
+    assert GF(5) != GF(7) and GF(5) != QQ and QQ != GF(5)
+    assert (GF(5).characteristic, QQ.characteristic) == (5, 0)
 
 
 def test_cached_properties_are_still_cached():
