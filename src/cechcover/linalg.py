@@ -1,20 +1,22 @@
 """Exact linear algebra over Q and prime fields.
 
-Everything here is exact: rationals are arbitrary-precision
-``fractions.Fraction`` values, prime-field elements are canonical int
-representatives in ``[0, p)``.  So zero is ``Fraction(0)`` or ``0``, and
-truthiness is the zero test throughout.
+Everything here is exact, and a value has one format: a rational is an
+``int`` when it is integral and a ``fractions.Fraction`` otherwise, and a
+prime-field element is its canonical int representative in ``[0, p)``.
+So zero is ``0``, and truthiness is the zero test throughout.  Arithmetic
+may also produce an integral ``Fraction``, which is equal to its int and
+hashes equal to it.  No value is ever divided with ``/``, which would
+make a float of two ints: a row is divided by its pivot with
+``Fraction`` (``_over_pivot``), and over F_p by a modular inverse.
 
 A ``Matrix`` stores its nonzeros only: one ``{column: value}`` dict per
 row, and no zero is stored.  Every operation, row reduction included, reads
 and builds these rows directly, so its cost follows the nonzeros, not
-rows x cols.  The inner loops run on plain ints, with no ``Field`` method
-call per entry: over F_p with one reduction mod p per result entry; over Q
-elimination is fraction-free on rows scaled to integers (``_eliminate``),
-and a product of two integral matrices multiplies their numerators
-(``_product``).  A matrix converts its rows to ints once, on first use
-(``Matrix._int_rows``).  Q values still enter and leave every ``Matrix`` as
-``Fraction``.  ``Matrix.entries`` is a dense read-only view, built on
+rows x cols.  The inner loops run on the values themselves, with no
+``Field`` method call per entry: over F_p with one reduction mod p per
+result entry, over Q on ints except where an entry is not integral, and
+elimination over Q is fraction-free on rows scaled to integers
+(``_eliminate``).  ``Matrix.entries`` is a dense read-only view, built on
 first read, for printing.  Block matrices are written by
 ``cechcover.complexes.assemble``; a dense column and an independent block
 stacker are test oracles in ``cechcover.oracles``.
@@ -31,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, FieldMismatchError
 from .records import Frozen
@@ -45,36 +47,29 @@ class Field(Frozen):
     """Field descriptor; scalar values are plain Python objects it governs.
 
     ``characteristic`` is 0 for Q and p for F_p; the elimination kernels
-    branch on it once per call.  A field gives ``coerce``, ``add``,
-    ``neg``, ``zero`` and ``one``; the arithmetic no command runs is in
-    ``cechcover.oracles``.
+    branch on it once per call.  Every field has ``zero`` 0 and ``one`` 1
+    and gives ``coerce``, ``add`` and ``neg``; the arithmetic no command
+    runs is in ``cechcover.oracles``.
     """
 
-    characteristic = 0
-
-
-_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
+    characteristic, zero, one = 0, 0, 1
 
 
 class RationalField(Field):
-    """The rationals, backed by arbitrary-precision Fraction."""
+    """The rationals: ints where integral, else arbitrary-precision Fractions."""
 
     def coerce(self, x):
-        return x if isinstance(x, Fraction) else Fraction(x)
+        if type(x) is not int:
+            x = Fraction(x)
+            if x.denominator == 1:
+                return x.numerator
+        return x
 
     def add(self, a, b):
         return a + b
 
     def neg(self, a):
         return -a
-
-    @property
-    def zero(self):
-        return _Q_ZERO
-
-    @property
-    def one(self):
-        return _Q_ONE
 
     def __repr__(self):
         return "QQ"
@@ -106,14 +101,6 @@ class PrimeField(Field):
 
     def neg(self, a):
         return (-a) % self.p
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -159,8 +146,7 @@ class Matrix(Frozen):
     changed once its matrix is built, so operations share unchanged rows.
     ``Matrix(field, rows, cols, entries)`` takes dense rows and drops their
     zeros.  ``entries`` (dense rows) is a read-only view built on first
-    read, as is ``_int_rows``, the rows the integer kernels read; equality
-    and hashing use the nonzeros only.
+    read; equality and hashing use the nonzeros only.
     """
 
     _fields = ("field", "rows", "cols", "entries")
@@ -191,21 +177,6 @@ class Matrix(Frozen):
         """Dense rows: entries[r][c]."""
         return tuple(_dense_row(self.field, row, self.cols) for row in self.nonzeros)
 
-    @cached_property
-    def _int_rows(self) -> Optional[tuple]:
-        """The rows as ``{column: int}`` dicts for the integer kernels: the
-        nonzeros themselves over F_p; over Q their numerators when every
-        entry is an integer, else None."""
-        if self.field.characteristic:
-            return self.nonzeros
-        out = []
-        for row in self.nonzeros:
-            ints = {c: x.numerator for c, x in row.items() if x.denominator == 1}
-            if len(ints) < len(row):
-                return None
-            out.append(ints)
-        return tuple(out)
-
     def __eq__(self, other):
         if other.__class__ is not Matrix:
             return NotImplemented
@@ -234,15 +205,14 @@ class Matrix(Frozen):
         if self.cols != other.rows:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        left, right, ints = _factor_rows(self, other)
-        return _product(self.field, left, other.cols, lambda k: right[k].items(), ints)
+        right = other.nonzeros
+        return _product(self.field, self.nonzeros, other.cols, lambda k: right[k].items())
 
     def apply(self, vector: Sequence) -> tuple:
         """Matrix times column vector."""
         if len(vector) != self.cols:
             raise DimensionMismatchError(f"vector length {len(vector)} != cols {self.cols}")
         p = self.field.characteristic
-        zero = self.field.zero
         out = []
         for row in self.nonzeros:
             s = 0
@@ -250,19 +220,14 @@ class Matrix(Frozen):
                 v = vector[c]
                 if v:
                     s += a * v
-            out.append(s % p if p else (s if s else zero))
+            out.append(s % p if p else s)
         return tuple(out)
 
 
-def _product(field: Field, left: Sequence, ncols: int, right_row, ints: bool) -> Matrix:
+def _product(field: Field, left: Sequence, ncols: int, right_row) -> Matrix:
     """The matrix with rows ``left`` times the ncols-column matrix whose
     row k has the nonzeros ``right_row(k)``, as (column, value) pairs;
-    each row is asked for once.
-
-    With ``ints`` both factors hold ints, as they always do over F_p
-    (``_factor_rows``): over Q every sum is then an int, and a ``Fraction``
-    is built only for a nonzero entry of the product.
-    """
+    each row is asked for once."""
     p = field.characteristic
     right: dict = {}
     out = []
@@ -272,31 +237,13 @@ def _product(field: Field, left: Sequence, ncols: int, right_row, ints: bool) ->
             pairs = right.get(k)
             if pairs is None:
                 pairs = right[k] = right_row(k)
-            if ints:
-                for c, b in pairs:
-                    acc[c] = acc.get(c, 0) + av * b
-            else:
-                for c, b in pairs:
-                    y = acc.get(c)
-                    acc[c] = av * b if y is None else y + av * b
+            for c, b in pairs:
+                acc[c] = acc.get(c, 0) + av * b
         if p:
             out.append({c: y for c, x in acc.items() if (y := x % p)})
-        elif ints:
-            out.append({c: Fraction(y) for c, y in acc.items() if y})
         else:
             out.append({c: y for c, y in acc.items() if y})
     return Matrix.from_nonzeros(field, len(out), ncols, tuple(out))
-
-
-def _factor_rows(a: Matrix, b: Matrix) -> tuple[Sequence, Sequence, bool]:
-    """The rows of a and b to multiply, and whether both hold ints: their
-    ``_int_rows`` when both have them, else their nonzeros, which hold
-    Fractions."""
-    right = b._int_rows
-    left = a._int_rows if right is not None else None
-    if left is None:
-        return a.nonzeros, b.nonzeros, False
-    return left, right, True
 
 
 def _dense_row(field: Field, row: dict, ncols: int) -> tuple:
@@ -324,7 +271,7 @@ def _eliminate(field: Field, rows: list, reduce: bool) -> tuple[list, list]:
     Over F_p each pivot row is scaled to 1 when it is chosen.  Over Q the
     rows must be primitive integer rows (``_q_rows``) and stay integer:
     elimination is fraction-free, and with ``reduce`` each pivot row is
-    divided by its pivot once, at the end, into ``Fraction`` values.
+    divided by its pivot once, at the end (``_over_pivot``).
     Without ``reduce`` only the pivot columns are meaningful over Q.
     """
     p = field.characteristic
@@ -406,10 +353,10 @@ def _clear(row: dict, prow: dict, c: int, p: int) -> None:
                 row[j] = x // g
 
 
-def _q_rows(field: Field, rows: list) -> list:
-    """Rows of canonical values in the form ``_eliminate`` takes: over Q,
-    primitive integer rows (new dicts); over F_p, the rows themselves."""
-    return rows if field.characteristic else [_integral(row) for row in rows]
+def _q_rows(field: Field, rows: Iterable[dict]) -> list:
+    """New row dicts of canonical values in the form ``_eliminate`` takes:
+    over Q, primitive integer rows; over F_p, copies."""
+    return list(map(dict if field.characteristic else _integral, rows))
 
 
 def _integral(row: dict) -> dict:
@@ -427,32 +374,16 @@ def _integral(row: dict) -> dict:
 
 
 def _over_pivot(row: dict, pv: int) -> dict:
-    """An integer row divided by its pivot value pv, as Fractions."""
+    """An integer row divided by its pivot value pv: an int where pv
+    divides the entry, else a Fraction."""
     if pv == 1:
-        return {j: Fraction(x) for j, x in row.items()}
-    return {j: Fraction(x, pv) for j, x in row.items()}
+        return row
+    return {j: Fraction(x, pv) if x % pv else x // pv for j, x in row.items()}
 
 
 def rank(m: Matrix) -> int:
-    _, pivots = _eliminate(m.field, _own_rows(m), reduce=False)
+    _, pivots = _eliminate(m.field, _q_rows(m.field, m.nonzeros), reduce=False)
     return len(pivots)
-
-
-def _own_rows(m: Matrix) -> list:
-    """m's rows as new dicts for ``_eliminate`` to consume: over Q,
-    primitive integer rows, from ``_int_rows`` when m has them."""
-    ints = m._int_rows
-    if ints is None:
-        return [_integral(row) for row in m.nonzeros]
-    if m.field.characteristic:
-        return [dict(row) for row in ints]
-    return [_primitive(row) for row in ints]
-
-
-def _primitive(row: dict) -> dict:
-    """An integer row divided by the gcd of its entries, as a new dict."""
-    g = gcd(*row.values())
-    return {j: x // g for j, x in row.items()} if g > 1 else dict(row)
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +411,9 @@ class Subspace(Frozen):
         return Subspace.from_sparse(field, ambient_dim, rows)
 
     @staticmethod
-    def from_sparse(field: Field, ambient_dim: int, rows: list) -> "Subspace":
+    def from_sparse(field: Field, ambient_dim: int, rows: Iterable[dict]) -> "Subspace":
         """Span of vectors given as ``{column: value}`` dicts of canonical
-        nonzero entries; the dicts are consumed."""
+        nonzero entries; the dicts are not changed."""
         rows, _ = _eliminate(field, _q_rows(field, rows), reduce=True)
         basis = tuple(dict(sorted(row.items())) for row in rows)
         return Subspace(ambient_dim, Matrix.from_nonzeros(field, len(basis), ambient_dim, basis))
@@ -552,7 +483,7 @@ def kernel_basis(m: Matrix) -> Subspace:
     """Null space of m as a subspace of the domain k^cols."""
     f = m.field
     one, neg = f.one, f.neg
-    rows, pivots = _eliminate(f, _own_rows(m), reduce=True)
+    rows, pivots = _eliminate(f, _q_rows(f, m.nonzeros), reduce=True)
     return Subspace.from_sparse(f, m.cols, _free_axes(m.cols, rows, pivots, one, neg))
 
 
@@ -575,8 +506,7 @@ def _free_axes(n: int, rows: list, pivots: Sequence[int], one, neg) -> list:
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     _check_ambient(u, v)
-    return Subspace.from_sparse(u.field, u.ambient_dim,
-                                [dict(row) for row in u.sparse_basis + v.sparse_basis])
+    return Subspace.from_sparse(u.field, u.ambient_dim, u.sparse_basis + v.sparse_basis)
 
 
 def _check_ambient(u: Subspace, v: Subspace):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .algebras import Algebra, AlgebraHom, make_algebra, zero_algebra
+from .algebras import Algebra, AlgebraHom, algebra_from_terms, zero_algebra
 from .cech import PosetFunctor, all_tuples, one_step_inclusions
 from .errors import StructureError
 from .linalg import Field, Matrix, rank
@@ -59,7 +59,7 @@ class CoverDescription(Frozen):
 
 def _line(field: Field) -> Algebra:
     one = field.one
-    return make_algebra(field, 1, (((one,),),), (one,), ("1",))
+    return algebra_from_terms(field, 1, ((((0, one),),),), (one,), ("1",))
 
 
 def functor_from_cover(cd: CoverDescription) -> PosetFunctor:

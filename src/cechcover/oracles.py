@@ -39,7 +39,8 @@ from its definition, and the tests compare the two:
   scalar, matrix and subspace operations (``scalar_mul``, ``transpose``,
   ``kron``, ``block_matrix``, ``rref``, ``contains``, ``quotient_section``,
   ...), algebra elements and products (``Element``, ``multiply``, ``mul_table``),
-  ``ideal_sum``, ``hom_compose``, the stock algebras
+  ``ideal_sum``, ``hom_compose``, the dense-table constructor
+  ``make_algebra``, the stock algebras
   (``split_commutative``, ``matrix_algebra``, ``upper_triangular``,
   ``truncated_polynomial``, ``square_zero``, ``direct_sum``) and helpers
   such as subspace intersections and multiplication matrices.  No
@@ -49,6 +50,7 @@ from its definition, and the tests compare the two:
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
@@ -61,8 +63,8 @@ from .complexes import WordSpace
 from .coverings import Covering, completeness_check
 from .errors import DEFAULT_DIM_CAP, DimensionCapError, DimensionMismatchError, StructureError
 from .linalg import (
-    QQ, Field, Matrix, Subspace, _check_ambient, _dense_row, _eliminate, _factor_rows,
-    _own_rows, _product, _q_rows, quotient_map, same_field, subspace_sum,
+    QQ, Field, Matrix, Subspace, _check_ambient, _dense_row, _eliminate, _product, _q_rows,
+    quotient_map, same_field, subspace_sum,
 )
 from .nerve import CoverDescription
 from .records import Frozen
@@ -93,7 +95,7 @@ def scalar_div(field: Field, a, b):
         return a * pow(b, -1, p) % p
     if b == 0:
         raise ZeroDivisionError("division by zero in Q")
-    return a / b
+    return field.coerce(Fraction(a, b))
 
 
 def from_rows(field: Field, rows: Sequence[Sequence]) -> Matrix:
@@ -227,7 +229,7 @@ def to_lists(m: Matrix) -> list:
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """Reduced row-echelon form and rank (= number of nonzero rows)."""
-    rows, _ = _eliminate(m.field, _own_rows(m), reduce=True)
+    rows, _ = _eliminate(m.field, _q_rows(m.field, m.nonzeros), reduce=True)
     r = len(rows)
     rows.extend({} for _ in range(m.rows - r))
     return Matrix.from_nonzeros(m.field, m.rows, m.cols, tuple(rows)), r
@@ -333,6 +335,34 @@ def hom_compose(f: AlgebraHom, g: AlgebraHom) -> AlgebraHom:
 # Stock algebras (tests, random instances)
 # ---------------------------------------------------------------------------
 
+def make_algebra(field: Field, dim: int, mul: Sequence, unit: Sequence,
+                 labels: Optional[Sequence[str]] = None) -> Algebra:
+    """Validate a dense structure-constant table and build the algebra.
+
+    ``mul[i][j]`` is the coordinate vector of b_i * b_j.  Raises
+    StructureError naming the violated axiom and the basis indices that
+    witness it.
+    """
+    if dim == 0:
+        return zero_algebra(field)
+    if len(mul) != dim:
+        raise StructureError(f"structure table has {len(mul)} rows, expected {dim}", witness=())
+    for i in range(dim):
+        if len(mul[i]) != dim:
+            raise StructureError(f"structure table row {i} has wrong length", witness=(i,))
+        for j in range(dim):
+            if len(mul[i][j]) != dim:
+                raise StructureError(f"structure vector ({i},{j}) has wrong length", witness=(i, j))
+    coerce = field.coerce
+    terms = tuple(tuple(tuple((k, c) for k, c in enumerate(map(coerce, vec)) if c)
+                        for vec in row)
+                  for row in mul)
+    u = tuple(coerce(x) for x in unit)
+    if len(u) != dim:
+        raise StructureError("unit vector has wrong length", witness=())
+    return algebra_from_terms(field, dim, terms, u, labels)
+
+
 def _basis_algebra(field: Field, labels: Sequence[str],
                    product: Callable[[int, int], Optional[int]],
                    unit: Iterable[int]) -> Algebra:
@@ -419,18 +449,18 @@ def mul_kron_identity(a: Matrix, x: Matrix, n: int) -> Matrix:
     if a.cols != x.rows * n:
         raise DimensionMismatchError(
             f"cannot multiply {a.rows}x{a.cols} by ({x.rows}x{x.cols}) kron I_{n}")
-    left, x_rows, ints = _factor_rows(a, x)
+    x_rows = x.nonzeros
 
     def right_row(k):
         i, s = divmod(k, n)
         return [(j * n + s, v) for j, v in x_rows[i].items()]
 
-    return _product(a.field, left, x.cols * n, right_row, ints)
+    return _product(a.field, a.nonzeros, x.cols * n, right_row)
 
 
 def image_basis(m: Matrix) -> Subspace:
     """Column space of m as a subspace of the codomain k^rows."""
-    return Subspace.from_sparse(m.field, m.rows, list(transpose(m).nonzeros))
+    return Subspace.from_sparse(m.field, m.rows, transpose(m).nonzeros)
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
@@ -442,7 +472,7 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
         r = dict(r)
         r.update({c + n: x for c, x in r.items()})
         rows.append(r)
-    rows.extend(dict(r) for r in v.sparse_basis)
+    rows.extend(v.sparse_basis)
     reduced, pivots = _eliminate(u.field, _q_rows(u.field, rows), reduce=True)
     out = [{c - n: x for c, x in row.items()}
            for row, pc in zip(reduced, pivots) if pc >= n]

@@ -83,11 +83,9 @@ def _is_digits(text: str) -> bool:
 
 
 def scalar_to_json(field: Field, value):
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return int(value)
-        return f"{value.numerator}/{value.denominator}"
-    return int(value)
+    if value.denominator == 1:  # every int, and an integral Fraction
+        return int(value)
+    return f"{value.numerator}/{value.denominator}"
 
 
 def parse_vector(field: Field, value, length: int, loc: str) -> tuple:

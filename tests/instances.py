@@ -6,9 +6,13 @@ by independent row reduction before being frozen into tests.
 
 E4: M_2(k) (+) k covered by the two factor ideals; the pair quotient is
 the zero algebra.
+
+``rescaled`` writes a problem file's document on a rescaled basis.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from cechcover.algebras import ideal_closure
 from cechcover.coverings import Covering
@@ -42,3 +46,17 @@ def make_three_lines(field=QQ) -> Covering:
     iy = ideal_closure(a, [(0, 0, 1)])
     id_ = ideal_closure(a, [(0, 1, 1)])
     return Covering(a, [ix, iy, id_])
+
+
+def rescaled(doc: dict, scale: list) -> dict:
+    """The same problem on the basis b'_k = scale[k] * b_k: a structure
+    constant c_ij^k becomes scale[i] * scale[j] / scale[k] times c_ij^k,
+    and the unit and every generator coordinate k is divided by scale[k]."""
+    def coords(v):
+        return [str(Fraction(x) / s) for x, s in zip(v, scale)]
+
+    alg = doc["algebra"]
+    return dict(doc, algebra=dict(alg, unit=coords(alg["unit"]), mul=[
+        [i, j, k, str(Fraction(c) * scale[i] * scale[j] / scale[k])]
+        for i, j, k, c in alg["mul"]]),
+        ideals={name: [coords(v) for v in gens] for name, gens in doc["ideals"].items()})

@@ -21,11 +21,12 @@ from fractions import Fraction
 
 import pytest
 
-from cechcover.algebras import AlgebraHom, Ideal, hom_check, ideal_closure, make_algebra, quotient
+from cechcover.algebras import AlgebraHom, Ideal, hom_check, ideal_closure, quotient
 from cechcover.errors import StructureError
 from cechcover.linalg import GF, QQ, Matrix, Subspace, quotient_map
 from cechcover.oracles import (
-    column, matrix_add, matrix_algebra, mul_table, multiply, quotient_section, random_algebra,
+    column, make_algebra, matrix_add, matrix_algebra, mul_table, multiply, quotient_section,
+    random_algebra,
     rref, scalar_div, scalar_mul, scalar_sub, split_commutative, square_zero,
     truncated_polynomial, upper_triangular,
 )
@@ -342,9 +343,11 @@ def outcome(fn, *args):
 # -- tests ---------------------------------------------------------------------------
 
 def assert_canonical(field, vec):
+    """Every coordinate is an int or a Fraction over Q and an int in [0, p)
+    over F_p."""
     for x in vec:
         if field == QQ:
-            assert x is QQ.zero or (type(x) is Fraction and x)
+            assert type(x) in (int, Fraction)
         else:
             assert type(x) is int and 0 <= x < field.p
 

@@ -4,15 +4,13 @@ import random
 
 import pytest
 
-from cechcover.algebras import (
-    AlgebraHom, Ideal, hom_check, ideal_closure, make_algebra, quotient, zero_algebra,
-)
+from cechcover.algebras import AlgebraHom, Ideal, hom_check, ideal_closure, quotient, zero_algebra
 from cechcover.errors import DimensionMismatchError, StructureError
 from cechcover.linalg import GF, QQ, Matrix, Subspace
 from cechcover.oracles import (
     basis_coords, direct_sum, element, from_rows, hom_compose, ideal_intersection, ideal_sum,
-    matrix_algebra, multiply, projection_hom, split_commutative, square_zero, to_lists,
-    truncated_polynomial, upper_triangular,
+    make_algebra, matrix_algebra, multiply, projection_hom, split_commutative, square_zero,
+    to_lists, truncated_polynomial, upper_triangular,
 )
 
 from instances import make_e1

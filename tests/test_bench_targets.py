@@ -5,8 +5,9 @@ command line registers in ``sys.modules``; the package registers them on
 import and a module is compiled when one of its attributes is first read,
 which the tracer's lookups do.  So a renamed or moved target breaks the
 traced run.
-Two targets are oracles in ``cechcover.oracles``, which the command line
-does not import; ``amitsur`` and ``cech`` forward those two names.  The
+Three targets are oracles in ``cechcover.oracles``, which the command
+line does not import; ``algebras``, ``amitsur`` and ``cech`` forward those
+three names.  The
 tracer also reads the complexes that ``build_amitsur`` and ``build_cech``
 return, so their attributes are pinned here too.
 """

@@ -11,15 +11,13 @@ from __future__ import annotations
 import heapq
 import random
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 
 from cechcover import linalg
-from cechcover.cech import build_cech, cech_cohomology, constant_functor
 from cechcover.linalg import GF, QQ, Field, Matrix, Subspace, kernel_basis, rank, subspace_sum
 from cechcover.oracles import (
     block_matrix, from_rows, image_basis, kron, matrix_add, matrix_sub, mul_kron_identity, rref,
-    scalar_div, scalar_mul, scalar_sub, scale, split_commutative, subspace_intersect, transpose,
-    vstack,
+    scalar_div, scalar_mul, scalar_sub, scale, subspace_intersect, transpose, vstack,
 )
 
 FIELDS = (QQ, GF(2), GF(5), GF(1000003))
@@ -151,12 +149,15 @@ def random_matrix(rng: random.Random, field: Field, cols: int) -> Matrix:
 
 
 def assert_canonical(field: Field, m: Matrix):
+    """Every entry is an int or a Fraction over Q and an int in [0, p) over
+    F_p, and no zero is stored."""
     for row in m.entries:
         for x in row:
             if field == QQ:
-                assert type(x) is Fraction
+                assert type(x) in (int, Fraction)
             else:
                 assert type(x) is int and 0 <= x < field.p
+    assert all(all(row.values()) for row in m.nonzeros)
 
 
 def assert_stored(m: Matrix):
@@ -177,6 +178,7 @@ def test_sparse_kernel_matches_dense_reference():
         for _ in range(140):
             n = rng.randint(0, 7)
             m = random_matrix(rng, field, n)
+            kept = [dict(row) for row in m.nonzeros]
             ref_rows, ref_pivots = _rref_rows(field, [list(r) for r in m.entries])
             r, rk = rref(m)
             assert rk == len(ref_pivots) == rank(m)
@@ -188,6 +190,7 @@ def test_sparse_kernel_matches_dense_reference():
             assert ker.basis.entries == ref_kernel(m)
             assert ker.dim + rk == m.cols
             assert_canonical(field, ker.basis)
+            assert list(m.nonzeros) == kept  # the kernels copy the rows they reduce
 
             other = random_matrix(rng, field, n)
             u = Subspace.from_vectors(field, n, m.entries)
@@ -283,6 +286,11 @@ def test_routes_to_one_matrix_or_subspace_agree_as_keys():
             assert span == spans[0] and hash(span) == hash(spans[0])
             assert [list(row) for row in span.sparse_basis] == [[0, 2]]  # pivot first
         assert len(set(spans)) == 1 and {spans[0]: "span"}[spans[-1]] == "span"
+    # arithmetic can leave an integral Fraction where coerce stores an int
+    stored = Matrix(QQ, 1, 2, ((Fraction(2), Fraction(1, 2)),))
+    coerced = from_rows(QQ, [[2, Fraction(1, 2)]])
+    assert type(coerced.nonzeros[0][0]) is int
+    assert stored == coerced and hash(stored) == hash(coerced)
 
 
 def test_entrywise_ops_kron_and_apply_match_field_ops():
@@ -502,8 +510,9 @@ def rational_matrix(rng: random.Random, rows: int, cols: int, integral: bool) ->
     return Matrix(QQ, rows, cols, tuple(tuple(row) for row in data))
 
 
-def assert_fractions(m: Matrix):
-    assert all(type(x) is Fraction and x for row in m.nonzeros for x in row.values())
+def assert_rationals(m: Matrix):
+    """Every stored value is a nonzero int or Fraction."""
+    assert all(type(x) in (int, Fraction) and x for row in m.nonzeros for x in row.values())
 
 
 def test_q_kernels_match_the_fraction_kernels():
@@ -517,14 +526,16 @@ def test_q_kernels_match_the_fraction_kernels():
         reduced, rk = rref(m)
         assert rank(m) == rk == len(ref_pivots)
         assert reduced == Matrix.from_nonzeros(QQ, m.rows, m.cols, tuple(ref_rows))
-        assert_fractions(reduced)
+        assert_rationals(reduced)
 
-        span = Subspace.from_sparse(QQ, cols, [dict(row) for row in m.nonzeros])
+        kept = [dict(row) for row in m.nonzeros]
+        span = Subspace.from_sparse(QQ, cols, m.nonzeros)
+        assert list(m.nonzeros) == kept
         assert span.sparse_basis == tuple(dict(sorted(row.items()))
                                           for row in ref_rows[:rk])
         assert [list(row) for row in span.sparse_basis] == [sorted(row)
                                                             for row in span.sparse_basis]
-        assert_fractions(span.basis)
+        assert_rationals(span.basis)
         for row in m.nonzeros:
             assert span.contains_sparse(row)
         weights = from_rows(QQ, [[Fraction(r + 2, 3) for r in range(m.rows)]])
@@ -543,12 +554,12 @@ def test_q_kernels_match_the_fraction_kernels():
         for a, b in ((m, other), (transpose(other), transpose(m))):
             prod = a.mul(b)
             assert prod == ref_mul(a, b) and (prod.rows, prod.cols) == (a.rows, b.cols)
-            assert_fractions(prod)
+            assert_rationals(prod)
         n = rng.randint(1, 3)
         left = rational_matrix(rng, rng.randint(0, 4), other.rows * n, trial % 5 == 0)
         prod = mul_kron_identity(left, other, n)
         assert prod == ref_mul_kron_identity(left, other, n)
-        assert_fractions(prod)
+        assert_rationals(prod)
 
 
 def test_integral_products_that_cancel_do_no_fraction_arithmetic(monkeypatch):
@@ -563,85 +574,3 @@ def test_integral_products_that_cancel_do_no_fraction_arithmetic(monkeypatch):
     monkeypatch.setattr(linalg, "Fraction", lambda *args: calls.append(args))
     assert d1.mul(d0).is_zero() and mul_kron_identity(d1, d0, 1).is_zero()
     assert calls == []
-
-
-# -- each Q matrix converts its rows to ints once ----------------------------------------
-#
-# ``ref_int_rows`` and ``ref_factor_rows`` are the conversions as they stood
-# when ``_factor_rows`` converted both factors again for every product,
-# kept verbatim as the reference; ranks and reduced forms are checked
-# against the Fraction kernel ``ref_eliminate``.
-
-def ref_int_rows(m: Matrix):
-    out = []
-    for row in m.nonzeros:
-        ints = {c: x.numerator for c, x in row.items() if x.denominator == 1}
-        if len(ints) < len(row):
-            return None
-        out.append(ints)
-    return out
-
-
-def ref_factor_rows(a: Matrix, b: Matrix):
-    if a.field.characteristic:
-        return a.nonzeros, b.nonzeros, True
-    right = ref_int_rows(b)
-    left = ref_int_rows(a) if right is not None else None
-    if left is None:
-        return a.nonzeros, b.nonzeros, False
-    return left, right, True
-
-
-def test_int_rows_are_the_old_conversion_built_once():
-    rng = random.Random(20261020)
-    for trial in range(300):
-        integral = trial % 2 == 0
-        m = rational_matrix(rng, rng.randint(0, 8), rng.randint(0, 8), integral)
-        expected = ref_int_rows(m)
-        ints = m._int_rows
-        assert m._int_rows is ints
-        if expected is None:
-            assert ints is None and not integral
-        else:
-            assert list(ints) == expected
-            assert all(type(x) is int for row in ints for x in row.values())
-        other = rational_matrix(rng, m.cols, rng.randint(0, 6), trial % 3 != 1)
-        for a, b in ((m, other), (transpose(other), transpose(m))):
-            left, right, as_ints = linalg._factor_rows(a, b)
-            ref_left, ref_right, ref_ints = ref_factor_rows(a, b)
-            assert (list(left), list(right), as_ints) == (list(ref_left), list(ref_right), ref_ints)
-        # rank, rref and kernel_basis start from the cached rows and leave them as they were
-        kept = None if ints is None else [dict(row) for row in ints]
-        ref_rows, ref_pivots = ref_eliminate(QQ, [dict(row) for row in m.nonzeros], True)
-        ref_rows.extend({} for _ in range(m.rows - len(ref_rows)))
-        reduced, rk = rref(m)
-        assert rank(m) == rk == len(ref_pivots)
-        assert reduced == Matrix.from_nonzeros(QQ, m.rows, m.cols, tuple(ref_rows))
-        assert_fractions(reduced)
-        assert_fractions(kernel_basis(m).basis)
-        assert (None if m._int_rows is None else list(m._int_rows)) == kept
-    for field in FIELDS[1:]:
-        m = random_matrix(rng, field, 6)
-        assert m._int_rows is m.nonzeros
-        kept = [dict(row) for row in m.nonzeros]
-        assert rank(m) == len(ref_eliminate(field, [dict(row) for row in m.nonzeros], False)[1])
-        assert list(m.nonzeros) == kept
-
-
-def test_a_complex_converts_each_differential_once(monkeypatch):
-    # d.d = 0 and the ranks of the constant functor's Cech complex read
-    # each d' twice or three times; its rows are converted once
-    converted = []
-    real = Matrix.__dict__["_int_rows"].func
-
-    def counting(m):
-        converted.append(m)
-        return real(m)
-
-    prop = cached_property(counting)
-    prop.__set_name__(Matrix, "_int_rows")
-    monkeypatch.setattr(Matrix, "_int_rows", prop)
-    cx = build_cech(constant_functor(5, split_commutative(QQ, 2)))
-    assert cech_cohomology(cx) == [2, 0, 0, 0, 0]
-    assert len({id(m) for m in converted}) == len(converted)
-    assert [m for m in converted if any(m is d for d in cx.differentials)] == list(cx.differentials)

@@ -29,6 +29,22 @@ def test_prime_field_canonical_representatives():
     assert f5.coerce(Fraction(1, 2)) == 3  # 2 * 3 = 6 = 1 mod 5
 
 
+def test_a_rational_is_an_int_when_integral_and_a_fraction_otherwise():
+    for x, want in ((3, 3), (Fraction(6, 2), 3), (Fraction(-4, 6), Fraction(-2, 3)),
+                    ("5/10", Fraction(1, 2)), (True, 1)):
+        got = QQ.coerce(x)
+        assert got == want and type(got) is type(want)
+    assert (QQ.zero, QQ.one) == (0, 1) and type(QQ.zero) is type(QQ.one) is int
+
+
+def test_division_over_q_is_exact():
+    # a / b of two ints is a float; the oracles' division never is
+    third = scalar_div(QQ, 1, 3)
+    assert third == Fraction(1, 3) and type(third) is Fraction
+    assert scalar_div(QQ, Fraction(3, 2), Fraction(1, 2)) == 3
+    assert type(scalar_div(QQ, 6, 3)) is int
+
+
 def test_prime_field_division_by_zero():
     f5 = GF(5)
     with pytest.raises(ZeroDivisionError):

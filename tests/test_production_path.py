@@ -13,6 +13,10 @@ registers each production module and a case process compiles a module
 when it first uses it, whole: a function that no command enters is
 compiled by every command that uses its module, so it belongs in
 ``cechcover.oracles``, or nowhere.
+
+A second interpreter runs every command over Q and records the type of
+each value that a ``Matrix`` or an algebra's table stores: a rational is
+an int or a Fraction, never a float and never a stored zero.
 """
 
 from __future__ import annotations
@@ -26,12 +30,15 @@ from pathlib import Path
 
 import cechcover
 
+from instances import rescaled
+
 SRC = Path(cechcover.__file__).resolve().parents[1]
 PACKAGE = SRC / "cechcover"
 PROBLEMS = sorted((SRC.parent / "problems").glob("*.json"))
 
 # "module.qualified.name" -> why no command enters it
 ALLOWED = {
+    "algebras.__getattr__": "tracer target: bench/spans.py looks make_algebra up here",
     "amitsur.__getattr__": "tracer target: bench/spans.py looks TensorTower up here",
     "cech.__getattr__": "tracer target: bench/spans.py looks phi_raw_matrix up here",
     "complexes.CechComplex.layouts": "tracer target: bench/spans.py reads it",
@@ -70,6 +77,51 @@ for argv in json.loads(sys.stdin.read()):
         codes.append(main(argv))
 sys.setprofile(None)
 print(json.dumps({"codes": codes, "entered": sorted(entered)}))
+"""
+
+VALUES = """\
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+
+from cechcover import algebras, linalg
+from cechcover.cli import main
+
+Matrix, Algebra = linalg.Matrix, algebras.Algebra
+matrix_init, from_nonzeros, algebra_init = Matrix.__init__, Matrix.from_nonzeros, Algebra.__init__
+kinds = set()  # the type of each stored value, "zero" for a stored zero
+
+
+def note(values):
+    kinds.update(type(x).__name__ if x else "zero" for x in values)
+
+
+def note_rows(m):
+    for row in m.nonzeros:
+        note(row.values())
+    return m
+
+
+def init_matrix(self, *args):
+    matrix_init(self, *args)
+    note_rows(self)
+
+
+def init_algebra(self, *args, **kwargs):
+    algebra_init(self, *args, **kwargs)
+    for row in self.terms:
+        for t in row:
+            note(c for _, c in t)
+    kinds.update(type(x).__name__ for x in self.unit)  # dense: zeros are coordinates
+
+
+Matrix.__init__ = init_matrix
+Matrix.from_nonzeros = staticmethod(lambda *args: note_rows(from_nonzeros(*args)))
+Algebra.__init__ = init_algebra
+codes = []
+for argv in json.loads(sys.stdin.read()):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps({"codes": codes, "kinds": sorted(kinds)}))
 """
 
 LINE = {"dim": 1, "mul": [[0, 0, 0, 1]], "unit": [1]}
@@ -125,15 +177,21 @@ def _functions():
     return out
 
 
+def _run(runner: str, argvs: list) -> dict:
+    """What ``runner`` prints after it runs ``main`` on each argv in a fresh
+    interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", runner], input=json.dumps(argvs),
+                         env=env, capture_output=True, text=True, timeout=300, check=True).stdout
+    return json.loads(out)
+
+
 def test_every_production_function_is_entered_by_a_command(tmp_path):
     runs = [([command, "--input", str(path), "--format", fmt, "--field-override", field], None)
             for path in PROBLEMS for command in ("check", "cech", "amitsur", "verify", "oracle")
             for field in ("Q", "Fp:5") for fmt in ("json", "text")]
     runs += _extra_files(tmp_path)
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", RUNNER], input=json.dumps([a for a, _ in runs]),
-                         env=env, capture_output=True, text=True, timeout=300, check=True).stdout
-    result = json.loads(out)
+    result = _run(RUNNER, [a for a, _ in runs])
     for (argv, want), got in zip(runs, result["codes"]):
         assert want is None or got == want, (argv, got)
     entered = {(name, line) for name, line in result["entered"]}
@@ -143,3 +201,17 @@ def test_every_production_function_is_entered_by_a_command(tmp_path):
     assert not missing, f"no command enters {missing}: move them to cechcover.oracles"
     defined = {qualname for _, _, qualname in functions}
     assert set(ALLOWED) <= defined, sorted(set(ALLOWED) - defined)
+
+
+def test_every_stored_rational_is_an_int_or_a_fraction(tmp_path):
+    # y -> 2y puts 1/2 into the basis of the ideal D, so the Q kernels
+    # store Fractions as well as ints
+    three_lines = json.loads((SRC.parent / "problems" / "incomplete_three_lines.json").read_text())
+    halved = tmp_path / "rescaled_three_lines.json"
+    halved.write_text(json.dumps(rescaled(three_lines, [1, 1, 2])))
+    argvs = [[command, "--input", str(path), "--field-override", "Q"]
+             for path in PROBLEMS + [halved]
+             for command in ("check", "cech", "amitsur", "verify", "oracle")]
+    result = _run(VALUES, argvs)
+    assert set(result["codes"]) == {0, 2}  # 2: the file lacks a section the command needs
+    assert result["kinds"] == ["Fraction", "int"]
