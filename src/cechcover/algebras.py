@@ -4,18 +4,16 @@ An algebra stores, for each pair of basis vectors, the nonzero terms of
 their product: ``terms[i][j] = ((k, c), ...)`` with b_i * b_j =
 sum c b_k over those pairs, k increasing and every c nonzero, plus the
 coordinate vector of the unit.  Products, the unit and associativity
-checks, the ideal test, the homomorphism test and quotient tables all run
-on these terms, with truthiness as the zero test (entries over Q are ints
-where integral, else ``Fraction``s, and entries over F_p canonical ints,
-as in ``linalg``).
+checks, the ideal test and the homomorphism test all run on these terms,
+with truthiness as the zero test (entries over Q are ints where integral,
+else ``Fraction``s, and entries over F_p canonical ints, as in ``linalg``).
 Associativity is checked on every basis triple (i, j, k) where
 (b_i b_j) b_k or b_i (b_j b_k) can be nonzero, in lexicographic order, so
 the first failing triple is the first failing triple of the full check.
-The zero algebra (dim 0) is legal and shows up naturally as quotients by
-the whole algebra.  Elements, products of coordinate vectors, sums of
-ideals, composites of homs, the dense-table constructor ``make_algebra``
-and the stock algebras (k^n, M_n(k), ...) are in ``cechcover.oracles``:
-no command runs them.
+The zero algebra (dim 0) is legal.  Quotient algebras, elements, products
+of coordinate vectors, sums of ideals, composites of homs, the dense-table
+constructor ``make_algebra`` and the stock algebras (k^n, M_n(k), ...) are
+in ``cechcover.oracles``: no command runs them.
 """
 
 from __future__ import annotations
@@ -23,16 +21,16 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatchError, StructureError
-from .linalg import Field, Matrix, Subspace, quotient_map, same_field
+from .linalg import Field, Matrix, Subspace, same_field
 from .records import Frozen
 
 
 def __getattr__(name: str):
-    # bench/spans.py wraps make_algebra by name; this forwarder goes when
-    # the bench stops wrapping oracles (ROADMAP item 1)
-    if name == "make_algebra":
-        from .oracles import make_algebra
-        return make_algebra
+    # bench/spans.py wraps make_algebra and quotient by name; this forwarder
+    # goes when the bench stops wrapping oracles (ROADMAP item 1)
+    if name in ("make_algebra", "quotient"):
+        from . import oracles
+        return getattr(oracles, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -225,39 +223,3 @@ def hom_check(f: AlgebraHom) -> HomReport:
                 return HomReport(False, witness=(i, j),
                                  message=f"map is not multiplicative on basis pair ({i},{j})")
     return HomReport(True)
-
-
-# ---------------------------------------------------------------------------
-# Quotients
-# ---------------------------------------------------------------------------
-
-def quotient(a: Algebra, j: Ideal, *, q: Optional[Matrix] = None) -> tuple[Algebra, AlgebraHom]:
-    """A/J on complement coordinates, with the projection q (``quotient_map``, unless given).
-
-    Coordinates of the quotient are the non-pivot columns of J's RREF basis,
-    so the result is reproducible bit-for-bit from the ideal alone.  The
-    section sends quotient coordinate t to the basis vector b_(free[t]), so
-    the quotient's b_t * b_u is q(b_(free[t]) * b_(free[u])).
-    """
-    if j.algebra != a:
-        raise DimensionMismatchError("ideal of a different algebra")
-    q = quotient_map(a.dim, j.space) if q is None else q
-    qdim = q.rows
-    if qdim == 0:
-        qa = zero_algebra(a.field)
-        return qa, AlgebraHom(a, qa, Matrix(a.field, 0, a.dim, ()))
-    pivot_set = set(j.space.pivot_columns())
-    free = [c for c in range(a.dim) if c not in pivot_set]
-    p = a.field.characteristic
-    q_cols = _columns(q)
-    terms = tuple(
-        tuple(tuple(sorted(_combine(((c, q_cols[k]) for k, c in a.terms[s][t]), p).items()))
-              for t in free)
-        for s in free)
-    unit_q = q.apply(a.unit)
-    labels = None
-    if a.labels:
-        labels = tuple(a.labels[c] for c in free)
-    qa = algebra_from_terms(a.field, qdim, terms, unit_q, labels)
-    return qa, AlgebraHom(a, qa, q)
-

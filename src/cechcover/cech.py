@@ -14,9 +14,10 @@ insertions for every loop over a functor's restrictions.
 increasing words with a nonzero ring, with the functor's restriction maps
 as blocks; the Amitsur complex is the same construction on all patch
 words.  A ``PosetFunctor`` is validated when it is constructed: every
-ring and every step is checked for presence and endpoints first, since
-the complex reads none between zero rings, then d' is assembled and its
-squares checked as d'.d' = 0; ``build_cech`` returns that complex.
+ring and every step is checked for presence and endpoints first, in one
+walk over the steps, since the complex reads none between zero rings,
+then d' is assembled and its squares checked as d'.d' = 0;
+``build_cech`` returns that complex.
 The default ringed functor is the covering itself (``Covering.cech``),
 read off quotient dims and projection matrices with no algebra built:
 natural by construction.  The functor of a supplied ringed structure,
@@ -31,7 +32,9 @@ out-of-order words is what makes phi well defined over the balanced
 tensor product and a chain map when the rings are noncommutative, and it
 matches reading "ordered subsets" as order-inherited tuples.
 ``verify_chain_map`` checks phi block by block, as a word map assembled
-like the differentials; evaluating it on pure tensors, as the definition
+like the differentials, on the patch maps A -> R({i}) that
+``patch_maps`` reads off the covering's d'_0; no command builds a
+quotient algebra.  Evaluating phi on pure tensors, as the definition
 reads, is a test oracle in ``cechcover.oracles``.
 """
 
@@ -98,18 +101,20 @@ class PosetFunctor(Frozen):
 
 
 def validate_functor(f: PosetFunctor) -> CechComplex:
-    """Presence of every ring, by length, then presence and endpoints of
-    every step, in ``one_step_inclusions`` order, then commutation of every
-    length-2 square (``CechComplex.check_squares``); returns the checked
-    complex.  The complex reads only the nonzero rings and the steps
-    between them, which loses no block: a step out of the zero ring lands
-    in the zero ring (``AlgebraHom`` checks unit to unit)."""
+    """Presence of the ring on (), then, in ``one_step_inclusions`` order,
+    of each step's end ring, of the step and its endpoints (every other
+    ring is the end of a step, and a step starts at () or an earlier end),
+    then commutation of every length-2 square
+    (``CechComplex.check_squares``); returns the checked complex.  The
+    complex reads only the nonzero rings and the steps between them, which
+    loses no block: a step out of the zero ring lands in the zero ring
+    (``AlgebraHom`` checks unit to unit)."""
     rings, steps = f.rings, f.steps
-    for length in range(f.n_patches + 1):
-        for zeta in all_tuples(f.n_patches, length):
-            if zeta not in rings:
-                raise StructureError(f"functor has no ring on {zeta}", witness=("missing", zeta))
+    if () not in rings:
+        raise StructureError("functor has no ring on ()", witness=("missing", ()))
     for zeta, _, _, eta in one_step_inclusions(f.n_patches):
+        if eta not in rings:
+            raise StructureError(f"functor has no ring on {eta}", witness=("missing", eta))
         hom = steps.get((zeta, eta))
         if hom is None:
             raise StructureError(f"functor has no restriction {zeta} -> {eta}",
@@ -178,24 +183,32 @@ class ChainMapReport(Frozen):
         }
 
 
-def default_phi_choice(f, c: Covering) -> tuple:
-    """Identity homs A_i -> R({i}), which ``AlgebraHom`` checks (default
-    ringed data).  ``f`` is a functor or the covering itself, whose R({i}) is A_i."""
+def patch_maps(f, c: Covering) -> tuple:
+    """pi_i : A -> R({i}), block ((), (i,)) of the covering's d'_0, for
+    i = 1..N: the patch maps of phi.  On the covering itself R({i}) is A_i
+    and nothing is checked; for any other functor each pi_i is checked as
+    a unital algebra map (``AlgebraHom``).  That holds exactly when the
+    identity A_i -> R({i}) is one: pi_i is onto A_i, whose product and
+    unit are those that make it a homomorphism, and it has dim A_i rows.
+    So this raises DimensionMismatchError or StructureError where that
+    identity hom would."""
     if f.n_patches != c.n_patches:
         raise DimensionMismatchError(
-            f"no default choice: the functor has {f.n_patches} patches, the covering {c.n_patches}")
-    patches = (c.patch(i)[0] for i in range(1, c.n_patches + 1))
-    return tuple(AlgebraHom(a_i, f.ring((i,)), Matrix.identity(a_i.field, a_i.dim))
-                 for i, a_i in enumerate(patches, start=1))
+            f"no patch maps: the functor has {f.n_patches} patches, the covering {c.n_patches}")
+    maps = tuple(c.word_block((), (i,)) for i in range(1, c.n_patches + 1))
+    if f is not c:
+        for i, m in enumerate(maps, start=1):
+            AlgebraHom(c.algebra, f.ring((i,)), m)
+    return maps
 
 
 def verify_chain_map(amitsur: AmitsurComplex, cx: CechComplex,
-                     choice: Sequence[AlgebraHom]) -> ChainMapReport:
+                     maps: Sequence[Matrix]) -> ChainMapReport:
     """Check that phi is well defined and intertwines d and d'.
 
     For an increasing tuple zeta and i in zeta let g_i^zeta be
-    rho_((i),zeta) . choice_i . pi_i : A -> R(zeta), a unital algebra hom,
-    with pi_i block ((), (i,)) of the covering's d'_0.
+    rho_((i),zeta) . g_i : A -> R(zeta), a unital algebra hom, with g_i
+    the patch map ``maps[i - 1]`` (``patch_maps``).
     The balancing relations of B^((x)_A n) sit between adjacent factors,
     so phi is well defined in degree n exactly when g_i^zeta = g_j^zeta
     for consecutive i, j of every zeta of length n: 1 in the other factors
@@ -213,8 +226,7 @@ def verify_chain_map(amitsur: AmitsurComplex, cx: CechComplex,
     The degrees of ``amitsur`` bound the check; no raw tensor space is built.
     """
     c = amitsur.covering
-    homs = {(i, (i,)): choice[i - 1].matrix.mul(c.word_block((), (i,)))
-            for i in range(1, c.n_patches + 1)}
+    homs = {(i, (i,)): m for i, m in enumerate(maps, start=1)}
 
     def g(i: int, zeta: tuple) -> Matrix:
         # restrict along the insertions in increasing order, as the

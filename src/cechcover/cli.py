@@ -320,14 +320,14 @@ def _cmd_verify(problem: problem_file.Problem):
 
     if ccx is not None and cx is not None:
         try:
-            choice = cech.default_phi_choice(functor, c)
+            maps = cech.patch_maps(functor, c)
         except CechcoverError:
-            choice = None
+            maps = None
             checks["chain_map"] = "skipped"
             results["chain_map_note"] = ("no canonical patch homs A_i -> R((i,)); "
                                          "chain-map check needs the default ringed functor")
-        if choice is not None:
-            cm = cech.verify_chain_map(cx, ccx, choice)
+        if maps is not None:
+            cm = cech.verify_chain_map(cx, ccx, maps)
             checks["chain_map"] = cm.passed
             results["chain_map"] = cm.as_dict()
             ok = ok and cm.passed

@@ -8,10 +8,10 @@ k-dimensions, and all of it is read off rank pi and rank tau
 
 A covering is its own Cech functor, the default ringed one: a block
 A/I_S per increasing index tuple S, the projections as blocks, and no
-quotient algebra built: one complex per covering (``Covering.complex``),
-built degree by degree.  The block A/I_set(w) of any patch word w and the
-projections between blocks are the covering's (``word_dim``,
-``word_block``), for the Amitsur complex too.  The patch sequence is the
+quotient algebra built, here or by any command: one complex per covering
+(``Covering.complex``), built degree by degree.  The block A/I_set(w) of
+any patch word w and the projections between blocks are the covering's
+(``word_dim``, ``word_block``), for the Amitsur complex too.  The patch sequence is the
 complex's degrees 0 -> 1 -> 2: pi is d'_0 and tau is -d'_1.  The
 constructor checks the patch squares as d'_1 . pi = 0 and reads no sum of
 three ideals; the complex stores rank pi and rank tau.  Only ordered pairs
@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Sequence
 
-from .algebras import Algebra, AlgebraHom, Ideal, quotient
+from .algebras import Algebra, Ideal
 from .complexes import CechComplex, all_tuples
 from .errors import DimensionMismatchError, StructureError
 from .linalg import Field, Matrix, Subspace, quotient_map, section_columns, subspace_sum
@@ -50,21 +50,21 @@ class CompletenessReport(Frozen):
 class Covering:
     """An algebra with an ordered list of ideals and derived patch data.
 
-    Patch indices are 1-based.  ``patch(i)`` returns (A_i, pi_i).
-    ``complex`` has one block A/I_S per increasing index tuple S of length
-    n in degree n, A/I_S nonzero, so degree 1 holds the patches and degree
-    2 the pairs A_ij.  The constructor stores its d'_0 as ``pi`` and -d'_1
-    as ``tau`` and verifies, for i < j, the square pi_i_ij . pi_i = pi_j_ij . pi_j
+    Patch indices are 1-based.  ``complex`` has one block A/I_S per
+    increasing index tuple S of length n in degree n, A/I_S nonzero, so
+    degree 1 holds the patches and degree 2 the pairs A_ij.  The
+    constructor stores its d'_0 as ``pi`` and -d'_1 as ``tau`` and
+    verifies, for i < j, the square pi_i_ij . pi_i = pi_j_ij . pi_j
     (pi_i_ij: A_i -> A_ij the projection); ``cech`` checks every square.
 
     The covering also holds the lattice of its ideal sums: I_set(w) for
     each patch word w (``ideal_sum_space``), and for each ideal space J
-    among them the quotient A/J, its quotient map, and the projections A/J -> A/J'
-    for J inside J'.  Each is computed once, when first asked for, and
-    shared by everything built on the covering.  Equal ideal sums are one
-    object, so the caches keyed by them match by identity.  The complexes
-    need only the projections, so a quotient algebra is built only where a
-    ring is read: by ``patch``, ``ring`` or ``quotient``.
+    among them its quotient map and the projections A/J -> A/J' for J
+    inside J'.  Each is computed once, when first asked for, and shared by
+    everything built on the covering.  Equal ideal sums are one object, so
+    the caches keyed by them match by identity.  The complexes and the
+    chain-map check need only these matrices; the quotient algebras A/J
+    are test oracles (``cechcover.oracles.quotient_of``).
     """
 
     def __init__(self, algebra: Algebra, ideals: Sequence[Ideal]):
@@ -81,7 +81,6 @@ class Covering:
         self._sum_spaces = {(): self._intern(Subspace.zero(self.field, algebra.dim))}
         self._sum_spaces.update(((i,), self._intern(ideal.space))
                                 for i, ideal in enumerate(self.ideals, start=1))
-        self._quotients: dict = {}  # J -> (A/J, A -> A/J)
         self._quotient_maps: dict = {}
         self._projections: dict = {}
 
@@ -107,13 +106,6 @@ class Covering:
         self.complex.check_squares()
         return self.complex
 
-    def ring(self, zeta: Sequence[int]) -> Algebra:
-        """A/I_zeta, the covering's ring on the index tuple zeta."""
-        return self.quotient(self.ideal_sum_space(tuple(zeta)))[0]
-
-    def patch(self, i: int) -> tuple[Algebra, AlgebraHom]:
-        return self.quotient(self.ideals[i - 1].space)
-
     def ideal_sum_space(self, w: tuple) -> Subspace:
         """I_set(w), the sum of the I_i over the letters i of the patch word
         w: the sum of its index set S, the sorted tuple of the letters, which
@@ -135,17 +127,6 @@ class Covering:
     def word_block(self, w: tuple, v: tuple) -> Matrix:
         """Block (w, v) of either complex: the projection A/I_set(w) -> A/I_set(v)."""
         return self.projection(self.ideal_sum_space(w), self.ideal_sum_space(v))
-
-    def quotient(self, j: Subspace) -> tuple[Algebra, AlgebraHom]:
-        """A/J with its projection A -> A/J, for J an ideal sum.  A sum of
-        two-sided ideals is two-sided, so J is not checked again; any other
-        subspace is."""
-        q = self._quotients.get(j)
-        if q is None:
-            ideal = (Ideal._proven(self.algebra, j) if j in self._interned
-                     else Ideal(self.algebra, j))
-            q = self._quotients[j] = quotient(self.algebra, ideal, q=self._quotient_map(j))
-        return q
 
     def _quotient_map(self, j: Subspace) -> Matrix:
         """``quotient_map`` of J, built once per ideal sum."""

@@ -8,6 +8,8 @@ may also produce an integral ``Fraction``, which is equal to its int and
 hashes equal to it.  No value is ever divided with ``/``, which would
 make a float of two ints: a row is divided by its pivot with
 ``Fraction`` (``_over_pivot``), and over F_p by a modular inverse.
+``fractions`` (which loads ``decimal`` and ``numbers``) is imported only
+where a value that is not an int is made.
 
 A ``Matrix`` stores its nonzeros only: one ``{column: value}`` dict per
 row, and no zero is stored.  Every operation, row reduction included, reads
@@ -29,7 +31,7 @@ equality the canonical equality test and makes every derived choice
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
+import sys
 from functools import cached_property
 from itertools import compress
 from math import gcd, lcm
@@ -60,6 +62,7 @@ class RationalField(Field):
 
     def coerce(self, x):
         if type(x) is not int:
+            from fractions import Fraction
             x = Fraction(x)
             if x.denominator == 1:
                 return x.numerator
@@ -90,7 +93,9 @@ class PrimeField(Field):
     def coerce(self, x):
         if type(x) is int:
             return x % self.p
-        if isinstance(x, Fraction):
+        # x is a Fraction only if fractions is loaded, which an int does not need
+        fractions = sys.modules.get("fractions")
+        if fractions is not None and isinstance(x, fractions.Fraction):
             if x.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator not invertible mod {self.p}")
             return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
@@ -378,6 +383,9 @@ def _over_pivot(row: dict, pv: int) -> dict:
     divides the entry, else a Fraction."""
     if pv == 1:
         return row
+    if all(x % pv == 0 for x in row.values()):
+        return {j: x // pv for j, x in row.items()}
+    from fractions import Fraction
     return {j: Fraction(x, pv) if x % pv else x // pv for j, x in row.items()}
 
 

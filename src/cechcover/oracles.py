@@ -24,9 +24,14 @@ from its definition, and the tests compare the two:
   checks phi's values and that it kills the balancing relations;
   tests/test_closed_form.py compares ``verify_chain_map``'s block-by-block
   phi with the raw route; acceptance criterion 3 uses ``phi_sum``.
-- ``lattice_functor`` is a covering's default ringed functor with every
-  quotient algebra built and every projection hom-checked; tests compare
-  its complex with ``Covering.cech``, which reads only dims and matrices.
+- ``quotient`` builds A/J as an algebra, and ``quotient_of``, ``patch``
+  and ``ring`` the quotient algebras of a covering, once per covering: no
+  command builds one.  ``lattice_functor`` is a covering's default ringed
+  functor with every quotient algebra built and every projection
+  hom-checked; tests compare its complex with ``Covering.cech``, which
+  reads only dims and matrices.  ``default_phi_choice`` is the identity
+  homs A_i -> R({i}) that the phi evaluators apply to patch elements;
+  tests hold ``cech.patch_maps`` to it.
   ``functor_from_ringed_covering`` builds the functor of a supplied
   ``RingedStructure`` and checks its naturality squares.
 - ``random_algebra``, ``random_covering``, ``search_incomplete_covering``
@@ -50,13 +55,15 @@ from its definition, and the tests compare the two:
 from __future__ import annotations
 
 import random
+import weakref
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
 from .algebras import (
-    Algebra, AlgebraHom, Ideal, _combine, algebra_from_terms, ideal_closure, zero_algebra,
+    Algebra, AlgebraHom, Ideal, _columns, _combine, algebra_from_terms, ideal_closure,
+    zero_algebra,
 )
 from .cech import PosetFunctor, all_tuples, one_step_inclusions
 from .complexes import WordSpace
@@ -331,6 +338,37 @@ def hom_compose(f: AlgebraHom, g: AlgebraHom) -> AlgebraHom:
     return AlgebraHom(g.domain, f.codomain, f.matrix.mul(g.matrix))
 
 
+def quotient(a: Algebra, j: Ideal, *, q: Optional[Matrix] = None) -> tuple[Algebra, AlgebraHom]:
+    """A/J on complement coordinates, with the projection q (``quotient_map``, unless given).
+
+    Coordinates of the quotient are the non-pivot columns of J's RREF basis,
+    so the result is reproducible bit-for-bit from the ideal alone.  The
+    section sends quotient coordinate t to the basis vector b_(free[t]), so
+    the quotient's b_t * b_u is q(b_(free[t]) * b_(free[u])).
+    """
+    if j.algebra != a:
+        raise DimensionMismatchError("ideal of a different algebra")
+    q = quotient_map(a.dim, j.space) if q is None else q
+    qdim = q.rows
+    if qdim == 0:
+        qa = zero_algebra(a.field)
+        return qa, AlgebraHom(a, qa, Matrix(a.field, 0, a.dim, ()))
+    pivot_set = set(j.space.pivot_columns())
+    free = [c for c in range(a.dim) if c not in pivot_set]
+    p = a.field.characteristic
+    q_cols = _columns(q)
+    terms = tuple(
+        tuple(tuple(sorted(_combine(((c, q_cols[k]) for k, c in a.terms[s][t]), p).items()))
+              for t in free)
+        for s in free)
+    unit_q = q.apply(a.unit)
+    labels = None
+    if a.labels:
+        labels = tuple(a.labels[c] for c in free)
+    qa = algebra_from_terms(a.field, qdim, terms, unit_q, labels)
+    return qa, AlgebraHom(a, qa, q)
+
+
 # ---------------------------------------------------------------------------
 # Stock algebras (tests, random instances)
 # ---------------------------------------------------------------------------
@@ -501,11 +539,53 @@ def ideal_intersection(ideals: Sequence[Ideal]) -> Subspace:
     return reduce(subspace_intersect, [i.space for i in ideals])
 
 
+# the quotient algebras of each covering by ideal space, kept here because no
+# command builds one; weak keys drop them with their covering.  Equal ideal
+# sums are one object (``Covering.ideal_sum_space``) and share one algebra
+_QUOTIENTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def quotient_of(c: Covering, j: Subspace) -> tuple[Algebra, AlgebraHom]:
+    """A/J with its projection A -> A/J, built once per covering c, on the
+    covering's quotient map of J.  A sum of two-sided ideals is two-sided,
+    so an ideal sum of c is not checked again; any other subspace is."""
+    built = _QUOTIENTS.setdefault(c, {})
+    q = built.get(j)
+    if q is None:
+        ideal = (Ideal._proven(c.algebra, j) if j in c._interned else Ideal(c.algebra, j))
+        q = built[j] = quotient(c.algebra, ideal, q=c._quotient_map(j))
+    return q
+
+
+def patch(c: Covering, i: int) -> tuple[Algebra, AlgebraHom]:
+    """(A_i, pi_i): the patch algebra A/I_i and its projection."""
+    return quotient_of(c, c.ideals[i - 1].space)
+
+
+def ring(c: Covering, zeta: Sequence[int]) -> Algebra:
+    """A/I_zeta, the covering's ring on the index tuple zeta."""
+    return quotient_of(c, c.ideal_sum_space(tuple(zeta)))[0]
+
+
+def default_phi_choice(f, c: Covering) -> tuple:
+    """Identity homs A_i -> R({i}), which ``AlgebraHom`` checks (default
+    ringed data): the patch homs the phi evaluators apply to patch
+    elements.  ``f`` is a functor or the covering itself, whose R({i}) is
+    A_i.  ``cech.patch_maps`` checks the same maps on A -> R({i})."""
+    if f.n_patches != c.n_patches:
+        raise DimensionMismatchError(
+            f"no default choice: the functor has {f.n_patches} patches, the covering {c.n_patches}")
+    patches = (patch(c, i)[0] for i in range(1, c.n_patches + 1))
+    return tuple(AlgebraHom(a_i, a_i if f is c else f.ring((i,)),
+                            Matrix.identity(a_i.field, a_i.dim))
+                 for i, a_i in enumerate(patches, start=1))
+
+
 def b_algebra(c: Covering) -> Algebra:
     """The patch sum (+)A_i as an algebra with componentwise product."""
-    acc = c.patch(1)[0]
+    acc = patch(c, 1)[0]
     for i in range(2, c.n_patches + 1):
-        acc = direct_sum(acc, c.patch(i)[0])
+        acc = direct_sum(acc, patch(c, i)[0])
     return acc if acc.dim else zero_algebra(c.field)
 
 
@@ -514,7 +594,7 @@ def unit_component(c: Covering, i: int) -> tuple:
     dims = c.patch_dims()
     out = [c.field.zero] * sum(dims)
     off = sum(dims[:i - 1])
-    for k, x in enumerate(c.patch(i)[0].unit):
+    for k, x in enumerate(patch(c, i)[0].unit):
         out[off + k] = x
     return tuple(out)
 
@@ -522,7 +602,7 @@ def unit_component(c: Covering, i: int) -> tuple:
 def projection_hom(c: Covering, j1: Subspace, j2: Subspace) -> AlgebraHom:
     """``Covering.projection`` A/J1 -> A/J2 as an algebra hom between the
     quotient algebras, checked as one."""
-    return AlgebraHom(c.quotient(j1)[0], c.quotient(j2)[0], c.projection(j1, j2))
+    return AlgebraHom(quotient_of(c, j1)[0], quotient_of(c, j2)[0], c.projection(j1, j2))
 
 
 def lattice_functor(c: Covering) -> PosetFunctor:
@@ -533,7 +613,7 @@ def lattice_functor(c: Covering) -> PosetFunctor:
     n = c.n_patches
     sums = {zeta: c.ideal_sum_space(zeta)
             for length in range(n + 1) for zeta in all_tuples(n, length)}
-    rings = {zeta: c.quotient(j)[0] for zeta, j in sums.items()}
+    rings = {zeta: quotient_of(c, j)[0] for zeta, j in sums.items()}
     steps = {(zeta, eta): projection_hom(c, sums[zeta], sums[eta])
              for zeta, _, _, eta in one_step_inclusions(n)}
     return PosetFunctor(n, rings, steps)
@@ -722,7 +802,7 @@ def b_bimodule(c: Covering) -> Bimodule:
         e = basis_coords(a, m)
         lbl, rbl = [], []
         for i in range(1, c.n_patches + 1):
-            ai, pi = c.patch(i)
+            ai, pi = patch(c, i)
             im = pi.matrix.apply(e)
             lbl.append(left_mult_matrix(ai, im))
             rbl.append(right_mult_matrix(ai, im))
@@ -1119,8 +1199,8 @@ def build_coring(c: Covering, tower: Optional[TensorTower] = None,
     elements = {}
     for i in range(1, c.n_patches + 1):
         for j in range(1, c.n_patches + 1):
-            ai, _ = c.patch(i)
-            aj, _ = c.patch(j)
+            ai, _ = patch(c, i)
+            aj, _ = patch(c, j)
             elements[(i, j)] = t.pure_tensor_coords([(i, ai.unit), (j, aj.unit)])
     ident = Matrix.identity(c.field, t2.dim)
     if t.mult_adjacent(3, 0).mul(cop) != ident:

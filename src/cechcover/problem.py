@@ -13,7 +13,6 @@ round-tripping relies on.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Optional
 
 from . import cech, coverings, nerve
@@ -61,15 +60,19 @@ def parse_scalar(field: Field, value, loc: str):
         raise ProblemFormatError(str(exc), loc)
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_fraction(text: str):
     """An optional sign, ASCII digits and an optional ``/digits``, as in
-    "-3" or "2/3".  ``Fraction`` alone would also take decimals, exponents,
-    spaces and underscores, and it expands an exponent such as "1e999999999"
-    digit by digit."""
+    "-3" or "2/3": an int for an integer, else a Fraction, so ``fractions``
+    is imported only for "a/b".  ``Fraction`` alone would also take
+    decimals, exponents, spaces and underscores, and it expands an exponent
+    such as "1e999999999" digit by digit."""
     num, slash, den = text.partition("/")
     if not (is_integer_text(num) and (not slash or _is_digits(den))):
         raise ValueError(f'a scalar string is an integer or a fraction like "-2/3", not {text!r}')
-    return Fraction(int(num), int(den) if slash else 1)
+    if not slash:
+        return int(num)
+    from fractions import Fraction
+    return Fraction(int(num), int(den))
 
 
 def is_integer_text(text: str) -> bool:

@@ -10,17 +10,17 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from cechcover.algebras import quotient
 from cechcover.amitsur import amitsur_homology, build_amitsur
 from cechcover.cech import (
-    build_cech, cech_cohomology, constant_functor, default_phi_choice, verify_chain_map,
+    build_cech, cech_cohomology, constant_functor, patch_maps, verify_chain_map,
 )
 from cechcover.coverings import completeness_check
 from cechcover.linalg import GF, QQ, rank
 from cechcover.nerve import functor_from_cover, nerve_cohomology
 from cechcover.oracles import (
-    TensorTower, b_bimodule, ideal_sum, insert_index, lattice_functor, matrix_algebra, multiply,
-    phi_sum, random_cover_description, random_covering, split_commutative, tensor_over_A,
+    TensorTower, b_bimodule, default_phi_choice, ideal_sum, insert_index, lattice_functor,
+    matrix_algebra, multiply, patch, phi_sum, quotient, random_cover_description, random_covering,
+    split_commutative, tensor_over_A,
 )
 
 from instances import make_e1, make_e4
@@ -61,8 +61,7 @@ def test_criterion_2_complete_coverings_are_acyclic():
 def test_criterion_3_chain_map_and_relation_killing():
     for name, cov in (("E1", make_e1()), ("E4", make_e4())):
         # the covering is its own default ringed functor
-        choice = default_phi_choice(cov, cov)
-        rep = verify_chain_map(build_amitsur(cov, 2), build_cech(cov), choice)
+        rep = verify_chain_map(build_amitsur(cov, 2), build_cech(cov), patch_maps(cov, cov))
         assert rep.passed, f"{name}: {rep.as_dict()}"
         assert [sq.degree for sq in rep.squares] == [1, 2]
         assert all(ch.ok for ch in rep.well_defined)
@@ -71,8 +70,8 @@ def test_criterion_3_chain_map_and_relation_killing():
     cov = make_e1()
     functor = lattice_functor(cov)
     choice = default_phi_choice(functor, cov)
-    a1, pi1 = cov.patch(1)
-    a2, pi2 = cov.patch(2)
+    a1, pi1 = patch(cov, 1)
+    a2, pi2 = patch(cov, 2)
     rng = random.Random(SEED)
     for _ in range(25):
         y = tuple(QQ.coerce(rng.randint(-4, 4)) for _ in range(a1.dim))

@@ -21,12 +21,12 @@ from fractions import Fraction
 
 import pytest
 
-from cechcover.algebras import AlgebraHom, Ideal, hom_check, ideal_closure, quotient
+from cechcover.algebras import AlgebraHom, Ideal, hom_check, ideal_closure
 from cechcover.errors import StructureError
 from cechcover.linalg import GF, QQ, Matrix, Subspace, quotient_map
 from cechcover.oracles import (
-    column, make_algebra, matrix_add, matrix_algebra, mul_table, multiply, quotient_section,
-    random_algebra,
+    column, make_algebra, matrix_add, matrix_algebra, mul_table, multiply, quotient,
+    quotient_section, random_algebra,
     rref, scalar_div, scalar_mul, scalar_sub, split_commutative, square_zero,
     truncated_polynomial, upper_triangular,
 )

@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from cechcover.algebras import AlgebraHom, Ideal, hom_check, ideal_closure, quotient, zero_algebra
+from cechcover.algebras import AlgebraHom, Ideal, hom_check, ideal_closure, zero_algebra
 from cechcover.errors import DimensionMismatchError, StructureError
 from cechcover.linalg import GF, QQ, Matrix, Subspace
 from cechcover.oracles import (
     basis_coords, direct_sum, element, from_rows, hom_compose, ideal_intersection, ideal_sum,
-    make_algebra, matrix_algebra, multiply, projection_hom, split_commutative, square_zero,
-    to_lists, truncated_polynomial, upper_triangular,
+    make_algebra, matrix_algebra, multiply, patch, projection_hom, quotient, split_commutative,
+    square_zero, to_lists, truncated_polynomial, upper_triangular,
 )
 
 from instances import make_e1
@@ -199,8 +199,8 @@ def test_e1_patch_square_commutes():
     c = make_e1()
     pi1_12, pi2_12 = (projection_hom(c, c.ideals[k].space, c.ideal_sum_space((1, 2)))
                       for k in (0, 1))
-    left = pi1_12.matrix.mul(c.patch(1)[1].matrix)
-    right = pi2_12.matrix.mul(c.patch(2)[1].matrix)
+    left = pi1_12.matrix.mul(patch(c, 1)[1].matrix)
+    right = pi2_12.matrix.mul(patch(c, 2)[1].matrix)
     assert left == right
     assert to_lists(left) == [[0, 1, 0]]  # evaluation at the shared coordinate
 

@@ -5,15 +5,14 @@ from collections import Counter
 
 import pytest
 
-from cechcover.algebras import quotient
 from cechcover.amitsur import amitsur_homology, build_amitsur
 from cechcover.cli import _dispatch
 from cechcover.coverings import Covering
 from cechcover.errors import DimensionCapError, NotAComplexError
 from cechcover.linalg import GF, QQ, kernel_basis, rank
 from cechcover.oracles import (
-    TensorTower, b_bimodule, build_coring, ideal_sum, multiply, random_covering, scalar_mul,
-    scale, tensor_over_A, to_lists, unit_component, validate_bimodule, zero_bimodule,
+    TensorTower, b_bimodule, build_coring, ideal_sum, multiply, patch, quotient, random_covering,
+    scalar_mul, scale, tensor_over_A, to_lists, unit_component, validate_bimodule, zero_bimodule,
 )
 from cechcover.problem import Problem
 
@@ -179,7 +178,7 @@ def test_coring_coproduct_matrix_coring_identity(e1):
     tower = TensorTower(e1)
     coring = build_coring(e1, tower=tower)
     n = e1.n_patches
-    units = {i: e1.patch(i)[0].unit for i in range(1, n + 1)}
+    units = {i: patch(e1, i)[0].unit for i in range(1, n + 1)}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             lhs = coring.coproduct.apply(coring.elements[(i, j)])
@@ -199,7 +198,7 @@ def test_coring_laws_for_e4(e4):
 def test_counit_is_multiplication(e1):
     tower = TensorTower(e1)
     coring = build_coring(e1, tower=tower)
-    a1 = e1.patch(1)[0]
+    a1 = patch(e1, 1)[0]
     x = tower.pure_tensor_coords([(1, (2, 3)), (1, (1, 1))])
     eps = coring.counit.apply(x)
     prod = multiply(a1, (2, 3), (1, 1))

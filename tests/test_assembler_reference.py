@@ -47,8 +47,9 @@ from cechcover.errors import StructureError
 from cechcover.linalg import GF, QQ, Matrix, quotient_map
 from cechcover.nerve import functor_from_cover
 from cechcover.oracles import (
-    block_matrix, from_rows, lattice_functor, matrix_add, matrix_algebra, quotient_section,
-    random_cover_description, random_covering, scale, split_commutative, vstack,
+    block_matrix, from_rows, lattice_functor, matrix_add, matrix_algebra, patch,
+    quotient_section, random_cover_description, random_covering, scale, split_commutative,
+    vstack,
 )
 
 from instances import make_e1, make_e4, make_three_lines
@@ -194,7 +195,7 @@ def ref_cech_differentials(f) -> list:
 
 def ref_pi(c: Covering) -> Matrix:
     """pi = (+)_i pi_i : A -> (+)A_i as a stacked block column."""
-    mats = [c.patch(i)[1].matrix for i in range(1, c.n_patches + 1)]
+    mats = [patch(c, i)[1].matrix for i in range(1, c.n_patches + 1)]
     out = mats[0]
     for m in mats[1:]:
         out = vstack(out, m)
@@ -204,7 +205,7 @@ def ref_pi(c: Covering) -> Matrix:
 def ref_tau(c: Covering) -> Matrix:
     """tau : (+)A_i -> (+)_(i<j) A_ij, block row (i,j) = pi_i_ij - pi_j_ij."""
     sums = _IdealSums(c)
-    col_dims = [c.patch(i)[0].dim for i in range(1, c.n_patches + 1)]
+    col_dims = [patch(c, i)[0].dim for i in range(1, c.n_patches + 1)]
     keys = list(combinations(range(1, c.n_patches + 1), 2))
     row_dims = [sums.dim(key) for key in keys]
     blocks = {}

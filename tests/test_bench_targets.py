@@ -5,11 +5,11 @@ command line registers in ``sys.modules``; the package registers them on
 import and a module is compiled when one of its attributes is first read,
 which the tracer's lookups do.  So a renamed or moved target breaks the
 traced run.
-Three targets are oracles in ``cechcover.oracles``, which the command
-line does not import; ``algebras``, ``amitsur`` and ``cech`` forward those
-three names.  The
-tracer also reads the complexes that ``build_amitsur`` and ``build_cech``
-return, so their attributes are pinned here too.
+Some targets are oracles in ``cechcover.oracles``, which the command
+line does not import (``make_algebra``, ``quotient``, ``TensorTower`` and
+``phi_raw_matrix``); ``algebras``, ``amitsur`` and ``cech`` forward those
+names.  The tracer also reads the complexes that ``build_amitsur`` and
+``build_cech`` return, so their attributes are pinned here too.
 """
 
 from __future__ import annotations

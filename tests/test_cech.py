@@ -6,22 +6,22 @@ from itertools import combinations
 
 import pytest
 
-from cechcover.algebras import AlgebraHom, Ideal, ideal_closure, quotient
+from cechcover.algebras import AlgebraHom, Ideal, ideal_closure
 from cechcover.amitsur import build_amitsur
 from cechcover.cech import (
-    PosetFunctor, all_tuples, build_cech, cech_cohomology, constant_functor, default_phi_choice,
+    PosetFunctor, all_tuples, build_cech, cech_cohomology, constant_functor, patch_maps,
     validate_functor, verify_chain_map,
 )
 from cechcover.coverings import Covering
-from cechcover.errors import StructureError
+from cechcover.errors import CechcoverError, DimensionMismatchError, StructureError
 from cechcover.linalg import GF, QQ, Matrix, Subspace, kernel_basis, rank, subspace_sum
 from cechcover.nerve import CoverDescription, functor_from_cover
 from cechcover.oracles import (
-    CechElement, RingedStructure, TensorTower, direct_sum, from_rows,
-    functor_from_ringed_covering, insert_index, lattice_functor, matrix_algebra, multiply, phi,
-    phi_matrix, phi_on_pure, phi_raw_matrix, phi_sum, projection_hom, quotient_section,
-    random_covering,
-    split_commutative, square_zero, to_lists, upper_triangular,
+    CechElement, RingedStructure, TensorTower, default_phi_choice, direct_sum, from_rows,
+    functor_from_ringed_covering, insert_index, lattice_functor, matrix_algebra, multiply, patch,
+    phi, phi_matrix, phi_on_pure, phi_raw_matrix, phi_sum, projection_hom, quotient,
+    quotient_of, quotient_section, random_covering, ring, split_commutative, square_zero,
+    to_lists, truncated_polynomial, upper_triangular,
 )
 
 from instances import make_e1, make_e4, make_three_lines
@@ -100,9 +100,9 @@ def test_e1_default_ringed_dims(e1):
 def test_default_ringed_functor_reuses_the_covering_quotients(e1):
     f = lattice_functor(e1)
     for i in range(1, e1.n_patches + 1):
-        assert f.ring((i,)) is e1.patch(i)[0]
+        assert f.ring((i,)) is patch(e1, i)[0]
     for (i, j) in combinations(range(1, e1.n_patches + 1), 2):
-        assert f.ring((i, j)) is e1.quotient(e1.ideal_sum_space((i, j)))[0]
+        assert f.ring((i, j)) is quotient_of(e1, e1.ideal_sum_space((i, j)))[0]
         assert e1.ideal_sum_space((i, j)) == subspace_sum(e1.ideals[i - 1].space,
                                                           e1.ideals[j - 1].space)
 
@@ -263,7 +263,7 @@ def test_the_default_ringed_functor_runs_no_naturality_walk(make, monkeypatch):
     monkeypatch.setattr(RingedStructure, "validate_on", walk)
     c = make()
     assert cech_cohomology(build_cech(c)) == cech_cohomology(build_cech(lattice_functor(c)))
-    assert c.ring((1,)) is c.patch(1)[0]
+    assert ring(c, (1,)) is patch(c, 1)[0]
 
 
 def _square_zero_covering(rng: random.Random, field) -> Covering:
@@ -349,6 +349,61 @@ def test_the_covering_complex_equals_the_lattice_functor_complex():
     assert all(count >= 3 for count in points.values())
 
 
+def _functors_on(c: Covering) -> list:
+    """Functors to hold the patch maps of the covering c to: c itself, its
+    lattice functor, a constant functor with each patch algebra A_i and
+    with other products of A_i's dimension, and cover functors on N
+    patches and on N + 1."""
+    n, field = c.n_patches, c.field
+    functors = [c, lattice_functor(c)]
+    for i in range(1, n + 1):
+        a_i = patch(c, i)[0]
+        functors.append(constant_functor(n, a_i))
+        if a_i.dim:
+            functors += [constant_functor(n, b) for b in (
+                split_commutative(field, a_i.dim), truncated_polynomial(field, a_i.dim),
+                square_zero(field, a_i.dim - 1))]
+    points = frozenset((i,) for i in range(1, n + 1))
+    everything = frozenset(zeta for k in range(1, n + 1) for zeta in all_tuples(n, k))
+    functors += [functor_from_cover(CoverDescription(n, cover, field))
+                 for cover in (points, everything)]
+    functors.append(functor_from_cover(CoverDescription(n + 1, frozenset(
+        (i,) for i in range(1, n + 2)), field)))
+    return functors
+
+
+def _outcome(call) -> tuple:
+    """(the value, None) of call(), or (None, the type of its error)."""
+    try:
+        return call(), None
+    except CechcoverError as exc:
+        return None, type(exc)
+
+
+def test_patch_maps_are_checked_exactly_when_the_identity_homs_are():
+    # pi_i : A -> R({i}) is checked where the oracle checks the identity
+    # A_i -> R({i}) on the patch algebra; the two fail together, and when
+    # neither fails the patch map is the identity times pi_i
+    errors = {field: [] for field in (QQ, GF(2), GF(3))}
+    for field in errors:
+        rng = random.Random(f"patch maps:{field!r}")
+        coverings = [_square_zero_covering(rng, field) for _ in range(8)]
+        coverings += [_block_covering(rng, field) for _ in range(4)]
+        coverings += [_point_like_covering(rng, field) for _ in range(4)]
+        for c in coverings:
+            for f in _functors_on(c):
+                maps, error = _outcome(lambda: patch_maps(f, c))
+                choice, want = _outcome(lambda: default_phi_choice(f, c))
+                assert error is want
+                errors[field].append(error)
+                if error is None:
+                    assert maps == tuple(hom.matrix.mul(c.word_block((), (i,)))
+                                         for i, hom in enumerate(choice, start=1))
+    for seen in errors.values():
+        # a rejection by the hom check, with equal dimensions, and by shape
+        assert {None, StructureError, DimensionMismatchError} <= set(seen)
+
+
 def test_a_supplied_structure_that_is_not_natural_is_refused(e1):
     # Phi(J) = A/J with the projections, but Phi_0 swaps e1 and e3: the
     # functor is the default one, the square at 0 -> I_1 does not commute
@@ -356,7 +411,7 @@ def test_a_supplied_structure_that_is_not_natural_is_refused(e1):
     swap = from_rows(QQ, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
 
     def hom_from_quotient(j):
-        ring = e1.quotient(j)[0]
+        ring = quotient_of(e1, j)[0]
         return AlgebraHom(ring, ring, swap) if j == zero else AlgebraHom.identity(ring)
 
     with pytest.raises(StructureError) as err:
@@ -404,8 +459,8 @@ def test_phi_kills_balancing_relation_elements(e1):
     # (y . pi_1(a)) (x) y' - y (x) (pi_2(a) . y') maps to zero under phi
     f = lattice_functor(e1)
     choice = default_phi_choice(f, e1)
-    a1, pi1 = e1.patch(1)
-    a2, pi2 = e1.patch(2)
+    a1, pi1 = patch(e1, 1)
+    a2, pi2 = patch(e1, 2)
     rng = random.Random(53)
     for _ in range(10):
         y = tuple(QQ.coerce(rng.randint(-3, 3)) for _ in range(a1.dim))
@@ -454,7 +509,7 @@ def test_phi_matrix_well_defined_on_quotient(e1):
 
 def test_chain_map_e1(e1):
     f = lattice_functor(e1)
-    report = verify_chain_map(build_amitsur(e1, 2), build_cech(f), default_phi_choice(f, e1))
+    report = verify_chain_map(build_amitsur(e1, 2), build_cech(f), patch_maps(f, e1))
     assert report.passed
     assert all(ch.ok for ch in report.squares)
     assert all(ch.ok for ch in report.well_defined)
@@ -462,7 +517,7 @@ def test_chain_map_e1(e1):
 
 def test_chain_map_e4(e4):
     f = lattice_functor(e4)
-    report = verify_chain_map(build_amitsur(e4, 2), build_cech(f), default_phi_choice(f, e4))
+    report = verify_chain_map(build_amitsur(e4, 2), build_cech(f), patch_maps(f, e4))
     assert report.passed
 
 
@@ -470,14 +525,14 @@ def test_chain_map_trivial_covering():
     a = split_commutative(QQ, 2)
     c = Covering(a, [ideal_closure(a, [])])
     f = lattice_functor(c)
-    report = verify_chain_map(build_amitsur(c, 2), build_cech(f), default_phi_choice(f, c))
+    report = verify_chain_map(build_amitsur(c, 2), build_cech(f), patch_maps(f, c))
     assert report.passed
 
 
 def test_chain_map_over_f5():
     c = make_e1(GF(5))
     f = lattice_functor(c)
-    report = verify_chain_map(build_amitsur(c, 2), build_cech(f), default_phi_choice(f, c))
+    report = verify_chain_map(build_amitsur(c, 2), build_cech(f), patch_maps(f, c))
     assert report.passed
 
 
@@ -514,7 +569,7 @@ def test_chain_map_witness_names_the_first_failing_block(swapped, squares):
     # swap e1 and e2: g_i and g_j differ on the pairs of that patch, so phi
     # is not well defined in degree 2, and the squares fail on its blocks
     c, f = _twisted_plane(swapped)
-    report = verify_chain_map(build_amitsur(c, 2), build_cech(f), default_phi_choice(f, c))
+    report = verify_chain_map(build_amitsur(c, 2), build_cech(f), patch_maps(f, c))
     assert tuple((ch.ok, ch.witness) for ch in report.squares) == squares
     assert not report.passed
 

@@ -13,14 +13,12 @@ import random
 
 from cechcover.algebras import AlgebraHom, ideal_closure
 from cechcover.amitsur import amitsur_homology, build_amitsur
-from cechcover.cech import (
-    PosetFunctor, build_cech, default_phi_choice, verify_chain_map,
-)
+from cechcover.cech import PosetFunctor, build_cech, patch_maps, verify_chain_map
 from cechcover.coverings import Covering
 from cechcover.linalg import GF, QQ, kernel_basis, rank
 from cechcover.oracles import (
-    TensorTower, from_rows, lattice_functor, phi_raw_matrix, random_covering, split_commutative,
-    transpose,
+    TensorTower, default_phi_choice, from_rows, lattice_functor, phi_raw_matrix, random_covering,
+    split_commutative, transpose,
 )
 
 from instances import make_e1, make_e4, make_three_lines
@@ -67,9 +65,8 @@ def raw_chain_map(f, choice, c, n_max):
 
 
 def assert_chain_map_matches_raw(f, c, n_max):
-    choice = default_phi_choice(f, c)
-    report = verify_chain_map(build_amitsur(c, n_max), build_cech(f), choice)
-    well, squares = raw_chain_map(f, choice, c, n_max)
+    report = verify_chain_map(build_amitsur(c, n_max), build_cech(f), patch_maps(f, c))
+    well, squares = raw_chain_map(f, default_phi_choice(f, c), c, n_max)
     assert [ch.degree for ch in report.well_defined] == list(range(1, n_max + 2))
     assert [ch.degree for ch in report.squares] == list(range(1, n_max + 1))
     assert [ch.ok for ch in report.well_defined] == well

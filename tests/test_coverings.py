@@ -9,9 +9,10 @@ import pytest
 import cechcover.algebras
 import cechcover.complexes
 import cechcover.coverings
-from cechcover.algebras import AlgebraHom, Ideal, ideal_closure
+import cechcover.problem
+from cechcover.algebras import Algebra, AlgebraHom, Ideal, ideal_closure
 from cechcover.amitsur import build_amitsur
-from cechcover.cech import build_cech
+from cechcover.cech import build_cech, constant_functor
 from cechcover.cli import _dispatch
 from cechcover.complexes import WordComplex
 from cechcover.coverings import (
@@ -22,8 +23,9 @@ from cechcover.linalg import (
     GF, QQ, Matrix, Subspace, kernel_basis, quotient_map, rank, subspace_sum,
 )
 from cechcover.oracles import (
-    contains_subspace, ideal_intersection, image_basis, quotient_section, random_algebra,
-    random_covering, scale, search_incomplete_covering, split_commutative, to_lists,
+    contains_subspace, ideal_intersection, image_basis, quotient_of, quotient_section,
+    random_algebra, random_covering, scale, search_incomplete_covering, split_commutative,
+    to_lists,
 )
 from cechcover.problem import Problem, tuple_to_key
 
@@ -293,33 +295,37 @@ def test_completeness_from_ranks_matches_on_found_incomplete_coverings(field):
     assert ref.is_covering and not ref.complete
 
 
-# -- quotient algebras are built where a ring is read ----------------------------------
+# -- no command builds a quotient algebra ---------------------------------------------
 
-def _constructions(monkeypatch, command: str, c: Covering) -> tuple:
-    """The ideal spaces of the quotient algebras and the (domain, codomain)
-    of the algebra homs that one command builds on the covering ``c``."""
-    quotients, homs = [], []
-    real_quotient, real_init = cechcover.coverings.quotient, AlgebraHom.__init__
+def _constructions(monkeypatch, command: str, c: Covering, functor=None) -> tuple:
+    """(exit code, checks, the algebras built, the (domain, codomain) of
+    the algebra homs built) of one command on the covering ``c``, with
+    ``functor`` as the problem's functor when one is given."""
+    algebras, homs = [], []
+    real_algebra, real_init = Algebra.__init__, AlgebraHom.__init__
 
-    def counted_quotient(a, j, **kwargs):
-        quotients.append(j.space)
-        return real_quotient(a, j, **kwargs)
+    def counted_algebra(self, *args, **kwargs):
+        real_algebra(self, *args, **kwargs)
+        algebras.append(self)
 
     def counted_init(self, domain, codomain, matrix):
         homs.append((domain, codomain))
         real_init(self, domain, codomain, matrix)
 
-    monkeypatch.setattr(cechcover.coverings, "quotient", counted_quotient)
+    monkeypatch.setattr(Algebra, "__init__", counted_algebra)
     monkeypatch.setattr(AlgebraHom, "__init__", counted_init)
+    if functor is not None:
+        monkeypatch.setattr(cechcover.problem, "build_problem_functor",
+                            lambda problem: (functor, "constant", None))
     _, checks, code = _dispatch(command, Problem(c.field, c.algebra, {}, c, None, n_max=2))
-    assert code == 0 and all(v is True for v in checks.values())
-    return quotients, homs
+    return code, checks, algebras, homs
 
 
 @pytest.mark.parametrize("command", ("check", "amitsur"))
 def test_check_and_amitsur_build_no_quotient_algebra(monkeypatch, command):
-    quotients, homs = _constructions(monkeypatch, command, make_three_lines())
-    assert quotients == homs == []
+    code, checks, algebras, homs = _constructions(monkeypatch, command, make_three_lines())
+    assert code == 0 and all(v is True for v in checks.values())
+    assert algebras == homs == []
 
 
 @pytest.mark.parametrize("make", (make_e1, make_e4, make_three_lines,
@@ -327,20 +333,28 @@ def test_check_and_amitsur_build_no_quotient_algebra(monkeypatch, command):
                          ids=("e1", "e4", "three_lines", "coordinate6"))
 def test_cech_on_the_default_functor_builds_no_quotient_algebra_and_no_hom(monkeypatch, make):
     # the covering is its own Cech functor: dims and projection matrices
-    quotients, homs = _constructions(monkeypatch, "cech", make())
-    assert quotients == homs == []
+    code, checks, algebras, homs = _constructions(monkeypatch, "cech", make())
+    assert code == 0 and all(v is True for v in checks.values())
+    assert algebras == homs == []
 
 
-def test_verify_builds_only_the_patch_quotients(monkeypatch):
-    # the chain-map check reads A_i and pi_i; the Cech complex reads no ring
+def test_verify_builds_no_quotient_algebra(monkeypatch):
+    # the chain-map check reads each patch map pi_i : A -> A_i off d'_0: on
+    # the covering's own functor nothing is built and nothing checked
     c = make_three_lines()
-    quotients, homs = _constructions(monkeypatch, "verify", c)
-    patches = [ideal.space for ideal in c.ideals]
-    assert quotients == patches
-    # per patch: pi_i : A -> A_i in its quotient, then the chosen identity
-    # A_i -> R((i,)) = A_i
-    assert homs == [pair for i in (1, 2, 3)
-                    for pair in ((c.algebra, c.patch(i)[0]), (c.patch(i)[0],) * 2)]
+    with monkeypatch.context() as m:
+        code, checks, algebras, homs = _constructions(m, "verify", c)
+    assert code == 0 and all(v is True for v in checks.values())
+    assert algebras == homs == []
+    # k x k on every tuple of e1's covering: each pi_i : A -> k x k is
+    # checked as a hom, once, and still no algebra is built
+    c = make_e1()
+    functor = constant_functor(c.n_patches, split_commutative(QQ, 2))
+    with monkeypatch.context() as m:
+        code, checks, algebras, homs = _constructions(m, "verify", c, functor)
+    assert code == 1 and checks["chain_map"] is False
+    assert algebras == []
+    assert homs == [(c.algebra, functor.ring((i,))) for i in range(1, c.n_patches + 1)]
 
 
 # -- work done once per covering -------------------------------------------------------------
@@ -403,17 +417,18 @@ def test_no_command_assembles_a_differential_twice(monkeypatch, command):
 @pytest.mark.parametrize("make, sums", ((make_three_lines, 4), (make_e4, 2)),
                          ids=("three_lines", "e4"))
 def test_verify_builds_one_quotient_map_per_ideal_sum(monkeypatch, make, sums):
-    # the projections and the patch quotient algebras share one map per sum:
-    # three_lines reads its 3 patch ideals and the one sum of any two or
-    # three of them, e4 its 2 patch ideals only: their sum is A, whose
-    # block is zero and left out of both complexes
+    # the projections share one map per sum: three_lines reads its 3 patch
+    # ideals and the one sum of any two or three of them, e4 its 2 patch
+    # ideals only: their sum is A, whose block is zero and left out of both
+    # complexes
     maps = []
-    for module in (cechcover.coverings, cechcover.algebras):
-        def counted(ambient_dim, w, real=module.quotient_map):
-            maps.append(w)
-            return real(ambient_dim, w)
+    real = cechcover.coverings.quotient_map
 
-        monkeypatch.setattr(module, "quotient_map", counted)
+    def counted(ambient_dim, w):
+        maps.append(w)
+        return real(ambient_dim, w)
+
+    monkeypatch.setattr(cechcover.coverings, "quotient_map", counted)
     c = make()
     _, checks, code = _dispatch("verify", Problem(c.field, c.algebra, {}, c, None, n_max=2))
     assert code == 0 and checks["chain_map"] is True
@@ -482,8 +497,8 @@ def test_equal_ideal_sums_are_one_object():
 
 def test_neither_the_closure_nor_the_quotients_rerun_the_two_sided_check(monkeypatch):
     # a closure fixpoint and a sum of two-sided ideals are two-sided ideals:
-    # building the coverings by ideal_closure and running verify, which
-    # takes the quotient by every ideal sum, checks no ideal again
+    # building the coverings by ideal_closure, running verify and taking
+    # the quotient algebra by every ideal sum check no ideal again
     calls = []
     real = cechcover.algebras._check_two_sided
 
@@ -495,10 +510,13 @@ def test_neither_the_closure_nor_the_quotients_rerun_the_two_sided_check(monkeyp
     for c in (make_three_lines(), make_e4()):
         _, _, code = _dispatch("verify", Problem(c.field, c.algebra, {}, c, None, n_max=2))
         assert code == 0
+        for n in range(c.n_patches + 1):
+            for s in combinations(range(1, c.n_patches + 1), n):
+                quotient_of(c, c.ideal_sum_space(s))
     assert calls == []
     # a subspace that is no ideal sum is still checked: span(e11) in M_2 (+) k
     with pytest.raises(StructureError):
-        c.quotient(Subspace.from_vectors(c.field, 5, [(1, 0, 0, 0, 0)]))
+        quotient_of(c, Subspace.from_vectors(c.field, 5, [(1, 0, 0, 0, 0)]))
     assert len(calls) == 1
 
 
@@ -518,7 +536,7 @@ def test_unchecked_ideals_pass_the_checking_constructor(monkeypatch, field):
         c = random_covering(rng, field, max_dim=6, max_patches=3)
         for n in range(c.n_patches + 1):
             for s in combinations(range(1, c.n_patches + 1), n):
-                c.quotient(c.ideal_sum_space(s))
+                quotient_of(c, c.ideal_sum_space(s))
     assert len(proven) > 100
     for ideal in proven:
         assert Ideal(ideal.algebra, ideal.space) == ideal

@@ -38,7 +38,7 @@ PROBLEMS = sorted((SRC.parent / "problems").glob("*.json"))
 
 # "module.qualified.name" -> why no command enters it
 ALLOWED = {
-    "algebras.__getattr__": "tracer target: bench/spans.py looks make_algebra up here",
+    "algebras.__getattr__": "tracer target: bench/spans.py looks up make_algebra and quotient",
     "amitsur.__getattr__": "tracer target: bench/spans.py looks TensorTower up here",
     "cech.__getattr__": "tracer target: bench/spans.py looks phi_raw_matrix up here",
     "complexes.CechComplex.layouts": "tracer target: bench/spans.py reads it",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -34,7 +35,7 @@ from cechcover.oracles import Element, from_rows, split_commutative
 from cechcover.problem import Problem
 from cechcover.records import Frozen
 
-from instances import make_e1
+from instances import make_e1, rescaled
 
 SRC = Path(cechcover.__file__).resolve().parents[1]
 
@@ -272,14 +273,17 @@ def _loaded_by_main(argv: list, watched: tuple, *flags: str) -> tuple:
     return ast.literal_eval(out)
 
 
-@pytest.mark.parametrize("command, problem", (
+# each command on a problem file it accepts; every scalar in these is an integer
+RUNS = (
     ("check", "e1_split_three_points.json"),
     ("cech", "constant_three_patches.json"),
     ("amitsur", "e1_split_three_points.json"),
     ("verify", "e4_matrix_plus_point.json"),
     ("oracle", "circle_cover.json"),
-    ("--version", None),
-))
+)
+
+
+@pytest.mark.parametrize("command, problem", RUNS + (("--version", None),))
 def test_commands_load_no_costly_module(command, problem):
     """A command that reads a problem file takes its digest with CPython's
     own SHA-256: ``hashlib`` would load ``_hashlib`` and with it libcrypto
@@ -290,6 +294,30 @@ def test_commands_load_no_costly_module(command, problem):
     if problem is not None:
         argv += ["--input", str(SRC.parent / "problems" / problem), "--format", "json"]
     assert _loaded_by_main(argv, COSTLY)[:2] == (0, [])
+
+
+# fractions loads decimal (with _decimal) and numbers
+FRACTIONS = ("decimal", "fractions")
+
+
+@pytest.mark.parametrize("field", ("Q", "Fp:5"))
+@pytest.mark.parametrize("command, problem", RUNS)
+def test_integral_data_loads_no_fractions(command, problem, field):
+    """A Q value is an int where it is integral, so ``fractions`` is
+    imported only where a value that is not an int is made."""
+    argv = [command, "--input", str(SRC.parent / "problems" / problem), "--format", "json",
+            "--field-override", field]
+    assert _loaded_by_main(argv, FRACTIONS)[:2] == (0, [])
+
+
+@pytest.mark.parametrize("command", ("check", "cech", "amitsur", "verify"))
+def test_fractional_data_loads_fractions(tmp_path, command):
+    # y -> 2y puts 1/2 into the structure constants and the ideal D
+    three_lines = json.loads((SRC.parent / "problems" / "incomplete_three_lines.json").read_text())
+    halved = tmp_path / "rescaled_three_lines.json"
+    halved.write_text(json.dumps(rescaled(three_lines, [1, 1, 2])))
+    argv = [command, "--input", str(halved), "--field-override", "Q"]
+    assert _loaded_by_main(argv, FRACTIONS)[:2] == (0, sorted(FRACTIONS))
 
 
 # the production modules each command executes, beside the package's
@@ -407,6 +435,10 @@ MOVED = (
     ("cechcover.linalg", "Matrix.column"),
     ("cechcover", "Element"),
     ("cechcover", "RingedStructure"),
+    ("cechcover.coverings", "Covering.ring"),
+    ("cechcover.coverings", "Covering.patch"),
+    ("cechcover.coverings", "Covering.quotient"),
+    ("cechcover.cech", "default_phi_choice"),
 )
 
 
@@ -420,12 +452,15 @@ def test_oracle_helpers_stay_off_the_production_modules(module, name):
 
 
 def test_make_algebra_is_an_oracle_that_the_tracer_finds_by_its_old_name():
-    # bench/spans.py wraps algebras.make_algebra, so that name still resolves,
-    # through a forwarder; the nerve builds k from its terms, and no command
-    # compiles the dense-table constructor
-    assert "make_algebra" not in vars(algebras)
-    assert algebras.make_algebra is oracles.make_algebra
+    # bench/spans.py wraps algebras.make_algebra and algebras.quotient, so
+    # those names still resolve, through a forwarder; the nerve builds k
+    # from its terms, no command builds a quotient algebra, and no command
+    # compiles either
+    for name in ("make_algebra", "quotient"):
+        assert name not in vars(algebras)
+        assert getattr(algebras, name) is getattr(oracles, name)
 
 
 def test_the_covering_caches_no_patch_sum():
     assert "_b_algebra" not in vars(make_e1())
+    assert "_quotients" not in vars(make_e1())
